@@ -1,13 +1,15 @@
 """Command-line surface: analyze, lift, verify, birkhoff.
 
-Exit codes: 0 success, 2 parse error (message includes the position),
-3 enumeration bound overflow, 4 lift obstruction, 5 not a sublattice.
-Errors are emitted as one JSON object on stderr.
+Exit codes: 0 success, 2 unreadable or malformed input (the message names
+the path or the position), 3 enumeration bound overflow or an invalid
+MORSELAT_MAX_ENUM, 4 lift obstruction, 5 not a sublattice.  Errors are
+emitted as one JSON object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -21,7 +23,7 @@ from .grid import (
 )
 from .lattice import SetLattice, booleanize, join_irreducibles
 from .lifting import ObstructionFound, lift
-from .order import TooLarge
+from .order import TooLarge, enum_bound
 from .formats import InputError, RunConfig
 
 EXIT_PARSE = 2
@@ -38,8 +40,16 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
 
 
 def _read_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _emit(text: str, path: str | None):
@@ -54,18 +64,18 @@ def cmd_analyze(args) -> int:
     config = RunConfig("analyze", [args.input], args.output, args.format, seed=args.seed)
     try:
         doc = _read_json(args.input)
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_PARSE, "parse", f"invalid JSON at position {exc.pos}: {exc.msg}")
-    try:
-        if doc.get("type") == "interval_map":
+        if doc.get("type") in ("interval_map", "cell_map"):
             cmap = formats.load_gridmap(doc)
-            config.grid = {
-                "domain": doc["domain"],
-                "cells": doc["cells"],
-                "expr": doc["expr"],
-                "samples_per_cell": doc.get("samples_per_cell", 32),
-                "padding": doc.get("padding", 1e-9),
-            }
+            if doc["type"] == "interval_map":
+                config.grid = {
+                    "domain": doc["domain"],
+                    "cells": doc["cells"],
+                    "expr": doc["expr"],
+                    "samples_per_cell": doc.get("samples_per_cell", 32),
+                    "padding": doc.get("padding", 1e-9),
+                }
+            else:
+                config.grid = {"domain": [cmap.grid.lo, cmap.grid.hi], "cells": cmap.n}
             lat = comb_att_lattice(cmap)
             if args.format == "dot":
                 _emit(formats.hasse_dot(lat), args.output)
@@ -83,8 +93,7 @@ def cmd_analyze(args) -> int:
         payload = formats.lattice_payload(att, config)
         payload["attractors"] = [formats.sorted_labels(e, att.universe) for e in att.elements]
         payload["repellers"] = [formats.sorted_labels(e, rep.universe) for e in rep.elements]
-        payload["anbhd_count"] = len(system.attracting_neighborhoods())
-        payload["rnbhd_count"] = len(system.repelling_neighborhoods())
+        payload["anbhd_count"], payload["rnbhd_count"] = system.neighborhood_counts()
         payload["dual_pairs"] = [
             {
                 "attractor": formats.sorted_labels(e, att.universe),
@@ -109,9 +118,6 @@ def cmd_lift(args) -> int:
     try:
         doc = _read_json(args.input)
         subdoc = _read_json(args.sublattice)
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_PARSE, "parse", f"invalid JSON at position {exc.pos}: {exc.msg}")
-    try:
         elements = formats.load_sublattice(subdoc)
         if doc.get("type") in ("interval_map", "cell_map"):
             cmap = formats.load_gridmap(doc)
@@ -161,15 +167,15 @@ def cmd_verify(args) -> int:
         bounds={"exhaustive": args.exhaustive, "max_states": args.max_states},
         seed=args.seed,
     )
-    systems = []
+    parts = []
     if args.exhaustive:
-        systems.extend(verify.all_systems(args.exhaustive))
+        parts.append(verify.all_systems(args.exhaustive))
     if args.random:
-        systems.extend(verify.random_systems(args.random, args.max_states, args.seed))
-    if not systems:
-        systems.extend(verify.all_systems(3))
-        systems.extend(verify.random_systems(100, 6, args.seed))
-    results = verify.run_verification(systems)
+        parts.append(verify.random_systems(args.random, args.max_states, args.seed))
+    if not parts:
+        parts = [verify.all_systems(3), verify.random_systems(100, 6, args.seed)]
+    # streamed, so that each system and its caches are dropped once its tags ran
+    results = verify.run_verification(itertools.chain(*parts))
     lines = []
     all_ok = True
     for res in results:
@@ -187,9 +193,6 @@ def cmd_birkhoff(args) -> int:
     config = RunConfig("birkhoff", [args.input], args.output, args.format, seed=args.seed)
     try:
         doc = _read_json(args.input)
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_PARSE, "parse", f"invalid JSON at position {exc.pos}: {exc.msg}")
-    try:
         if "covers" in doc or "leq" in doc:
             poset = formats.load_poset(doc)
             lat = SetLattice.from_poset(poset)
@@ -260,6 +263,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_birkhoff)
 
     args = parser.parse_args(argv)
+    try:
+        enum_bound()
+    except ValueError as exc:
+        return _fail(EXIT_BOUND, "bound", str(exc))
     return args.fn(args)
 
 

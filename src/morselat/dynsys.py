@@ -5,6 +5,15 @@ closure and interior are the identity here; every statement below that the
 continuum theory phrases with cl/int is implemented literally with the set
 itself.  State sets are exposed as frozensets of labels; internally all
 operations run on bitmasks over the fixed state ordering.
+
+Image and preimage preserve unions, so omega and alpha are union-linear:
+omega(U) is the union of omega(x) over x in U (the cycle x runs into), and
+alpha(U) the union of alpha(x) (the basin of x's cycle when x lies on one,
+else empty).  The cycles, their basins and the per-state limit sets are
+computed once per system.  The attracting (repelling) neighborhoods are the
+sets closed under x -> omega(x) (x -> alpha(x)), enumerated
+output-sensitively by ``order.closed_masks``.  Only ``_tables()`` scans all
+2^n subsets; it is called by the exhaustive oracle in ``verify`` alone.
 """
 
 from __future__ import annotations
@@ -13,9 +22,9 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import SetLattice
-from .order import TooLarge, UnknownElement, enum_bound
+from .order import TooLarge, UnknownElement, closed_masks, enum_bound
 
-TABLE_LIMIT = 16  # build full 2^n transfer tables only below this
+TABLE_LIMIT = 16  # largest n for which _tables() builds the 2^n tables verify reads
 
 
 class InvalidOrbit(ValueError):
@@ -106,8 +115,9 @@ class FiniteDynSys:
         self._pre1 = tuple(pre)
         self._img_tab = None
         self._pre_tab = None
-        self._omega_pt = None
+        self._limit_pts = None
         self._cycles_cache = None
+        self._att_cache = None
 
     # -- mask plumbing -------------------------------------------------------
 
@@ -123,30 +133,20 @@ class FiniteDynSys:
         return frozenset(self.states[i] for i in range(self._n) if m >> i & 1)
 
     def _image_mask(self, m: int) -> int:
-        tab = self._tables()[0]
-        if tab is not None:
-            return tab[m]
-        out = 0
-        rest = m
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            out |= self._img1[i]
-            rest &= rest - 1
-        return out
+        if self._img_tab is not None:
+            return self._img_tab[m]
+        return _union(self._img1, m)
 
     def _preimage_mask(self, m: int) -> int:
-        tab = self._tables()[1]
-        if tab is not None:
-            return tab[m]
-        out = 0
-        rest = m
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            out |= self._pre1[i]
-            rest &= rest - 1
-        return out
+        if self._pre_tab is not None:
+            return self._pre_tab[m]
+        return _union(self._pre1, m)
 
     def _tables(self):
+        """The 2^n image and preimage tables, for the exhaustive oracle in verify.
+
+        Once built they also serve _image_mask and _preimage_mask.
+        """
         if self._n > TABLE_LIMIT:
             return None, None
         if self._img_tab is None:
@@ -162,20 +162,6 @@ class FiniteDynSys:
             self._img_tab = img
             self._pre_tab = pre
         return self._img_tab, self._pre_tab
-
-    def _tail_cycle(self, m: int, step) -> int:
-        """Union of the eventual cycle of the mask sequence m, step(m), ..."""
-        seen = {}
-        cur = m
-        seq = []
-        while cur not in seen:
-            seen[cur] = len(seq)
-            seq.append(cur)
-            cur = step(cur)
-        out = 0
-        for k in range(seen[cur], len(seq)):
-            out |= seq[k]
-        return out
 
     def _inv_mask(self, m: int) -> int:
         # prune states whose image leaves or that have no preimage inside
@@ -208,15 +194,55 @@ class FiniteDynSys:
             cur = nxt
 
     def _omega_mask(self, m: int) -> int:
-        return self._tail_cycle(m, self._image_mask)
+        out = 0
+        for c, b in self._limit_points()[2]:
+            if b & m:
+                out |= c
+        return out
 
     def _alpha_mask(self, m: int) -> int:
-        return self._tail_cycle(m, self._preimage_mask)
+        out = 0
+        for c, b in self._limit_points()[2]:
+            if c & m:
+                out |= b
+        return out
 
-    def _omega_points(self):
-        if self._omega_pt is None:
-            self._omega_pt = tuple(self._omega_mask(1 << i) for i in range(self._n))
-        return self._omega_pt
+    def _omega_points(self) -> tuple:
+        """omega(x) for each state x: the cycle its forward orbit runs into."""
+        return self._limit_points()[0]
+
+    def _alpha_points(self) -> tuple:
+        """alpha(x) for each state x: the basin of x's cycle, empty off the cycles."""
+        return self._limit_points()[1]
+
+    def _limit_points(self):
+        """(omega points, alpha points, (cycle, basin) pairs), computed once.
+
+        omega and alpha are union-linear, so omega(U) is the union of the
+        cycles whose basins U meets and alpha(U) the union of the basins
+        whose cycles U meets.
+        """
+        if self._limit_pts is None:
+            omega = [0] * self._n
+            for c in self._cycle_masks():
+                rest = c
+                while rest:
+                    omega[(rest & -rest).bit_length() - 1] = c
+                    rest &= rest - 1
+            for i in range(self._n):
+                path = []
+                j = i
+                while not omega[j]:
+                    path.append(j)
+                    j = self._img1[j].bit_length() - 1
+                for k in path:
+                    omega[k] = omega[j]
+            basin = dict.fromkeys(self._cycle_masks(), 0)
+            for i, c in enumerate(omega):
+                basin[c] |= 1 << i
+            alpha = tuple(basin[c] if c >> i & 1 else 0 for i, c in enumerate(omega))
+            self._limit_pts = (tuple(omega), alpha, tuple(basin.items()))
+        return self._limit_pts
 
     def _cycle_masks(self):
         """The cycles of the next map, one mask per cycle."""
@@ -466,40 +492,57 @@ class FiniteDynSys:
         m = self.mask(subset)
         return not (self._alpha_mask(m) & ~m)
 
-    def attracting_neighborhoods(self, bound: int | None = None) -> list[frozenset]:
+    def _check_bound(self, bound: int | None) -> None:
         limit = enum_bound() if bound is None else bound
         if self._n > limit:
             raise TooLarge(f"{self._n} states exceeds enumeration bound {limit}")
-        return [
-            self.unmask(m)
-            for m in range(1 << self._n)
-            if not (self._omega_mask(m) & ~m)
-        ]
+
+    def _attracting_masks(self, bound: int | None = None):
+        """Attracting neighborhoods as ascending masks: the sets closed under x -> omega(x)."""
+        self._check_bound(bound)
+        return closed_masks(self._omega_points())
+
+    def _repelling_masks(self, bound: int | None = None):
+        self._check_bound(bound)
+        return closed_masks(self._alpha_points())
+
+    def attracting_neighborhoods(self, bound: int | None = None) -> list[frozenset]:
+        return [self.unmask(m) for m in self._attracting_masks(bound)]
 
     def repelling_neighborhoods(self, bound: int | None = None) -> list[frozenset]:
-        limit = enum_bound() if bound is None else bound
-        if self._n > limit:
-            raise TooLarge(f"{self._n} states exceeds enumeration bound {limit}")
-        return [
-            self.unmask(m)
-            for m in range(1 << self._n)
-            if not (self._alpha_mask(m) & ~m)
-        ]
+        return [self.unmask(m) for m in self._repelling_masks(bound)]
+
+    def neighborhood_counts(self, bound: int | None = None) -> tuple[int, int]:
+        """(number of attracting, number of repelling neighborhoods), without listing them."""
+        return (
+            sum(1 for _ in self._attracting_masks(bound)),
+            sum(1 for _ in self._repelling_masks(bound)),
+        )
+
+    def _recurrent_unions(self):
+        """The unions of cycles: the omega-closed subsets of the cycle states."""
+        on_cycle = 0
+        for c in self._cycle_masks():
+            on_cycle |= c
+        return closed_masks(self._omega_points(), within=on_cycle)
 
     def att_lattice(self, bound: int | None = None) -> SetLattice:
-        """Att = omega images of attracting neighborhoods, join union, meet Inv(cap)."""
-        limit = enum_bound() if bound is None else bound
-        if self._n > limit:
-            raise TooLarge(f"{self._n} states exceeds enumeration bound {limit}")
-        elems = {self._omega_mask(m) for m in range(1 << self._n) if not (self._omega_mask(m) & ~m)}
-        meet = lambda a, b: self.unmask(self._inv_mask(self.mask(a & b)))
-        return SetLattice(self.states, (self.unmask(m) for m in elems), meet=meet)
+        """Att = omega images of attracting neighborhoods, join union, meet Inv(cap).
+
+        omega(U) of a neighborhood U is the union of the cycles U meets, and
+        every union of cycles is omega of its basin, so Att is the family of
+        unions of cycles.  Built once per system.
+        """
+        self._check_bound(bound)
+        if self._att_cache is None:
+            meet = lambda a, b: self.unmask(self._inv_mask(self.mask(a & b)))
+            self._att_cache = SetLattice(self.states, map(self.unmask, self._recurrent_unions()), meet=meet)
+        return self._att_cache
 
     def rep_lattice(self, bound: int | None = None) -> SetLattice:
-        limit = enum_bound() if bound is None else bound
-        if self._n > limit:
-            raise TooLarge(f"{self._n} states exceeds enumeration bound {limit}")
-        elems = {self._alpha_mask(m) for m in range(1 << self._n) if not (self._alpha_mask(m) & ~m)}
+        """Rep = alpha images of repelling neighborhoods: the unions of basins of cycles."""
+        self._check_bound(bound)
+        elems = {self._alpha_mask(m) for m in self._recurrent_unions()}
         return SetLattice(self.states, (self.unmask(m) for m in elems))
 
     def basin(self, attractor: Iterable) -> frozenset:
@@ -585,41 +628,44 @@ class FiniteDynSys:
 
     def commuting_square_check(self, bound: int | None = None) -> PairReport:
         """Diagram (1): omega = Inv on ANbhd, alpha = Inv+ on RNbhd, and the square commutes."""
-        limit = enum_bound() if bound is None else bound
-        if self._n > limit:
-            raise TooLarge(f"{self._n} states exceeds enumeration bound {limit}")
+        att = self.att_lattice(bound)
+        star = {x: self.dual_repeller(x) for x in att.elements}
+        star_mask = {self.mask(x): self.mask(sx) for x, sx in star.items()}
         full = self._full
-        for m in range(1 << self._n):
+        for m in self._attracting_masks(bound):
             om = self._omega_mask(m)
-            if om & ~m:
-                continue
-            u = self.unmask(m)
             if self._inv_mask(m) != om:
-                return PairReport(False, "Inv(U) != omega(U) on an attracting neighborhood", u)
+                return PairReport(False, "Inv(U) != omega(U) on an attracting neighborhood", self.unmask(m))
             mc = full & ~m
             al = self._alpha_mask(mc)
             if al & ~mc:
-                return PairReport(False, "U attracting but U^c not repelling", u)
+                return PairReport(False, "U attracting but U^c not repelling", self.unmask(m))
             if self._inv_plus_mask(mc) != al:
-                return PairReport(False, "Inv+(U^c) != alpha(U^c)", u)
-            if self.mask(self.dual_repeller(self.unmask(om))) != al:
-                return PairReport(False, "omega(U)* != alpha(U^c)", u)
+                return PairReport(False, "Inv+(U^c) != alpha(U^c)", self.unmask(m))
+            if star_mask.get(om) != al:
+                return PairReport(False, "omega(U)* != alpha(U^c)", self.unmask(m))
         # Props 4.6 / 4.7: the anti-isomorphism laws on the full lattices
-        att = self.att_lattice(bound=limit)
         for x in att.elements:
             for y in att.elements:
-                sx = self.dual_repeller(x)
-                sy = self.dual_repeller(y)
-                if self.dual_repeller(att.join(x, y)) != sx & sy:
+                if star[att.join(x, y)] != star[x] & star[y]:
                     return PairReport(False, "(A v A')* != A* ^ A'*", (x, y))
-                if self.dual_repeller(att.meet(x, y)) != sx | sy:
+                if star[att.meet(x, y)] != star[x] | star[y]:
                     return PairReport(False, "(A ^ A')* != A* v A'*", (x, y))
-            if self.dual_attractor(self.dual_repeller(x)) != x:
+            if self.dual_attractor(star[x]) != x:
                 return PairReport(False, "(A*)* != A", x)
         return PairReport(True)
 
     def cycles(self) -> list[frozenset]:
         return [self.unmask(c) for c in self._cycle_masks()]
+
+
+def _union(parts: Sequence[int], m: int) -> int:
+    """Union of parts[i] over the set bits i of m."""
+    out = 0
+    while m:
+        out |= parts[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return out
 
 
 def system_from_map(next_map: Mapping) -> FiniteDynSys:

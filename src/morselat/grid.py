@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 from . import expr as exprmod
 from .lattice import SetLattice, join_irreducibles
 from .lifting import AttractorLiftSpec, LiftProblem, PartialLift, lift, transport_by_duality
-from .order import Poset, TooLarge, enum_bound
+from .order import Poset, TooLarge, closed_masks, enum_bound
 
 GRID_ENUM_BOUND = 16
 DEFAULT_SAMPLES = 32
@@ -276,6 +276,7 @@ def comb_inv_plus(cells: Iterable[int], cmap: CellMap) -> frozenset:
 
 
 def attracting_blocks(cmap: CellMap, bound: int | None = None) -> list[frozenset]:
+    """The cell sets closed under the arrows, in ascending mask order."""
     limit = enum_bound(GRID_ENUM_BOUND) if bound is None else bound
     n = cmap.n
     if n > limit:
@@ -284,19 +285,7 @@ def attracting_blocks(cmap: CellMap, bound: int | None = None) -> list[frozenset
     for c in range(n):
         for j in cmap.arrows[c]:
             arrows_masks[c] |= 1 << j
-    out = []
-    for m in range(1 << n):
-        ok = True
-        rest = m
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if arrows_masks[i] & ~m:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            out.append(frozenset(i for i in range(n) if m >> i & 1))
-    return out
+    return [frozenset(i for i in range(n) if m >> i & 1) for m in closed_masks(arrows_masks)]
 
 
 def repelling_blocks(cmap: CellMap, bound: int | None = None) -> list[frozenset]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ENUM_BOUND = 20
 
@@ -17,7 +17,55 @@ DEFAULT_ENUM_BOUND = 20
 def enum_bound(default: int = DEFAULT_ENUM_BOUND) -> int:
     """Enumeration bound, overridable through MORSELAT_MAX_ENUM."""
     env = os.environ.get("MORSELAT_MAX_ENUM")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"MORSELAT_MAX_ENUM must be an integer, got {env!r}") from None
+
+
+def closure(rel: Sequence[int]) -> list[int]:
+    """Reflexive-transitive closure of a relation given as one bitmask per element."""
+    n = len(rel)
+    out = [m | 1 << i for i, m in enumerate(rel)]
+    for k in range(n):
+        bit = 1 << k
+        row = out[k]
+        for i in range(n):
+            if out[i] & bit:
+                out[i] |= row
+    return out
+
+
+def closed_masks(rel: Sequence[int], within: int | None = None) -> Iterator[int]:
+    """Every U inside ``within`` with rel[i] contained in U for each i in U, ascending.
+
+    ``within`` (default: everything) must itself be closed.  Output-sensitive
+    in the manner of Squire's ideal enumeration: after closing ``rel``, branch
+    on the highest undecided element x, first leaving out everything above x,
+    then taking in everything below it.  Both branches yield at least one set,
+    so the work is O(n) word operations per set, and deciding the highest
+    element first makes the output ascending as integers.
+    """
+    n = len(rel)
+    down = closure(rel)
+    up = [0] * n
+    for i, m in enumerate(down):
+        rest = m
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            up[j] |= 1 << i
+            rest &= rest - 1
+    stack = [(0, (1 << n) - 1 if within is None else within)]
+    while stack:
+        u, free = stack.pop()
+        if not free:
+            yield u
+            continue
+        x = free.bit_length() - 1
+        stack.append((u | down[x], free & ~down[x]))
+        stack.append((u, free & ~up[x]))
 
 
 class PosetError(ValueError):
@@ -126,22 +174,7 @@ class Poset:
             if q not in index:
                 raise UnknownElement(q)
             below[index[q]] |= 1 << index[p]
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                m = below[i]
-                acc = m
-                rest = m
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    acc |= below[j]
-                    rest &= rest - 1
-                if acc != m:
-                    below[i] = acc
-                    changed = True
-        return cls(carrier, below)
+        return cls(carrier, closure(below))
 
     # -- basic queries -----------------------------------------------------
 
@@ -213,22 +246,10 @@ class Poset:
 
     def all_down_sets(self, bound: int | None = None) -> list["DownSet"]:
         """The lattice O(P), ordered by (size, lexicographic in carrier order)."""
-        n = len(self.carrier)
-        limit = enum_bound() if bound is None else bound
-        if n > limit:
-            raise TooLarge(f"poset has {n} elements, enumeration bound is {limit}")
-        masks = [m for m in range(1 << n) if self.is_down_mask(m)]
-        masks.sort(key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
-        return [DownSet(self, self.members_of(m), _checked=True) for m in masks]
+        return [DownSet(self, self.members_of(m), _checked=True) for m in _sorted_down_masks(self, bound)]
 
     def down_masks(self, bound: int | None = None) -> list[int]:
-        n = len(self.carrier)
-        limit = enum_bound() if bound is None else bound
-        if n > limit:
-            raise TooLarge(f"poset has {n} elements, enumeration bound is {limit}")
-        masks = [m for m in range(1 << n) if self.is_down_mask(m)]
-        masks.sort(key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
-        return masks
+        return _sorted_down_masks(self, bound)
 
     def dual(self) -> "Poset":
         """The opposite poset: p <= q in the dual iff q <= p here."""
@@ -261,6 +282,14 @@ class Poset:
 
 def _lex_key(mask: int, n: int) -> tuple:
     return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def _sorted_down_masks(poset: Poset, bound: int | None) -> list[int]:
+    n = len(poset.carrier)
+    limit = enum_bound() if bound is None else bound
+    if n > limit:
+        raise TooLarge(f"poset has {n} elements, enumeration bound is {limit}")
+    return sorted(closed_masks(poset.below), key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,33 @@ class TestCliAnalyze:
         path = write(tmp_path, "system.json", DS1_DOC)
         assert cli.main(["analyze", path]) == 3
 
+    def test_bad_bound_setting_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "abc")
+        path = write(tmp_path, "system.json", DS1_DOC)
+        assert cli.main(["analyze", path]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bound" and "'abc'" in err["message"]
+
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        assert cli.main(["analyze", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse" and path in err["message"]
+
+    def test_non_object_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "list.json", [1, 2])
+        assert cli.main(["analyze", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
+    def test_cell_map_analyze(self, tmp_path):
+        path = write(tmp_path, "tripod.json", {"type": "cell_map", "cells": 4, "arrows": [[0], [0], [1, 2], [1, 3]]})
+        out = tmp_path / "lat.json"
+        assert cli.main(["analyze", path, "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["elements"] == [[], [0], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]]
+        assert [a["cells"] for a in payload["attractors"]] == payload["elements"]
+        assert payload["config"]["grid"] == {"domain": [0.0, 4.0], "cells": 4}
+
 
 class TestCliLift:
     def test_ds1_repeller_lift(self, tmp_path):
