@@ -45,6 +45,8 @@ def _read_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -174,7 +176,7 @@ def cmd_verify(args) -> int:
         parts.append(verify.random_systems(args.random, args.max_states, args.seed))
     if not parts:
         parts = [verify.all_systems(3), verify.random_systems(100, 6, args.seed)]
-    # streamed, so that each system and its caches are dropped once its tags ran
+    # streamed, so that each system and its caches are freed once its tags ran
     results = verify.run_verification(itertools.chain(*parts))
     lines = []
     all_ok = True

@@ -12,19 +12,18 @@ alpha(U) the union of alpha(x) (the basin of x's cycle when x lies on one,
 else empty).  The cycles, their basins and the per-state limit sets are
 computed once per system.  The attracting (repelling) neighborhoods are the
 sets closed under x -> omega(x) (x -> alpha(x)), enumerated
-output-sensitively by ``order.closed_masks``.  Only ``_tables()`` scans all
-2^n subsets; it is called by the exhaustive oracle in ``verify`` alone.
+output-sensitively by ``order.closed_masks``.  Nothing here scans all 2^n
+subsets; that is left to the exhaustive oracle in ``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import SetLattice
 from .order import TooLarge, UnknownElement, closed_masks, enum_bound
-
-TABLE_LIMIT = 16  # largest n for which _tables() builds the 2^n tables verify reads
 
 
 class InvalidOrbit(ValueError):
@@ -113,8 +112,6 @@ class FiniteDynSys:
         for i, s in enumerate(self.states):
             pre[self.index[next_map[s]]] |= 1 << i
         self._pre1 = tuple(pre)
-        self._img_tab = None
-        self._pre_tab = None
         self._limit_pts = None
         self._cycles_cache = None
         self._att_cache = None
@@ -133,51 +130,13 @@ class FiniteDynSys:
         return frozenset(self.states[i] for i in range(self._n) if m >> i & 1)
 
     def _image_mask(self, m: int) -> int:
-        if self._img_tab is not None:
-            return self._img_tab[m]
         return _union(self._img1, m)
 
     def _preimage_mask(self, m: int) -> int:
-        if self._pre_tab is not None:
-            return self._pre_tab[m]
         return _union(self._pre1, m)
 
-    def _tables(self):
-        """The 2^n image and preimage tables, for the exhaustive oracle in verify.
-
-        Once built they also serve _image_mask and _preimage_mask.
-        """
-        if self._n > TABLE_LIMIT:
-            return None, None
-        if self._img_tab is None:
-            n = self._n
-            img = [0] * (1 << n)
-            pre = [0] * (1 << n)
-            img1, pre1 = self._img1, self._pre1
-            for m in range(1, 1 << n):
-                low = (m & -m).bit_length() - 1
-                rest = m & (m - 1)
-                img[m] = img[rest] | img1[low]
-                pre[m] = pre[rest] | pre1[low]
-            self._img_tab = img
-            self._pre_tab = pre
-        return self._img_tab, self._pre_tab
-
     def _inv_mask(self, m: int) -> int:
-        # prune states whose image leaves or that have no preimage inside
-        cur = m
-        while True:
-            keep = 0
-            rest = cur
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                if self._img1[i] & cur:
-                    keep |= 1 << i
-                rest &= rest - 1
-            keep &= self._image_mask(cur)
-            if keep == cur:
-                return cur
-            cur = keep
+        return _inv(self._img1, m)
 
     def _inv_plus_mask(self, m: int) -> int:
         cur = m
@@ -512,11 +471,11 @@ class FiniteDynSys:
     def repelling_neighborhoods(self, bound: int | None = None) -> list[frozenset]:
         return [self.unmask(m) for m in self._repelling_masks(bound)]
 
-    def neighborhood_counts(self, bound: int | None = None) -> tuple[int, int]:
+    def neighborhood_counts(self) -> tuple[int, int]:
         """(number of attracting, number of repelling neighborhoods), without listing them."""
         return (
-            sum(1 for _ in self._attracting_masks(bound)),
-            sum(1 for _ in self._repelling_masks(bound)),
+            sum(1 for _ in self._attracting_masks()),
+            sum(1 for _ in self._repelling_masks()),
         )
 
     def _recurrent_unions(self):
@@ -531,11 +490,12 @@ class FiniteDynSys:
 
         omega(U) of a neighborhood U is the union of the cycles U meets, and
         every union of cycles is omega of its basin, so Att is the family of
-        unions of cycles.  Built once per system.
+        unions of cycles.  Built once per system; its meet holds no reference
+        to the system, so the cache makes no reference cycle.
         """
         self._check_bound(bound)
         if self._att_cache is None:
-            meet = lambda a, b: self.unmask(self._inv_mask(self.mask(a & b)))
+            meet = partial(_inv_meet, self.states, self.index, self._img1)
             self._att_cache = SetLattice(self.states, map(self.unmask, self._recurrent_unions()), meet=meet)
         return self._att_cache
 
@@ -666,6 +626,30 @@ def _union(parts: Sequence[int], m: int) -> int:
         out |= parts[(m & -m).bit_length() - 1]
         m &= m - 1
     return out
+
+
+def _inv(img1: Sequence[int], m: int) -> int:
+    """Inv(m): prune states whose image leaves or that have no preimage inside."""
+    cur = m
+    while True:
+        keep = image = 0
+        rest = cur
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            image |= img1[i]
+            if img1[i] & cur:
+                keep |= 1 << i
+            rest &= rest - 1
+        keep &= image
+        if keep == cur:
+            return cur
+        cur = keep
+
+
+def _inv_meet(states: tuple, index: Mapping, img1: Sequence[int], a: frozenset, b: frozenset) -> frozenset:
+    """The meet of Att: Inv(a & b), on labels."""
+    m = _inv(img1, sum(1 << index[s] for s in a & b))
+    return frozenset(states[i] for i in range(len(states)) if m >> i & 1)
 
 
 def system_from_map(next_map: Mapping) -> FiniteDynSys:

@@ -246,10 +246,14 @@ class Poset:
 
     def all_down_sets(self, bound: int | None = None) -> list["DownSet"]:
         """The lattice O(P), ordered by (size, lexicographic in carrier order)."""
-        return [DownSet(self, self.members_of(m), _checked=True) for m in _sorted_down_masks(self, bound)]
+        return [DownSet(self, self.members_of(m), _checked=True) for m in self.down_masks(bound)]
 
     def down_masks(self, bound: int | None = None) -> list[int]:
-        return _sorted_down_masks(self, bound)
+        n = len(self.carrier)
+        limit = enum_bound() if bound is None else bound
+        if n > limit:
+            raise TooLarge(f"poset has {n} elements, enumeration bound is {limit}")
+        return sorted(closed_masks(self.below), key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
 
     def dual(self) -> "Poset":
         """The opposite poset: p <= q in the dual iff q <= p here."""
@@ -282,14 +286,6 @@ class Poset:
 
 def _lex_key(mask: int, n: int) -> tuple:
     return tuple(i for i in range(n) if mask >> i & 1)
-
-
-def _sorted_down_masks(poset: Poset, bound: int | None) -> list[int]:
-    n = len(poset.carrier)
-    limit = enum_bound() if bound is None else bound
-    if n > limit:
-        raise TooLarge(f"poset has {n} elements, enumeration bound is {limit}")
-    return sorted(closed_masks(poset.below), key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
 
 
 @dataclass(frozen=True)

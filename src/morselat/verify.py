@@ -27,10 +27,16 @@ class SystemData:
         self.sys = sys
         self.n = sys._n
         self.full = sys._full
-        img, pre = sys._tables()
+        size = 1 << self.n
+        img = [0] * size
+        pre = [0] * size
+        for m in range(1, size):
+            low = (m & -m).bit_length() - 1
+            rest = m & (m - 1)
+            img[m] = img[rest] | sys._img1[low]
+            pre[m] = pre[rest] | sys._pre1[low]
         self.img = img
         self.pre = pre
-        size = 1 << self.n
         self.omega = self._limits(img)
         self.alpha = self._limits(pre)
         self.omega_pt = [self.omega[1 << i] for i in range(self.n)]

@@ -154,6 +154,13 @@ class TestCliAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "parse" and path in err["message"]
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "image.png"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert cli.main(["analyze", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse" and str(path) in err["message"]
+
     def test_non_object_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "list.json", [1, 2])
         assert cli.main(["analyze", path]) == 2

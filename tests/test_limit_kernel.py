@@ -6,9 +6,11 @@ here are the whole-mask tail-cycle walk and the ``range(1 << n)`` filters,
 written out as they stood before the kernel.
 """
 
+import gc
 import json
 import random
 import time
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +100,19 @@ class TestLimitSets:
     @given(maps)
     def test_random_maps(self, targets):
         check_system(FiniteDynSys(range(len(targets)), dict(enumerate(targets))))
+
+    def test_att_cache_frees_with_system(self):
+        # the cached Att lattice must not refer back to its system, or each
+        # system of a streamed verify corpus lives on until the next collection
+        sys = FiniteDynSys(range(4), {0: 1, 1: 0, 2: 2, 3: 2})
+        assert len(sys.att_lattice().elements) == 4
+        ref = weakref.ref(sys)
+        gc.disable()
+        try:
+            del sys
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_twenty_state_analyze(self, tmp_path):
         # two cycles, {0, 1} fed by 8 states and the fixed point 10 fed by 9;
