@@ -1,9 +1,12 @@
 """Command-line surface: analyze, lift, verify, birkhoff.
 
-Exit codes: 0 success, 2 unreadable or malformed input (the message names
-the path or the position), 3 enumeration bound overflow or an invalid
-MORSELAT_MAX_ENUM, 4 lift obstruction, 5 not a sublattice.  Errors are
-emitted as one JSON object on stderr.
+Exit codes: 0 success, 2 unreadable or malformed input, an interval map
+whose image leaves its domain, or an output path that cannot be written
+(the message names the path, position or cell), 3 enumeration bound
+overflow or an invalid MORSELAT_MAX_ENUM, 4 lift obstruction, 5 a family
+that is not a lattice or sublattice, or whose elements no block realizes.
+Errors are emitted as one JSON object on stderr; ERRORS in this module maps
+each exception type to its exit code.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ import sys
 from . import dynsys_lift, formats, verify
 from .expr import ParseError
 from .grid import (
-    NotASublattice,
+    ImageOutOfDomain,
+    NotAnAttractingBlock,
+    NotARepellingBlock,
     comb_att_lattice,
     grid_attractor_lift,
     grid_lift_problem,
 )
-from .lattice import SetLattice, booleanize, join_irreducibles
+from .lattice import NotALattice, NotASublattice, SetLattice, booleanize, join_irreducibles
 from .lifting import ObstructionFound, lift
 from .order import TooLarge, enum_bound
 from .formats import InputError, RunConfig
@@ -30,6 +35,24 @@ EXIT_PARSE = 2
 EXIT_BOUND = 3
 EXIT_OBSTRUCTION = 4
 EXIT_SUBLATTICE = 5
+
+# exception type -> (exit code, error kind, extra JSON fields); first match wins
+ERRORS = (
+    (ParseError, EXIT_PARSE, "parse", lambda e: {"position": e.position}),
+    (InputError, EXIT_PARSE, "parse", lambda e: {}),
+    (ImageOutOfDomain, EXIT_PARSE, "domain", lambda e: {"cell": e.cell}),
+    (OSError, EXIT_PARSE, "io", lambda e: {}),
+    (TooLarge, EXIT_BOUND, "bound", lambda e: {}),
+    (
+        ObstructionFound,
+        EXIT_OBSTRUCTION,
+        "obstruction",
+        lambda e: {"step": e.step, "q": str(e.q), "alpha": [str(x) for x in sorted(e.alpha, key=str)]},
+    ),
+    (NotASublattice, EXIT_SUBLATTICE, "not_a_sublattice", lambda e: {}),
+    (NotALattice, EXIT_SUBLATTICE, "not_a_lattice", lambda e: {}),
+    ((NotAnAttractingBlock, NotARepellingBlock), EXIT_SUBLATTICE, "not_a_block", lambda e: {}),
+)
 
 
 def _fail(code: int, kind: str, message: str, **extra) -> int:
@@ -64,101 +87,76 @@ def _emit(text: str, path: str | None):
 
 def cmd_analyze(args) -> int:
     config = RunConfig("analyze", [args.input], args.output, args.format, seed=args.seed)
-    try:
-        doc = _read_json(args.input)
-        if doc.get("type") in ("interval_map", "cell_map"):
-            cmap = formats.load_gridmap(doc)
-            if doc["type"] == "interval_map":
-                config.grid = {
-                    "domain": doc["domain"],
-                    "cells": doc["cells"],
-                    "expr": doc["expr"],
-                    "samples_per_cell": doc.get("samples_per_cell", 32),
-                    "padding": doc.get("padding", 1e-9),
-                }
-            else:
-                config.grid = {"domain": [cmap.grid.lo, cmap.grid.hi], "cells": cmap.n}
-            lat = comb_att_lattice(cmap)
-            if args.format == "dot":
-                _emit(formats.hasse_dot(lat), args.output)
-                return 0
-            payload = formats.lattice_payload(lat, config)
-            payload["attractors"] = [formats.cellset_payload(e, cmap.grid) for e in lat.elements]
-            _emit(formats.dumps(payload), args.output)
-            return 0
-        system = formats.load_system(doc)
-        att = system.att_lattice()
-        rep = system.rep_lattice()
-        if args.format == "dot":
-            _emit(formats.hasse_dot(att), args.output)
-            return 0
-        payload = formats.lattice_payload(att, config)
-        payload["attractors"] = [formats.sorted_labels(e, att.universe) for e in att.elements]
-        payload["repellers"] = [formats.sorted_labels(e, rep.universe) for e in rep.elements]
-        payload["anbhd_count"], payload["rnbhd_count"] = system.neighborhood_counts()
-        payload["dual_pairs"] = [
-            {
-                "attractor": formats.sorted_labels(e, att.universe),
-                "repeller": formats.sorted_labels(system.dual_repeller(e), att.universe),
+    doc = _read_json(args.input)
+    if doc.get("type") in ("interval_map", "cell_map"):
+        cmap = formats.load_gridmap(doc)
+        if doc["type"] == "interval_map":
+            config.grid = {
+                "domain": doc["domain"],
+                "cells": doc["cells"],
+                "expr": doc["expr"],
+                "samples_per_cell": doc.get("samples_per_cell", 32),
+                "padding": doc.get("padding", 1e-9),
             }
-            for e in att.elements
-        ]
-        square = system.commuting_square_check()
-        payload["diagram_commutes"] = bool(square)
+        else:
+            config.grid = {"domain": [cmap.grid.lo, cmap.grid.hi], "cells": cmap.n}
+        lat = comb_att_lattice(cmap)
+        if args.format == "dot":
+            _emit(formats.hasse_dot(lat), args.output)
+            return 0
+        payload = formats.lattice_payload(lat, config)
+        payload["attractors"] = [formats.cellset_payload(e, cmap.grid) for e in lat.elements]
         _emit(formats.dumps(payload), args.output)
         return 0
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, "parse", str(exc), position=exc.position)
-    except InputError as exc:
-        return _fail(EXIT_PARSE, "parse", str(exc))
-    except TooLarge as exc:
-        return _fail(EXIT_BOUND, "bound", str(exc))
+    system = formats.load_system(doc)
+    att = system.att_lattice()
+    rep = system.rep_lattice()
+    if args.format == "dot":
+        _emit(formats.hasse_dot(att), args.output)
+        return 0
+    payload = formats.lattice_payload(att, config)
+    payload["attractors"] = [formats.sorted_labels(e, att.universe) for e in att.elements]
+    payload["repellers"] = [formats.sorted_labels(e, rep.universe) for e in rep.elements]
+    payload["anbhd_count"], payload["rnbhd_count"] = system.neighborhood_counts()
+    payload["dual_pairs"] = [
+        {
+            "attractor": formats.sorted_labels(e, att.universe),
+            "repeller": formats.sorted_labels(system.dual_repeller(e), att.universe),
+        }
+        for e in att.elements
+    ]
+    square = system.commuting_square_check()
+    payload["diagram_commutes"] = bool(square)
+    _emit(formats.dumps(payload), args.output)
+    return 0
 
 
 def cmd_lift(args) -> int:
     config = RunConfig("lift", [args.input, args.sublattice], args.output, seed=args.seed)
-    try:
-        doc = _read_json(args.input)
-        subdoc = _read_json(args.sublattice)
-        elements = formats.load_sublattice(subdoc)
-        if doc.get("type") in ("interval_map", "cell_map"):
-            cmap = formats.load_gridmap(doc)
-            cells = [frozenset(int(c) for c in e) for e in elements]
-            side = subdoc.get("side", "attractor")
-            pins = {
-                frozenset(map(int, image)): frozenset(map(int, block))
-                for image, block in subdoc.get("pins", [])
-            }
-            if side == "repeller":
-                cert = lift(grid_lift_problem(cmap, cells))
-            else:
-                cert = grid_attractor_lift(cmap, cells, direct=args.direct, pinned=pins)
+    doc = _read_json(args.input)
+    subdoc = _read_json(args.sublattice)
+    elements = formats.load_sublattice(subdoc)
+    if doc.get("type") in ("interval_map", "cell_map"):
+        cmap = formats.load_gridmap(doc)
+        cells = [frozenset(int(c) for c in e) for e in elements]
+        side = subdoc.get("side", "attractor")
+        pins = {
+            frozenset(map(int, image)): frozenset(map(int, block))
+            for image, block in subdoc.get("pins", [])
+        }
+        if side == "repeller":
+            cert = lift(grid_lift_problem(cmap, cells))
         else:
-            system = formats.load_system(doc)
-            side = subdoc.get("side", "repeller")
-            if side == "attractor":
-                cert = dynsys_lift.attractor_lift(system, elements)
-            else:
-                cert = dynsys_lift.repeller_lift(system, elements)
-        _emit(formats.dumps(formats.certificate_payload(cert, config)), args.output)
-        return 0
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, "parse", str(exc), position=exc.position)
-    except InputError as exc:
-        return _fail(EXIT_PARSE, "parse", str(exc))
-    except TooLarge as exc:
-        return _fail(EXIT_BOUND, "bound", str(exc))
-    except ObstructionFound as exc:
-        return _fail(
-            EXIT_OBSTRUCTION,
-            "obstruction",
-            str(exc),
-            step=exc.step,
-            q=str(exc.q),
-            alpha=[str(x) for x in sorted(exc.alpha, key=str)],
-        )
-    except NotASublattice as exc:
-        return _fail(EXIT_SUBLATTICE, "not_a_sublattice", str(exc))
+            cert = grid_attractor_lift(cmap, cells, direct=args.direct, pinned=pins)
+    else:
+        system = formats.load_system(doc)
+        side = subdoc.get("side", "repeller")
+        if side == "attractor":
+            cert = dynsys_lift.attractor_lift(system, elements)
+        else:
+            cert = dynsys_lift.repeller_lift(system, elements)
+    _emit(formats.dumps(formats.certificate_payload(cert, config)), args.output)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -193,37 +191,32 @@ def cmd_verify(args) -> int:
 
 def cmd_birkhoff(args) -> int:
     config = RunConfig("birkhoff", [args.input], args.output, args.format, seed=args.seed)
-    try:
-        doc = _read_json(args.input)
-        if "covers" in doc or "leq" in doc:
-            poset = formats.load_poset(doc)
-            lat = SetLattice.from_poset(poset)
-        else:
-            elements = [frozenset(e) for e in doc.get("elements", [])]
-            universe = doc.get("universe")
-            if universe is None:
-                raise InputError("lattice file needs a 'universe' array")
-            lat = SetLattice(universe, elements)
-        jl = join_irreducibles(lat)
-        rep = booleanize(lat)
-        if args.format == "dot":
-            _emit(formats.hasse_dot(lat), args.output)
-            return 0
-        payload = formats.lattice_payload(lat, config)
-        payload["booleanization_ground"] = [
-            formats.sorted_labels(e, lat.universe) for e in jl.carrier
-        ]
-        # round trip: joining the Birkhoff image of each element recovers it
-        payload["round_trip_ok"] = all(
-            frozenset().union(*rep.j[a]) == a if rep.j[a] else a == frozenset()
-            for a in lat.elements
-        )
-        _emit(formats.dumps(payload), args.output)
+    doc = _read_json(args.input)
+    if "covers" in doc or "leq" in doc:
+        poset = formats.load_poset(doc)
+        lat = SetLattice.from_poset(poset)
+    else:
+        elements = [frozenset(e) for e in doc.get("elements", [])]
+        universe = doc.get("universe")
+        if universe is None:
+            raise InputError("lattice file needs a 'universe' array")
+        lat = SetLattice(universe, elements)
+    jl = join_irreducibles(lat)
+    rep = booleanize(lat)
+    if args.format == "dot":
+        _emit(formats.hasse_dot(lat), args.output)
         return 0
-    except InputError as exc:
-        return _fail(EXIT_PARSE, "parse", str(exc))
-    except TooLarge as exc:
-        return _fail(EXIT_BOUND, "bound", str(exc))
+    payload = formats.lattice_payload(lat, config)
+    payload["booleanization_ground"] = [
+        formats.sorted_labels(e, lat.universe) for e in jl.carrier
+    ]
+    # round trip: joining the Birkhoff image of each element recovers it
+    payload["round_trip_ok"] = all(
+        frozenset().union(*rep.j[a]) == a if rep.j[a] else a == frozenset()
+        for a in lat.elements
+    )
+    _emit(formats.dumps(payload), args.output)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -269,7 +262,13 @@ def main(argv=None) -> int:
         enum_bound()
     except ValueError as exc:
         return _fail(EXIT_BOUND, "bound", str(exc))
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        for types, code, kind, extra in ERRORS:
+            if isinstance(exc, types):
+                return _fail(code, kind, str(exc), **extra(exc))
+        raise
 
 
 if __name__ == "__main__":

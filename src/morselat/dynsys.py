@@ -298,24 +298,6 @@ class FiniteDynSys:
     def alpha(self, subset: Iterable) -> frozenset:
         return self.unmask(self._alpha_mask(self.mask(subset)))
 
-    def backward_orbit_exists(self, x, within: Iterable | None = None) -> bool:
-        m = self._full if within is None else self.mask(within)
-        return bool(self._backward_orbit_sources(m) & (1 << self.index[x]))
-
-    def _backward_orbit_sources(self, m: int) -> int:
-        # states of m with a complete backward orbit inside m: those reachable
-        # inside m from a cycle contained in m
-        cyc = 0
-        for c in self._cycle_masks():
-            if not (c & ~m):
-                cyc |= c
-        cur = cyc
-        while True:
-            nxt = cur | (self._image_mask(cur) & m)
-            if nxt == cur:
-                return cur
-            cur = nxt
-
     def validate_orbit(self, orbit: Orbit) -> None:
         states = list(orbit.pre) + list(orbit.cycle)
         for s in states:
@@ -650,10 +632,6 @@ def _inv_meet(states: tuple, index: Mapping, img1: Sequence[int], a: frozenset, 
     """The meet of Att: Inv(a & b), on labels."""
     m = _inv(img1, sum(1 << index[s] for s in a & b))
     return frozenset(states[i] for i in range(len(states)) if m >> i & 1)
-
-
-def system_from_map(next_map: Mapping) -> FiniteDynSys:
-    return FiniteDynSys(sorted(next_map, key=repr), next_map)
 
 
 # shared test fixtures from the exact-dynamics corpus

@@ -10,11 +10,11 @@ through Inv+; the attractor side goes through the duality transport.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from .dynsys import FiniteDynSys
-from .grid import NotASublattice
-from .lattice import SetLattice, join_irreducibles
+from .lattice import NotASublattice, SetLattice, birkhoff_embedding, checked_sublattice
 from .lifting import (
     AttractorLiftSpec,
     LiftCertificate,
@@ -23,21 +23,6 @@ from .lifting import (
     lift,
     transport_by_duality,
 )
-from .order import Poset
-
-
-def _join_all(members) -> frozenset:
-    out = frozenset()
-    for m in members:
-        out |= m
-    return out
-
-
-def _embedding_tables(lat: SetLattice):
-    poset = join_irreducibles(lat)
-    s = {frozenset(d.members): _join_all(d.members) for d in poset.all_down_sets()}
-    s[frozenset(poset.carrier)] = lat.top
-    return poset, s
 
 
 def _self_conditioner_oracle(partial: PartialLift, q) -> dict:
@@ -47,59 +32,29 @@ def _self_conditioner_oracle(partial: PartialLift, q) -> dict:
 
 def repeller_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> SetLattice:
     family = [frozenset(e) for e in elements]
-    full = frozenset(system.states)
     for e in family:
         flags = system.classify_invariance(e)
         if not (flags.forward_backward and system.inv_plus(e) == e):
             raise NotASublattice(f"{sorted(map(repr, e))} is not a repeller", e)
-    if frozenset() not in family:
-        raise NotASublattice("repeller sublattice must contain the empty set")
-    if full not in family:
-        raise NotASublattice("repeller sublattice must contain the whole space")
-    fam = set(family)
-    for a in family:
-        for b in family:
-            if a | b not in fam:
-                raise NotASublattice(f"family not join-closed at {sorted(map(repr, a | b))}", (a, b))
-            if a & b not in fam:
-                raise NotASublattice(f"family not meet-closed at {sorted(map(repr, a & b))}", (a, b))
-    return SetLattice(system.states, family)
+    return checked_sublattice(system.states, family)
 
 
 def attractor_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> SetLattice:
     family = [frozenset(e) for e in elements]
-    top = system.inv(system.states)
-    meet = lambda a, b: system.inv(a & b)
     for e in family:
         if system.image(e) != e or system.omega(e) != e:
             raise NotASublattice(f"{sorted(map(repr, e))} is not an attractor", e)
-    if frozenset() not in family:
-        raise NotASublattice("attractor sublattice must contain the empty set")
-    if top not in family:
-        raise NotASublattice(f"attractor sublattice must contain Inv(X) = {sorted(map(repr, top))}")
-    fam = set(family)
-    for a in family:
-        for b in family:
-            if a | b not in fam:
-                raise NotASublattice(f"family not join-closed at {sorted(map(repr, a | b))}", (a, b))
-            if meet(a, b) not in fam:
-                raise NotASublattice(f"family not meet-closed at {sorted(map(repr, meet(a, b)))}", (a, b))
-    return SetLattice(system.states, family, meet=meet)
+    meet = lambda a, b: system.inv(a & b)
+    return checked_sublattice(system.states, family, meet, system.inv(system.states))
 
 
-def repeller_lift_problem(
-    system: FiniteDynSys,
-    elements: Sequence[Iterable],
-    poset: Poset | None = None,
-    s=None,
-) -> LiftProblem:
+def repeller_lift_problem(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftProblem:
     lat = repeller_sublattice(system, elements)
-    if poset is None:
-        poset, s = _embedding_tables(lat)
+    poset, s = birkhoff_embedding(lat)
     return LiftProblem(
         poset=poset,
         target=lat,
-        s=dict(s),
+        s=s,
         ambient=frozenset(system.states),
         h=lambda u: system.inv_plus(u),
         section=lambda l: l,
@@ -115,30 +70,16 @@ def repeller_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCer
 
 def attractor_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCertificate:
     lat = attractor_sublattice(system, elements)
-    poset, s = _embedding_tables(lat)
-
-    def rep_problem(dual_poset: Poset, s_rep) -> LiftProblem:
-        rep_elems = sorted(set(s_rep.values()), key=lambda e: (len(e), sorted(map(repr, e))))
-        rep_lat = SetLattice(system.states, rep_elems)
-        return LiftProblem(
-            poset=dual_poset,
-            target=rep_lat,
-            s=dict(s_rep),
-            ambient=frozenset(system.states),
-            h=lambda u: system.inv_plus(u),
-            section=lambda l: l,
-            conditioner_oracle=_self_conditioner_oracle,
-            member=lambda u: system.is_repelling_nbhd(u),
-            top_unique=True,
-        )
-
+    poset, s = birkhoff_embedding(lat)
     spec = AttractorLiftSpec(
         poset=poset,
         att_lattice=lat,
         s_att=s,
         star=lambda a: system.dual_repeller(a),
         att_h=lambda u: system.inv(u),
-        rep_problem=rep_problem,
+        rep_problem=lambda dual, s_rep: replace(
+            repeller_lift_problem(system, set(s_rep.values())), poset=dual, s=dict(s_rep)
+        ),
         ambient=frozenset(system.states),
         member=lambda u: system.is_attracting_nbhd(u),
     )

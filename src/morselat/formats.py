@@ -139,7 +139,7 @@ def certificate_payload(cert: LiftCertificate, config: RunConfig) -> dict:
                     "downset": sorted(label(p) for p in d),
                     "neighborhood": sorted(cert.table[d]),
                 }
-                for d in sorted(cert.table, key=lambda d: (len(d), sorted(map(repr, d))))
+                for d in sorted(cert.table, key=lambda d: (len(d), sorted(label(p) for p in d)))
             ],
             "audit": [
                 {

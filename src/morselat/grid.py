@@ -10,13 +10,13 @@ outer-approximation soundness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import expr as exprmod
-from .lattice import SetLattice, join_irreducibles
+from .lattice import SetLattice, birkhoff_embedding, checked_sublattice
 from .lifting import AttractorLiftSpec, LiftProblem, PartialLift, lift, transport_by_duality
-from .order import Poset, TooLarge, closed_masks, enum_bound
+from .order import TooLarge, closed_masks, enum_bound
 
 GRID_ENUM_BOUND = 16
 DEFAULT_SAMPLES = 32
@@ -36,12 +36,6 @@ class NotARepellingBlock(ValueError):
 
 class NotAnAttractingBlock(ValueError):
     pass
-
-
-class NotASublattice(ValueError):
-    def __init__(self, message: str, witness=None):
-        self.witness = witness
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -128,23 +122,6 @@ class CellMap:
         """Weak preimage: cells with at least one arrow into the set."""
         tgt = frozenset(cells)
         return frozenset(c for c in range(self.n) if self.arrows[c] & tgt)
-
-    def interior(self, cells: Iterable[int]) -> frozenset:
-        """Combinatorial interior: members with no grid neighbor outside."""
-        s = frozenset(cells)
-        return frozenset(
-            c for c in s
-            if (c == 0 or c - 1 in s) and (c == self.n - 1 or c + 1 in s)
-        )
-
-    def closure(self, cells: Iterable[int]) -> frozenset:
-        s = set(cells)
-        for c in list(s):
-            if c > 0:
-                s.add(c - 1)
-            if c < self.n - 1:
-                s.add(c + 1)
-        return frozenset(s)
 
 
 def ingest_interval_map(
@@ -345,17 +322,13 @@ def _close_family(family):
     return family
 
 
-def comb_att_lattice(
-    cmap: CellMap,
-    bound: int | None = None,
-    seeds: Sequence[Iterable[int]] | None = None,
-) -> SetLattice:
+def comb_att_lattice(cmap: CellMap) -> SetLattice:
     """{comb_inv(N) | N an attracting block}, join union, meet comb_inv(cap).
 
     The join law and the meet identity for attracting blocks are re-verified
     at runtime over the block family actually used.
     """
-    att_blocks, _ = block_lattices(cmap, bound, seeds)
+    att_blocks, _ = block_lattices(cmap)
     blocks = list(att_blocks.elements)
     cache: dict[frozenset, frozenset] = {}
 
@@ -377,13 +350,9 @@ def comb_att_lattice(
     return SetLattice(tuple(range(cmap.n)), elems, meet=meet)
 
 
-def comb_rep_lattice(
-    cmap: CellMap,
-    bound: int | None = None,
-    seeds: Sequence[Iterable[int]] | None = None,
-) -> SetLattice:
+def comb_rep_lattice(cmap: CellMap) -> SetLattice:
     """{comb_inv_plus(W) | W a repelling block}, join union, meet comb_inv_plus(cap)."""
-    _, rep_blocks = block_lattices(cmap, bound, seeds)
+    _, rep_blocks = block_lattices(cmap)
     elems = {comb_inv_plus(w, cmap) for w in rep_blocks.elements}
     meet = lambda x, y: comb_inv_plus(x & y, cmap)
     return SetLattice(tuple(range(cmap.n)), elems, meet=meet)
@@ -392,144 +361,17 @@ def comb_rep_lattice(
 def shrink_repelling_block(
     block: Iterable[int],
     cmap: CellMap,
-    target: Iterable[int] | None = None,
     max_depth: int | None = None,
 ) -> frozenset:
     """Backward-image shrinking W_k = W ^ F^-1(W_{k-1}).
 
-    Stops at the least depth where the part inside ``target`` is already
-    forward-walk invariant, or at the fixed point, which equals
-    comb_inv_plus(W) and is reached within n_cells steps.
+    Stops at the fixed point, which equals comb_inv_plus(W) and is reached
+    within n_cells steps, or after ``max_depth`` steps.
     """
     w = frozenset(block)
     if not is_repelling_block(w, cmap):
         raise NotARepellingBlock(f"{sorted(w)} is not a repelling block")
-    tgt = None if target is None else frozenset(target)
-    depth = max_depth if max_depth is not None else cmap.n
-    for _ in range(depth):
-        if tgt is not None and w & tgt == comb_inv_plus(w, cmap) & tgt:
-            return w
-        nxt = w & cmap.preimage(w)
-        if nxt == w:
-            return w
-        w = nxt
-    return w
-
-
-def shrink_attracting_block(
-    block: Iterable[int],
-    cmap: CellMap,
-    max_depth: int | None = None,
-) -> frozenset:
-    """Forward-image shrinking: F(N) is again an attracting block inside N."""
-    w = frozenset(block)
-    if not is_attracting_block(w, cmap):
-        raise NotAnAttractingBlock(f"{sorted(w)} is not an attracting block")
-    depth = max_depth if max_depth is not None else cmap.n
-    for _ in range(depth):
-        nxt = cmap.image(w)
-        if nxt == w:
-            return w
-        w = nxt
-    return w
-
-
-def _forward_closure(cells: frozenset, cmap: CellMap) -> frozenset:
-    out = set(cells)
-    frontier = set(cells)
-    while frontier:
-        nxt = {w for c in frontier for w in cmap.arrows[c]} - out
-        out |= nxt
-        frontier = nxt
-    return frozenset(out)
-
-
-def _verify_family(
-    images: Sequence[frozenset],
-    cmap: CellMap,
-    meet,
-    top: frozenset,
-) -> list[frozenset]:
-    family = [frozenset(e) for e in images]
-    fam = set(family)
-    if frozenset() not in fam:
-        raise NotASublattice("family is missing the bottom element (the empty set)")
-    if top not in fam:
-        raise NotASublattice(f"family is missing the top element {sorted(top)}")
-    for a in family:
-        for b in family:
-            if a | b not in fam:
-                raise NotASublattice(
-                    f"family is not join-closed: {sorted(a)} v {sorted(b)} = {sorted(a | b)} missing",
-                    (a, b),
-                )
-            m = meet(a, b)
-            if m not in fam:
-                raise NotASublattice(
-                    f"family is not meet-closed: {sorted(a)} ^ {sorted(b)} = {sorted(m)} missing",
-                    (a, b),
-                )
-    return family
-
-
-def grid_lift_problem(
-    cmap: CellMap,
-    images: Sequence[Iterable[int]],
-    seeds: Mapping[frozenset, frozenset] | None = None,
-) -> LiftProblem:
-    """Package a repeller-side lift: h = comb_inv_plus on repelling blocks.
-
-    The image family must form a bounded distributive sublattice under union
-    and comb_inv_plus(cap); each image is its own repelling block (anything
-    outside a block pointing into the walk-core would itself have an infinite
-    walk), so sections default to the images themselves, and conditioners
-    shrink from the seeds toward them.
-    """
-    meet = lambda a, b: comb_inv_plus(a & b, cmap)
-    top = comb_inv_plus(cmap.all_cells(), cmap)
-    family = _verify_family([frozenset(e) for e in images], cmap, meet, top)
-    lat = SetLattice(tuple(range(cmap.n)), family, meet=meet)
-    poset = join_irreducibles(lat)
-    s = {
-        frozenset(d.members): _join_all(d.members)
-        for d in poset.all_down_sets()
-    }
-    s[frozenset(poset.carrier)] = lat.top
-    seeds = dict(seeds or {})
-
-    def h(w: frozenset) -> frozenset:
-        return comb_inv_plus(w, cmap)
-
-    def section(l: frozenset) -> frozenset:
-        w = seeds.get(l, l)
-        if not is_repelling_block(w, cmap) or comb_inv_plus(w, cmap) != l:
-            raise NotARepellingBlock(f"no repelling block realizes {sorted(l)}")
-        return w
-
-    def oracle(partial: PartialLift, q) -> dict:
-        return _shrinking_oracle(
-            partial, q, seeds, cmap,
-            shrink=lambda w, d: _shrink_rep_steps(w, cmap, d),
-        )
-
-    return LiftProblem(
-        poset=poset,
-        target=lat,
-        s=s,
-        ambient=cmap.all_cells(),
-        h=h,
-        section=section,
-        conditioner_oracle=oracle,
-        member=lambda w: is_repelling_block(w, cmap),
-        top_unique=True,
-    )
-
-
-def _join_all(members) -> frozenset:
-    out = frozenset()
-    for m in members:
-        out |= m
-    return out
+    return _shrink_rep_steps(w, cmap, cmap.n if max_depth is None else max_depth)
 
 
 def _shrink_rep_steps(w: frozenset, cmap: CellMap, depth: int) -> frozenset:
@@ -550,33 +392,70 @@ def _shrink_att_steps(w: frozenset, cmap: CellMap, depth: int) -> frozenset:
     return w
 
 
-def _shrinking_oracle(partial, q, seeds, cmap, shrink):
+def _forward_closure(cells: frozenset, cmap: CellMap) -> frozenset:
+    out = set(cells)
+    frontier = set(cells)
+    while frontier:
+        nxt = {w for c in frontier for w in cmap.arrows[c]} - out
+        out |= nxt
+        frontier = nxt
+    return frozenset(out)
+
+
+def _shrinking_oracle(partial: PartialLift, q, depths: Iterable[int], block) -> dict:
     """Conditioners by progressive shrinking, deepest shrink = the image itself.
 
-    Retries with deeper shrinking before giving up; on exhaustion it returns
-    the fully shrunk family and the engine reports the obstruction.  Reads
-    the embedding from the partial lift's own problem so that it works both
-    for direct problems and for duality-transported ones.
+    ``block(l, depth)`` is the conditioner for the L element l at that
+    depth.  Retries with deeper shrinking before giving up; on exhaustion it
+    returns the deepest family and the engine reports the obstruction.
+    Reads the embedding from the partial lift's own problem so that it works
+    both for direct problems and for duality-transported ones.
     """
     problem = partial.problem
-    poset = problem.poset
     s = problem.s
-    downs = [frozenset(d.members) for d in poset.all_down_sets()]
-    mu = frozenset(poset.down_set(q).members)
+    downs = problem.down_sets()
+    mu = frozenset(problem.poset.down_set(q).members)
     k_lam = partial.table[partial.lam]
     family = {}
-    for depth in range(cmap.n + 1):
-        family = {}
-        for alpha in downs:
-            start = seeds.get(s[alpha], s[alpha])
-            family[alpha] = shrink(start, depth)
-        if all(
-            (family[mu] & family[alpha]) <= k_lam
-            for alpha in downs
-            if q not in alpha
-        ):
+    for depth in depths:
+        family = {alpha: block(s[alpha], depth) for alpha in downs}
+        if all((family[mu] & family[alpha]) <= k_lam for alpha in downs if q not in alpha):
             return family
     return family
+
+
+def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftProblem:
+    """Package a repeller-side lift: h = comb_inv_plus on repelling blocks.
+
+    The image family must form a bounded distributive sublattice under union
+    and comb_inv_plus(cap); each image is its own repelling block (anything
+    outside a block pointing into the walk-core would itself have an infinite
+    walk), so sections are the images themselves, and conditioners shrink
+    from them.
+    """
+    meet = lambda a, b: comb_inv_plus(a & b, cmap)
+    lat = checked_sublattice(tuple(range(cmap.n)), images, meet, comb_inv_plus(cmap.all_cells(), cmap))
+    poset, s = birkhoff_embedding(lat)
+
+    def section(l: frozenset) -> frozenset:
+        if not is_repelling_block(l, cmap) or comb_inv_plus(l, cmap) != l:
+            raise NotARepellingBlock(f"no repelling block realizes {sorted(l)}")
+        return l
+
+    def oracle(partial: PartialLift, q) -> dict:
+        return _shrinking_oracle(partial, q, range(cmap.n + 1), lambda l, d: _shrink_rep_steps(l, cmap, d))
+
+    return LiftProblem(
+        poset=poset,
+        target=lat,
+        s=s,
+        ambient=cmap.all_cells(),
+        h=lambda w: comb_inv_plus(w, cmap),
+        section=section,
+        conditioner_oracle=oracle,
+        member=lambda w: is_repelling_block(w, cmap),
+        top_unique=True,
+    )
 
 
 def grid_attractor_lift(
@@ -595,14 +474,10 @@ def grid_attractor_lift(
     choices (and the obstruction, when the pinned family admits no
     conditioners, surfaces as ObstructionFound).
     """
-    meet = lambda a, b: comb_inv(a & b, cmap)
-    top = comb_inv(cmap.all_cells(), cmap)
-    family = _verify_family([frozenset(e) for e in images], cmap, meet, top)
-    lat = SetLattice(tuple(range(cmap.n)), family, meet=meet)
-    poset = join_irreducibles(lat)
-    s = {frozenset(d.members): _join_all(d.members) for d in poset.all_down_sets()}
-    s[frozenset(poset.carrier)] = lat.top
     ambient = cmap.all_cells()
+    meet = lambda a, b: comb_inv(a & b, cmap)
+    lat = checked_sublattice(tuple(range(cmap.n)), images, meet, comb_inv(ambient, cmap))
+    poset, s = birkhoff_embedding(lat)
     seeds = dict(seeds or {})
     pinned = dict(pinned or {})
 
@@ -620,68 +495,34 @@ def grid_attractor_lift(
         def star(a: frozenset) -> frozenset:
             return comb_inv_plus(ambient - att_block_for(a), cmap)
 
-        rep_images = sorted({star(a) for a in family}, key=lambda e: (len(e), sorted(e)))
-
-        def rep_problem(dual_poset: Poset, s_rep):
-            prob = grid_lift_problem(cmap, rep_images, seeds=None)
-            return LiftProblem(
-                poset=dual_poset,
-                target=prob.target,
-                s=dict(s_rep),
-                ambient=ambient,
-                h=prob.h,
-                section=prob.section,
-                conditioner_oracle=prob.conditioner_oracle,
-                member=prob.member,
-                top_unique=True,
-            )
-
+        rep_images = {star(a) for a in lat.elements}
         spec = AttractorLiftSpec(
             poset=poset,
             att_lattice=lat,
             s_att=s,
             star=star,
             att_h=lambda n: comb_inv(n, cmap),
-            rep_problem=rep_problem,
+            rep_problem=lambda dual, s_rep: replace(
+                grid_lift_problem(cmap, rep_images), poset=dual, s=dict(s_rep)
+            ),
             ambient=ambient,
             member=lambda n: is_attracting_block(n, cmap),
         )
         return transport_by_duality(spec)
 
-    def h(n: frozenset) -> frozenset:
-        return comb_inv(n, cmap)
-
-    def section(l: frozenset) -> frozenset:
-        return att_block_for(l)
+    def block(l: frozenset, depth: int) -> frozenset:
+        return pinned[l] if l in pinned else _shrink_att_steps(att_block_for(l), cmap, depth)
 
     def oracle(partial: PartialLift, q) -> dict:
-        problem = partial.problem
-        downs = [frozenset(d.members) for d in problem.poset.all_down_sets()]
-        mu = frozenset(problem.poset.down_set(q).members)
-        k_lam = partial.table[partial.lam]
-        family_now = {}
-        for depth in range(cmap.n + 1):
-            family_now = {}
-            for alpha in downs:
-                if s[alpha] in pinned:
-                    family_now[alpha] = pinned[s[alpha]]
-                else:
-                    family_now[alpha] = _shrink_att_steps(att_block_for(s[alpha]), cmap, depth)
-            if all(
-                (family_now[mu] & family_now[alpha]) <= k_lam
-                for alpha in downs
-                if q not in alpha
-            ):
-                return family_now
-        return family_now
+        return _shrinking_oracle(partial, q, range(cmap.n + 1), block)
 
     problem = LiftProblem(
         poset=poset,
         target=lat,
         s=s,
         ambient=ambient,
-        h=h,
-        section=section,
+        h=lambda n: comb_inv(n, cmap),
+        section=att_block_for,
         conditioner_oracle=oracle,
         member=lambda n: is_attracting_block(n, cmap),
         top_unique=comb_inv(ambient, cmap) == ambient,

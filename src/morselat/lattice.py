@@ -32,6 +32,12 @@ class NotJoinIrreducible(ValueError):
     pass
 
 
+class NotASublattice(ValueError):
+    def __init__(self, message: str, witness=None):
+        self.witness = witness
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class HomReport:
     """Outcome of a homomorphism-law check; falsy iff a law is violated."""
@@ -174,15 +180,41 @@ class SetLattice:
             check=False,
         )
 
-    def order_poset(self) -> Poset:
-        """The lattice itself viewed as a poset under its induced order."""
-        n = len(self.elements)
-        below = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if self.leq(self.elements[j], self.elements[i]):
-                    below[i] |= 1 << j
-        return Poset(self.elements, below, _checked=True)
+
+def checked_sublattice(
+    universe: Sequence[Hashable],
+    elements: Iterable[Iterable],
+    meet: Callable | None = None,
+    top: frozenset | None = None,
+) -> SetLattice:
+    """The family as a SetLattice, after checking that it is a bounded sublattice.
+
+    The family must hold 0, ``top`` (default: the whole universe) and be
+    closed under union and ``meet`` (default: intersection); the first
+    failure raises NotASublattice with the missing element or the offending
+    pair as its witness.
+    """
+    family = [frozenset(e) for e in elements]
+    fam = set(family)
+    top = frozenset(universe) if top is None else top
+    meet = meet or (lambda a, b: a & b)
+    show = lambda e: [u for u in universe if u in e]
+    if frozenset() not in fam:
+        raise NotASublattice("family is missing the bottom element (the empty set)", frozenset())
+    if top not in fam:
+        raise NotASublattice(f"family is missing the top element {show(top)}", top)
+    for a in family:
+        for b in family:
+            if a | b not in fam:
+                raise NotASublattice(
+                    f"family is not join-closed: {show(a)} v {show(b)} = {show(a | b)} missing", (a, b)
+                )
+            m = meet(a, b)
+            if m not in fam:
+                raise NotASublattice(
+                    f"family is not meet-closed: {show(a)} ^ {show(b)} = {show(m)} missing", (a, b)
+                )
+    return SetLattice(universe, family, meet=meet)
 
 
 # -- join-irreducibles and Birkhoff ---------------------------------------
@@ -242,6 +274,14 @@ def birkhoff_join(lat: SetLattice, down: Iterable[frozenset]) -> frozenset:
     return out
 
 
+def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict]:
+    """J(L) and the embedding s : O(J(L)) -> L, s(alpha) = join of alpha."""
+    jl = join_irreducibles(lat)
+    s = {d.members: birkhoff_join(lat, d.members) for d in jl.all_down_sets()}
+    s[frozenset(jl.carrier)] = lat.top
+    return jl, s
+
+
 def birkhoff_up(poset: Poset, p) -> frozenset:
     """The down-set of p, a join-irreducible element of O(P)."""
     if p not in poset.index:
@@ -287,41 +327,38 @@ def booleanize(lat: SetLattice) -> BooleanAlgebraRep:
 
 def check_hom(table: Mapping, source: SetLattice, target: SetLattice) -> HomReport:
     """Check the bounded-lattice homomorphism laws, reporting the first violation."""
-    for a in source.elements:
-        if a not in table:
-            return HomReport(False, "totality", (a,))
-        if frozenset(table[a]) not in target:
-            return HomReport(False, "image", (a, table[a]))
-    if frozenset(table[source.bottom]) != target.bottom:
-        return HomReport(False, "h(0) = 0", (source.bottom,))
-    if frozenset(table[source.top]) != target.top:
-        return HomReport(False, "h(1) = 1", (source.top,))
-    for a in source.elements:
-        for b in source.elements:
-            if frozenset(table[source.join(a, b)]) != target.join(frozenset(table[a]), frozenset(table[b])):
-                return HomReport(False, "h(a v b) = h(a) v h(b)", (a, b))
-            if frozenset(table[source.meet(a, b)]) != target.meet(frozenset(table[a]), frozenset(table[b])):
-                return HomReport(False, "h(a ^ b) = h(a) ^ h(b)", (a, b))
-    return HomReport(True)
+    return _check_laws(
+        table, source, target, (target.bottom, target.top, target.join, target.meet),
+        ("h(0) = 0", "h(1) = 1", "h(a v b) = h(a) v h(b)", "h(a ^ b) = h(a) ^ h(b)"),
+    )
 
 
 def check_anti_hom(table: Mapping, source: SetLattice, target: SetLattice) -> HomReport:
     """Like check_hom but with join and meet swapped on the target side."""
+    return _check_laws(
+        table, source, target, (target.top, target.bottom, target.meet, target.join),
+        ("h(0) = 1", "h(1) = 0", "h(a v b) = h(a) ^ h(b)", "h(a ^ b) = h(a) v h(b)"),
+    )
+
+
+def _check_laws(table: Mapping, source: SetLattice, target: SetLattice, ops: tuple, laws: tuple) -> HomReport:
+    """h(0), h(1), h(a v b) and h(a ^ b) against the target's (bottom, top, join, meet) ``ops``."""
+    bottom, top, join, meet = ops
     for a in source.elements:
         if a not in table:
             return HomReport(False, "totality", (a,))
         if frozenset(table[a]) not in target:
             return HomReport(False, "image", (a, table[a]))
-    if frozenset(table[source.bottom]) != target.top:
-        return HomReport(False, "h(0) = 1", (source.bottom,))
-    if frozenset(table[source.top]) != target.bottom:
-        return HomReport(False, "h(1) = 0", (source.top,))
+    if frozenset(table[source.bottom]) != bottom:
+        return HomReport(False, laws[0], (source.bottom,))
+    if frozenset(table[source.top]) != top:
+        return HomReport(False, laws[1], (source.top,))
     for a in source.elements:
         for b in source.elements:
-            if frozenset(table[source.join(a, b)]) != target.meet(frozenset(table[a]), frozenset(table[b])):
-                return HomReport(False, "h(a v b) = h(a) ^ h(b)", (a, b))
-            if frozenset(table[source.meet(a, b)]) != target.join(frozenset(table[a]), frozenset(table[b])):
-                return HomReport(False, "h(a ^ b) = h(a) v h(b)", (a, b))
+            if frozenset(table[source.join(a, b)]) != join(frozenset(table[a]), frozenset(table[b])):
+                return HomReport(False, laws[2], (a, b))
+            if frozenset(table[source.meet(a, b)]) != meet(frozenset(table[a]), frozenset(table[b])):
+                return HomReport(False, laws[3], (a, b))
     return HomReport(True)
 
 
@@ -340,10 +377,6 @@ class LatticeHom:
 
     def __call__(self, a: frozenset) -> frozenset:
         return frozenset(self.table[frozenset(a)])
-
-    def is_embedding(self) -> bool:
-        images = {frozenset(self.table[a]) for a in self.source.elements}
-        return len(images) == len(self.source.elements)
 
 
 # -- Boolean extension (Prop 2.3 / Eqs (3), (4)) ----------------------------

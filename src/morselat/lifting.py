@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .lattice import HomReport, SetLattice
-from .order import Poset, PosetError
+from .order import Poset, all_posets
 
 
 class LiftError(Exception):
@@ -503,27 +503,6 @@ class FalsifierResult:
         return f"{self.status} ({self.method}, checked {self.checked})"
 
 
-def _all_posets_on(labels: tuple) -> list[Poset]:
-    """All labeled posets on the given labels (3^(n choose 2) candidates, filtered)."""
-    n = len(labels)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    for code in range(3 ** len(pairs)):
-        below = [1 << i for i in range(n)]
-        c = code
-        for (i, j) in pairs:
-            c, rel = divmod(c, 3)
-            if rel == 1:
-                below[j] |= 1 << i
-            elif rel == 2:
-                below[i] |= 1 << j
-        try:
-            out.append(Poset(labels, below))
-        except PosetError:
-            continue
-    return out
-
-
 def spaciousness_falsifier(
     k_lattice: SetLattice,
     l_lattice: SetLattice,
@@ -561,7 +540,7 @@ def spaciousness_falsifier(
     checked = 0
     for size in range(1, poset_bound + 1):
         labels = tuple(f"p{i}" for i in range(size))
-        for poset in _all_posets_on(labels):
+        for poset in all_posets(labels):
             downs = [frozenset(d.members) for d in poset.all_down_sets()]
             irr = list(poset.carrier)
             for s in _embeddings(poset, downs, l_lattice):

@@ -323,9 +323,6 @@ class DownSet:
     def __le__(self, other):
         return self.members <= other.members
 
-    def sorted_labels(self) -> list:
-        return [p for p in self.poset.carrier if p in self.members]
-
 
 def validate_poset(carrier: Sequence[Hashable], leq: Sequence[Sequence[bool]]) -> Poset:
     """Check the three order axioms, naming the first violated one."""
@@ -383,3 +380,25 @@ def antichain(labels: Sequence[Hashable]) -> Poset:
 
 def chain(labels: Sequence[Hashable]) -> Poset:
     return Poset(labels, [(1 << (i + 1)) - 1 for i in range(len(labels))], _checked=True)
+
+
+def all_posets(labels: Sequence[Hashable]) -> list[Poset]:
+    """All labeled posets on the given labels (3^(n choose 2) candidates, filtered)."""
+    labels = tuple(labels)
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    for code in range(3 ** len(pairs)):
+        below = [1 << i for i in range(n)]
+        c = code
+        for (i, j) in pairs:
+            c, rel = divmod(c, 3)
+            if rel == 1:
+                below[j] |= 1 << i
+            elif rel == 2:
+                below[i] |= 1 << j
+        try:
+            out.append(Poset(labels, below))
+        except PosetError:
+            continue
+    return out

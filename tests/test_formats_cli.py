@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +34,8 @@ G1_DOC = {
 }
 
 P3_DOC = {"elements": ["1", "2", "3"], "covers": [["1", "2"], ["1", "3"]]}
+
+TRIPOD_DOC = {"type": "cell_map", "cells": 4, "arrows": [[0], [0], [1, 2], [1, 3]]}
 
 
 def write(tmp_path, name, doc):
@@ -166,6 +171,20 @@ class TestCliAnalyze:
         assert cli.main(["analyze", path]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "parse"
 
+    @pytest.mark.parametrize("command", [["analyze", "SYSTEM"], ["verify", "--exhaustive", "1"]])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, command):
+        argv = [write(tmp_path, "system.json", DS1_DOC) if a == "SYSTEM" else a for a in command]
+        out = str(tmp_path / "absent" / "out.json")
+        assert cli.main(argv + ["-o", out]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and out in err["message"]
+
+    def test_image_out_of_domain_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "gridmap.json", dict(G1_DOC, expr="2*x"))
+        assert cli.main(["analyze", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "domain" and err["cell"] == 0
+
     def test_cell_map_analyze(self, tmp_path):
         path = write(tmp_path, "tripod.json", {"type": "cell_map", "cells": 4, "arrows": [[0], [0], [1, 2], [1, 3]]})
         out = tmp_path / "lat.json"
@@ -228,6 +247,51 @@ class TestCliLift:
         assert cli.main(["lift", spath, lpath]) == 5
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "not_a_sublattice"
+
+    def test_not_a_lattice_exit_5(self, tmp_path, capsys):
+        # closed under union and comb_inv(cap), but comb_inv({1}) = {} so
+        # {1} is not below the top in the induced order
+        spath = write(tmp_path, "tripod.json", TRIPOD_DOC)
+        lpath = write(tmp_path, "sub.json", {"side": "attractor", "elements": [[], [1], [0, 1, 2, 3]]})
+        assert cli.main(["lift", spath, lpath]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "not_a_lattice"
+
+    def test_no_attracting_block_exit_5(self, tmp_path, capsys):
+        # {2} is a lattice element, but no attracting block has walk-core {2}
+        spath = write(tmp_path, "tripod.json", TRIPOD_DOC)
+        lpath = write(tmp_path, "sub.json", {"side": "attractor", "elements": [[], [2], [0, 1, 2, 3]]})
+        assert cli.main(["lift", spath, lpath]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "not_a_block"
+
+    def test_exact_lift_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        states = [f"s{i}" for i in range(8)]
+        spath = write(
+            tmp_path,
+            "system.json",
+            {
+                "type": "finite",
+                "states": states,
+                "map": {"s0": "s1", "s1": "s7", "s2": "s3", "s3": "s4", "s4": "s2", "s5": "s5", "s6": "s6", "s7": "s5"},
+            },
+        )
+        lpath = write(
+            tmp_path,
+            "sub.json",
+            {
+                "side": "repeller",
+                "elements": [[], ["s6"], ["s2", "s3", "s4", "s6"], ["s0", "s1", "s5", "s6", "s7"], states],
+            },
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "morselat.cli", "lift", spath, lpath],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_obstruction_exit_4(self, tmp_path, capsys):
         # the branched cell map: pinning the central attractor to its minimal
@@ -300,3 +364,8 @@ class TestCliVerifyBirkhoff:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert cli.main(["birkhoff", str(path)]) == 2
+
+    def test_birkhoff_not_a_lattice_exit_5(self, tmp_path, capsys):
+        path = write(tmp_path, "lattice.json", {"universe": ["a", "b"], "elements": [[], ["a"], ["b"]]})
+        assert cli.main(["birkhoff", path]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "not_a_lattice"

@@ -12,6 +12,7 @@ from morselat import (
     NotJoinIrreducible,
     SetLattice,
     birkhoff_down,
+    birkhoff_embedding,
     birkhoff_join,
     birkhoff_up,
     boolean_extension,
@@ -124,6 +125,16 @@ class TestBirkhoff:
             for a in p.carrier:
                 for b in p.carrier:
                     assert p.leq(a, b) == jl.leq(downs[a], downs[b])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_embedding_joins_each_down_set(self, n):
+        for p in all_labeled_posets(n):
+            lat = SetLattice.from_poset(p)
+            jl, s = birkhoff_embedding(lat)
+            assert jl == join_irreducibles(lat)
+            assert len(s) == len(lat) and set(s.values()) == set(lat.elements)
+            for d in jl.all_down_sets():
+                assert s[d.members] == birkhoff_join(lat, d.members)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)

@@ -3,24 +3,32 @@ import itertools
 import pytest
 
 from morselat import (
+    CellGrid,
+    CellMap,
     ConditionerMissing,
+    FiniteDynSys,
     LiftProblem,
+    NotASublattice,
     ObstructionFound,
     PartialLift,
     SectionInconsistent,
     SetLattice,
     attractor_lift,
+    attractor_sublattice,
+    birkhoff_embedding,
     check_condition_i,
+    grid_attractor_lift,
+    grid_lift_problem,
     is_conditional_lift,
     is_partial_lift,
-    join_irreducibles,
     lift,
     repeller_lift,
     repeller_lift_problem,
+    repeller_sublattice,
     spaciousness_falsifier,
 )
 from morselat.lattice import sublattices
-from morselat.lifting import _all_posets_on
+from morselat.order import all_posets
 
 
 def fs(*items):
@@ -39,13 +47,7 @@ def powerset_lattice(labels):
 def identity_problem(labels="ab"):
     """h = identity on a powerset; any embedding lifts with k = s."""
     lat = powerset_lattice(labels)
-    poset = join_irreducibles(lat)
-    s = {}
-    for d in poset.all_down_sets():
-        val = frozenset()
-        for p in d.members:
-            val |= p
-        s[frozenset(d.members)] = val
+    poset, s = birkhoff_embedding(lat)
     return LiftProblem(
         poset=poset,
         target=lat,
@@ -148,16 +150,10 @@ def tripod_problem(tripod):
     from morselat.grid import comb_att_lattice, comb_inv
 
     lat = comb_att_lattice(tripod)
-    poset = join_irreducibles(lat)
+    poset, s = birkhoff_embedding(lat)
     a0 = fs(0)
     am = fs(0, 1, 2)
     ap = fs(0, 1, 3)
-    s = {}
-    for d in poset.all_down_sets():
-        val = frozenset()
-        for p in d.members:
-            val |= p
-        s[frozenset(d.members)] = val
     prob = LiftProblem(
         poset=poset,
         target=lat,
@@ -301,6 +297,46 @@ class TestFalsifier:
 
 
 def test_poset_enumeration_for_falsifier():
-    assert len(_all_posets_on(("a",))) == 1
-    assert len(_all_posets_on(("a", "b"))) == 3
-    assert len(_all_posets_on(("a", "b", "c"))) == 19
+    assert len(all_posets(("a",))) == 1
+    assert len(all_posets(("a", "b"))) == 3
+    assert len(all_posets(("a", "b", "c"))) == 19
+
+
+# Identity maps on three points: every subset is an attractor, a repeller and
+# its own block, and every meet is plain intersection, so each family below
+# breaks exactly one sublattice law on every front-end.
+IDENTITY_GRID = CellMap(CellGrid(0.0, 3.0, 3), (fs(0), fs(1), fs(2)))
+IDENTITY_SYSTEM = FiniteDynSys("xyw", {"x": "x", "y": "y", "w": "w"})
+BROKEN_FAMILIES = {
+    "no bottom": ([[0], [1], [0, 1, 2]], "bottom"),
+    "no top": ([[], [0], [1], [0, 1]], "top"),
+    "not join-closed": ([[], [0], [1], [0, 1, 2]], "join-closed"),
+    "not meet-closed": ([[], [0, 1], [1, 2], [0, 1, 2]], "meet-closed"),
+}
+SUBLATTICE_FRONT_ENDS = {
+    "grid_lift_problem": (lambda fam: grid_lift_problem(IDENTITY_GRID, fam), lambda i: i),
+    "grid_attractor_lift": (lambda fam: grid_attractor_lift(IDENTITY_GRID, fam), lambda i: i),
+    "repeller_sublattice": (lambda fam: repeller_sublattice(IDENTITY_SYSTEM, fam), "xyw".__getitem__),
+    "attractor_sublattice": (lambda fam: attractor_sublattice(IDENTITY_SYSTEM, fam), "xyw".__getitem__),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_FAMILIES)
+@pytest.mark.parametrize("front_end", SUBLATTICE_FRONT_ENDS)
+def test_sublattice_check_reaches_every_front_end(front_end, broken):
+    run, label = SUBLATTICE_FRONT_ENDS[front_end]
+    family, law = BROKEN_FAMILIES[broken]
+    family = [frozenset(map(label, e)) for e in family]
+    with pytest.raises(NotASublattice, match=law) as info:
+        run(family)
+    witness = info.value.witness
+    top = frozenset(map(label, range(3)))
+    if law == "bottom":
+        assert witness == fs()
+    elif law == "top":
+        assert witness == top
+    else:
+        a, b = witness
+        assert a in family and b in family
+        missing = a | b if law == "join-closed" else a & b
+        assert missing not in family
