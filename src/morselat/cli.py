@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 unreadable or malformed input, an interval map
 whose image leaves its domain, or an output path that cannot be written
-(the message names the path, position or cell), 3 enumeration bound
-overflow or an invalid MORSELAT_MAX_ENUM, 4 lift obstruction, 5 a family
+(the message names the path, field, position or cell), 3 enumeration bound
+overflow (on a grid the bound counts Morse sets, not cells) or an invalid
+MORSELAT_MAX_ENUM, 4 lift obstruction, 5 a family
 that is not a lattice or sublattice, or whose elements no block realizes.
 Errors are emitted as one JSON object on stderr; ERRORS in this module maps
 each exception type to its exit code.
@@ -196,7 +197,8 @@ def cmd_birkhoff(args) -> int:
         poset = formats.load_poset(doc)
         lat = SetLattice.from_poset(poset)
     else:
-        elements = [frozenset(e) for e in doc.get("elements", [])]
+        with formats.input_field("elements"):
+            elements = [frozenset(e) for e in doc.get("elements", [])]
         universe = doc.get("universe")
         if universe is None:
             raise InputError("lattice file needs a 'universe' array")

@@ -8,6 +8,7 @@ are reproducible byte for byte; set-valued fields serialize as sorted arrays.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from .dynsys import FiniteDynSys
@@ -21,6 +22,15 @@ VERSION = "0.1.0"
 
 class InputError(ValueError):
     """Malformed input file; the message carries position or field detail."""
+
+
+@contextmanager
+def input_field(name: str):
+    """Report a TypeError or ValueError raised inside as an InputError naming the field."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid {name!r}: {exc}") from exc
 
 
 @dataclass
@@ -70,36 +80,51 @@ def load_system(doc: dict) -> FiniteDynSys:
     table = doc.get("map")
     if not isinstance(table, dict):
         raise InputError("system file needs a 'map' object")
-    return FiniteDynSys(states, table)
+    with input_field("states"):
+        if len(set(states)) != len(states):
+            raise ValueError("state labels are not unique")
+    with input_field("map"):
+        return FiniteDynSys(states, table)
 
 
 def load_gridmap(doc: dict) -> CellMap:
     kind = doc.get("type")
+    if kind not in ("interval_map", "cell_map"):
+        raise InputError("gridmap file needs \"type\": \"interval_map\" or \"cell_map\"")
     try:
-        if kind == "interval_map":
-            lo, hi = doc["domain"]
-            grid = CellGrid(float(lo), float(hi), int(doc["cells"]))
-            return ingest_interval_map(
-                doc["expr"],
-                grid,
-                samples_per_cell=int(doc.get("samples_per_cell", 32)),
-                padding=float(doc.get("padding", 1e-9)),
-            )
-        if kind == "cell_map":
-            # explicit multivalued arrows, for combinatorial models that do
-            # not come from sampling an interval map
-            lo, hi = doc.get("domain", [0.0, float(doc["cells"])])
-            grid = CellGrid(float(lo), float(hi), int(doc["cells"]))
-            return CellMap(grid, tuple(frozenset(map(int, a)) for a in doc["arrows"]))
+        cells = doc["cells"]
+        # a cell_map gives explicit multivalued arrows, for combinatorial
+        # models that do not come from sampling an interval map
+        domain = doc["domain"] if kind == "interval_map" else doc.get("domain", [0.0, cells])
+        source = doc["expr"] if kind == "interval_map" else doc["arrows"]
     except KeyError as exc:
         raise InputError(f"gridmap file is missing {exc}") from exc
-    raise InputError("gridmap file needs \"type\": \"interval_map\" or \"cell_map\"")
+    with input_field("cells"):
+        n = int(cells)
+        if n <= 0:
+            raise ValueError(f"must be positive, got {cells!r}")
+    with input_field("domain"):
+        lo, hi = domain
+        grid = CellGrid(float(lo), float(hi), n)
+    if kind == "cell_map":
+        with input_field("arrows"):
+            return CellMap(grid, tuple(frozenset(map(int, a)) for a in source))
+    with input_field("samples_per_cell"):
+        samples = int(doc.get("samples_per_cell", 32))
+        if samples < 2:
+            raise ValueError("must be at least 2")
+    with input_field("padding"):
+        padding = float(doc.get("padding", 1e-9))
+        if padding < 0:
+            raise ValueError("must be nonnegative")
+    return ingest_interval_map(source, grid, samples_per_cell=samples, padding=padding)
 
 
 def load_sublattice(doc: dict) -> list:
     if "elements" not in doc:
         raise InputError("sublattice file needs an 'elements' array of supports")
-    return [frozenset(e) for e in doc["elements"]]
+    with input_field("elements"):
+        return [frozenset(e) for e in doc["elements"]]
 
 
 # -- outputs ------------------------------------------------------------------

@@ -6,6 +6,12 @@ recorded in every output).  Attracting and repelling blocks play the role of
 trapping and repelling regions; comb_inv and comb_inv_plus use weak ("exists
 a walk") semantics, which is what keeps the join laws and the
 outer-approximation soundness.
+
+The lattices of combinatorial attractors and repellers come from the Morse
+poset: the Morse sets are the cyclic SCCs of the cell map, ordered by
+reachability, and each down-set of them gives one attractor, the forward
+closure of its Morse sets.  Enumerating every attracting block
+(attracting_blocks, block_lattices) is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -171,35 +177,35 @@ def is_repelling_block(cells: Iterable[int], cmap: CellMap) -> bool:
     return cmap.preimage(n) <= n
 
 
-def _scc_cycle_cells(cells: frozenset, cmap: CellMap) -> frozenset:
-    """Cells of the restricted graph lying on a cycle (cyclic SCCs), Tarjan, iterative."""
+def _cyclic_components(cells: frozenset, cmap: CellMap) -> list[frozenset]:
+    """The SCCs of the restricted graph that hold a cycle, by one iterative Tarjan pass.
+
+    Called on all cells, these are the Morse sets of the cell map.
+    """
     index = {}
     low = {}
-    onstack = {}
+    onstack = set()
     stack = []
-    out = set()
-    counter = [0]
+    out = []
     for root in sorted(cells):
         if root in index:
             continue
         work = [(root, iter(sorted(cmap.arrows[root] & cells)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        onstack[root] = True
+        onstack.add(root)
         while work:
             v, it = work[-1]
             advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    onstack[w] = True
+                    onstack.add(w)
                     work.append((w, iter(sorted(cmap.arrows[w] & cells))))
                     advanced = True
                     break
-                elif onstack.get(w):
+                elif w in onstack:
                     low[v] = min(low[v], index[w])
             if advanced:
                 continue
@@ -211,49 +217,56 @@ def _scc_cycle_cells(cells: frozenset, cmap: CellMap) -> frozenset:
                 comp = []
                 while True:
                     w = stack.pop()
-                    onstack[w] = False
+                    onstack.remove(w)
                     comp.append(w)
                     if w == v:
                         break
                 if len(comp) > 1 or comp[0] in cmap.arrows[comp[0]]:
-                    out.update(comp)
+                    out.append(frozenset(comp))
+    return out
+
+
+def _forward_closure(cells: frozenset, cmap: CellMap, within: frozenset | None = None) -> frozenset:
+    """Cells reached from the set by walks inside ``within`` (default: all cells)."""
+    within = cmap.all_cells() if within is None else within
+    out = set(cells)
+    frontier = set(cells)
+    while frontier:
+        nxt = {w for c in frontier for w in cmap.arrows[c] & within} - out
+        out |= nxt
+        frontier = nxt
+    return frozenset(out)
+
+
+def _backward_closure(cells: frozenset, cmap: CellMap, within: frozenset) -> frozenset:
+    """Cells of ``within`` that reach the set by walks inside ``within``."""
+    out = set(cells)
+    changed = True
+    while changed:
+        add = {c for c in within - out if cmap.arrows[c] & out}
+        out |= add
+        changed = bool(add)
     return frozenset(out)
 
 
 def comb_inv(cells: Iterable[int], cmap: CellMap) -> frozenset:
     """Cells on a bi-infinite walk inside the set: reach and are reached by a cycle."""
     n = frozenset(cells)
-    cyc = _scc_cycle_cells(n, cmap)
-    fwd = set(cyc)
-    frontier = set(cyc)
-    while frontier:
-        nxt = {w for c in frontier for w in cmap.arrows[c] & n} - fwd
-        fwd |= nxt
-        frontier = nxt
-    bwd = set(cyc)
-    changed = True
-    while changed:
-        add = {c for c in n - bwd if cmap.arrows[c] & bwd}
-        bwd |= add
-        changed = bool(add)
-    return frozenset(fwd & bwd)
+    cyc = frozenset().union(*_cyclic_components(n, cmap))
+    return _forward_closure(cyc, cmap, n) & _backward_closure(cyc, cmap, n)
 
 
 def comb_inv_plus(cells: Iterable[int], cmap: CellMap) -> frozenset:
     """Cells admitting an infinite forward walk inside the set: those reaching a cycle."""
     n = frozenset(cells)
-    cyc = _scc_cycle_cells(n, cmap)
-    bwd = set(cyc)
-    changed = True
-    while changed:
-        add = {c for c in n - bwd if cmap.arrows[c] & bwd}
-        bwd |= add
-        changed = bool(add)
-    return frozenset(bwd)
+    return _backward_closure(frozenset().union(*_cyclic_components(n, cmap)), cmap, n)
 
 
 def attracting_blocks(cmap: CellMap, bound: int | None = None) -> list[frozenset]:
-    """The cell sets closed under the arrows, in ascending mask order."""
+    """The cell sets closed under the arrows, in ascending mask order.
+
+    Exhaustive over all cell subsets; the test oracle for comb_att_lattice.
+    """
     limit = enum_bound(GRID_ENUM_BOUND) if bound is None else bound
     n = cmap.n
     if n > limit:
@@ -270,90 +283,47 @@ def repelling_blocks(cmap: CellMap, bound: int | None = None) -> list[frozenset]
     return [full - b for b in attracting_blocks(cmap, bound)]
 
 
-def block_lattices(
-    cmap: CellMap,
-    bound: int | None = None,
-    seeds: Sequence[Iterable[int]] | None = None,
-) -> tuple[SetLattice, SetLattice]:
-    """The attracting-block and repelling-block lattices.
-
-    Exhaustive when n_cells is inside the bound; otherwise the sublattice
-    generated from forward images of the seed blocks.
-    """
+def block_lattices(cmap: CellMap) -> tuple[SetLattice, SetLattice]:
+    """The attracting-block and repelling-block lattices, by exhaustive enumeration."""
     universe = tuple(range(cmap.n))
-    try:
-        att = attracting_blocks(cmap, bound)
-        rep = repelling_blocks(cmap, bound)
-        return (
-            SetLattice(universe, att, check=False),
-            SetLattice(universe, rep, check=False),
-        )
-    except TooLarge:
-        if seeds is None:
-            raise
-    family = {frozenset(), cmap.all_cells()}
-    for seed in seeds:
-        blk = frozenset(seed)
-        if not is_attracting_block(blk, cmap):
-            raise NotAnAttractingBlock(f"seed {sorted(blk)} is not an attracting block")
-        while True:
-            family.add(blk)
-            nxt = cmap.image(blk)
-            if nxt == blk:
-                break
-            blk = nxt
-    family = _close_family(family)
-    att = SetLattice(universe, family, check=False)
-    rep = SetLattice(universe, [cmap.all_cells() - b for b in family], check=False)
-    return att, rep
+    return (
+        SetLattice(universe, attracting_blocks(cmap), check=False),
+        SetLattice(universe, repelling_blocks(cmap), check=False),
+    )
 
 
-def _close_family(family):
-    family = set(family)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(family):
-            for b in list(family):
-                for c in (a | b, a & b):
-                    if c not in family:
-                        family.add(c)
-                        changed = True
-    return family
+def _morse_attractors(cmap: CellMap) -> list[frozenset]:
+    """comb_inv(N) for every attracting block N, one per down-set of the Morse poset.
+
+    The Morse sets are ordered by reachability.  An attracting block holds
+    exactly a down-set of them, and its walk core is their forward closure.
+    """
+    morse = _cyclic_components(cmap.all_cells(), cmap)
+    limit = enum_bound(GRID_ENUM_BOUND)
+    if len(morse) > limit:
+        raise TooLarge(f"{len(morse)} Morse sets exceeds the enumeration bound {limit}")
+    reach = [_forward_closure(m, cmap) for m in morse]
+    rel = [sum(1 << j for j, m in enumerate(morse) if m <= r) for r in reach]
+    return [
+        frozenset().union(*(r for i, r in enumerate(reach) if d >> i & 1))
+        for d in closed_masks(rel)
+    ]
 
 
 def comb_att_lattice(cmap: CellMap) -> SetLattice:
-    """{comb_inv(N) | N an attracting block}, join union, meet comb_inv(cap).
-
-    The join law and the meet identity for attracting blocks are re-verified
-    at runtime over the block family actually used.
-    """
-    att_blocks, _ = block_lattices(cmap)
-    blocks = list(att_blocks.elements)
-    cache: dict[frozenset, frozenset] = {}
-
-    def ci(n: frozenset) -> frozenset:
-        if n not in cache:
-            cache[n] = comb_inv(n, cmap)
-        return cache[n]
-
-    elems = {ci(b) for b in blocks}
-    for a in blocks:
-        for b in blocks:
-            if ci(a | b) != ci(a) | ci(b):
-                raise AssertionError(f"comb_inv join law fails at {sorted(a)}, {sorted(b)}")
-    for a in elems:
-        for b in elems:
-            if ci(frozenset(ci(a) & ci(b))) != ci(a & b):
-                raise AssertionError(f"comb_inv meet identity fails at {sorted(a)}, {sorted(b)}")
+    """{comb_inv(N) | N an attracting block}, join union, meet comb_inv(cap)."""
     meet = lambda x, y: comb_inv(x & y, cmap)
-    return SetLattice(tuple(range(cmap.n)), elems, meet=meet)
+    return SetLattice(tuple(range(cmap.n)), _morse_attractors(cmap), meet=meet)
 
 
 def comb_rep_lattice(cmap: CellMap) -> SetLattice:
-    """{comb_inv_plus(W) | W a repelling block}, join union, meet comb_inv_plus(cap)."""
-    _, rep_blocks = block_lattices(cmap)
-    elems = {comb_inv_plus(w, cmap) for w in rep_blocks.elements}
+    """{comb_inv_plus(W) | W a repelling block}, join union, meet comb_inv_plus(cap).
+
+    W = cells - N for an attracting block N, and comb_inv_plus(W) depends on
+    N only through comb_inv(N).
+    """
+    full = cmap.all_cells()
+    elems = [comb_inv_plus(full - a, cmap) for a in _morse_attractors(cmap)]
     meet = lambda x, y: comb_inv_plus(x & y, cmap)
     return SetLattice(tuple(range(cmap.n)), elems, meet=meet)
 
@@ -390,16 +360,6 @@ def _shrink_att_steps(w: frozenset, cmap: CellMap, depth: int) -> frozenset:
             return w
         w = nxt
     return w
-
-
-def _forward_closure(cells: frozenset, cmap: CellMap) -> frozenset:
-    out = set(cells)
-    frontier = set(cells)
-    while frontier:
-        nxt = {w for c in frontier for w in cmap.arrows[c]} - out
-        out |= nxt
-        frontier = nxt
-    return frozenset(out)
 
 
 def _shrinking_oracle(partial: PartialLift, q, depths: Iterable[int], block) -> dict:

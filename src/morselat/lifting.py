@@ -372,9 +372,16 @@ def lift(problem: LiftProblem) -> LiftCertificate:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """Outcome of the Def 5.8(i) check; falsy unless the condition was shown to hold.
+
+    An inconclusive report (the search budget ran out) is falsy and carries
+    no witness.
+    """
+
     ok: bool
     method: str
     witness: tuple | None = None
+    inconclusive: bool = False
 
     def __bool__(self):
         return self.ok
@@ -382,6 +389,8 @@ class ConditionReport:
     def __str__(self):
         if self.ok:
             return f"Ok ({self.method})"
+        if self.inconclusive:
+            return f"inconclusive ({self.method})"
         return f"counterexample ({self.method}): {self.witness!r}"
 
 
@@ -418,7 +427,7 @@ def check_condition_i(
             for u in fibers.get(l1, []):
                 work += 1
                 if work > bound:
-                    return ConditionReport(True, f"no violation within bound {bound}")
+                    return ConditionReport(False, f"no violation within bound {bound}", inconclusive=True)
                 if all(u & v != k_lattice.bottom for v in fibers.get(l2, [])):
                     return ConditionReport(False, "singleton partial-lift search", (l1, l2, u))
     return ConditionReport(True, "exhaustive singleton search")

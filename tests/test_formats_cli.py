@@ -17,6 +17,7 @@ from morselat.formats import (
     load_system,
     parse_dot,
 )
+from morselat.grid import comb_inv
 
 DS1_DOC = {
     "type": "finite",
@@ -120,6 +121,44 @@ class TestCliAnalyze:
         payload = json.loads(out.read_text())
         assert len(payload["elements"]) == 17
         assert payload["attractors"][0]["cells"] == []
+
+    def test_grid_analyze_above_sixteen_cells(self, tmp_path):
+        path = write(tmp_path, "gridmap.json", dict(G1_DOC, cells=64))
+        out = tmp_path / "lat.json"
+        assert cli.main(["analyze", path, "-o", str(out)]) == 0
+        cells = [frozenset(a["cells"]) for a in json.loads(out.read_text())["attractors"]]
+        assert len(cells) == 17
+        cmap = load_gridmap(dict(G1_DOC, cells=64))
+        for a in cells:
+            assert cmap.image(a) <= a and comb_inv(a, cmap) == a
+
+    def test_grid_bound_counts_morse_sets(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "2")
+        path = write(tmp_path, "gridmap.json", G1_DOC)
+        assert cli.main(["analyze", path]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bound" and "7 Morse sets" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, docs, field",
+        [
+            ("analyze", [dict(G1_DOC, domain=[1, -1])], "domain"),
+            ("analyze", [dict(G1_DOC, cells=0)], "cells"),
+            ("analyze", [dict(G1_DOC, samples_per_cell=1)], "samples_per_cell"),
+            ("analyze", [dict(G1_DOC, padding=-1)], "padding"),
+            ("analyze", [dict(TRIPOD_DOC, arrows=[[0], [0], [1, 2], [1, 4]])], "arrows"),
+            ("analyze", [dict(TRIPOD_DOC, arrows=[[0], [], [1, 2], [1, 3]])], "arrows"),
+            ("analyze", [dict(DS1_DOC, states=["m", "z", "a", "a"])], "states"),
+            ("analyze", [dict(DS1_DOC, map={"m": "z", "z": "q", "a": "b", "b": "b"})], "map"),
+            ("birkhoff", [{"universe": ["a", "b"], "elements": [1, 2]}], "elements"),
+            ("lift", [DS1_DOC, {"side": "repeller", "elements": [1, 2]}], "elements"),
+        ],
+    )
+    def test_malformed_field_exit_2(self, tmp_path, capsys, command, docs, field):
+        paths = [write(tmp_path, f"input{i}.json", doc) for i, doc in enumerate(docs)]
+        assert cli.main([command] + paths) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse" and repr(field) in err["message"]
 
     def test_dot_output_parses(self, tmp_path):
         path = write(tmp_path, "system.json", DS1_DOC)

@@ -10,6 +10,8 @@ near the slow fixed points).
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from morselat import (
     CellGrid,
@@ -208,17 +210,75 @@ class TestLattices:
         lat = comb_att_lattice(g2)
         assert any(7 in e or 8 in e for e in lat.elements if e)
 
-    def test_seeded_mode(self, g1):
-        att, rep = block_lattices(g1, bound=8, seeds=[fs(*range(9)), fs(*range(7, 16))])
-        assert fs(*range(9)) in att
-        assert g1.all_cells() in att and fs() in att
-        for n in att.elements:
-            assert is_attracting_block(n, g1)
-
     def test_rep_lattice_dual(self, g1):
         rep = comb_rep_lattice(g1)
         att = comb_att_lattice(g1)
         assert len(rep) == len(att)
+
+
+def small_fixtures():
+    """Every cell-map fixture of at most 16 cells, besides g1, g2 and the tripod."""
+    out = [
+        ingest_interval_map(expression, CellGrid(-1.0, 1.0, cells))
+        for expression, cells in [
+            ("(x + x^3)/2", 12),
+            ("(x + x^3)/2", 14),
+            ("piecewise(x<=0: 0, (5/2)*x*(1-x))", 12),
+            ("0.4*x + 0.6*x^3", 12),
+        ]
+    ]
+    out.append(ingest_interval_map("x", CellGrid(0.0, 4.0, 4), padding=0.0))
+    grid = CellGrid(0.0, 3.0, 3)
+    for arrows in [(fs(1), fs(2), fs(2)), (fs(1), fs(2), fs(0)), (fs(1, 2), fs(1), fs(2))]:
+        out.append(CellMap(grid, arrows))
+    return out
+
+
+def check_morse_route(cmap):
+    """Att and Rep from the Morse poset against the exhaustive block lattices,
+    and the comb_inv join law and meet identity over every pair of blocks."""
+    att_blocks, rep_blocks = block_lattices(cmap)
+    blocks = att_blocks.elements
+    ci = {b: comb_inv(b, cmap) for b in blocks}
+    assert set(comb_att_lattice(cmap).elements) == set(ci.values())
+    assert set(comb_rep_lattice(cmap).elements) == {comb_inv_plus(w, cmap) for w in rep_blocks.elements}
+    meets = {}
+    for a in blocks:
+        for b in blocks:
+            assert ci[a | b] == ci[a] | ci[b]
+            both = ci[a] & ci[b]
+            if both not in meets:
+                meets[both] = comb_inv(both, cmap)
+            assert meets[both] == ci[a & b]
+
+
+cell_maps = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=n, max_size=n
+    )
+)
+
+
+class TestMorseRoute:
+    def test_fixtures(self, g1, g2, tripod):
+        for cmap in [g1, g2, tripod] + small_fixtures():
+            check_morse_route(cmap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell_maps)
+    def test_random_cell_maps(self, arrows):
+        cmap = CellMap(CellGrid(0.0, float(len(arrows)), len(arrows)), tuple(arrows))
+        # SetLattice validation is cubic in |Att| <= |blocks|; keep each example quick
+        assume(len(attracting_blocks(cmap)) <= 32)
+        check_morse_route(cmap)
+
+    def test_bound_counts_morse_sets(self, g1, monkeypatch):
+        # seven Morse sets on sixteen cells
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "7")
+        assert len(comb_att_lattice(g1)) == 17
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "6")
+        with pytest.raises(TooLarge):
+            comb_att_lattice(g1)
 
 
 class TestShrink:

@@ -251,6 +251,17 @@ class TestConditionI:
         l1, l2, u = report.witness
         assert u == fs("u", "v") or u == fs("u", "w")
 
+    def test_spent_budget_is_inconclusive(self):
+        # the same fat zero fiber, with no budget to search it
+        K = SetLattice(
+            "uvw",
+            [fs(), fs("u"), fs("u", "v"), fs("u", "w"), fs("u", "v", "w")],
+        )
+        L = powerset_lattice("vw")
+        report = check_condition_i(K, L, {e: e - {"u"} for e in K.elements}, bound=0)
+        assert not report and report.inconclusive and report.witness is None
+        assert str(report).startswith("inconclusive") and "counterexample" not in str(report)
+
 
 class TestTransport:
     def test_ds1_chain_sublattice(self, sys1):
