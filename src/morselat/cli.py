@@ -20,6 +20,8 @@ import sys
 from . import dynsys_lift, formats, verify
 from .expr import ParseError
 from .grid import (
+    DEFAULT_PADDING,
+    DEFAULT_SAMPLES,
     ImageOutOfDomain,
     NotAnAttractingBlock,
     NotARepellingBlock,
@@ -96,8 +98,8 @@ def cmd_analyze(args) -> int:
                 "domain": doc["domain"],
                 "cells": doc["cells"],
                 "expr": doc["expr"],
-                "samples_per_cell": doc.get("samples_per_cell", 32),
-                "padding": doc.get("padding", 1e-9),
+                "samples_per_cell": doc.get("samples_per_cell", DEFAULT_SAMPLES),
+                "padding": doc.get("padding", DEFAULT_PADDING),
             }
         else:
             config.grid = {"domain": [cmap.grid.lo, cmap.grid.hi], "cells": cmap.n}
@@ -132,26 +134,44 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _cells(items, n: int) -> frozenset:
+    """Cell indices of a sublattice file, each one of the grid's n cells."""
+    cells = frozenset(int(c) for c in items)
+    outside = cells - set(range(n))
+    if outside:
+        raise ValueError(f"cell {min(outside)} is not one of the {n} cells")
+    return cells
+
+
 def cmd_lift(args) -> int:
     config = RunConfig("lift", [args.input, args.sublattice], args.output, seed=args.seed)
     doc = _read_json(args.input)
     subdoc = _read_json(args.sublattice)
     elements = formats.load_sublattice(subdoc)
-    if doc.get("type") in ("interval_map", "cell_map"):
+    on_grid = doc.get("type") in ("interval_map", "cell_map")
+    with formats.input_field("side"):
+        side = subdoc.get("side", "attractor" if on_grid else "repeller")
+        if side not in ("attractor", "repeller"):
+            raise ValueError(f'must be "attractor" or "repeller", got {side!r}')
+    if on_grid:
         cmap = formats.load_gridmap(doc)
-        cells = [frozenset(int(c) for c in e) for e in elements]
-        side = subdoc.get("side", "attractor")
-        pins = {
-            frozenset(map(int, image)): frozenset(map(int, block))
-            for image, block in subdoc.get("pins", [])
-        }
+        with formats.input_field("elements"):
+            cells = [_cells(e, cmap.n) for e in elements]
+        with formats.input_field("pins"):
+            pins = {
+                _cells(image, cmap.n): _cells(block, cmap.n)
+                for image, block in subdoc.get("pins", [])
+            }
         if side == "repeller":
             cert = lift(grid_lift_problem(cmap, cells))
         else:
             cert = grid_attractor_lift(cmap, cells, direct=args.direct, pinned=pins)
     else:
         system = formats.load_system(doc)
-        side = subdoc.get("side", "repeller")
+        with formats.input_field("elements"):
+            unknown = set().union(*elements) - set(system.states)
+            if unknown:
+                raise ValueError(f"unknown state {min(unknown, key=repr)!r}")
         if side == "attractor":
             cert = dynsys_lift.attractor_lift(system, elements)
         else:
@@ -197,8 +217,7 @@ def cmd_birkhoff(args) -> int:
         poset = formats.load_poset(doc)
         lat = SetLattice.from_poset(poset)
     else:
-        with formats.input_field("elements"):
-            elements = [frozenset(e) for e in doc.get("elements", [])]
+        elements = formats.element_sets(doc.get("elements", []))
         universe = doc.get("universe")
         if universe is None:
             raise InputError("lattice file needs a 'universe' array")

@@ -2,27 +2,21 @@
 
 On a finite discrete space every repeller is a repelling neighborhood of
 itself and every attractor an attracting neighborhood of itself, so sections
-default to the lattice elements themselves and the conditioner family
-v_alpha = s(alpha) always satisfies the shrink condition (the meet on the
-repeller side is plain intersection).  The repeller side is lifted directly
-through Inv+; the attractor side goes through the duality transport.
+are the lattice elements themselves and v_alpha = s(alpha) always satisfies
+the shrink condition (the repeller meet is intersection, and Inv(a ^ b) =
+a ^ b for attractors, which are unions of cycles).  The repeller side is
+lifted directly through Inv+; the attractor problem (h = Inv) goes through
+the duality transport onto a repeller problem on the dual poset.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dynsys import FiniteDynSys
 from .lattice import NotASublattice, SetLattice, birkhoff_embedding, checked_sublattice
-from .lifting import (
-    AttractorLiftSpec,
-    LiftCertificate,
-    LiftProblem,
-    PartialLift,
-    lift,
-    transport_by_duality,
-)
+from .lifting import LiftCertificate, LiftProblem, PartialLift, lift, transport_by_duality
+from .order import Poset
 
 
 def _self_conditioner_oracle(partial: PartialLift, q) -> dict:
@@ -48,20 +42,23 @@ def attractor_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> 
     return checked_sublattice(system.states, family, meet, system.inv(system.states))
 
 
-def repeller_lift_problem(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftProblem:
-    lat = repeller_sublattice(system, elements)
-    poset, s = birkhoff_embedding(lat)
+def _repeller_problem(system: FiniteDynSys, lat: SetLattice, poset: Poset, s: Mapping) -> LiftProblem:
     return LiftProblem(
         poset=poset,
         target=lat,
         s=s,
         ambient=frozenset(system.states),
-        h=lambda u: system.inv_plus(u),
+        h=system.inv_plus,
         section=lambda l: l,
         conditioner_oracle=_self_conditioner_oracle,
-        member=lambda u: system.is_repelling_nbhd(u),
+        member=system.is_repelling_nbhd,
         top_unique=True,
     )
+
+
+def repeller_lift_problem(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftProblem:
+    lat = repeller_sublattice(system, elements)
+    return _repeller_problem(system, lat, *birkhoff_embedding(lat))
 
 
 def repeller_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCertificate:
@@ -71,16 +68,19 @@ def repeller_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCer
 def attractor_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCertificate:
     lat = attractor_sublattice(system, elements)
     poset, s = birkhoff_embedding(lat)
-    spec = AttractorLiftSpec(
+    problem = LiftProblem(
         poset=poset,
-        att_lattice=lat,
-        s_att=s,
-        star=lambda a: system.dual_repeller(a),
-        att_h=lambda u: system.inv(u),
-        rep_problem=lambda dual, s_rep: replace(
-            repeller_lift_problem(system, set(s_rep.values())), poset=dual, s=dict(s_rep)
-        ),
+        target=lat,
+        s=s,
         ambient=frozenset(system.states),
-        member=lambda u: system.is_attracting_nbhd(u),
+        h=system.inv,
+        section=lambda l: l,
+        conditioner_oracle=_self_conditioner_oracle,
+        member=system.is_attracting_nbhd,
+        top_unique=False,
     )
-    return transport_by_duality(spec)
+    star = {a: system.dual_repeller(a) for a in lat.elements}
+    rep_lat = repeller_sublattice(system, star.values())
+    return transport_by_duality(
+        problem, star.__getitem__, lambda dual, s_rep: _repeller_problem(system, rep_lat, dual, s_rep)
+    )

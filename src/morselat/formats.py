@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from .dynsys import FiniteDynSys
-from .grid import CellGrid, CellMap, ingest_interval_map
+from .grid import DEFAULT_PADDING, DEFAULT_SAMPLES, CellGrid, CellMap, ingest_interval_map
 from .lattice import SetLattice, join_irreducibles
 from .lifting import LiftCertificate
 from .order import Poset
@@ -110,11 +110,11 @@ def load_gridmap(doc: dict) -> CellMap:
         with input_field("arrows"):
             return CellMap(grid, tuple(frozenset(map(int, a)) for a in source))
     with input_field("samples_per_cell"):
-        samples = int(doc.get("samples_per_cell", 32))
+        samples = int(doc.get("samples_per_cell", DEFAULT_SAMPLES))
         if samples < 2:
             raise ValueError("must be at least 2")
     with input_field("padding"):
-        padding = float(doc.get("padding", 1e-9))
+        padding = float(doc.get("padding", DEFAULT_PADDING))
         if padding < 0:
             raise ValueError("must be nonnegative")
     return ingest_interval_map(source, grid, samples_per_cell=samples, padding=padding)
@@ -123,8 +123,18 @@ def load_gridmap(doc: dict) -> CellMap:
 def load_sublattice(doc: dict) -> list:
     if "elements" not in doc:
         raise InputError("sublattice file needs an 'elements' array of supports")
+    return element_sets(doc["elements"])
+
+
+def element_sets(elements) -> list:
+    """The elements of a lattice or sublattice file, each an array of labels, as frozensets."""
     with input_field("elements"):
-        return [frozenset(e) for e in doc["elements"]]
+        out = []
+        for e in elements:
+            if not isinstance(e, list):
+                raise TypeError(f"element {e!r} is not an array")
+            out.append(frozenset(e))
+        return out
 
 
 # -- outputs ------------------------------------------------------------------

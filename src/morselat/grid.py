@@ -16,13 +16,13 @@ closure of its Morse sets.  Enumerating every attracting block
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import expr as exprmod
 from .lattice import SetLattice, birkhoff_embedding, checked_sublattice
-from .lifting import AttractorLiftSpec, LiftProblem, PartialLift, lift, transport_by_duality
-from .order import TooLarge, closed_masks, enum_bound
+from .lifting import LiftProblem, PartialLift, lift, transport_by_duality
+from .order import Poset, TooLarge, closed_masks, enum_bound
 
 GRID_ENUM_BOUND = 16
 DEFAULT_SAMPLES = 32
@@ -384,19 +384,12 @@ def _shrinking_oracle(partial: PartialLift, q, depths: Iterable[int], block) -> 
     return family
 
 
-def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftProblem:
-    """Package a repeller-side lift: h = comb_inv_plus on repelling blocks.
-
-    The image family must form a bounded distributive sublattice under union
-    and comb_inv_plus(cap); each image is its own repelling block (anything
-    outside a block pointing into the walk-core would itself have an infinite
-    walk), so sections are the images themselves, and conditioners shrink
-    from them.
-    """
+def _rep_sublattice(cmap: CellMap, images: Iterable[Iterable[int]]) -> SetLattice:
     meet = lambda a, b: comb_inv_plus(a & b, cmap)
-    lat = checked_sublattice(tuple(range(cmap.n)), images, meet, comb_inv_plus(cmap.all_cells(), cmap))
-    poset, s = birkhoff_embedding(lat)
+    return checked_sublattice(tuple(range(cmap.n)), images, meet, comb_inv_plus(cmap.all_cells(), cmap))
 
+
+def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping) -> LiftProblem:
     def section(l: frozenset) -> frozenset:
         if not is_repelling_block(l, cmap) or comb_inv_plus(l, cmap) != l:
             raise NotARepellingBlock(f"no repelling block realizes {sorted(l)}")
@@ -418,6 +411,19 @@ def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftPro
     )
 
 
+def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftProblem:
+    """Package a repeller-side lift: h = comb_inv_plus on repelling blocks.
+
+    The image family must form a bounded distributive sublattice under union
+    and comb_inv_plus(cap); each image is its own repelling block (anything
+    outside a block pointing into the walk-core would itself have an infinite
+    walk), so sections are the images themselves, and conditioners shrink
+    from them.
+    """
+    lat = _rep_sublattice(cmap, images)
+    return _rep_problem(cmap, lat, *birkhoff_embedding(lat))
+
+
 def grid_attractor_lift(
     cmap: CellMap,
     images: Sequence[Iterable[int]],
@@ -427,12 +433,12 @@ def grid_attractor_lift(
 ):
     """Lift an attractor-side sublattice, by duality transport or directly.
 
-    The duality route realizes * as A -> comb_inv_plus(N^c) for a block N
-    with comb_inv(N) = A, lifts on the repeller side, and transports back
-    through cell-set complement.  The direct route runs the induction with
-    h = comb_inv on attracting blocks; ``pinned`` forces specific block
+    Both routes share one problem, h = comb_inv on attracting blocks.  The
+    direct route runs the induction on it; ``pinned`` forces specific block
     choices (and the obstruction, when the pinned family admits no
-    conditioners, surfaces as ObstructionFound).
+    conditioners, surfaces as ObstructionFound).  The duality route realizes
+    * as A -> comb_inv_plus(N^c) for a block N with comb_inv(N) = A, lifts on
+    the repeller side, and transports back through cell-set complement.
     """
     ambient = cmap.all_cells()
     meet = lambda a, b: comb_inv(a & b, cmap)
@@ -451,25 +457,6 @@ def grid_attractor_lift(
             raise NotAnAttractingBlock(f"no attracting block realizes {sorted(a)}")
         return blk
 
-    if not direct:
-        def star(a: frozenset) -> frozenset:
-            return comb_inv_plus(ambient - att_block_for(a), cmap)
-
-        rep_images = {star(a) for a in lat.elements}
-        spec = AttractorLiftSpec(
-            poset=poset,
-            att_lattice=lat,
-            s_att=s,
-            star=star,
-            att_h=lambda n: comb_inv(n, cmap),
-            rep_problem=lambda dual, s_rep: replace(
-                grid_lift_problem(cmap, rep_images), poset=dual, s=dict(s_rep)
-            ),
-            ambient=ambient,
-            member=lambda n: is_attracting_block(n, cmap),
-        )
-        return transport_by_duality(spec)
-
     def block(l: frozenset, depth: int) -> frozenset:
         return pinned[l] if l in pinned else _shrink_att_steps(att_block_for(l), cmap, depth)
 
@@ -485,6 +472,12 @@ def grid_attractor_lift(
         section=att_block_for,
         conditioner_oracle=oracle,
         member=lambda n: is_attracting_block(n, cmap),
-        top_unique=comb_inv(ambient, cmap) == ambient,
+        top_unique=lat.top == ambient,
     )
-    return lift(problem)
+    if direct:
+        return lift(problem)
+    star = {a: comb_inv_plus(ambient - att_block_for(a), cmap) for a in lat.elements}
+    rep_lat = _rep_sublattice(cmap, star.values())
+    return transport_by_duality(
+        problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, rep_lat, dual, s_rep)
+    )

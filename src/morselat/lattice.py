@@ -2,10 +2,10 @@
 Booleanization, and homomorphism checking.
 
 Every lattice here is materialized as a family of subsets of a finite ground
-set.  Join defaults to union and meet to intersection; lattices whose meet is
-not plain intersection (attractor lattices, combinatorial attractor lattices)
-supply a meet callable instead.  The induced order is always a <= b iff
-a meet b == a.
+set.  Join is always union and meet defaults to intersection; lattices whose
+meet is not plain intersection (attractor lattices, combinatorial attractor
+lattices) supply a meet callable instead.  The induced order is always
+a <= b iff a meet b == a.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class SetLattice:
         self,
         universe: Sequence[Hashable],
         elements: Iterable[frozenset],
-        join: Callable | None = None,
         meet: Callable | None = None,
         check: bool = True,
     ):
@@ -77,7 +76,6 @@ class SetLattice:
         elems = {frozenset(e) for e in elements}
         self.elements = tuple(sorted(elems, key=self._canon_key))
         self._eset = frozenset(self.elements)
-        self._join = join or (lambda a, b: a | b)
         self._meet = meet or (lambda a, b: a & b)
         if check:
             self._validate()
@@ -126,7 +124,7 @@ class SetLattice:
         return self.elements[-1]
 
     def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return self._join(a, b)
+        return a | b
 
     def meet(self, a: frozenset, b: frozenset) -> frozenset:
         return self._meet(a, b)

@@ -24,6 +24,8 @@ re-checks everything independently of the construction path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import and_, or_
 from typing import Callable, Mapping
 
 from .lattice import HomReport, SetLattice
@@ -87,29 +89,41 @@ class LiftProblem:
     member: Callable[[frozenset], bool] | None = None
     top_unique: bool = True
 
-    def down_sets(self) -> list[frozenset]:
+    @cached_property
+    def _downs(self) -> list[frozenset]:
         return [frozenset(d.members) for d in self.poset.all_down_sets()]
+
+    def down_sets(self) -> list[frozenset]:
+        """O(P), enumerated once per problem."""
+        return self._downs
 
     def check_embedding(self) -> None:
         downs = self.down_sets()
         missing = [d for d in downs if d not in self.s]
         if missing:
             raise NotAnEmbedding(f"s is not total on O(P); missing {missing[0]!r}")
-        images = {d: self.s[d] for d in downs}
-        if len(set(images.values())) != len(downs):
+        if len({self.s[d] for d in downs}) != len(downs):
             raise NotAnEmbedding("s is not injective")
         lat = self.target
-        if images[frozenset()] != lat.bottom:
+        if self.s[frozenset()] != lat.bottom:
             raise NotAnEmbedding("s(0) != 0")
         full = frozenset(self.poset.carrier)
-        if images[full] != lat.top:
+        if self.s[full] != lat.top:
             raise NotAnEmbedding("s(1) != 1")
-        for a in downs:
-            for b in downs:
-                if images[frozenset(a | b)] != lat.join(images[a], images[b]):
-                    raise NotAnEmbedding(f"s does not preserve joins at {(a, b)!r}")
-                if images[frozenset(a & b)] != lat.meet(images[a], images[b]):
-                    raise NotAnEmbedding(f"s does not preserve meets at {(a, b)!r}")
+        broken = _broken_law(downs, self.s, lat.join, lat.meet)
+        if broken:
+            raise NotAnEmbedding(f"s does not preserve {broken[0]} at {broken[1]!r}")
+
+
+def _broken_law(downs, k: Mapping, join, meet) -> tuple | None:
+    """The first ("joins" or "meets", (a, b)) over pairs of ``downs`` at which k breaks that law."""
+    for a in downs:
+        for b in downs:
+            if k[a | b] != join(k[a], k[b]):
+                return "joins", (a, b)
+            if k[a & b] != meet(k[a], k[b]):
+                return "meets", (a, b)
+    return None
 
 
 @dataclass
@@ -120,13 +134,6 @@ class PartialLift:
     lam: frozenset
     table: dict[frozenset, frozenset]
     conditioners: dict[frozenset, frozenset] | None = None
-
-    def domain(self) -> list[frozenset]:
-        full = frozenset(self.problem.poset.carrier)
-        out = [d for d in self.problem.down_sets() if d <= self.lam]
-        if full not in out:
-            out.append(full)
-        return out
 
 
 @dataclass(frozen=True)
@@ -162,12 +169,9 @@ class LiftCertificate:
             raise LiftError("k is not injective")
         if self.table[frozenset()] != frozenset():
             raise LiftError("k(0) != 0")
-        for a in downs:
-            for b in downs:
-                if self.table[frozenset(a | b)] != self.table[a] | self.table[b]:
-                    raise LiftError(f"k does not preserve joins at {(a, b)!r}")
-                if self.table[frozenset(a & b)] != self.table[a] & self.table[b]:
-                    raise LiftError(f"k does not preserve meets at {(a, b)!r}")
+        broken = _broken_law(downs, self.table, or_, and_)
+        if broken:
+            raise LiftError(f"k does not preserve {broken[0]} at {broken[1]!r}")
         full = frozenset(prob.poset.carrier)
         if self.top_preserved and self.table[full] != prob.ambient:
             raise LiftError("k(1) != 1 but certificate claims top preservation")
@@ -187,12 +191,10 @@ def is_partial_lift(candidate: PartialLift, problem: LiftProblem | None = None) 
         return HomReport(False, "k(1) = 1", (full,))
     if candidate.table.get(frozenset()) != frozenset():
         return HomReport(False, "k(0) = 0", (frozenset(),))
-    for a in downs:
-        for b in downs:
-            if candidate.table[frozenset(a | b)] != candidate.table[a] | candidate.table[b]:
-                return HomReport(False, "k(a v b) = k(a) v k(b)", (a, b))
-            if candidate.table[frozenset(a & b)] != candidate.table[a] & candidate.table[b]:
-                return HomReport(False, "k(a ^ b) = k(a) ^ k(b)", (a, b))
+    broken = _broken_law(downs, candidate.table, or_, and_)
+    if broken:
+        law = "k(a v b) = k(a) v k(b)" if broken[0] == "joins" else "k(a ^ b) = k(a) ^ k(b)"
+        return HomReport(False, law, broken[1])
     for d in downs:
         if prob.h(candidate.table[d]) != prob.s[d]:
             return HomReport(False, "h(k(beta)) = s(beta)", (d,))
@@ -436,64 +438,26 @@ def check_condition_i(
 # -- duality transport -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttractorLiftSpec:
-    """Everything needed to lift an attractor-side embedding via diagram (24).
+def transport_by_duality(
+    problem: LiftProblem,
+    star: Callable[[frozenset], frozenset],
+    rep_problem: Callable[[Poset, Mapping[frozenset, frozenset]], LiftProblem],
+) -> LiftCertificate:
+    """Lift an attractor-side problem through the duality of diagram (24).
 
-    The attractor-side embedding s_att : O(P) -> att_lattice is transported
-    to the repeller side with s_rep = star o s_att o c, lifted there, and the
-    answer is pulled back with k_att = c o k_rep o c, the outer c being set
-    complement in the ambient space.
+    s is transported to s_rep = star o s o c on the dual poset, lifted on
+    ``rep_problem(dual, s_rep)``, and pulled back with k = c o k_rep o c, the
+    outer c being set complement in the ambient space.  The certificate is
+    one for ``problem`` itself, so verify() re-checks h o k = s there.
     """
-
-    poset: Poset
-    att_lattice: SetLattice
-    s_att: Mapping[frozenset, frozenset]
-    star: Callable[[frozenset], frozenset]
-    att_h: Callable[[frozenset], frozenset]
-    rep_problem: Callable[[Poset, Mapping[frozenset, frozenset]], LiftProblem]
-    ambient: frozenset
-    member: Callable[[frozenset], bool] | None = None
-
-
-def transport_by_duality(spec: AttractorLiftSpec) -> LiftCertificate:
-    poset = spec.poset
-    dual = poset.dual()
-    carrier = frozenset(poset.carrier)
-    s_rep = {}
-    for d in dual.all_down_sets():
-        beta = frozenset(d.members)
-        s_rep[beta] = spec.star(spec.s_att[frozenset(carrier - beta)])
-    rep_problem = spec.rep_problem(dual, s_rep)
-    rep_cert = lift(rep_problem)
-    table = {}
-    for d in poset.all_down_sets():
-        alpha = frozenset(d.members)
-        table[alpha] = spec.ambient - rep_cert.table[frozenset(carrier - alpha)]
-    att_problem = LiftProblem(
-        poset=poset,
-        target=spec.att_lattice,
-        s=dict(spec.s_att),
-        ambient=spec.ambient,
-        h=spec.att_h,
-        section=lambda l: table[_find_key(spec.s_att, l)],
-        conditioner_oracle=lambda partial, q: {},
-        member=spec.member,
-        top_unique=rep_problem.top_unique,
-    )
-    cert = LiftCertificate(att_problem, table, {}, list(rep_cert.audit), rep_cert.top_preserved)
-    for alpha in att_problem.down_sets():
-        if spec.att_h(table[alpha]) != spec.s_att[alpha]:
-            raise LiftError(f"transport failed: Inv(k_A({sorted(map(repr, alpha))})) != s_A")
+    carrier = frozenset(problem.poset.carrier)
+    downs = problem.down_sets()
+    s_rep = {carrier - alpha: star(problem.s[alpha]) for alpha in downs}
+    rep_cert = lift(rep_problem(problem.poset.dual(), s_rep))
+    table = {alpha: problem.ambient - rep_cert.table[carrier - alpha] for alpha in downs}
+    cert = LiftCertificate(problem, table, {}, list(rep_cert.audit), rep_cert.top_preserved)
     cert.verify()
     return cert
-
-
-def _find_key(mapping: Mapping, value):
-    for k, v in mapping.items():
-        if v == value:
-            return k
-    raise KeyError(value)
 
 
 # -- spaciousness falsifier ---------------------------------------------------
@@ -551,7 +515,6 @@ def spaciousness_falsifier(
         labels = tuple(f"p{i}" for i in range(size))
         for poset in all_posets(labels):
             downs = [frozenset(d.members) for d in poset.all_down_sets()]
-            irr = list(poset.carrier)
             for s in _embeddings(poset, downs, l_lattice):
                 for lam in downs:
                     if lam == frozenset(poset.carrier):
@@ -589,12 +552,8 @@ def _embeddings(poset: Poset, downs, l_lattice: SetLattice):
             s = build(assign)
             if len(set(s.values())) != len(downs):
                 return
-            if s[full] != l_lattice.top:
+            if s[full] != l_lattice.top or _broken_law(downs, s, l_lattice.join, l_lattice.meet):
                 return
-            for a in downs:
-                for b in downs:
-                    if s[frozenset(a & b)] != l_lattice.meet(s[a], s[b]):
-                        return
             yield dict(s)
             return
         p = carrier[i]
@@ -641,11 +600,7 @@ def _check_site(poset, downs, s, lam, q, mu, fibers, k_lattice, work, budget):
             table[d] = val
         # joins of sections automatically satisfy h o k = s and stay in K,
         # but the meet law is a genuine partial-lift filter
-        if any(
-            table[frozenset(a & b)] != table[a] & table[b]
-            for a in lam_downs
-            for b in lam_downs
-        ):
+        if _broken_law(lam_downs, table, or_, and_):
             continue
         k_lam = table[lam]
         family_exists = False

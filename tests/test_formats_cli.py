@@ -152,6 +152,14 @@ class TestCliAnalyze:
             ("analyze", [dict(DS1_DOC, map={"m": "z", "z": "q", "a": "b", "b": "b"})], "map"),
             ("birkhoff", [{"universe": ["a", "b"], "elements": [1, 2]}], "elements"),
             ("lift", [DS1_DOC, {"side": "repeller", "elements": [1, 2]}], "elements"),
+            ("birkhoff", [{"universe": ["a", "b"], "elements": [[], "a", "b", "ab"]}], "elements"),
+            ("lift", [DS1_DOC, {"side": "repeller", "elements": [[], ["m", "z"], "ab", list("mzab")]}], "elements"),
+            ("lift", [TRIPOD_DOC, {"elements": [[], ["x"], [0, 1, 2, 3]]}], "elements"),
+            ("lift", [TRIPOD_DOC, {"elements": [[], [0], [0, 1, 2, 3]], "pins": [[0, 1]]}], "pins"),
+            ("lift", [TRIPOD_DOC, {"elements": [[], [9], [0, 1, 2, 3]]}], "elements"),
+            ("lift", [TRIPOD_DOC, {"elements": [[], [0], [0, 1, 2, 3]], "pins": [[[0], [7]]]}], "pins"),
+            ("lift", [DS1_DOC, {"side": "repeller", "elements": [[], ["q"], list("mzab")]}], "elements"),
+            ("lift", [DS1_DOC, {"side": "sideways", "elements": [[], ["m", "z"], ["a", "b"], list("mzab")]}], "side"),
         ],
     )
     def test_malformed_field_exit_2(self, tmp_path, capsys, command, docs, field):

@@ -1,7 +1,7 @@
-"""`analyze` output on the fixtures, byte for byte against data/golden.
+"""`analyze` and `lift` output on the fixtures, byte for byte against data/golden.
 
-Each golden is the CLI output with ``config.inputs`` cut to the input's file
-name, so it does not depend on where the input was written.  After a
+Each golden is the CLI output with ``config.inputs`` cut to the inputs' file
+names, so it does not depend on where the inputs were written.  After a
 deliberate change of output, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -43,16 +43,58 @@ INPUTS = {
 }
 FORMATS = ("json", "dot")
 
+G1_12_ATT = [
+    [], [5, 6], [4, 5, 6], [5, 6, 7], [4, 5, 6, 7], [1, 2, 3, 4, 5, 6], [5, 6, 7, 8, 9, 10],
+    [0, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7], [4, 5, 6, 7, 8, 9, 10], [5, 6, 7, 8, 9, 10, 11],
+    [0, 1, 2, 3, 4, 5, 6, 7], [4, 5, 6, 7, 8, 9, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], list(range(12)),
+]
+G1_12_REP = [
+    [], [0], [11], [0, 1], [0, 11], [10, 11], [0, 1, 11], [0, 10, 11], [0, 1, 10, 11],
+    [0, 1, 2, 3, 4], [7, 8, 9, 10, 11], [0, 1, 2, 3, 4, 11], [0, 7, 8, 9, 10, 11],
+    [0, 1, 2, 3, 4, 10, 11], [0, 1, 7, 8, 9, 10, 11], [0, 1, 2, 3, 4, 7, 8, 9, 10, 11], list(range(12)),
+]
+TRIPOD_ATT = [[], [0], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]]
 
-def analyze(directory, name, fmt) -> str:
-    """The CLI output for INPUTS[name], with the input path cut to its file name."""
-    path = os.path.join(directory, f"{name}.json")
-    with open(path, "w") as fh:
-        json.dump(INPUTS[name], fh)
+# name -> (system in INPUTS, sublattice file, extra CLI arguments)
+LIFTS = {
+    "ds1_rep": ("ds1", {"side": "repeller", "elements": [[], ["m", "z"], ["a", "b"], ["m", "z", "a", "b"]]}, []),
+    "ds1_att": ("ds1", {"side": "attractor", "elements": [[], ["z"], ["b"], ["z", "b"]]}, []),
+    "g1_12_rep": ("g1_12", {"side": "repeller", "elements": G1_12_REP}, []),
+    "g1_12_att": ("g1_12", {"side": "attractor", "elements": G1_12_ATT}, []),
+    "g1_12_att_direct": ("g1_12", {"side": "attractor", "elements": G1_12_ATT}, ["--direct"]),
+    "tripod_att": ("tripod", {"side": "attractor", "elements": TRIPOD_ATT}, []),
+    "tripod_att_direct_pinned": (
+        "tripod",
+        {"side": "attractor", "elements": TRIPOD_ATT, "pins": [[[0], [0, 1]]]},
+        ["--direct"],
+    ),
+}
+
+
+def run(directory, argv, docs) -> str:
+    """The CLI output of ``argv`` after the named input files, with their paths cut to file names."""
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = os.path.join(directory, f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["analyze", path, "--format", fmt]) == 0
-    return out.getvalue().replace(json.dumps(path), json.dumps(f"{name}.json"))
+        assert cli.main(argv[:1] + list(paths.values()) + argv[1:]) == 0
+    text = out.getvalue()
+    for name, path in paths.items():
+        text = text.replace(json.dumps(path), json.dumps(f"{name}.json"))
+    return text
+
+
+def analyze(directory, name, fmt) -> str:
+    return run(directory, ["analyze", "--format", fmt], {name: INPUTS[name]})
+
+
+def lift(directory, name) -> str:
+    system, sublattice, extra = LIFTS[name]
+    return run(directory, ["lift"] + extra, {system: INPUTS[system], f"{name}.sub": sublattice})
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -61,9 +103,16 @@ def test_analyze_matches_golden(tmp_path, name, fmt):
     assert analyze(str(tmp_path), name, fmt) == (GOLDEN / f"{name}.analyze.{fmt}").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(LIFTS))
+def test_lift_matches_golden(tmp_path, name):
+    assert lift(str(tmp_path), name) == (GOLDEN / f"{name}.lift.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(INPUTS):
             for fmt in FORMATS:
                 (GOLDEN / f"{name}.analyze.{fmt}").write_text(analyze(tmp, name, fmt))
+        for name in sorted(LIFTS):
+            (GOLDEN / f"{name}.lift.json").write_text(lift(tmp, name))

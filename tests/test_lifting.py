@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,12 +12,14 @@ from morselat import (
     NotASublattice,
     ObstructionFound,
     PartialLift,
+    Poset,
     SectionInconsistent,
     SetLattice,
     attractor_lift,
     attractor_sublattice,
     birkhoff_embedding,
     check_condition_i,
+    comb_rep_lattice,
     grid_attractor_lift,
     grid_lift_problem,
     is_conditional_lift,
@@ -27,6 +30,7 @@ from morselat import (
     repeller_sublattice,
     spaciousness_falsifier,
 )
+from morselat import lattice
 from morselat.lattice import sublattices
 from morselat.order import all_posets
 
@@ -280,6 +284,51 @@ class TestTransport:
         for sub in sublattices(att):
             cert = attractor_lift(sys1, sub)
             cert.verify()
+
+    def test_exact_attractor_problem_lifts_directly(self, sys1, sys2, sys3):
+        # attractors are unions of cycles, so Inv(a ^ b) = a ^ b and the
+        # self-conditioners of the attractor problem satisfy Eq (20)
+        rng = random.Random(7)
+        systems = [sys1, sys2, sys3]
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            systems.append(FiniteDynSys(range(n), {i: rng.randrange(n) for i in range(n)}))
+        lifted = 0
+        for system in systems:
+            att = system.att_lattice()
+            if len(att) > 8:
+                continue
+            for sub in sublattices(att):
+                problem = attractor_lift(system, sub).problem
+                cert = lift(problem)
+                assert cert.problem is problem
+                cert.verify()
+                lifted += 1
+        assert lifted > 50
+
+    @pytest.mark.parametrize("route", ["exact", "grid"])
+    def test_attractor_route_builds_one_embedding(self, route, sys1, tripod, monkeypatch):
+        calls = []
+        real = lattice.join_irreducibles
+        monkeypatch.setattr(lattice, "join_irreducibles", lambda lat: calls.append(lat) or real(lat))
+        if route == "exact":
+            attractor_lift(sys1, sys1.att_lattice().elements)
+        else:
+            grid_attractor_lift(tripod, [fs(), fs(0), fs(0, 1, 2), fs(0, 1, 3), fs(0, 1, 2, 3)])
+        assert len(calls) == 1
+
+
+def test_lift_enumerates_down_sets_once(tripod, g1, monkeypatch):
+    problems = [grid_lift_problem(cmap, comb_rep_lattice(cmap).elements) for cmap in (tripod, g1)]
+    assert len(problems[0].poset) < len(problems[1].poset)
+    counts = []
+    real = Poset.all_down_sets
+    for problem in problems:
+        calls = []
+        monkeypatch.setattr(Poset, "all_down_sets", lambda self, bound=None: calls.append(self) or real(self, bound))
+        lift(problem)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 class TestFalsifier:
