@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 unreadable or malformed input, an interval map
 whose image leaves its domain, or an output path that cannot be written
 (the message names the path, field, position or cell), 3 enumeration bound
 overflow (on a grid the bound counts Morse sets, not cells) or an invalid
-MORSELAT_MAX_ENUM, 4 lift obstruction, 5 a family
-that is not a lattice or sublattice, or whose elements no block realizes.
+MORSELAT_MAX_ENUM, 4 lift obstruction, 5 a family that is not a lattice
+or sublattice, whose elements no block realizes, or with a pin that is not
+an attracting block for its attractor.
 Errors are emitted as one JSON object on stderr; ERRORS in this module maps
 each exception type to its exit code.
 """
@@ -134,15 +135,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _cells(items, n: int) -> frozenset:
-    """Cell indices of a sublattice file, each one of the grid's n cells."""
-    cells = frozenset(int(c) for c in items)
-    outside = cells - set(range(n))
-    if outside:
-        raise ValueError(f"cell {min(outside)} is not one of the {n} cells")
-    return cells
-
-
 def cmd_lift(args) -> int:
     config = RunConfig("lift", [args.input, args.sublattice], args.output, seed=args.seed)
     doc = _read_json(args.input)
@@ -156,10 +148,10 @@ def cmd_lift(args) -> int:
     if on_grid:
         cmap = formats.load_gridmap(doc)
         with formats.input_field("elements"):
-            cells = [_cells(e, cmap.n) for e in elements]
+            cells = [formats.cell_indices(e, cmap.n) for e in subdoc["elements"]]
         with formats.input_field("pins"):
             pins = {
-                _cells(image, cmap.n): _cells(block, cmap.n)
+                formats.cell_indices(image, cmap.n): formats.cell_indices(block, cmap.n)
                 for image, block in subdoc.get("pins", [])
             }
         if side == "repeller":

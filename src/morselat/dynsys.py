@@ -9,11 +9,11 @@ operations run on bitmasks over the fixed state ordering.
 Image and preimage preserve unions, so omega and alpha are union-linear:
 omega(U) is the union of omega(x) over x in U (the cycle x runs into), and
 alpha(U) the union of alpha(x) (the basin of x's cycle when x lies on one,
-else empty).  The cycles, their basins and the per-state limit sets are
-computed once per system.  The attracting (repelling) neighborhoods are the
-sets closed under x -> omega(x) (x -> alpha(x)), enumerated
-output-sensitively by ``order.closed_masks``.  Nothing here scans all 2^n
-subsets; that is left to the exhaustive oracle in ``verify``.
+else empty).  The cycles, their basins and the per-state limit sets all come
+from one walk of the map, made once per system.  The attracting (repelling)
+neighborhoods are the sets closed under x -> omega(x) (x -> alpha(x)),
+enumerated output-sensitively by ``order.closed_masks``.  Nothing here scans
+all 2^n subsets; that is left to the exhaustive oracle in ``verify``.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ class FiniteDynSys:
             pre[self.index[next_map[s]]] |= 1 << i
         self._pre1 = tuple(pre)
         self._limit_pts = None
-        self._cycles_cache = None
         self._att_cache = None
 
     # -- mask plumbing -------------------------------------------------------
@@ -154,104 +153,64 @@ class FiniteDynSys:
 
     def _omega_mask(self, m: int) -> int:
         out = 0
-        for c, b in self._limit_points()[2]:
+        for c, b in self._limit_points()[3]:
             if b & m:
                 out |= c
         return out
 
     def _alpha_mask(self, m: int) -> int:
         out = 0
-        for c, b in self._limit_points()[2]:
+        for c, b in self._limit_points()[3]:
             if c & m:
                 out |= b
         return out
 
     def _omega_points(self) -> tuple:
         """omega(x) for each state x: the cycle its forward orbit runs into."""
-        return self._limit_points()[0]
+        return self._limit_points()[1]
 
     def _alpha_points(self) -> tuple:
         """alpha(x) for each state x: the basin of x's cycle, empty off the cycles."""
-        return self._limit_points()[1]
+        return self._limit_points()[2]
 
     def _limit_points(self):
-        """(omega points, alpha points, (cycle, basin) pairs), computed once.
+        """(cycles, omega points, alpha points, (cycle, basin) pairs), from one walk.
 
-        omega and alpha are union-linear, so omega(U) is the union of the
-        cycles whose basins U meets and alpha(U) the union of the basins
-        whose cycles U meets.
+        Each state's forward path runs until it meets a state whose omega is
+        known, or closes on itself, which finds a new cycle; omega of the
+        path is then that of where it stopped.  Cycles are ordered by their
+        lowest state.  omega and alpha are union-linear, so omega(U) is the
+        union of the cycles whose basins U meets and alpha(U) the union of
+        the basins whose cycles U meets.
         """
         if self._limit_pts is None:
             omega = [0] * self._n
-            for c in self._cycle_masks():
-                rest = c
-                while rest:
-                    omega[(rest & -rest).bit_length() - 1] = c
-                    rest &= rest - 1
+            cycles = []
             for i in range(self._n):
                 path = []
+                on_path = 0
                 j = i
-                while not omega[j]:
+                while not omega[j] and not on_path >> j & 1:
                     path.append(j)
+                    on_path |= 1 << j
                     j = self._img1[j].bit_length() - 1
+                c = omega[j]
+                if not c:
+                    c = sum(1 << k for k in path[path.index(j):])
+                    cycles.append(c)
                 for k in path:
-                    omega[k] = omega[j]
-            basin = dict.fromkeys(self._cycle_masks(), 0)
+                    omega[k] = c
+            cycles.sort(key=lambda c: c & -c)
+            basin = dict.fromkeys(cycles, 0)
             for i, c in enumerate(omega):
                 basin[c] |= 1 << i
             alpha = tuple(basin[c] if c >> i & 1 else 0 for i, c in enumerate(omega))
-            self._limit_pts = (tuple(omega), alpha, tuple(basin.items()))
+            self._limit_pts = (tuple(cycles), tuple(omega), alpha, tuple(basin.items()))
         return self._limit_pts
 
     def _cycle_masks(self):
-        """The cycles of the next map, one mask per cycle."""
-        if self._cycles_cache is None:
-            on_cycle = self._inv_plus_mask_cycles()
-            cycles = []
-            seen = 0
-            for i in range(self._n):
-                if on_cycle >> i & 1 and not seen >> i & 1:
-                    c = 0
-                    j = i
-                    while not c >> j & 1:
-                        c |= 1 << j
-                        j = (self._img1[j]).bit_length() - 1
-                    cycles.append(c)
-                    seen |= c
-            self._cycles_cache = tuple(cycles)
-        return self._cycles_cache
-
-    def _inv_plus_mask_cycles(self) -> int:
-        # states on a cycle: walk n steps from each state, then test recurrence
-        out = 0
-        for i in range(self._n):
-            j = i
-            for _ in range(self._n):
-                j = (self._img1[j]).bit_length() - 1
-            # j is on a cycle now; mark the whole cycle
-            start = j
-            while not out >> j & 1:
-                out |= 1 << j
-                j = (self._img1[j]).bit_length() - 1
-                if j == start:
-                    break
-        return out
-
-    def _reach_fwd_mask(self, m: int) -> int:
-        cur = m
-        while True:
-            nxt = cur | self._image_mask(cur)
-            if nxt == cur:
-                return cur
-            cur = nxt
-
-    def _reach_bwd_mask(self, m: int) -> int:
-        cur = m
-        while True:
-            nxt = cur | self._preimage_mask(cur)
-            if nxt == cur:
-                return cur
-            cur = nxt
+        """The cycles of the next map, one mask per cycle, ordered by lowest state."""
+        return self._limit_points()[0]
 
     # -- dynamics operations ---------------------------------------------------
 
@@ -268,10 +227,10 @@ class FiniteDynSys:
         return self.unmask(m)
 
     def reachable_forward(self, subset: Iterable) -> frozenset:
-        return self.unmask(self._reach_fwd_mask(self.mask(subset)))
+        return self.unmask(_reach(self._img1, self.mask(subset)))
 
     def reachable_backward(self, subset: Iterable) -> frozenset:
-        return self.unmask(self._reach_bwd_mask(self.mask(subset)))
+        return self.unmask(_reach(self._pre1, self.mask(subset)))
 
     def classify_invariance(self, subset: Iterable) -> InvarianceFlags:
         m = self.mask(subset)
@@ -394,11 +353,8 @@ class FiniteDynSys:
     def dual_minus(self, subset: Iterable) -> frozenset:
         """S- : states with some backward orbit whose orbital alpha-limit misses S."""
         m = self.mask(subset)
-        seeds = 0
-        for c in self._cycle_masks():
-            if not (c & m):
-                seeds |= c
-        return self.unmask(self._reach_fwd_mask(seeds) if seeds else 0)
+        # cycles are disjoint, so their sum is their union
+        return self.unmask(_reach(self._img1, sum(c for c in self._cycle_masks() if not c & m)))
 
     def restrict(self, subset: Iterable) -> "FiniteDynSys":
         m = self.mask(subset)
@@ -433,25 +389,25 @@ class FiniteDynSys:
         m = self.mask(subset)
         return not (self._alpha_mask(m) & ~m)
 
-    def _check_bound(self, bound: int | None) -> None:
-        limit = enum_bound() if bound is None else bound
+    def _check_bound(self) -> None:
+        limit = enum_bound()
         if self._n > limit:
             raise TooLarge(f"{self._n} states exceeds enumeration bound {limit}")
 
-    def _attracting_masks(self, bound: int | None = None):
+    def _attracting_masks(self):
         """Attracting neighborhoods as ascending masks: the sets closed under x -> omega(x)."""
-        self._check_bound(bound)
+        self._check_bound()
         return closed_masks(self._omega_points())
 
-    def _repelling_masks(self, bound: int | None = None):
-        self._check_bound(bound)
+    def _repelling_masks(self):
+        self._check_bound()
         return closed_masks(self._alpha_points())
 
-    def attracting_neighborhoods(self, bound: int | None = None) -> list[frozenset]:
-        return [self.unmask(m) for m in self._attracting_masks(bound)]
+    def attracting_neighborhoods(self) -> list[frozenset]:
+        return [self.unmask(m) for m in self._attracting_masks()]
 
-    def repelling_neighborhoods(self, bound: int | None = None) -> list[frozenset]:
-        return [self.unmask(m) for m in self._repelling_masks(bound)]
+    def repelling_neighborhoods(self) -> list[frozenset]:
+        return [self.unmask(m) for m in self._repelling_masks()]
 
     def neighborhood_counts(self) -> tuple[int, int]:
         """(number of attracting, number of repelling neighborhoods), without listing them."""
@@ -462,12 +418,9 @@ class FiniteDynSys:
 
     def _recurrent_unions(self):
         """The unions of cycles: the omega-closed subsets of the cycle states."""
-        on_cycle = 0
-        for c in self._cycle_masks():
-            on_cycle |= c
-        return closed_masks(self._omega_points(), within=on_cycle)
+        return closed_masks(self._omega_points(), within=sum(self._cycle_masks()))
 
-    def att_lattice(self, bound: int | None = None) -> SetLattice:
+    def att_lattice(self) -> SetLattice:
         """Att = omega images of attracting neighborhoods, join union, meet Inv(cap).
 
         omega(U) of a neighborhood U is the union of the cycles U meets, and
@@ -475,15 +428,15 @@ class FiniteDynSys:
         unions of cycles.  Built once per system; its meet holds no reference
         to the system, so the cache makes no reference cycle.
         """
-        self._check_bound(bound)
+        self._check_bound()
         if self._att_cache is None:
             meet = partial(_inv_meet, self.states, self.index, self._img1)
             self._att_cache = SetLattice(self.states, map(self.unmask, self._recurrent_unions()), meet=meet)
         return self._att_cache
 
-    def rep_lattice(self, bound: int | None = None) -> SetLattice:
+    def rep_lattice(self) -> SetLattice:
         """Rep = alpha images of repelling neighborhoods: the unions of basins of cycles."""
-        self._check_bound(bound)
+        self._check_bound()
         elems = {self._alpha_mask(m) for m in self._recurrent_unions()}
         return SetLattice(self.states, (self.unmask(m) for m in elems))
 
@@ -552,29 +505,27 @@ class FiniteDynSys:
             return False, "A is not invariant", self.unmask(a)
         if self._image_mask(r) & ~r:
             return False, "R is not forward invariant", self.unmask(r)
-        outside = self._full & ~(a | r)
         pts = self._omega_points()
-        rest = outside
+        # the states with a backward orbit whose alpha_o escapes R: those
+        # reached from a cycle that leaves R (a sum of cycles is their union)
+        escapes = _reach(self._img1, sum(c for c in self._cycle_masks() if c & ~r))
+        rest = self._full & ~(a | r)
         while rest:
             i = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             if pts[i] & ~a:
                 return False, "omega(x) escapes A", self.states[i]
-            for c in self._cycle_masks():
-                if self._mask_reaches(c, i) and (c & ~r):
-                    return False, "alpha_o of a backward orbit escapes R", self.states[i]
+            if escapes >> i & 1:
+                return False, "alpha_o of a backward orbit escapes R", self.states[i]
         return True, None, None
 
-    def _mask_reaches(self, source: int, target_bit: int) -> bool:
-        return bool(self._reach_fwd_mask(source) >> target_bit & 1)
-
-    def commuting_square_check(self, bound: int | None = None) -> PairReport:
+    def commuting_square_check(self) -> PairReport:
         """Diagram (1): omega = Inv on ANbhd, alpha = Inv+ on RNbhd, and the square commutes."""
-        att = self.att_lattice(bound)
+        att = self.att_lattice()
         star = {x: self.dual_repeller(x) for x in att.elements}
         star_mask = {self.mask(x): self.mask(sx) for x, sx in star.items()}
         full = self._full
-        for m in self._attracting_masks(bound):
+        for m in self._attracting_masks():
             om = self._omega_mask(m)
             if self._inv_mask(m) != om:
                 return PairReport(False, "Inv(U) != omega(U) on an attracting neighborhood", self.unmask(m))
@@ -607,6 +558,15 @@ def _union(parts: Sequence[int], m: int) -> int:
     while m:
         out |= parts[(m & -m).bit_length() - 1]
         m &= m - 1
+    return out
+
+
+def _reach(parts: Sequence[int], m: int) -> int:
+    """m and everything reachable from it, one step being x -> parts[x]."""
+    out = frontier = m
+    while frontier:
+        frontier = _union(parts, frontier) & ~out
+        out |= frontier
     return out
 
 

@@ -100,7 +100,7 @@ def load_gridmap(doc: dict) -> CellMap:
     except KeyError as exc:
         raise InputError(f"gridmap file is missing {exc}") from exc
     with input_field("cells"):
-        n = int(cells)
+        n = _integer(cells)
         if n <= 0:
             raise ValueError(f"must be positive, got {cells!r}")
     with input_field("domain"):
@@ -108,9 +108,9 @@ def load_gridmap(doc: dict) -> CellMap:
         grid = CellGrid(float(lo), float(hi), n)
     if kind == "cell_map":
         with input_field("arrows"):
-            return CellMap(grid, tuple(frozenset(map(int, a)) for a in source))
+            return CellMap(grid, tuple(cell_indices(a, n) for a in source))
     with input_field("samples_per_cell"):
-        samples = int(doc.get("samples_per_cell", DEFAULT_SAMPLES))
+        samples = _integer(doc.get("samples_per_cell", DEFAULT_SAMPLES))
         if samples < 2:
             raise ValueError("must be at least 2")
     with input_field("padding"):
@@ -118,6 +118,22 @@ def load_gridmap(doc: dict) -> CellMap:
         if padding < 0:
             raise ValueError("must be nonnegative")
     return ingest_interval_map(source, grid, samples_per_cell=samples, padding=padding)
+
+
+def _integer(x) -> int:
+    """x itself if it is a JSON integer; a float or a boolean is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
+def cell_indices(items, n: int) -> frozenset:
+    """Cell indices of an input file, each an integer naming one of the grid's n cells."""
+    cells = frozenset(map(_integer, items))
+    outside = cells - set(range(n))
+    if outside:
+        raise ValueError(f"cell {min(outside)} is not one of the {n} cells")
+    return cells
 
 
 def load_sublattice(doc: dict) -> list:

@@ -427,7 +427,6 @@ def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftPro
 def grid_attractor_lift(
     cmap: CellMap,
     images: Sequence[Iterable[int]],
-    seeds: Mapping[frozenset, frozenset] | None = None,
     direct: bool = False,
     pinned: Mapping[frozenset, frozenset] | None = None,
 ):
@@ -435,7 +434,8 @@ def grid_attractor_lift(
 
     Both routes share one problem, h = comb_inv on attracting blocks.  The
     direct route runs the induction on it; ``pinned`` forces specific block
-    choices (and the obstruction, when the pinned family admits no
+    choices, each checked first to be an attracting block whose comb_inv is
+    its attractor (and the obstruction, when the pinned family admits no
     conditioners, surfaces as ObstructionFound).  The duality route realizes
     * as A -> comb_inv_plus(N^c) for a block N with comb_inv(N) = A, lifts on
     the repeller side, and transports back through cell-set complement.
@@ -444,15 +444,15 @@ def grid_attractor_lift(
     meet = lambda a, b: comb_inv(a & b, cmap)
     lat = checked_sublattice(tuple(range(cmap.n)), images, meet, comb_inv(ambient, cmap))
     poset, s = birkhoff_embedding(lat)
-    seeds = dict(seeds or {})
     pinned = dict(pinned or {})
+    for a, blk in pinned.items():
+        if not is_attracting_block(blk, cmap) or comb_inv(blk, cmap) != a:
+            raise NotAnAttractingBlock(f"pinned block {sorted(blk)} is not an attracting block for {sorted(a)}")
 
     def att_block_for(a: frozenset) -> frozenset:
         if a in pinned:
             return pinned[a]
-        blk = seeds.get(a, a)
-        if not is_attracting_block(blk, cmap):
-            blk = _forward_closure(blk, cmap)
+        blk = _forward_closure(a, cmap)
         if comb_inv(blk, cmap) != a:
             raise NotAnAttractingBlock(f"no attracting block realizes {sorted(a)}")
         return blk

@@ -157,17 +157,7 @@ class SetLattice:
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) of element indices with elements[j] covering elements[i]."""
-        n = len(self.elements)
-        lower = [
-            [i for i in range(n) if i != j and self.leq(self.elements[i], self.elements[j])]
-            for j in range(n)
-        ]
-        out = []
-        for j in range(n):
-            for i in lower[j]:
-                if not any(k != i and self.leq(self.elements[i], self.elements[k]) for k in lower[j]):
-                    out.append((i, j))
-        return out
+        return [(i, j) for j, c in enumerate(self.elements) for i in lower_covers(self, c)]
 
     @classmethod
     def from_poset(cls, poset: Poset, bound: int | None = None) -> "SetLattice":
@@ -224,7 +214,7 @@ def join_irreducibles(lat: SetLattice) -> Poset:
     An element is join-irreducible iff it is nonzero and has exactly one
     lower cover, its predecessor.
     """
-    irr = [c for c in lat.elements if c != lat.bottom and _lower_covers(lat, c, limit=2) == 1]
+    irr = [c for c in lat.elements if len(lower_covers(lat, c)) == 1]
     below = []
     for c in irr:
         m = 0
@@ -235,26 +225,21 @@ def join_irreducibles(lat: SetLattice) -> Poset:
     return Poset(irr, below, _checked=True)
 
 
-def _lower_covers(lat: SetLattice, c: frozenset, limit: int | None = None) -> int:
-    strictly_below = [a for a in lat.elements if a != c and lat.leq(a, c)]
-    count = 0
-    for a in strictly_below:
-        if not any(b != a and lat.leq(a, b) for b in strictly_below):
-            count += 1
-            if limit is not None and count >= limit:
-                return count
-    return count
+def lower_covers(lat: SetLattice, c: frozenset) -> list[int]:
+    """Indices, ascending, of the elements that c covers: the maximal ones strictly below c."""
+    es = lat.elements
+    below = [i for i, a in enumerate(es) if a != c and lat.leq(a, c)]
+    return [i for i in below if not any(k != i and lat.leq(es[i], es[k]) for k in below)]
 
 
 def predecessor(lat: SetLattice, c: frozenset) -> frozenset:
     """The unique maximal element strictly below a join-irreducible."""
-    strictly_below = [a for a in lat.elements if a != c and lat.leq(a, c)]
-    if c == lat.bottom or not strictly_below:
+    covers = lower_covers(lat, c)
+    if not covers:
         raise NotJoinIrreducible(f"{sorted(map(repr, c))} has no predecessor")
-    maximal = [a for a in strictly_below if not any(b != a and lat.leq(a, b) for b in strictly_below)]
-    if len(maximal) != 1:
+    if len(covers) != 1:
         raise NotJoinIrreducible(f"{sorted(map(repr, c))} is not join-irreducible")
-    return maximal[0]
+    return lat.elements[covers[0]]
 
 
 def birkhoff_down(lat: SetLattice, a: frozenset, jl: Poset | None = None) -> DownSet:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dynsys import FiniteDynSys
+from .dynsys import FiniteDynSys, _reach
 
 PAIR_CAP = 64  # per-family cap for pairwise laws on large random systems
 
@@ -301,9 +301,10 @@ def check_p2_13(sd):
 
 
 def check_p2_15(sd):
+    reach = [_reach(sd.sys._img1, c) for c in sd.cycles]
     for i in range(sd.n):
-        for c in sd.cycles:
-            if sd.sys._mask_reaches(c, i):
+        for c, r in zip(sd.cycles, reach):
+            if r >> i & 1:
                 if not c or sd.img[c] != c or c & ~sd.alpha_pt[i]:
                     return (sd.sys.states[i], _u(sd, c))
     return None
@@ -319,11 +320,7 @@ def check_p2_16(sd):
                 plus |= 1 << i
         if (img[plus] & ~plus) or (pre[plus] & ~plus):
             return (_u(sd, m), "S+ not forward-backward invariant")
-        seeds = 0
-        for c in sd.cycles:
-            if not (c & m):
-                seeds |= c
-        minus = sd.sys._reach_fwd_mask(seeds) if seeds else 0
+        minus = _reach(sd.sys._img1, sum(c for c in sd.cycles if not c & m))
         if img[minus] != minus:
             return (_u(sd, m), "S- not invariant")
         if img[m] == m and m & plus:

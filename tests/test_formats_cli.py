@@ -37,6 +37,7 @@ G1_DOC = {
 P3_DOC = {"elements": ["1", "2", "3"], "covers": [["1", "2"], ["1", "3"]]}
 
 TRIPOD_DOC = {"type": "cell_map", "cells": 4, "arrows": [[0], [0], [1, 2], [1, 3]]}
+TRIPOD_ATT = [[], [0], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]]
 
 
 def write(tmp_path, name, doc):
@@ -160,6 +161,13 @@ class TestCliAnalyze:
             ("lift", [TRIPOD_DOC, {"elements": [[], [0], [0, 1, 2, 3]], "pins": [[[0], [7]]]}], "pins"),
             ("lift", [DS1_DOC, {"side": "repeller", "elements": [[], ["q"], list("mzab")]}], "elements"),
             ("lift", [DS1_DOC, {"side": "sideways", "elements": [[], ["m", "z"], ["a", "b"], list("mzab")]}], "side"),
+            # grid integer fields take JSON integers only, not floats, strings or booleans
+            ("lift", [TRIPOD_DOC, {"elements": [[], [0], [0, 1, 2], [0, 1.5, 3], [0, 1, 2, 3]]}], "elements"),
+            ("lift", [TRIPOD_DOC, {"elements": TRIPOD_ATT, "pins": [[[0], [0, 1.0]]]}], "pins"),
+            ("analyze", [{"type": "cell_map", "cells": 2, "arrows": [[0.7], ["1"]]}], "arrows"),
+            ("analyze", [{"type": "cell_map", "cells": 2, "arrows": [[True], [1]]}], "arrows"),
+            ("analyze", [dict(TRIPOD_DOC, cells=4.5)], "cells"),
+            ("analyze", [dict(G1_DOC, samples_per_cell=8.9)], "samples_per_cell"),
         ],
     )
     def test_malformed_field_exit_2(self, tmp_path, capsys, command, docs, field):
@@ -308,6 +316,14 @@ class TestCliLift:
         spath = write(tmp_path, "tripod.json", TRIPOD_DOC)
         lpath = write(tmp_path, "sub.json", {"side": "attractor", "elements": [[], [2], [0, 1, 2, 3]]})
         assert cli.main(["lift", spath, lpath]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "not_a_block"
+
+    @pytest.mark.parametrize("pin", [[[0], [1]], [[0], [0, 2]]])
+    def test_pin_that_is_not_an_attracting_block_exit_5(self, tmp_path, capsys, pin):
+        # {1} and {0, 2} each have an arrow leaving them
+        spath = write(tmp_path, "tripod.json", TRIPOD_DOC)
+        lpath = write(tmp_path, "sub.json", {"side": "attractor", "elements": TRIPOD_ATT, "pins": [pin]})
+        assert cli.main(["lift", spath, lpath, "--direct"]) == 5
         assert json.loads(capsys.readouterr().err)["error"] == "not_a_block"
 
     def test_exact_lift_bytes_do_not_depend_on_hash_seed(self, tmp_path):

@@ -1,4 +1,4 @@
-"""`analyze` and `lift` output on the fixtures, byte for byte against data/golden.
+"""`analyze`, `lift`, `birkhoff` and `verify` output, byte for byte against data/golden.
 
 Each golden is the CLI output with ``config.inputs`` cut to the inputs' file
 names, so it does not depend on where the inputs were written.  After a
@@ -12,6 +12,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import tempfile
 
 import pytest
@@ -72,6 +73,27 @@ LIFTS = {
 }
 
 
+def seeded_poset(seed: int, n: int) -> dict:
+    """A poset file on n elements: each pair i < j related with probability 0.4."""
+    rng = random.Random(seed)
+    labels = [f"p{i}" for i in range(n)]
+    covers = [[labels[i], labels[j]] for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    return {"elements": labels, "covers": covers}
+
+
+BIRKHOFF = {
+    "antichain": {"elements": ["a", "b", "c"], "covers": []},
+    "chain": {"elements": ["a", "b", "c", "d"], "covers": [["a", "b"], ["b", "c"], ["c", "d"]]},
+    "n_poset": {"elements": ["a", "b", "c", "d"], "covers": [["a", "c"], ["b", "c"], ["b", "d"]]},
+    "seeded7": seeded_poset(1, 7),
+    "lattice": {
+        "universe": ["x", "y", "z", "w"],
+        "elements": [[], ["x"], ["y"], ["x", "y"], ["x", "y", "z"], ["x", "y", "w"], ["x", "y", "z", "w"]],
+    },
+}
+VERIFY = ["verify", "--exhaustive", "3", "--random", "30", "--max-states", "8", "--seed", "1"]
+
+
 def run(directory, argv, docs) -> str:
     """The CLI output of ``argv`` after the named input files, with their paths cut to file names."""
     paths = {}
@@ -97,6 +119,10 @@ def lift(directory, name) -> str:
     return run(directory, ["lift"] + extra, {system: INPUTS[system], f"{name}.sub": sublattice})
 
 
+def birkhoff(directory, name, fmt) -> str:
+    return run(directory, ["birkhoff", "--format", fmt], {name: BIRKHOFF[name]})
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_analyze_matches_golden(tmp_path, name, fmt):
@@ -108,6 +134,16 @@ def test_lift_matches_golden(tmp_path, name):
     assert lift(str(tmp_path), name) == (GOLDEN / f"{name}.lift.json").read_text()
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(BIRKHOFF))
+def test_birkhoff_matches_golden(tmp_path, name, fmt):
+    assert birkhoff(str(tmp_path), name, fmt) == (GOLDEN / f"{name}.birkhoff.{fmt}").read_text()
+
+
+def test_verify_report_matches_golden(tmp_path):
+    assert run(str(tmp_path), VERIFY, {}) == (GOLDEN / "verify.txt").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -116,3 +152,7 @@ if __name__ == "__main__":
                 (GOLDEN / f"{name}.analyze.{fmt}").write_text(analyze(tmp, name, fmt))
         for name in sorted(LIFTS):
             (GOLDEN / f"{name}.lift.json").write_text(lift(tmp, name))
+        for name in sorted(BIRKHOFF):
+            for fmt in FORMATS:
+                (GOLDEN / f"{name}.birkhoff.{fmt}").write_text(birkhoff(tmp, name, fmt))
+        (GOLDEN / "verify.txt").write_text(run(tmp, VERIFY, {}))

@@ -25,6 +25,7 @@ from morselat import (
     sublattices,
 )
 from morselat.order import chain
+from morselat.verify import random_systems
 from conftest import all_labeled_posets, random_poset
 
 
@@ -59,6 +60,28 @@ class TestSetLattice:
         assert lat.leq(fs("1"), fs("1", "2"))
         for a in lat.elements:
             assert lat.leq(a, a)
+
+
+def hasse_oracle(lat):
+    """The transitive reduction of leq: pairs i < j with nothing strictly between, by j then i."""
+    es = lat.elements
+    lt = lambda i, j: i != j and lat.leq(es[i], es[j])
+    n = len(es)
+    between = lambda i, j: any(lt(i, k) and lt(k, j) for k in range(n))
+    return [(i, j) for j in range(n) for i in range(n) if lt(i, j) and not between(i, j)]
+
+
+class TestCovers:
+    def test_down_set_lattices_of_small_posets(self):
+        for n in range(1, 5):
+            for p in all_labeled_posets(n):
+                lat = SetLattice.from_poset(p)
+                assert lat.covers() == hasse_oracle(lat), p.below
+
+    def test_attractor_lattices_of_random_maps(self):
+        for sys in random_systems(200, 9, seed=3):
+            lat = sys.att_lattice()
+            assert lat.covers() == hasse_oracle(lat), dict(sys.next)
 
 
 class TestJoinIrreducibles:

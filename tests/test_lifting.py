@@ -211,7 +211,7 @@ class TestLift:
         from morselat.grid import grid_attractor_lift
 
         fam = [fs(), fs(0), fs(0, 1, 2), fs(0, 1, 3), fs(0, 1, 2, 3)]
-        cert = grid_attractor_lift(tripod, fam, direct=True, seeds={fs(0): fs(0, 1)})
+        cert = grid_attractor_lift(tripod, fam, direct=True, pinned={fs(0): fs(0, 1)})
         cert.verify()
 
     def test_section_inconsistency_detected(self):

@@ -137,6 +137,69 @@ class TestLimitSets:
         assert len(payload["attractors"]) == 4
 
 
+def cycles_oracle(sys):
+    """The cycles by definition, in the order of their lowest state.
+
+    x lies on a cycle iff f^k(x) = x for some 1 <= k <= n.
+    """
+    step = lambda i: sys._img1[i].bit_length() - 1
+    out = []
+    for x in range(sys._n):
+        orbit = [x]
+        for _ in range(sys._n):
+            orbit.append(step(orbit[-1]))
+        if x in orbit[1:] and not any(c >> x & 1 for c in out):
+            out.append(sum(1 << i for i in set(orbit[: orbit.index(x, 1)])))
+    return out
+
+
+def reach_oracle(sys, m):
+    """m and every state its forward orbits visit, by iterated image."""
+    cur = m
+    while union(sys._img1, cur) & ~cur:
+        cur |= union(sys._img1, cur)
+    return cur
+
+
+def ar_direct_oracle(sys, a, r):
+    """FiniteDynSys._ar_direct as it stood: the alpha_o clause tried per (state, cycle) pair."""
+    if a & r:
+        return False, "A and R are not disjoint", sys.unmask(a & r)
+    if union(sys._img1, a) != a:
+        return False, "A is not invariant", sys.unmask(a)
+    if union(sys._img1, r) & ~r:
+        return False, "R is not forward invariant", sys.unmask(r)
+    for i in bits(sys._full & ~(a | r)):
+        if omega_oracle(sys, 1 << i) & ~a:
+            return False, "omega(x) escapes A", sys.states[i]
+        for c in cycles_oracle(sys):
+            if reach_oracle(sys, c) >> i & 1 and c & ~r:
+                return False, "alpha_o of a backward orbit escapes R", sys.states[i]
+    return True, None, None
+
+
+class TestCycleWalk:
+    def check_cycles(self, sys):
+        cycles = cycles_oracle(sys)
+        assert sys._cycle_masks() == tuple(cycles), dict(sys.next)
+        assert sys.cycles() == [sys.unmask(c) for c in cycles]
+
+    def test_all_four_state_maps(self):
+        for sys in all_systems(4):
+            self.check_cycles(sys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(maps)
+    def test_random_maps(self, targets):
+        self.check_cycles(FiniteDynSys(range(len(targets)), dict(enumerate(targets))))
+
+    def test_ar_direct_on_every_mask_pair(self):
+        for sys in all_systems(4):
+            for a in range(16):
+                for r in range(16):
+                    assert sys._ar_direct(a, r) == ar_direct_oracle(sys, a, r), (dict(sys.next), a, r)
+
+
 class TestClosedMasks:
     def test_poset_down_sets(self):
         for n in range(1, 5):
