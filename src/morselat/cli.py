@@ -1,8 +1,9 @@
 """Command-line surface: analyze, lift, verify, birkhoff.
 
-Exit codes: 0 success, 2 unreadable or malformed input, an interval map
-whose image leaves its domain, or an output path that cannot be written
-(the message names the path, field, position or cell), 3 enumeration bound
+Exit codes: 0 success, 2 unreadable or malformed input or a verify flag
+out of range, an interval map whose image leaves its domain or cannot be
+evaluated there, or an output path that cannot be written (the message
+names the path, field, flag, position or cell), 3 enumeration bound
 overflow (on a grid the bound counts Morse sets, not cells) or an invalid
 MORSELAT_MAX_ENUM, 4 lift obstruction, 5 a family that is not a lattice
 or sublattice, whose elements no block realizes, or with a pin that is not
@@ -30,7 +31,7 @@ from .grid import (
     grid_attractor_lift,
     grid_lift_problem,
 )
-from .lattice import NotALattice, NotASublattice, SetLattice, booleanize, join_irreducibles
+from .lattice import NotALattice, NotASublattice, SetLattice, booleanize
 from .lifting import ObstructionFound, lift
 from .order import TooLarge, enum_bound
 from .formats import InputError, RunConfig
@@ -173,6 +174,10 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    flags = (("--exhaustive", args.exhaustive, 0), ("--random", args.random, 0), ("--max-states", args.max_states, 1))
+    for flag, value, least in flags:
+        if value < least:
+            raise InputError(f"{flag} must be at least {least}, got {value}")
     config = RunConfig(
         "verify",
         [],
@@ -210,18 +215,16 @@ def cmd_birkhoff(args) -> int:
         lat = SetLattice.from_poset(poset)
     else:
         elements = formats.element_sets(doc.get("elements", []))
-        universe = doc.get("universe")
-        if universe is None:
-            raise InputError("lattice file needs a 'universe' array")
+        with formats.input_field("universe"):
+            universe = formats.distinct_labels(doc.get("universe"))
         lat = SetLattice(universe, elements)
-    jl = join_irreducibles(lat)
-    rep = booleanize(lat)
     if args.format == "dot":
         _emit(formats.hasse_dot(lat), args.output)
         return 0
+    rep = booleanize(lat)
     payload = formats.lattice_payload(lat, config)
     payload["booleanization_ground"] = [
-        formats.sorted_labels(e, lat.universe) for e in jl.carrier
+        formats.sorted_labels(e, lat.universe) for e in rep.ground.carrier
     ]
     # round trip: joining the Birkhoff image of each element recovers it
     payload["round_trip_ok"] = all(

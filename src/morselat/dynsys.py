@@ -134,23 +134,6 @@ class FiniteDynSys:
     def _preimage_mask(self, m: int) -> int:
         return _union(self._pre1, m)
 
-    def _inv_mask(self, m: int) -> int:
-        return _inv(self._img1, m)
-
-    def _inv_plus_mask(self, m: int) -> int:
-        cur = m
-        while True:
-            nxt = 0
-            rest = cur
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                if self._img1[i] & cur:
-                    nxt |= 1 << i
-                rest &= rest - 1
-            if nxt == cur:
-                return cur
-            cur = nxt
-
     def _omega_mask(self, m: int) -> int:
         out = 0
         for c, b in self._limit_points()[3]:
@@ -245,11 +228,11 @@ class FiniteDynSys:
 
     def inv(self, subset: Iterable) -> frozenset:
         """Maximal invariant subset: states on a complete orbit inside."""
-        return self.unmask(self._inv_mask(self.mask(subset)))
+        return self.unmask(_inv(self._img1, self.mask(subset)))
 
     def inv_plus(self, subset: Iterable) -> frozenset:
         """Maximal forward invariant subset."""
-        return self.unmask(self._inv_plus_mask(self.mask(subset)))
+        return self.unmask(_inv_plus(self._img1, self.mask(subset)))
 
     def omega(self, subset: Iterable) -> frozenset:
         return self.unmask(self._omega_mask(self.mask(subset)))
@@ -289,56 +272,24 @@ class FiniteDynSys:
         return frozenset(orbit.cycle)
 
     def backward_orbits_through(self, x) -> list[Orbit]:
-        """All backward orbits through x, one per (cycle, path) pair."""
+        """All backward orbits through x: one around its cycle if x lies on one, else none.
+
+        A transient state's chains of preimages are all transient and never
+        repeat a state, so they end; a state on a cycle has exactly one
+        preimage on it, and every other preimage is transient.
+        """
         if x not in self.index:
             raise UnknownElement(x)
-        out = []
-        target = self.index[x]
-        for c in self._cycle_masks():
-            for path in self._paths_from_cycle(c, target):
-                cyc_states = self._cycle_states_ordered(c, path[-1] if path else target)
-                out.append(Orbit(tuple(self.states[i] for i in path[:-1] or []), tuple(cyc_states), True))
-        return out
-
-    def _cycle_states_ordered(self, cmask: int, entry: int):
-        if not cmask >> entry & 1:
-            entry = (cmask & -cmask).bit_length() - 1
+        start = j = self.index[x]
+        cycle = self._omega_points()[j]
+        if not cycle >> j & 1:
+            return []
         seq = []
-        j = entry
         while True:
             seq.append(self.states[j])
-            j = self._pre_on_cycle(cmask, j)
-            if j == entry:
-                break
-        return seq
-
-    def _pre_on_cycle(self, cmask: int, j: int) -> int:
-        pre = self._pre1[j] & cmask
-        return (pre & -pre).bit_length() - 1
-
-    def _paths_from_cycle(self, cmask: int, target: int):
-        # backward-time paths target = p0, p1, ..., pk with pk on the cycle and
-        # no earlier state on it; forward arrows run pk -> ... -> p0
-        if cmask >> target & 1:
-            yield [target]
-            return
-        for path in self._dfs_paths(target, cmask):
-            yield path
-
-    def _dfs_paths(self, target: int, cmask: int):
-        stack = [[target]]
-        while stack:
-            path = stack.pop()
-            last = path[-1]
-            pre = self._pre1[last]
-            rest = pre
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if cmask >> i & 1:
-                    yield path + [i]
-                elif i not in path:
-                    stack.append(path + [i])
+            j = (self._pre1[j] & cycle).bit_length() - 1
+            if j == start:
+                return [Orbit((), tuple(seq), True)]
 
     def dual_plus(self, subset: Iterable) -> frozenset:
         """S+ : states whose omega-limit misses S."""
@@ -441,14 +392,8 @@ class FiniteDynSys:
         return SetLattice(self.states, (self.unmask(m) for m in elems))
 
     def basin(self, attractor: Iterable) -> frozenset:
-        """The canonical trapping region: states whose omega-limit lies in A."""
-        m = self.mask(attractor)
-        pts = self._omega_points()
-        out = 0
-        for i in range(self._n):
-            if not (pts[i] & ~m):
-                out |= 1 << i
-        return self.unmask(out)
+        """The canonical trapping region: states whose omega-limit lies in A, so misses A^c."""
+        return self.dual_plus(self.unmask(self._full & ~self.mask(attractor)))
 
     def dual_repeller(self, attractor: Iterable) -> frozenset:
         """A* = Inv+(U^c) for a trapping region U of A; cross-checked against A+."""
@@ -458,7 +403,7 @@ class FiniteDynSys:
         u = self.mask(self.basin(self.unmask(a)))
         if self._omega_mask(u) != a:
             raise NotAnAttractor(f"{sorted(map(repr, attractor))}")
-        star = self._inv_plus_mask(~u & self._full)
+        star = _inv_plus(self._img1, ~u & self._full)
         plus = self.mask(self.dual_plus(self.unmask(a)))
         if star != plus:
             raise AssertionError("Eq (6) cross-check failed: A* != A+")
@@ -474,10 +419,10 @@ class FiniteDynSys:
         if (
             self._image_mask(r) & ~r
             or self._preimage_mask(r) & ~r
-            or self._inv_plus_mask(r) != r
+            or _inv_plus(self._img1, r) != r
         ):
             raise NotARepeller(f"{sorted(map(repr, repeller))}")
-        star = self._inv_mask(~r & self._full)
+        star = _inv(self._img1, ~r & self._full)
         minus = self.mask(self.dual_minus(self.unmask(r)))
         if star != minus:
             raise AssertionError("Eq (7) cross-check failed: R* != R-")
@@ -527,13 +472,13 @@ class FiniteDynSys:
         full = self._full
         for m in self._attracting_masks():
             om = self._omega_mask(m)
-            if self._inv_mask(m) != om:
+            if _inv(self._img1, m) != om:
                 return PairReport(False, "Inv(U) != omega(U) on an attracting neighborhood", self.unmask(m))
             mc = full & ~m
             al = self._alpha_mask(mc)
             if al & ~mc:
                 return PairReport(False, "U attracting but U^c not repelling", self.unmask(m))
-            if self._inv_plus_mask(mc) != al:
+            if _inv_plus(self._img1, mc) != al:
                 return PairReport(False, "Inv+(U^c) != alpha(U^c)", self.unmask(m))
             if star_mask.get(om) != al:
                 return PairReport(False, "omega(U)* != alpha(U^c)", self.unmask(m))
@@ -583,6 +528,22 @@ def _inv(img1: Sequence[int], m: int) -> int:
                 keep |= 1 << i
             rest &= rest - 1
         keep &= image
+        if keep == cur:
+            return cur
+        cur = keep
+
+
+def _inv_plus(img1: Sequence[int], m: int) -> int:
+    """Inv+(m): prune states whose image leaves, until none does."""
+    cur = m
+    while True:
+        keep = 0
+        rest = cur
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            if img1[i] & cur:
+                keep |= 1 << i
+            rest &= rest - 1
         if keep == cur:
             return cur
         cur = keep

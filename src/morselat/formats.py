@@ -8,6 +8,7 @@ are reproducible byte for byte; set-valued fields serialize as sorted arrays.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -57,13 +58,22 @@ def dumps(payload: dict) -> str:
 def load_poset(doc: dict) -> Poset:
     if "elements" not in doc:
         raise InputError("poset file needs an 'elements' array")
-    elements = list(doc["elements"])
+    with input_field("elements"):
+        elements = distinct_labels(doc["elements"])
     if not elements:
         raise InputError("poset file has an empty 'elements' array")
     if "covers" in doc:
-        return Poset.from_covers(elements, [tuple(e) for e in doc["covers"]])
+        with input_field("covers"):
+            covers = doc["covers"]
+            if not all(isinstance(e, list) and len(e) == 2 for e in covers):
+                raise ValueError("each cover must be an array of two elements")
+            return Poset.from_covers(elements, covers)
     if "leq" in doc:
-        return Poset.from_relation(elements, doc["leq"])
+        with input_field("leq"):
+            leq = doc["leq"]
+            if not (isinstance(leq, list) and all(isinstance(row, list) for row in leq)):
+                raise TypeError("must be an array of arrays")
+            return Poset.from_relation(elements, leq)
     raise InputError("poset file needs 'covers' or 'leq'")
 
 
@@ -81,8 +91,7 @@ def load_system(doc: dict) -> FiniteDynSys:
     if not isinstance(table, dict):
         raise InputError("system file needs a 'map' object")
     with input_field("states"):
-        if len(set(states)) != len(states):
-            raise ValueError("state labels are not unique")
+        distinct_labels(states)
     with input_field("map"):
         return FiniteDynSys(states, table)
 
@@ -115,9 +124,21 @@ def load_gridmap(doc: dict) -> CellMap:
             raise ValueError("must be at least 2")
     with input_field("padding"):
         padding = float(doc.get("padding", DEFAULT_PADDING))
-        if padding < 0:
-            raise ValueError("must be nonnegative")
+        if not 0 <= padding < math.inf:
+            raise ValueError(f"must be finite and nonnegative, got {padding!r}")
+    with input_field("expr"):
+        if not isinstance(source, str):
+            raise TypeError(f"{source!r} is not a string")
     return ingest_interval_map(source, grid, samples_per_cell=samples, padding=padding)
+
+
+def distinct_labels(items) -> list:
+    """items itself if it is an array of distinct labels, none of them an array or object."""
+    if not isinstance(items, list):
+        raise TypeError(f"{items!r} is not an array")
+    if len(set(items)) != len(items):  # an array or object label raises TypeError here
+        raise ValueError("labels are not unique")
+    return items
 
 
 def _integer(x) -> int:

@@ -16,6 +16,7 @@ closure of its Morse sets.  Enumerating every attracting block
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -33,7 +34,7 @@ class ImageOutOfDomain(ValueError):
     def __init__(self, cell: int, value: float):
         self.cell = cell
         self.value = value
-        super().__init__(f"sampled image of cell {cell} lands outside the domain: {value}")
+        super().__init__(f"sampled image of cell {cell} is not in the domain: {value}")
 
 
 class NotARepellingBlock(ValueError):
@@ -46,20 +47,19 @@ class NotAnAttractingBlock(ValueError):
 
 @dataclass(frozen=True)
 class CellGrid:
-    """n_cells closed equal-width subintervals of [lo, hi]; dim is fixed to 1."""
+    """n_cells closed equal-width subintervals of [lo, hi]."""
 
     lo: float
     hi: float
     n_cells: int
-    dim: int = 1
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("domain must satisfy lo < hi")
         if self.n_cells <= 0:
             raise ValueError("n_cells must be positive")
-        if self.dim != 1:
-            raise ValueError("only 1-D grids are supported")
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"bounds and cell width must be finite and positive, got width {self.width!r}")
 
     @property
     def width(self) -> float:
@@ -143,8 +143,8 @@ def ingest_interval_map(
     """
     if samples_per_cell < 2:
         raise ValueError("samples_per_cell must be at least 2")
-    if padding < 0:
-        raise ValueError("padding must be nonnegative")
+    if not 0 <= padding < math.inf:
+        raise ValueError("padding must be finite and nonnegative")
     f = exprmod.parse(expression)
     arrows = []
     for c in range(grid.n_cells):
@@ -152,11 +152,18 @@ def ingest_interval_map(
         vals = []
         for k in range(samples_per_cell):
             x = a + (b - a) * k / (samples_per_cell - 1)
-            vals.append(f(x))
+            try:
+                y = f(x)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise ImageOutOfDomain(c, f"{exc} at x = {x!r}") from exc
+            if not (isinstance(y, float) and math.isfinite(y)):
+                raise ImageOutOfDomain(c, f"{y!r} at x = {x!r}")
+            vals.append(y)
         mn, mx = min(vals), max(vals)
         if mn < grid.lo or mx > grid.hi:
             raise ImageOutOfDomain(c, mn if mn < grid.lo else mx)
-        arrows.append(grid.cells_intersecting(mn - padding, mx + padding))
+        # clamped, so that a huge padding cannot overflow the cell index
+        arrows.append(grid.cells_intersecting(max(mn - padding, grid.lo), min(mx + padding, grid.hi)))
     return CellMap(grid, tuple(arrows))
 
 
@@ -262,12 +269,12 @@ def comb_inv_plus(cells: Iterable[int], cmap: CellMap) -> frozenset:
     return _backward_closure(frozenset().union(*_cyclic_components(n, cmap)), cmap, n)
 
 
-def attracting_blocks(cmap: CellMap, bound: int | None = None) -> list[frozenset]:
+def attracting_blocks(cmap: CellMap) -> list[frozenset]:
     """The cell sets closed under the arrows, in ascending mask order.
 
     Exhaustive over all cell subsets; the test oracle for comb_att_lattice.
     """
-    limit = enum_bound(GRID_ENUM_BOUND) if bound is None else bound
+    limit = enum_bound(GRID_ENUM_BOUND)
     n = cmap.n
     if n > limit:
         raise TooLarge(f"{n} cells exceeds the enumeration bound {limit}")
@@ -278,9 +285,9 @@ def attracting_blocks(cmap: CellMap, bound: int | None = None) -> list[frozenset
     return [frozenset(i for i in range(n) if m >> i & 1) for m in closed_masks(arrows_masks)]
 
 
-def repelling_blocks(cmap: CellMap, bound: int | None = None) -> list[frozenset]:
+def repelling_blocks(cmap: CellMap) -> list[frozenset]:
     full = cmap.all_cells()
-    return [full - b for b in attracting_blocks(cmap, bound)]
+    return [full - b for b in attracting_blocks(cmap)]
 
 
 def block_lattices(cmap: CellMap) -> tuple[SetLattice, SetLattice]:
@@ -341,21 +348,13 @@ def shrink_repelling_block(
     w = frozenset(block)
     if not is_repelling_block(w, cmap):
         raise NotARepellingBlock(f"{sorted(w)} is not a repelling block")
-    return _shrink_rep_steps(w, cmap, cmap.n if max_depth is None else max_depth)
+    return _shrink_steps(w, lambda v: v & cmap.preimage(v), cmap.n if max_depth is None else max_depth)
 
 
-def _shrink_rep_steps(w: frozenset, cmap: CellMap, depth: int) -> frozenset:
+def _shrink_steps(w: frozenset, step, depth: int) -> frozenset:
+    """w, step(w), step(step(w)), ... up to the fixed point or ``depth`` steps."""
     for _ in range(depth):
-        nxt = w & cmap.preimage(w)
-        if nxt == w:
-            return w
-        w = nxt
-    return w
-
-
-def _shrink_att_steps(w: frozenset, cmap: CellMap, depth: int) -> frozenset:
-    for _ in range(depth):
-        nxt = cmap.image(w)
+        nxt = step(w)
         if nxt == w:
             return w
         w = nxt
@@ -396,7 +395,8 @@ def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping) -> Li
         return l
 
     def oracle(partial: PartialLift, q) -> dict:
-        return _shrinking_oracle(partial, q, range(cmap.n + 1), lambda l, d: _shrink_rep_steps(l, cmap, d))
+        shrink = lambda l, d: _shrink_steps(l, lambda v: v & cmap.preimage(v), d)
+        return _shrinking_oracle(partial, q, range(cmap.n + 1), shrink)
 
     return LiftProblem(
         poset=poset,
@@ -458,7 +458,7 @@ def grid_attractor_lift(
         return blk
 
     def block(l: frozenset, depth: int) -> frozenset:
-        return pinned[l] if l in pinned else _shrink_att_steps(att_block_for(l), cmap, depth)
+        return pinned[l] if l in pinned else _shrink_steps(att_block_for(l), cmap.image, depth)
 
     def oracle(partial: PartialLift, q) -> dict:
         return _shrinking_oracle(partial, q, range(cmap.n + 1), block)

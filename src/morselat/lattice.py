@@ -74,6 +74,10 @@ class SetLattice:
         self.universe = tuple(universe)
         self._uindex = {u: i for i, u in enumerate(self.universe)}
         elems = {frozenset(e) for e in elements}
+        if check:
+            outside = frozenset().union(*elems).difference(self._uindex)
+            if outside:
+                raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
         self.elements = tuple(sorted(elems, key=self._canon_key))
         self._eset = frozenset(self.elements)
         self._meet = meet or (lambda a, b: a & b)
@@ -86,10 +90,6 @@ class SetLattice:
     def _validate(self):
         if not self.elements:
             raise NotALattice("empty element family")
-        for e in self.elements:
-            unknown = e - set(self.universe)
-            if unknown:
-                raise NotALattice(f"element {sorted(map(repr, e))} leaves the universe: {unknown}")
         if frozenset() not in self._eset:
             raise NotALattice("0 (the empty set) is missing")
         top = self.top
@@ -160,11 +160,11 @@ class SetLattice:
         return [(i, j) for j, c in enumerate(self.elements) for i in lower_covers(self, c)]
 
     @classmethod
-    def from_poset(cls, poset: Poset, bound: int | None = None) -> "SetLattice":
+    def from_poset(cls, poset: Poset) -> "SetLattice":
         """The down-set lattice O(P) as a lattice of subsets of the carrier."""
         return cls(
             poset.carrier,
-            [d.members for d in poset.all_down_sets(bound)],
+            [d.members for d in poset.all_down_sets()],
             check=False,
         )
 
@@ -438,7 +438,7 @@ def boolean_extension(poset: Poset, hom: LatticeHom) -> BooleanExtension:
 # -- sublattice enumeration --------------------------------------------------
 
 
-def sublattices(lat: SetLattice, max_size: int | None = None):
+def sublattices(lat: SetLattice):
     """All bounded sublattices (containing 0 and 1), as tuples of elements."""
     middle = [e for e in lat.elements if e not in (lat.bottom, lat.top)]
     if len(middle) > 20:
@@ -447,8 +447,6 @@ def sublattices(lat: SetLattice, max_size: int | None = None):
     for m in range(1 << len(middle)):
         chosen = [middle[i] for i in range(len(middle)) if m >> i & 1]
         family = set(base) | set(chosen)
-        if max_size is not None and len(family) > max_size:
-            continue
         closed = all(
             lat.join(a, b) in family and lat.meet(a, b) in family
             for a in family

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from operator import and_, or_
 from typing import Callable, Mapping
 
@@ -409,9 +410,7 @@ def check_condition_i(
     elements (s of the singleton, s of alpha) and a preimage u of the first
     meeting every preimage of the second.
     """
-    fibers: dict[frozenset, list[frozenset]] = {}
-    for u in k_lattice.elements:
-        fibers.setdefault(frozenset(h[u]), []).append(u)
+    fibers = _fibers(k_lattice, h)
     zero_fiber = fibers.get(l_lattice.bottom, [])
     if zero_fiber == [k_lattice.bottom]:
         return ConditionReport(True, "h^-1(0) = 0 (Prop 5.9)")
@@ -433,6 +432,14 @@ def check_condition_i(
                 if all(u & v != k_lattice.bottom for v in fibers.get(l2, [])):
                     return ConditionReport(False, "singleton partial-lift search", (l1, l2, u))
     return ConditionReport(True, "exhaustive singleton search")
+
+
+def _fibers(k_lattice: SetLattice, h: Mapping[frozenset, frozenset]) -> dict[frozenset, list[frozenset]]:
+    """h^-1(l) for every l in the image of h, each in K's element order."""
+    fibers: dict[frozenset, list[frozenset]] = {}
+    for u in k_lattice.elements:
+        fibers.setdefault(frozenset(h[u]), []).append(u)
+    return fibers
 
 
 # -- duality transport -------------------------------------------------------
@@ -493,10 +500,7 @@ def spaciousness_falsifier(
     ``poset_bound`` elements, partial lifts, and conditioner families are
     enumerated within ``budget``.
     """
-    fibers: dict[frozenset, list[frozenset]] = {}
-    for u in k_lattice.elements:
-        fibers.setdefault(frozenset(h[u]), []).append(u)
-
+    fibers = _fibers(k_lattice, h)
     structural = (
         all(l in k_lattice._eset and frozenset(h[l]) == l for l in l_lattice.elements)
         and all(frozenset(h[u]) <= u for u in k_lattice.elements)
@@ -581,17 +585,9 @@ def _check_site(poset, downs, s, lam, q, mu, fibers, k_lattice, work, budget):
     mu_fiber = fibers.get(s[mu], [])
     alphas = [a for a in downs if q not in a]
 
-    def lifts(i, assign):
-        if i == len(lam_irr):
-            yield dict(assign)
-            return
-        for val in choice_lists[i]:
-            assign[lam_irr[i]] = val
-            yield from lifts(i + 1, assign)
-            del assign[lam_irr[i]]
-
     lam_downs = [d for d in downs if d <= lam]
-    for assign in lifts(0, {}):
+    for choice in product(*choice_lists):
+        assign = dict(zip(lam_irr, choice))
         table = {}
         for d in lam_downs:
             val = frozenset()
@@ -617,5 +613,5 @@ def _check_site(poset, downs, s, lam, q, mu, fibers, k_lattice, work, budget):
                 family_exists = True
                 break
         if not family_exists:
-            return (s, lam, q, dict(assign)), work
+            return (s, lam, q, assign), work
     return None, work

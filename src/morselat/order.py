@@ -244,13 +244,13 @@ class Poset:
             raise UnknownElement(p)
         return DownSet(self, self.members_of(self.below[self.index[p]]), _checked=True)
 
-    def all_down_sets(self, bound: int | None = None) -> list["DownSet"]:
+    def all_down_sets(self) -> list["DownSet"]:
         """The lattice O(P), ordered by (size, lexicographic in carrier order)."""
-        return [DownSet(self, self.members_of(m), _checked=True) for m in self.down_masks(bound)]
+        return [DownSet(self, self.members_of(m), _checked=True) for m in self.down_masks()]
 
-    def down_masks(self, bound: int | None = None) -> list[int]:
+    def down_masks(self) -> list[int]:
         n = len(self.carrier)
-        limit = enum_bound() if bound is None else bound
+        limit = enum_bound()
         if n > limit:
             raise TooLarge(f"poset has {n} elements, enumeration bound is {limit}")
         return sorted(closed_masks(self.below), key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
@@ -333,8 +333,8 @@ def down_set(poset: Poset, p) -> DownSet:
     return poset.down_set(p)
 
 
-def all_down_sets(poset: Poset, bound: int | None = None) -> list[DownSet]:
-    return poset.all_down_sets(bound)
+def all_down_sets(poset: Poset) -> list[DownSet]:
+    return poset.all_down_sets()
 
 
 def dual_poset(poset: Poset) -> Poset:

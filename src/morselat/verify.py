@@ -8,14 +8,21 @@ whenever the relevant family is small (always the case for the 4-state
 exhaustive corpus) and over a deterministic thinned sample beyond PAIR_CAP
 elements, which keeps the whole suite inside its time budget on random
 10-state systems.
+
+Statements made once for attractors and once for repellers (L3.4 and
+C3.26+27, P3.21 and P3.25, P3.7 and P3.28, P4.1 and P4.2, P4.3 and P4.4)
+share one check body, which takes the side's family of neighborhoods, limit
+table, dual map or meet as arguments; each tag keeps its own named function.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from operator import and_
 
-from .dynsys import FiniteDynSys, _reach
+from .dynsys import FiniteDynSys, _inv, _inv_plus, _reach, _union
 
 PAIR_CAP = 64  # per-family cap for pairwise laws on large random systems
 
@@ -43,8 +50,9 @@ class SystemData:
         self.alpha_pt = [self.alpha[1 << i] for i in range(self.n)]
         self.cycles = list(sys._cycle_masks())
         self.surjective = img[self.full] == self.full
-        self._inv = {}
-        self._invplus = {}
+        # Inv and Inv+ of a mask, each computed once per system
+        self.inv = lru_cache(maxsize=None)(partial(_inv, sys._img1))
+        self.invplus = lru_cache(maxsize=None)(partial(_inv_plus, sys._img1))
         self.fwd = [m for m in range(size) if not (img[m] & ~m)]
         self.bwd = [m for m in range(size) if not (pre[m] & ~m)]
         self.invariant = [m for m in range(size) if img[m] == m]
@@ -79,16 +87,6 @@ class SystemData:
             for p in path:
                 out[p] = val
         return out
-
-    def inv(self, m: int) -> int:
-        if m not in self._inv:
-            self._inv[m] = self.sys._inv_mask(m)
-        return self._inv[m]
-
-    def invplus(self, m: int) -> int:
-        if m not in self._invplus:
-            self._invplus[m] = self.sys._inv_plus_mask(m)
-        return self._invplus[m]
 
     def backward_sources(self, m: int) -> int:
         """States of m with a complete backward orbit inside m."""
@@ -226,21 +224,13 @@ def check_p2_11(sd):
             return (_u(sd, m), "ii")
         if sd.eventually_inside(m) and om != sd.inv(m):
             return (_u(sd, m), "iii")
-        expected = 0
-        rest = m
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            expected |= sd.omega_pt[i]
-            rest &= rest - 1
-        if om != expected:
+        if om != _union(sd.omega_pt, m):
             return (_u(sd, m), "v")
         if sd.backward_sources(m) & ~om:
             return (_u(sd, m), "vii")
-    for m in range(1 << n):
-        for i in range(n):
-            if not m >> i & 1:
-                if sd.omega[m] & ~sd.omega[m | (1 << i)]:
-                    return (_u(sd, m), "iv")
+    m = _not_monotone(sd, sd.omega)
+    if m is not None:
+        return (_u(sd, m), "iv")
     for m in sd.invariant:
         if sd.omega[m] != m:
             return (_u(sd, m), "viii")
@@ -262,24 +252,16 @@ def check_p2_13(sd):
             return (_u(sd, m), "i")
         if sd.surjective and m and not al:
             return (_u(sd, m), "ii")
-        expected = 0
-        rest = m
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            expected |= sd.alpha_pt[i]
-            rest &= rest - 1
-        if al != expected:
+        if al != _union(sd.alpha_pt, m):
             return (_u(sd, m), "v")
         ip = sd.invplus(m)
         if ip & ~al:
             return (_u(sd, m), "vi")
         if not (al & ~m) and ip != al:
             return (_u(sd, m), "vi")
-    for m in range(1 << n):
-        for i in range(n):
-            if not m >> i & 1:
-                if sd.alpha[m] & ~sd.alpha[m | (1 << i)]:
-                    return (_u(sd, m), "iv")
+    m = _not_monotone(sd, sd.alpha)
+    if m is not None:
+        return (_u(sd, m), "iv")
     for m in sd.bwd:
         al = sd.alpha[m]
         if al & ~m:
@@ -297,6 +279,15 @@ def check_p2_13(sd):
     for m in sd.fwdbwd:
         if sd.alpha[m] != m:
             return (_u(sd, m), "viii")
+    return None
+
+
+def _not_monotone(sd, limit):
+    """The first subset m whose limit set is not inside that of some m + {i}, or None."""
+    for m in range(1 << sd.n):
+        for i in range(sd.n):
+            if not m >> i & 1 and limit[m] & ~limit[m | (1 << i)]:
+                return m
     return None
 
 
@@ -350,9 +341,14 @@ def check_l3_3(sd):
 
 
 def check_l3_4(sd):
-    items = sd.attracting if sd.n <= 4 else sd.thin(sd.attracting)
+    return _nested_neighborhoods(sd, sd.attracting, sd.omega)
+
+
+def _nested_neighborhoods(sd, family, limit):
+    """Every U2 between the limit set S of a neighborhood U and U is a neighborhood with limit S."""
+    items = family if sd.n <= 4 else sd.thin(family)
     for m in items:
-        a = sd.omega[m]
+        a = limit[m]
         if sd.n <= 4:
             inner = range(1 << sd.n)
         else:
@@ -360,7 +356,7 @@ def check_l3_4(sd):
         for u2 in inner:
             if a & ~u2 or u2 & ~m:
                 continue
-            if (sd.omega[u2] & ~u2) or sd.omega[u2] != a:
+            if (limit[u2] & ~u2) or limit[u2] != a:
                 return (_u(sd, m), _u(sd, u2))
     return None
 
@@ -402,117 +398,91 @@ def check_p3_13(sd):
 
 
 def check_p3_21(sd):
-    duals = {a: sd.sys.mask(sd.sys.dual_repeller(_u(sd, a))) for a in sd.att_elems}
-    for m in range(1 << sd.n):
-        for a in sd.att_elems:
-            lhs = sd.omega[m] == a and not (a & ~m)
-            rhs = not (a & ~m) and not (m & duals[a])
-            if lhs != rhs:
-                return (_u(sd, m), _u(sd, a))
-    return None
+    return _dual_criterion(sd, sd.att_elems, sd.omega, sd.sys.dual_repeller)
 
 
 def check_p3_25(sd):
-    duals = {r: sd.sys.mask(sd.sys.dual_attractor(_u(sd, r))) for r in sd.rep_elems}
+    return _dual_criterion(sd, sd.rep_elems, sd.alpha, sd.sys.dual_attractor)
+
+
+def _dual_criterion(sd, elems, limit, dual):
+    """limit(U) = S with S inside U iff S is inside U and U misses the dual S*."""
+    duals = {e: sd.sys.mask(dual(_u(sd, e))) for e in elems}
     for m in range(1 << sd.n):
-        for r in sd.rep_elems:
-            lhs = sd.alpha[m] == r and not (r & ~m)
-            rhs = not (r & ~m) and not (m & duals[r])
+        for e in elems:
+            lhs = limit[m] == e and not (e & ~m)
+            rhs = not (e & ~m) and not (m & duals[e])
             if lhs != rhs:
-                return (_u(sd, m), _u(sd, r))
+                return (_u(sd, m), _u(sd, e))
     return None
 
 
 def check_c3_26_27(sd):
-    items = sd.repelling if sd.n <= 4 else sd.thin(sd.repelling)
-    for m in items:
-        r = sd.alpha[m]
-        if sd.n <= 4:
-            inner = range(1 << sd.n)
-        else:
-            inner = [m & ~(1 << i) for i in range(sd.n)] + [r | (1 << i) for i in range(sd.n)]
-        for u2 in inner:
-            if r & ~u2 or u2 & ~m:
-                continue
-            if (sd.alpha[u2] & ~u2) or sd.alpha[u2] != r:
-                return (_u(sd, m), _u(sd, u2))
-    return None
+    return _nested_neighborhoods(sd, sd.repelling, sd.alpha)
 
 
 def check_p3_7(sd):
-    for a in sd.att_elems:
-        if not a:
-            continue
-        sub = sd.sys.restrict(_u(sd, a))
-        for a2 in sub.att_lattice().elements:
-            if sd.sys.mask(a2) not in set(sd.att_elems):
-                return (_u(sd, a), a2)
-    return None
+    return _restricted_lattices(sd, sd.att_elems, FiniteDynSys.att_lattice)
 
 
 def check_p3_28(sd):
-    for r in sd.rep_elems:
-        if not r:
+    return _restricted_lattices(sd, sd.rep_elems, FiniteDynSys.rep_lattice)
+
+
+def _restricted_lattices(sd, elems, lattice_of):
+    """Each element of the lattice of the system restricted to a nonzero element is one of ``elems``."""
+    known = set(elems)
+    for e in elems:
+        if not e:
             continue
-        sub = sd.sys.restrict(_u(sd, r))
-        for r2 in sub.rep_lattice().elements:
-            if sd.sys.mask(r2) not in set(sd.rep_elems):
-                return (_u(sd, r), r2)
+        for e2 in lattice_of(sd.sys.restrict(_u(sd, e))).elements:
+            if sd.sys.mask(e2) not in known:
+                return (_u(sd, e), e2)
     return None
 
 
 def check_p4_1(sd):
-    if 0 not in sd.attracting or sd.full not in sd.attracting:
-        return ("bounds",)
-    att = set(sd.attracting)
-    fam = sd.thin(sd.attracting)
-    for a in fam:
-        for b in fam:
-            if (a | b) not in att or (a & b) not in att:
-                return (_u(sd, a), _u(sd, b))
-    return None
+    return _neighborhood_lattice(sd, sd.attracting)
 
 
 def check_p4_2(sd):
-    if 0 not in sd.repelling or sd.full not in sd.repelling:
+    return _neighborhood_lattice(sd, sd.repelling)
+
+
+def _neighborhood_lattice(sd, family):
+    """The neighborhoods hold 0 and the whole space and are closed under union and intersection."""
+    if 0 not in family or sd.full not in family:
         return ("bounds",)
-    rep = set(sd.repelling)
-    fam = sd.thin(sd.repelling)
+    members = set(family)
+    fam = sd.thin(family)
     for a in fam:
         for b in fam:
-            if (a | b) not in rep or (a & b) not in rep:
+            if (a | b) not in members or (a & b) not in members:
                 return (_u(sd, a), _u(sd, b))
     return None
 
 
 def check_p4_3(sd):
-    att = set(sd.att_elems)
-    fam = sd.thin(sd.attracting)
-    for u in fam:
-        for v in fam:
-            if sd.omega[u | v] != sd.omega[u] | sd.omega[v]:
-                return (_u(sd, u), _u(sd, v), "join")
-            if sd.omega[u & v] != sd.inv(sd.omega[u] & sd.omega[v]):
-                return (_u(sd, u), _u(sd, v), "meet")
-    for a in sd.att_elems:
-        for b in sd.att_elems:
-            if (a | b) not in att or sd.inv(a & b) not in att:
-                return (_u(sd, a), _u(sd, b), "sublattice")
-    return None
+    return _limit_hom(sd, sd.attracting, sd.omega, sd.att_elems, lambda a, b: sd.inv(a & b))
 
 
 def check_p4_4(sd):
-    rep = set(sd.rep_elems)
-    fam = sd.thin(sd.repelling)
+    return _limit_hom(sd, sd.repelling, sd.alpha, sd.rep_elems, and_)
+
+
+def _limit_hom(sd, family, limit, elems, meet):
+    """The limit map takes union to join and intersection to ``meet``, onto a sublattice."""
+    fam = sd.thin(family)
     for u in fam:
         for v in fam:
-            if sd.alpha[u | v] != sd.alpha[u] | sd.alpha[v]:
+            if limit[u | v] != limit[u] | limit[v]:
                 return (_u(sd, u), _u(sd, v), "join")
-            if sd.alpha[u & v] != sd.alpha[u] & sd.alpha[v]:
+            if limit[u & v] != meet(limit[u], limit[v]):
                 return (_u(sd, u), _u(sd, v), "meet")
-    for a in sd.rep_elems:
-        for b in sd.rep_elems:
-            if (a | b) not in rep or (a & b) not in rep:
+    members = set(elems)
+    for a in elems:
+        for b in elems:
+            if (a | b) not in members or meet(a, b) not in members:
                 return (_u(sd, a), _u(sd, b), "sublattice")
     return None
 
@@ -560,12 +530,10 @@ def check_t3_19(sd):
 def check_t1_2(sd):
     # identity witness: every attractor / repeller is a neighborhood of itself
     # realizing itself, so the identity assignment is always a valid lift
-    for a in sd.att_elems:
-        if (sd.omega[a] & ~a) or sd.omega[a] != a:
-            return (_u(sd, a), "attractor identity witness")
-    for r in sd.rep_elems:
-        if (sd.alpha[r] & ~r) or sd.alpha[r] != r:
-            return (_u(sd, r), "repeller identity witness")
+    for side, elems, limit in (("attractor", sd.att_elems, sd.omega), ("repeller", sd.rep_elems, sd.alpha)):
+        for e in elems:
+            if (limit[e] & ~e) or limit[e] != e:
+                return (_u(sd, e), f"{side} identity witness")
     return None
 
 

@@ -7,6 +7,7 @@ from morselat import (
     NotForwardInvariant,
     Orbit,
 )
+from morselat.verify import all_systems
 
 
 def S(labels):
@@ -135,6 +136,16 @@ class TestDualSets:
 
     def test_dual_plus_of_space_is_empty(self, sys1):
         assert sys1.dual_plus(S("mzab")) == S("")
+
+    def test_dual_minus_matches_its_orbit_definition(self):
+        # S- from the orbits themselves: the states with some backward orbit
+        # whose orbital alpha-limit misses S, on every map of four states
+        for sys in all_systems(4):
+            alphas = {x: [sys.alpha_orbital(o) for o in sys.backward_orbits_through(x)] for x in sys.states}
+            for m in range(16):
+                s = sys.unmask(m)
+                expected = {x for x, orbit_alphas in alphas.items() if any(not a & s for a in orbit_alphas)}
+                assert sys.dual_minus(s) == expected
 
 
 class TestRestrict:

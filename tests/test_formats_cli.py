@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morselat import SetLattice, cli, ds1
 from morselat.formats import (
@@ -168,6 +174,24 @@ class TestCliAnalyze:
             ("analyze", [{"type": "cell_map", "cells": 2, "arrows": [[True], [1]]}], "arrows"),
             ("analyze", [dict(TRIPOD_DOC, cells=4.5)], "cells"),
             ("analyze", [dict(G1_DOC, samples_per_cell=8.9)], "samples_per_cell"),
+            # poset and lattice files for birkhoff
+            ("birkhoff", [dict(P3_DOC, elements=5)], "elements"),
+            ("birkhoff", [dict(P3_DOC, elements=[["1"]])], "elements"),
+            ("birkhoff", [dict(P3_DOC, elements=["1", "2", "1"])], "elements"),
+            ("birkhoff", [dict(P3_DOC, covers=[["1"]])], "covers"),
+            ("birkhoff", [dict(P3_DOC, covers=[["1", "4"]])], "covers"),
+            ("birkhoff", [dict(P3_DOC, covers=[["1", "2"], ["2", "1"]])], "covers"),
+            ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, True]]}], "leq"),
+            ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, True], [True, True]]}], "leq"),
+            ("birkhoff", [{"elements": ["1", "2"], "leq": {"00": None, "01": None}}], "leq"),
+            ("birkhoff", [{"universe": 5, "elements": [[]]}], "universe"),
+            # interval maps: a string expression and finite numbers only
+            ("analyze", [dict(G1_DOC, expr=5)], "expr"),
+            ("analyze", [dict(G1_DOC, domain=[math.nan, 1])], "domain"),
+            ("analyze", [dict(G1_DOC, domain=[-1, math.inf])], "domain"),
+            ("analyze", [dict(G1_DOC, domain=[-1e308, 1e308])], "domain"),
+            ("analyze", [dict(G1_DOC, padding=math.nan)], "padding"),
+            ("analyze", [dict(G1_DOC, padding=math.inf)], "padding"),
         ],
     )
     def test_malformed_field_exit_2(self, tmp_path, capsys, command, docs, field):
@@ -239,6 +263,26 @@ class TestCliAnalyze:
         assert cli.main(["analyze", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "domain" and err["cell"] == 0
+
+    # a division by zero, a complex value, an overflow
+    @pytest.mark.parametrize("expression", ["x/0", "x^0.5", "10^400*x"])
+    def test_sample_that_cannot_be_evaluated_exit_2(self, tmp_path, capsys, expression):
+        path = write(tmp_path, "gridmap.json", dict(G1_DOC, expr=expression))
+        assert cli.main(["analyze", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "domain" and err["cell"] == 0
+
+    def test_huge_padding_reaches_every_cell(self, tmp_path):
+        path = write(tmp_path, "gridmap.json", dict(G1_DOC, cells=4, padding=1e308))
+        out = tmp_path / "lat.json"
+        assert cli.main(["analyze", path, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["attractors"][-1]["cells"] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("flag, value", [("--exhaustive", "-1"), ("--random", "-3"), ("--max-states", "0")])
+    def test_verify_flag_out_of_range_exit_2(self, capsys, flag, value):
+        assert cli.main(["verify", flag, value]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse" and flag in err["message"]
 
     def test_cell_map_analyze(self, tmp_path):
         path = write(tmp_path, "tripod.json", {"type": "cell_map", "cells": 4, "arrows": [[0], [0], [1, 2], [1, 3]]})
@@ -432,3 +476,60 @@ class TestCliVerifyBirkhoff:
         path = write(tmp_path, "lattice.json", {"universe": ["a", "b"], "elements": [[], ["a"], ["b"]]})
         assert cli.main(["birkhoff", path]) == 5
         assert json.loads(capsys.readouterr().err)["error"] == "not_a_lattice"
+
+    def test_birkhoff_element_outside_the_universe_exit_5(self, tmp_path, capsys):
+        path = write(tmp_path, "lattice.json", {"universe": ["a", "b"], "elements": [[], ["c"]]})
+        assert cli.main(["birkhoff", path]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "not_a_lattice" and "'c'" in err["message"]
+
+
+# -- fuzzed input fields --------------------------------------------------------
+
+FUZZ_CASES = [
+    ("analyze", [DS1_DOC]),
+    ("analyze", [G1_DOC]),
+    ("analyze", [TRIPOD_DOC]),
+    ("lift", [DS1_DOC, {"side": "repeller", "elements": [[], ["m", "z"], ["a", "b"], list("mzab")]}]),
+    ("lift", [TRIPOD_DOC, {"side": "attractor", "elements": TRIPOD_ATT, "pins": [[[0], [0, 1]]]}]),
+    ("birkhoff", [P3_DOC]),
+    ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, True], [False, True]]}]),
+    ("birkhoff", [{"universe": ["a", "b"], "elements": [[], ["a"], ["b"], ["a", "b"]]}]),
+]
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 64)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e308])
+    | st.text(max_size=4)
+    | st.text(alphabet="abmz0123x+-*/^().", max_size=6)
+)
+
+
+def _nested(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+JSON_VALUES = _SCALARS | _nested(_SCALARS) | _nested(_SCALARS | _nested(_SCALARS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES), data=st.data())
+def test_fuzzed_field_exits_with_a_documented_code(case, data):
+    command, docs = case
+    which = data.draw(st.integers(0, len(docs) - 1))
+    field = data.draw(st.sampled_from(sorted(docs[which])))
+    docs = [dict(doc, **{field: data.draw(JSON_VALUES)}) if i == which else doc for i, doc in enumerate(docs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(os.path.join(tmp, f"input{i}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command] + paths)
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        assert "error" in json.loads(err.getvalue().splitlines()[-1])

@@ -130,9 +130,10 @@ class TestBlocks:
             map(sorted, oracle_blocks(g1))
         )
 
-    def test_enumeration_bound(self, g1):
+    def test_enumeration_bound(self, g1, monkeypatch):
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "8")
         with pytest.raises(TooLarge):
-            attracting_blocks(g1, bound=8)
+            attracting_blocks(g1)
 
 
 class TestCombInv:

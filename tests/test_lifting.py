@@ -325,7 +325,7 @@ def test_lift_enumerates_down_sets_once(tripod, g1, monkeypatch):
     real = Poset.all_down_sets
     for problem in problems:
         calls = []
-        monkeypatch.setattr(Poset, "all_down_sets", lambda self, bound=None: calls.append(self) or real(self, bound))
+        monkeypatch.setattr(Poset, "all_down_sets", lambda self: calls.append(self) or real(self))
         lift(problem)
         counts.append(len(calls))
     assert counts[0] == counts[1]

@@ -105,10 +105,11 @@ class TestDownSets:
     def test_chain_count(self):
         assert len(chain(list(range(6))).all_down_sets()) == 7
 
-    def test_enumeration_bound(self):
+    def test_enumeration_bound(self, monkeypatch):
         p = antichain(list(range(8)))
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "5")
         with pytest.raises(TooLarge):
-            p.all_down_sets(bound=5)
+            p.all_down_sets()
 
     def test_down_sets_closed_under_union_and_intersection(self, p3):
         masks = set(p3.down_masks())
