@@ -222,7 +222,7 @@ def cmd_birkhoff(args) -> int:
         _emit(formats.hasse_dot(lat), args.output)
         return 0
     rep = booleanize(lat)
-    payload = formats.lattice_payload(lat, config)
+    payload = formats.lattice_payload(lat, config, rep.ground)
     payload["booleanization_ground"] = [
         formats.sorted_labels(e, lat.universe) for e in rep.ground.carrier
     ]

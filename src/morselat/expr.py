@@ -9,11 +9,15 @@
     cond     := 'x' ('<=' | '<') NUMBER
 
 piecewise(c: a, b) evaluates a where the condition holds and b elsewhere.
+Parsing and evaluation recurse along the nesting, so an expression nested
+or chained deeper than MAX_DEPTH levels is a parse error.
 """
 
 from __future__ import annotations
 
 import re
+
+MAX_DEPTH = 100  # well inside Python's recursion limit for parser and evaluator frames
 
 
 class ParseError(ValueError):
@@ -94,6 +98,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -138,11 +143,18 @@ class _Parser:
                 return node
 
     def factor(self):
+        # every recursion of the grammar passes through here
         tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(tok[2] if tok else len(self.text), f"at most {MAX_DEPTH} levels of nesting")
         if tok and tok[0] == "op" and tok[1] == "-":
             self.next()
-            return ("neg", self.factor())
-        return self.power()
+            node = ("neg", self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -198,5 +210,19 @@ class _Parser:
         return -tok[1] if neg else tok[1]
 
 
+def _height(node) -> int:
+    """Levels of the tree below and including node, counted without recursion."""
+    height = 0
+    level = [node]
+    while level:
+        height += 1
+        level = [child for n in level for child in n[1:] if isinstance(child, tuple)]
+    return height
+
+
 def parse(text: str) -> Expr:
-    return Expr(_Parser(text).parse(), text)
+    node = _Parser(text).parse()
+    # a long chain of binary operators nests its first operand deep
+    if _height(node) > MAX_DEPTH:
+        raise ParseError(0, f"at most {MAX_DEPTH} levels of nesting")
+    return Expr(node, text)

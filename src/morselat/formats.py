@@ -114,7 +114,7 @@ def load_gridmap(doc: dict) -> CellMap:
             raise ValueError(f"must be positive, got {cells!r}")
     with input_field("domain"):
         lo, hi = domain
-        grid = CellGrid(float(lo), float(hi), n)
+        grid = CellGrid(_number(lo), _number(hi), n)
     if kind == "cell_map":
         with input_field("arrows"):
             return CellMap(grid, tuple(cell_indices(a, n) for a in source))
@@ -123,7 +123,7 @@ def load_gridmap(doc: dict) -> CellMap:
         if samples < 2:
             raise ValueError("must be at least 2")
     with input_field("padding"):
-        padding = float(doc.get("padding", DEFAULT_PADDING))
+        padding = _number(doc.get("padding", DEFAULT_PADDING))
         if not 0 <= padding < math.inf:
             raise ValueError(f"must be finite and nonnegative, got {padding!r}")
     with input_field("expr"):
@@ -146,6 +146,13 @@ def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"{x!r} is not an integer")
     return x
+
+
+def _number(x) -> float:
+    """x as a float if it is a JSON number; a string or a boolean is refused, not converted."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
 
 
 def cell_indices(items, n: int) -> frozenset:
@@ -182,8 +189,9 @@ def sorted_labels(members, universe) -> list:
     return sorted(members, key=lambda m: order[m])
 
 
-def lattice_payload(lat: SetLattice, config: RunConfig) -> dict:
-    jl = join_irreducibles(lat)
+def lattice_payload(lat: SetLattice, config: RunConfig, jl: Poset | None = None) -> dict:
+    """The lattice with its J(L); pass jl when the caller has computed it already."""
+    jl = jl if jl is not None else join_irreducibles(lat)
     out = config.payload()
     out.update(
         {

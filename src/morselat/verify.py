@@ -9,6 +9,15 @@ exhaustive corpus) and over a deterministic thinned sample beyond PAIR_CAP
 elements, which keeps the whole suite inside its time budget on random
 10-state systems.
 
+Checks read their per-subset quantities from the tables of ``SystemData``,
+each a 2^n list indexed by mask and built once per system.  Image and
+preimage, Inv and Inv+ (the fixpoints of ``dynsys._inv`` and ``_inv_plus``),
+the states with a complete backward orbit inside the mask, the unions of the
+pointwise limit sets and the S+ and S- of P2.16 fill in by increasing mask, each
+entry from a smaller mask; omega and alpha fill in along trajectories of
+masks.  The duals A* and R* come from ``dynsys`` with its Eq (6)/(7)
+cross-checks, each once per system.
+
 Statements made once for attractors and once for repellers (L3.4 and
 C3.26+27, P3.21 and P3.25, P3.7 and P3.28, P4.1 and P4.2, P4.3 and P4.4)
 share one check body, which takes the side's family of neighborhoods, limit
@@ -19,40 +28,74 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from operator import and_
 
-from .dynsys import FiniteDynSys, _inv, _inv_plus, _reach, _union
+from .dynsys import FiniteDynSys, _reach
 
 PAIR_CAP = 64  # per-family cap for pairwise laws on large random systems
 
 
+def _union_table(parts) -> list[int]:
+    """dynsys._union(parts, m) for every mask m.
+
+    The masks with bit i set repeat the masks below 2^i, each joined with parts[i].
+    """
+    out = [0]
+    for p in parts:
+        out += [u | p for u in out]
+    return out
+
+
 class SystemData:
-    """Mask tables for one system: images, limit sets, invariance families."""
+    """Mask tables for one system: every per-subset quantity a check reads, as a 2^n list."""
 
     def __init__(self, sys: FiniteDynSys):
         self.sys = sys
         self.n = sys._n
         self.full = sys._full
         size = 1 << self.n
-        img = [0] * size
-        pre = [0] * size
+        self.img = img = _union_table(sys._img1)
+        self.pre = pre = _union_table(sys._pre1)
+        # Inv, Inv+ and the states of m with a complete backward orbit inside
+        # m are the fixpoints of pruning m to m & pre & img, m & pre and
+        # m & img (dynsys._inv and _inv_plus prune the same way); a step that
+        # removes states lands on a smaller mask, whose fixpoint is in the table
+        inv = [0] * size
+        invplus = [0] * size
+        back = [0] * size
         for m in range(1, size):
-            low = (m & -m).bit_length() - 1
-            rest = m & (m - 1)
-            img[m] = img[rest] | sys._img1[low]
-            pre[m] = pre[rest] | sys._pre1[low]
-        self.img = img
-        self.pre = pre
+            step = m & pre[m]
+            invplus[m] = m if step == m else invplus[step]
+            step &= img[m]
+            inv[m] = m if step == m else inv[step]
+            step = m & img[m]
+            back[m] = m if step == m else back[step]
+        self.inv = inv
+        self.invplus = invplus
+        self.backward_sources = back
         self.omega = self._limits(img)
         self.alpha = self._limits(pre)
         self.omega_pt = [self.omega[1 << i] for i in range(self.n)]
         self.alpha_pt = [self.alpha[1 << i] for i in range(self.n)]
+        self.omega_union = _union_table(self.omega_pt)
+        self.alpha_union = _union_table(self.alpha_pt)
+        # S+ of P2.16: the states whose omega misses m, the complement of the
+        # union over j in m of the states whose omega holds j
+        hits = [sum(1 << i for i, o in enumerate(self.omega_pt) if o >> j & 1) for j in range(self.n)]
+        self.splus = [self.full & ~h for h in _union_table(hits)]
         self.cycles = list(sys._cycle_masks())
+        # S- of P2.16: what the cycles that miss m reach, one reach per
+        # union of cycles
+        cycles_at = [sum(c for c in self.cycles if c >> j & 1) for j in range(self.n)]
+        all_cycles = sum(self.cycles)
+        reach = {}
+        self.sminus = []
+        for meeting in _union_table(cycles_at):
+            missing = all_cycles & ~meeting
+            if missing not in reach:
+                reach[missing] = _reach(sys._img1, missing)
+            self.sminus.append(reach[missing])
         self.surjective = img[self.full] == self.full
-        # Inv and Inv+ of a mask, each computed once per system
-        self.inv = lru_cache(maxsize=None)(partial(_inv, sys._img1))
-        self.invplus = lru_cache(maxsize=None)(partial(_inv_plus, sys._img1))
         self.fwd = [m for m in range(size) if not (img[m] & ~m)]
         self.bwd = [m for m in range(size) if not (pre[m] & ~m)]
         self.invariant = [m for m in range(size) if img[m] == m]
@@ -61,46 +104,44 @@ class SystemData:
         self.repelling = [m for m in range(size) if not (self.alpha[m] & ~m)]
         self.att_elems = sorted({self.omega[m] for m in self.attracting})
         self.rep_elems = sorted({self.alpha[m] for m in self.repelling})
+        self._rep_duals = {}
+        self._att_duals = {}
 
     def _limits(self, tab):
         # limit sets are constant along a trajectory of masks, so one walk
-        # fills in every mask it visits
-        size = 1 << self.n
-        out = [None] * size
-        out[0] = 0
-        for m in range(size):
+        # fills in every mask it visits; -1 marks the masks of the walk under
+        # way, so meeting one closes a new cycle of masks
+        out = [None] * (1 << self.n)
+        for m in range(1 << self.n):
             if out[m] is not None:
                 continue
             path = []
             cur = m
-            seen = {}
-            while out[cur] is None and cur not in seen:
-                seen[cur] = len(path)
+            while out[cur] is None:
+                out[cur] = -1
                 path.append(cur)
                 cur = tab[cur]
-            if out[cur] is not None:
-                val = out[cur]
-            else:
+            val = out[cur]
+            if val == -1:
                 val = 0
-                for k in range(seen[cur], len(path)):
-                    val |= path[k]
+                for p in path[path.index(cur):]:
+                    val |= p
             for p in path:
                 out[p] = val
         return out
 
-    def backward_sources(self, m: int) -> int:
-        """States of m with a complete backward orbit inside m."""
-        cyc = 0
-        for c in self.cycles:
-            if not (c & ~m):
-                cyc |= c
-        cur = cyc
-        img = self.img
-        while True:
-            nxt = cur | (img[cur] & m)
-            if nxt == cur:
-                return cur
-            cur = nxt
+    def dual_repeller(self, a: int) -> int:
+        """A* of the attractor a, from dynsys with its Eq (6) cross-check, once per system."""
+        return self._dual(self._rep_duals, self.sys.dual_repeller, a)
+
+    def dual_attractor(self, r: int) -> int:
+        """R* of the repeller r, from dynsys with its Eq (7) cross-check, once per system."""
+        return self._dual(self._att_duals, self.sys.dual_attractor, r)
+
+    def _dual(self, known, dual, m):
+        if m not in known:
+            known[m] = self.sys.mask(dual(self.sys.unmask(m)))
+        return known[m]
 
     def eventually_inside(self, m: int) -> bool:
         """Does the image trajectory of m eventually stay inside m?"""
@@ -165,23 +206,25 @@ def check_c2_6(sd):
 
 
 def check_l2_7(sd):
+    inv = sd.inv
     for fam in (sd.fwd, sd.bwd):
         fam = sd.thin(fam)
         for a in fam:
-            ia = sd.inv(a)
+            ia = inv[a]
             for b in fam:
-                ib = sd.inv(b)
-                if sd.inv(a | b) != ia | ib:
+                ib = inv[b]
+                if inv[a | b] != ia | ib:
                     return (_u(sd, a), _u(sd, b), "union")
-                if sd.inv(a & b) != sd.inv(ia & ib):
+                if inv[a & b] != inv[ia & ib]:
                     return (_u(sd, a), _u(sd, b), "intersection")
     return None
 
 
 def check_p2_8(sd):
     fam = sd.thin(sd.invariant)
-    one = sd.inv(sd.full)
-    meet = lambda a, b: sd.inv(a & b)
+    inv = sd.inv
+    one = inv[sd.full]
+    meet = lambda a, b: inv[a & b]
     for a in fam:
         if meet(a, one) != a or (a | 0) != a:
             return (_u(sd, a), "bounds")
@@ -207,7 +250,7 @@ def check_l2_9(sd):
 
 def check_l2_10(sd):
     for m in sd.bwd:
-        ip = sd.invplus(m)
+        ip = sd.invplus[m]
         if (sd.img[ip] & ~ip) or (sd.pre[ip] & ~ip):
             return _u(sd, m)
     return None
@@ -222,11 +265,11 @@ def check_p2_11(sd):
             return (_u(sd, m), "i")
         if m and not om:
             return (_u(sd, m), "ii")
-        if sd.eventually_inside(m) and om != sd.inv(m):
+        if om != sd.inv[m] and sd.eventually_inside(m):
             return (_u(sd, m), "iii")
-        if om != _union(sd.omega_pt, m):
+        if om != sd.omega_union[m]:
             return (_u(sd, m), "v")
-        if sd.backward_sources(m) & ~om:
+        if sd.backward_sources[m] & ~om:
             return (_u(sd, m), "vii")
     m = _not_monotone(sd, sd.omega)
     if m is not None:
@@ -252,9 +295,9 @@ def check_p2_13(sd):
             return (_u(sd, m), "i")
         if sd.surjective and m and not al:
             return (_u(sd, m), "ii")
-        if al != _union(sd.alpha_pt, m):
+        if al != sd.alpha_union[m]:
             return (_u(sd, m), "v")
-        ip = sd.invplus(m)
+        ip = sd.invplus[m]
         if ip & ~al:
             return (_u(sd, m), "vi")
         if not (al & ~m) and ip != al:
@@ -266,12 +309,12 @@ def check_p2_13(sd):
         al = sd.alpha[m]
         if al & ~m:
             return (_u(sd, m), "iii")
-        if al != sd.invplus(m):
+        if al != sd.invplus[m]:
             return (_u(sd, m), "iii")
         if (img[al] & ~al) or (pre[al] & ~al):
             return (_u(sd, m), "vii")
         if sd.surjective:
-            if img[al] != al or al != sd.inv(m):
+            if img[al] != al or al != sd.inv[m]:
                 return (_u(sd, m), "vii")
     for m in sd.fwd:
         if m & ~sd.alpha[m]:
@@ -284,9 +327,11 @@ def check_p2_13(sd):
 
 def _not_monotone(sd, limit):
     """The first subset m whose limit set is not inside that of some m + {i}, or None."""
+    bits = [1 << i for i in range(sd.n)]
     for m in range(1 << sd.n):
-        for i in range(sd.n):
-            if not m >> i & 1 and limit[m] & ~limit[m | (1 << i)]:
+        lm = limit[m]
+        for b in bits:
+            if not m & b and lm & ~limit[m | b]:
                 return m
     return None
 
@@ -305,13 +350,10 @@ def check_p2_16(sd):
     img = sd.img
     pre = sd.pre
     for m in range(1 << sd.n):
-        plus = 0
-        for i in range(sd.n):
-            if not sd.omega_pt[i] & m:
-                plus |= 1 << i
+        plus = sd.splus[m]
         if (img[plus] & ~plus) or (pre[plus] & ~plus):
             return (_u(sd, m), "S+ not forward-backward invariant")
-        minus = _reach(sd.sys._img1, sum(c for c in sd.cycles if not c & m))
+        minus = sd.sminus[m]
         if img[minus] != minus:
             return (_u(sd, m), "S- not invariant")
         if img[m] == m and m & plus:
@@ -323,7 +365,7 @@ def check_p2_16(sd):
 
 def check_p3_1(sd):
     for m in sd.attracting:
-        if sd.inv(m) != sd.omega[m]:
+        if sd.inv[m] != sd.omega[m]:
             return _u(sd, m)
     return None
 
@@ -369,19 +411,19 @@ def check_l3_11(sd):
         for i in range(sd.n):
             if not (sd.omega_pt[i] & ~a):
                 basin |= 1 << i
-        if sd.backward_sources(basin) & ~a or sd.inv(basin) != a:
+        if sd.backward_sources[basin] & ~a or sd.inv[basin] != a:
             return (_u(sd, a), "witness neighborhood fails")
     # conversely such a neighborhood forces an attractor
     for m in range(1 << sd.n):
-        s = sd.inv(m)
-        if not (sd.backward_sources(m) & ~s) and s not in att:
+        s = sd.inv[m]
+        if not (sd.backward_sources[m] & ~s) and s not in att:
             return (_u(sd, m), "criterion met but not an attractor")
     return None
 
 
 def check_p3_12(sd):
     for m in sd.bwd:
-        r = sd.invplus(m)
+        r = sd.invplus[m]
         if (sd.img[r] & ~r) or (sd.pre[r] & ~r):
             return (_u(sd, m), "repeller not forward-backward invariant")
         if sd.alpha[m] != r:
@@ -398,21 +440,21 @@ def check_p3_13(sd):
 
 
 def check_p3_21(sd):
-    return _dual_criterion(sd, sd.att_elems, sd.omega, sd.sys.dual_repeller)
+    return _dual_criterion(sd, sd.att_elems, sd.omega, sd.dual_repeller)
 
 
 def check_p3_25(sd):
-    return _dual_criterion(sd, sd.rep_elems, sd.alpha, sd.sys.dual_attractor)
+    return _dual_criterion(sd, sd.rep_elems, sd.alpha, sd.dual_attractor)
 
 
 def _dual_criterion(sd, elems, limit, dual):
     """limit(U) = S with S inside U iff S is inside U and U misses the dual S*."""
-    duals = {e: sd.sys.mask(dual(_u(sd, e))) for e in elems}
+    duals = [(e, dual(e)) for e in elems]
     for m in range(1 << sd.n):
-        for e in elems:
-            lhs = limit[m] == e and not (e & ~m)
-            rhs = not (e & ~m) and not (m & duals[e])
-            if lhs != rhs:
+        lm = limit[m]
+        for e, star in duals:
+            inside = not (e & ~m)
+            if (lm == e and inside) != (inside and not (m & star)):
                 return (_u(sd, m), _u(sd, e))
     return None
 
@@ -463,7 +505,7 @@ def _neighborhood_lattice(sd, family):
 
 
 def check_p4_3(sd):
-    return _limit_hom(sd, sd.attracting, sd.omega, sd.att_elems, lambda a, b: sd.inv(a & b))
+    return _limit_hom(sd, sd.attracting, sd.omega, sd.att_elems, lambda a, b: sd.inv[a & b])
 
 
 def check_p4_4(sd):
@@ -498,14 +540,14 @@ def check_p4_6(sd):
 
 
 def check_p4_7(sd):
-    star = {a: sd.sys.mask(sd.sys.dual_repeller(_u(sd, a))) for a in sd.att_elems}
+    star = {a: sd.dual_repeller(a) for a in sd.att_elems}
     for a in sd.att_elems:
         for b in sd.att_elems:
             if star[a | b] != star[a] & star[b]:
                 return (_u(sd, a), _u(sd, b), "join law")
-            if sd.sys.mask(sd.sys.dual_repeller(_u(sd, sd.inv(a & b)))) != star[a] | star[b]:
+            if sd.dual_repeller(sd.inv[a & b]) != star[a] | star[b]:
                 return (_u(sd, a), _u(sd, b), "meet law")
-        if sd.sys.mask(sd.sys.dual_attractor(_u(sd, star[a]))) != a:
+        if sd.dual_attractor(star[a]) != a:
             return (_u(sd, a), "involution")
     return None
 
@@ -519,7 +561,7 @@ def check_d1(sd):
 
 def check_t3_19(sd):
     for a in sd.att_elems:
-        astar = sd.sys.mask(sd.sys.dual_repeller(_u(sd, a)))
+        astar = sd.dual_repeller(a)
         for r in sd.rep_elems:
             cond = sd.sys._ar_direct(a, r)[0]
             if cond != (r == astar):

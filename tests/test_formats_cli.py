@@ -192,6 +192,10 @@ class TestCliAnalyze:
             ("analyze", [dict(G1_DOC, domain=[-1e308, 1e308])], "domain"),
             ("analyze", [dict(G1_DOC, padding=math.nan)], "padding"),
             ("analyze", [dict(G1_DOC, padding=math.inf)], "padding"),
+            ("analyze", [dict(G1_DOC, domain=["-1", "1"])], "domain"),
+            ("analyze", [dict(G1_DOC, domain=[-1, True])], "domain"),
+            ("analyze", [dict(G1_DOC, padding=True)], "padding"),
+            ("analyze", [dict(G1_DOC, padding="0.001")], "padding"),
         ],
     )
     def test_malformed_field_exit_2(self, tmp_path, capsys, command, docs, field):
@@ -219,6 +223,18 @@ class TestCliAnalyze:
         assert cli.main(["analyze", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "position" in err
+
+    @pytest.mark.parametrize(
+        "expression",
+        # each recurses past Python's stack limit unless refused
+        ["(" * 400 + "x" + ")" * 400, "-" * 2000 + "x", "x" + " + x" * 2000],
+        ids=["400 parentheses", "2000 minus signs", "2000 terms"],
+    )
+    def test_deep_expression_exit_2(self, tmp_path, capsys, expression):
+        path = write(tmp_path, "gridmap.json", dict(G1_DOC, expr=expression))
+        assert cli.main(["analyze", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse" and "levels of nesting" in err["message"]
 
     def test_bound_overflow_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MORSELAT_MAX_ENUM", "2")
@@ -441,7 +457,15 @@ class TestCliVerifyBirkhoff:
         text = out.read_text()
         assert "P2.11" in text and "FAIL" not in text
 
-    def test_birkhoff_p3(self, tmp_path):
+    def test_birkhoff_p3(self, tmp_path, monkeypatch):
+        import morselat.formats
+        import morselat.lattice
+
+        calls = []
+        real = morselat.lattice.join_irreducibles
+        counted = lambda lat: calls.append(lat) or real(lat)
+        monkeypatch.setattr(morselat.lattice, "join_irreducibles", counted)
+        monkeypatch.setattr(morselat.formats, "join_irreducibles", counted)
         path = write(tmp_path, "poset.json", P3_DOC)
         out = tmp_path / "b.json"
         assert cli.main(["birkhoff", path, "-o", str(out)]) == 0
@@ -449,6 +473,7 @@ class TestCliVerifyBirkhoff:
         assert len(payload["elements"]) == 5
         assert len(payload["join_irreducibles"]) == 3
         assert payload["round_trip_ok"] is True
+        assert len(calls) == 1  # J(L) serves both the Booleanization and the payload
 
     def test_birkhoff_antichain(self, tmp_path):
         path = write(tmp_path, "poset.json", {"elements": ["a", "b", "c"], "covers": []})

@@ -1,8 +1,10 @@
 """`analyze`, `lift`, `birkhoff` and `verify` output, byte for byte against data/golden.
 
 Each golden is the CLI output with ``config.inputs`` cut to the inputs' file
-names, so it does not depend on where the inputs were written.  After a
-deliberate change of output, regenerate the files with
+names, so it does not depend on where the inputs were written.
+``verify_witnesses.json`` holds the witness every ``verify`` check returns on
+seeded systems whose tables were corrupted after construction.  After a
+deliberate change of output, regenerate all the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,7 +19,7 @@ import tempfile
 
 import pytest
 
-from morselat import cli
+from morselat import cli, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
@@ -94,6 +96,67 @@ BIRKHOFF = {
 VERIFY = ["verify", "--exhaustive", "3", "--random", "30", "--max-states", "8", "--seed", "1"]
 
 
+# verify_witnesses.json: every tag's witness on SystemData tables corrupted
+# after construction, so that a change of how a check reads its tables shows
+WITNESS_SYSTEMS = dict(count=20, max_states=7, seed=3)
+WITNESS_FAMILIES = ("fwd", "bwd", "invariant", "attracting", "repelling", "att_elems", "rep_elems")
+
+
+def _plain(value):
+    """A witness as JSON: tuples to lists, sets to sorted lists."""
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
+
+
+def _corruptions(rng, sd):
+    """One flipped bit of omega and of alpha, then each family with one member dropped or one added."""
+    size = 1 << sd.n
+    for name in ("omega", "alpha"):
+        yield name, rng.randrange(size), 1 << rng.randrange(sd.n)
+    for name in WITNESS_FAMILIES:
+        family = getattr(sd, name)
+        members = set(family)
+        outside = [m for m in range(size) if m not in members]
+        if family and (not outside or rng.random() < 0.5):
+            yield name, "drop", family[rng.randrange(len(family))]
+        else:
+            yield name, "add", outside[rng.randrange(len(outside))]
+
+
+def _corrupt(sd, name, how, value):
+    table = list(getattr(sd, name))
+    if how == "drop":
+        table.remove(value)
+    elif how == "add":
+        table = sorted(table + [value])
+    else:
+        table[how] ^= value
+    setattr(sd, name, table)
+
+
+def witnesses() -> str:
+    rng = random.Random(WITNESS_SYSTEMS["seed"])
+    entries = []
+    for sys in verify.random_systems(**WITNESS_SYSTEMS):
+        for corruption in list(_corruptions(rng, verify.SystemData(sys))):
+            sd = verify.SystemData(sys)
+            _corrupt(sd, *corruption)
+            found = {}
+            for tag, check in verify.CHECKS:
+                try:
+                    witness = check(sd)
+                except Exception as exc:  # inconsistent tables can make a check raise; that is its outcome
+                    witness = {"raises": f"{type(exc).__name__}: {exc}"}
+                if witness is not None:
+                    found[tag] = _plain(witness)
+            entries.append({"map": [sys.next[s] for s in sys.states], "corrupt": list(corruption),
+                            "witnesses": found})
+    return json.dumps(entries, indent=1) + "\n"
+
+
 def run(directory, argv, docs) -> str:
     """The CLI output of ``argv`` after the named input files, with their paths cut to file names."""
     paths = {}
@@ -144,6 +207,10 @@ def test_verify_report_matches_golden(tmp_path):
     assert run(str(tmp_path), VERIFY, {}) == (GOLDEN / "verify.txt").read_text()
 
 
+def test_verify_witnesses_match_golden():
+    assert witnesses() == (GOLDEN / "verify_witnesses.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,3 +223,4 @@ if __name__ == "__main__":
             for fmt in FORMATS:
                 (GOLDEN / f"{name}.birkhoff.{fmt}").write_text(birkhoff(tmp, name, fmt))
         (GOLDEN / "verify.txt").write_text(run(tmp, VERIFY, {}))
+    (GOLDEN / "verify_witnesses.json").write_text(witnesses())

@@ -5,13 +5,17 @@ acceptance module; here the suites run on every system with up to three
 states plus a seeded random batch, which already exercises every branch.
 """
 
+import random
+
 import pytest
 
 from morselat import FiniteDynSys
+from morselat.dynsys import _inv, _inv_plus, _reach, _union
 from morselat.verify import (
     CHECKS,
     SystemData,
     all_systems,
+    check_p3_1,
     random_systems,
     run_verification,
 )
@@ -54,9 +58,53 @@ def test_limit_tables_match_direct_computation():
         assert sys.mask(sys.alpha(u)) == sd.alpha[m]
 
 
+def _seeded_maps(count, n, seed):
+    rng = random.Random(seed)
+    return [FiniteDynSys(range(n), {s: rng.randrange(n) for s in range(n)}) for _ in range(count)]
+
+
+def _backward_sources(sd, m):
+    """The states of m reached inside m from the cycles inside m, walked directly."""
+    out = sum(c for c in sd.cycles if not c & ~m)
+    while sd.img[out] & m & ~out:
+        out |= sd.img[out] & m
+    return out
+
+
+@pytest.mark.parametrize("corpus", ["all 4-state", "seeded 8-state"])
+def test_tables_match_the_direct_computations(corpus):
+    systems = all_systems(4) if corpus == "all 4-state" else _seeded_maps(12, 8, seed=5)
+    for sys in systems:
+        sd = SystemData(sys)
+        for m in range(1 << sd.n):
+            assert sd.img[m] == _union(sys._img1, m)
+            assert sd.pre[m] == _union(sys._pre1, m)
+            assert sd.inv[m] == _inv(sys._img1, m)
+            assert sd.invplus[m] == _inv_plus(sys._img1, m)
+            assert sd.omega_union[m] == _union(sd.omega_pt, m)
+            assert sd.alpha_union[m] == _union(sd.alpha_pt, m)
+            assert sd.splus[m] == sum(1 << i for i in range(sd.n) if not sd.omega_pt[i] & m)
+            assert sd.sminus[m] == _reach(sys._img1, sum(c for c in sd.cycles if not c & m))
+            assert sd.backward_sources[m] == _backward_sources(sd, m)
+
+
+def test_each_dual_is_computed_once_per_system(monkeypatch):
+    calls = []
+    for name in ("dual_repeller", "dual_attractor"):
+        real = getattr(FiniteDynSys, name)
+        monkeypatch.setattr(
+            FiniteDynSys, name, lambda self, x, real=real, name=name: calls.append((name, x)) or real(self, x)
+        )
+    for sys in _seeded_maps(5, 7, seed=2):
+        calls.clear()
+        run_verification([sys], tags={"P3.21", "P3.25", "P4.7", "T3.19"})
+        assert calls and len(calls) == len(set(calls))
+
+
 def test_checks_detect_a_broken_operator(monkeypatch):
     # sanity of the harness itself: corrupt one omega value and the
-    # additivity tag must notice
+    # additivity tag must notice; corrupt Inv of the whole space, an
+    # attracting neighborhood, and P3.1 must notice
     sys = FiniteDynSys((0, 1), {0: 1, 1: 1})
     sd = SystemData(sys)
     sd.omega = list(sd.omega)
@@ -64,3 +112,7 @@ def test_checks_detect_a_broken_operator(monkeypatch):
     from morselat.verify import check_p2_11
 
     assert check_p2_11(sd) is not None
+    sd = SystemData(sys)
+    assert check_p3_1(sd) is None
+    sd.inv[3] = 3
+    assert check_p3_1(sd) is not None
