@@ -4,10 +4,11 @@ Exit codes: 0 success, 2 unreadable or malformed input or a verify flag
 out of range, an interval map whose image leaves its domain or cannot be
 evaluated there, or an output path that cannot be written (the message
 names the path, field, flag, position or cell), 3 enumeration bound
-overflow (on a grid the bound counts Morse sets, not cells) or an invalid
-MORSELAT_MAX_ENUM, 4 lift obstruction, 5 a family that is not a lattice
-or sublattice, whose elements no block realizes, or with a pin that is not
-an attracting block for its attractor.
+overflow (on a grid the bound counts Morse sets, not cells; in verify, the
+states of each system) or an invalid MORSELAT_MAX_ENUM, 4 lift
+obstruction, 5 a family that is not a lattice or sublattice, whose
+elements no block realizes, or with a pin that is not an attracting block
+for its attractor.
 Errors are emitted as one JSON object on stderr; ERRORS in this module maps
 each exception type to its exit code.
 """

@@ -114,6 +114,7 @@ class FiniteDynSys:
         self._pre1 = tuple(pre)
         self._limit_pts = None
         self._att_cache = None
+        self._duals = {}
 
     # -- mask plumbing -------------------------------------------------------
 
@@ -372,17 +373,17 @@ class FiniteDynSys:
         return closed_masks(self._omega_points(), within=sum(self._cycle_masks()))
 
     def att_lattice(self) -> SetLattice:
-        """Att = omega images of attracting neighborhoods, join union, meet Inv(cap).
+        """Att = omega images of attracting neighborhoods, join union, core Inv.
 
         omega(U) of a neighborhood U is the union of the cycles U meets, and
         every union of cycles is omega of its basin, so Att is the family of
-        unions of cycles.  Built once per system; its meet holds no reference
+        unions of cycles.  Built once per system; its core holds no reference
         to the system, so the cache makes no reference cycle.
         """
         self._check_bound()
         if self._att_cache is None:
-            meet = partial(_inv_meet, self.states, self.index, self._img1)
-            self._att_cache = SetLattice(self.states, map(self.unmask, self._recurrent_unions()), meet=meet)
+            core = partial(_inv_labels, self.states, self.index, self._img1)
+            self._att_cache = SetLattice(self.states, map(self.unmask, self._recurrent_unions()), core)
         return self._att_cache
 
     def rep_lattice(self) -> SetLattice:
@@ -397,17 +398,7 @@ class FiniteDynSys:
 
     def dual_repeller(self, attractor: Iterable) -> frozenset:
         """A* = Inv+(U^c) for a trapping region U of A; cross-checked against A+."""
-        a = self.mask(attractor)
-        if self._omega_mask(a) != a or (self._image_mask(a) != a):
-            raise NotAnAttractor(f"{sorted(map(repr, attractor))}")
-        u = self.mask(self.basin(self.unmask(a)))
-        if self._omega_mask(u) != a:
-            raise NotAnAttractor(f"{sorted(map(repr, attractor))}")
-        star = _inv_plus(self._img1, ~u & self._full)
-        plus = self.mask(self.dual_plus(self.unmask(a)))
-        if star != plus:
-            raise AssertionError("Eq (6) cross-check failed: A* != A+")
-        return self.unmask(star)
+        return self.unmask(self._dual_mask(self.mask(attractor), True))
 
     def dual_attractor(self, repeller: Iterable) -> frozenset:
         """R* = Inv(U^c) for a repelling region U of R; cross-checked against R-.
@@ -415,18 +406,42 @@ class FiniteDynSys:
         R is forward-backward invariant, so R itself is a repelling region
         for R and Prop 3.16 makes the choice irrelevant.
         """
-        r = self.mask(repeller)
+        return self.unmask(self._dual_mask(self.mask(repeller), False))
+
+    def _dual_mask(self, m: int, of_attractor: bool) -> int:
+        """A* of the attractor m, or R* of the repeller m, computed and cross-checked once per system.
+
+        The memo holds masks only, so it makes no reference cycle.
+        """
+        key = (m, of_attractor)
+        if key not in self._duals:
+            self._duals[key] = self._attractor_star(m) if of_attractor else self._repeller_star(m)
+        return self._duals[key]
+
+    def _attractor_star(self, a: int) -> int:
+        if self._omega_mask(a) != a or (self._image_mask(a) != a):
+            raise NotAnAttractor(f"{sorted(map(repr, self.unmask(a)))}")
+        u = self.mask(self.basin(self.unmask(a)))
+        if self._omega_mask(u) != a:
+            raise NotAnAttractor(f"{sorted(map(repr, self.unmask(a)))}")
+        star = _inv_plus(self._img1, ~u & self._full)
+        plus = self.mask(self.dual_plus(self.unmask(a)))
+        if star != plus:
+            raise AssertionError("Eq (6) cross-check failed: A* != A+")
+        return star
+
+    def _repeller_star(self, r: int) -> int:
         if (
             self._image_mask(r) & ~r
             or self._preimage_mask(r) & ~r
             or _inv_plus(self._img1, r) != r
         ):
-            raise NotARepeller(f"{sorted(map(repr, repeller))}")
+            raise NotARepeller(f"{sorted(map(repr, self.unmask(r)))}")
         star = _inv(self._img1, ~r & self._full)
         minus = self.mask(self.dual_minus(self.unmask(r)))
         if star != minus:
             raise AssertionError("Eq (7) cross-check failed: R* != R-")
-        return self.unmask(star)
+        return star
 
     def check_ar_pair(self, attractor: Iterable, repeller: Iterable) -> PairReport:
         """Both characterizations of an attractor-repeller pair, which must agree."""
@@ -549,9 +564,9 @@ def _inv_plus(img1: Sequence[int], m: int) -> int:
         cur = keep
 
 
-def _inv_meet(states: tuple, index: Mapping, img1: Sequence[int], a: frozenset, b: frozenset) -> frozenset:
-    """The meet of Att: Inv(a & b), on labels."""
-    m = _inv(img1, sum(1 << index[s] for s in a & b))
+def _inv_labels(states: tuple, index: Mapping, img1: Sequence[int], a: frozenset) -> frozenset:
+    """Inv(a), the core of Att, on labels."""
+    m = _inv(img1, sum(1 << index[s] for s in a))
     return frozenset(states[i] for i in range(len(states)) if m >> i & 1)
 
 

@@ -38,8 +38,7 @@ def attractor_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> 
     for e in family:
         if system.image(e) != e or system.omega(e) != e:
             raise NotASublattice(f"{sorted(map(repr, e))} is not an attractor", e)
-    meet = lambda a, b: system.inv(a & b)
-    return checked_sublattice(system.states, family, meet, system.inv(system.states))
+    return checked_sublattice(system.states, family, system.inv)
 
 
 def _repeller_problem(system: FiniteDynSys, lat: SetLattice, poset: Poset, s: Mapping) -> LiftProblem:

@@ -71,8 +71,9 @@ def load_poset(doc: dict) -> Poset:
     if "leq" in doc:
         with input_field("leq"):
             leq = doc["leq"]
-            if not (isinstance(leq, list) and all(isinstance(row, list) for row in leq)):
-                raise TypeError("must be an array of arrays")
+            rows_ok = isinstance(leq, list) and all(isinstance(row, list) for row in leq)
+            if not (rows_ok and all(isinstance(x, bool) for row in leq for x in row)):
+                raise TypeError("must be an array of arrays of true and false")
             return Poset.from_relation(elements, leq)
     raise InputError("poset file needs 'covers' or 'leq'")
 

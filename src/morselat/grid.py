@@ -318,21 +318,19 @@ def _morse_attractors(cmap: CellMap) -> list[frozenset]:
 
 
 def comb_att_lattice(cmap: CellMap) -> SetLattice:
-    """{comb_inv(N) | N an attracting block}, join union, meet comb_inv(cap)."""
-    meet = lambda x, y: comb_inv(x & y, cmap)
-    return SetLattice(tuple(range(cmap.n)), _morse_attractors(cmap), meet=meet)
+    """{comb_inv(N) | N an attracting block}, join union, core comb_inv."""
+    return SetLattice(tuple(range(cmap.n)), _morse_attractors(cmap), lambda x: comb_inv(x, cmap))
 
 
 def comb_rep_lattice(cmap: CellMap) -> SetLattice:
-    """{comb_inv_plus(W) | W a repelling block}, join union, meet comb_inv_plus(cap).
+    """{comb_inv_plus(W) | W a repelling block}, join union, core comb_inv_plus.
 
     W = cells - N for an attracting block N, and comb_inv_plus(W) depends on
     N only through comb_inv(N).
     """
     full = cmap.all_cells()
     elems = [comb_inv_plus(full - a, cmap) for a in _morse_attractors(cmap)]
-    meet = lambda x, y: comb_inv_plus(x & y, cmap)
-    return SetLattice(tuple(range(cmap.n)), elems, meet=meet)
+    return SetLattice(tuple(range(cmap.n)), elems, lambda x: comb_inv_plus(x, cmap))
 
 
 def shrink_repelling_block(
@@ -384,8 +382,7 @@ def _shrinking_oracle(partial: PartialLift, q, depths: Iterable[int], block) -> 
 
 
 def _rep_sublattice(cmap: CellMap, images: Iterable[Iterable[int]]) -> SetLattice:
-    meet = lambda a, b: comb_inv_plus(a & b, cmap)
-    return checked_sublattice(tuple(range(cmap.n)), images, meet, comb_inv_plus(cmap.all_cells(), cmap))
+    return checked_sublattice(tuple(range(cmap.n)), images, lambda w: comb_inv_plus(w, cmap))
 
 
 def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping) -> LiftProblem:
@@ -441,8 +438,7 @@ def grid_attractor_lift(
     the repeller side, and transports back through cell-set complement.
     """
     ambient = cmap.all_cells()
-    meet = lambda a, b: comb_inv(a & b, cmap)
-    lat = checked_sublattice(tuple(range(cmap.n)), images, meet, comb_inv(ambient, cmap))
+    lat = checked_sublattice(tuple(range(cmap.n)), images, lambda n: comb_inv(n, cmap))
     poset, s = birkhoff_embedding(lat)
     pinned = dict(pinned or {})
     for a, blk in pinned.items():

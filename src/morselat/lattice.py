@@ -2,10 +2,10 @@
 Booleanization, and homomorphism checking.
 
 Every lattice here is materialized as a family of subsets of a finite ground
-set.  Join is always union and meet defaults to intersection; lattices whose
-meet is not plain intersection (attractor lattices, combinatorial attractor
-lattices) supply a meet callable instead.  The induced order is always
-a <= b iff a meet b == a.
+set.  Join is union; meet is the intersection under the lattice's core, an
+interior operator: Inv on Att, comb_inv or comb_inv_plus on a grid, none for
+plain intersection.  Each element is its own core, so a ^ b == a iff a is a
+subset of b: the order is inclusion and evaluates no meet.
 """
 
 from __future__ import annotations
@@ -56,56 +56,49 @@ class HomReport:
 
 
 class SetLattice:
-    """A finite bounded distributive lattice of subsets of ``universe``.
+    """A finite bounded distributive lattice of subsets of ``universe`` with meet ``core(a & b)``.
 
     ``elements`` is canonically ordered by (size, lexicographic in universe
-    order).  Closure under the lattice operations, presence of 0 and top, and
-    distributivity (up to DISTRIBUTIVITY_CHECK_LIMIT elements) are checked on
-    construction.
+    order).  Unless ``check`` is false, construction checks 0, closure, that
+    each element is its own core and, with a core, distributivity (up to
+    DISTRIBUTIVITY_CHECK_LIMIT elements; union and intersection distribute).
     """
 
     def __init__(
         self,
         universe: Sequence[Hashable],
         elements: Iterable[frozenset],
-        meet: Callable | None = None,
+        core: Callable[[frozenset], frozenset] | None = None,
         check: bool = True,
     ):
         self.universe = tuple(universe)
         self._uindex = {u: i for i, u in enumerate(self.universe)}
         elems = {frozenset(e) for e in elements}
-        if check:
-            outside = frozenset().union(*elems).difference(self._uindex)
-            if outside:
-                raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
+        outside = frozenset().union(*elems).difference(self._uindex)
+        if outside:
+            raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
         self.elements = tuple(sorted(elems, key=self._canon_key))
         self._eset = frozenset(self.elements)
-        self._meet = meet or (lambda a, b: a & b)
+        self.core = core
         if check:
-            self._validate()
+            if frozenset() not in self._eset:
+                raise NotALattice("0 (the empty set) is missing")
+            failure = _closure_failure(self.universe, self.elements, self.meet)
+            if failure:
+                raise NotALattice(failure[0])
+            self._check_core()
 
     def _canon_key(self, e: frozenset):
         return (len(e), tuple(sorted(self._uindex[x] for x in e)))
 
-    def _validate(self):
-        if not self.elements:
-            raise NotALattice("empty element family")
-        if frozenset() not in self._eset:
-            raise NotALattice("0 (the empty set) is missing")
-        top = self.top
+    def _check_core(self):
+        """Each element is its own core, so a ^ b == a iff a <= b, and the meet distributes."""
+        if self.core is None:
+            return
         for a in self.elements:
-            if self.meet(a, top) != a:
-                raise NotALattice(f"no top element: {sorted(map(repr, a))} not below the largest element")
-        for a in self.elements:
-            for b in self.elements:
-                if self.join(a, b) not in self._eset:
-                    raise NotALattice(
-                        f"not closed under join: {sorted(map(repr, a))} v {sorted(map(repr, b))}"
-                    )
-                if self.meet(a, b) not in self._eset:
-                    raise NotALattice(
-                        f"not closed under meet: {sorted(map(repr, a))} ^ {sorted(map(repr, b))}"
-                    )
+            if self.core(a) != a:
+                a_s, core_s = _show(self.universe, a), _show(self.universe, self.core(a))
+                raise NotALattice(f"meet is not idempotent: {a_s} ^ {a_s} = {core_s}")
         if len(self.elements) <= DISTRIBUTIVITY_CHECK_LIMIT:
             for a in self.elements:
                 for b in self.elements:
@@ -127,11 +120,10 @@ class SetLattice:
         return a | b
 
     def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return self._meet(a, b)
+        return a & b if self.core is None else self.core(a & b)
 
     def leq(self, a: frozenset, b: frozenset) -> bool:
-        """Order test a <= b iff a ^ b == a."""
-        return self.meet(a, b) == a
+        return a <= b
 
     def __contains__(self, e):
         return frozenset(e) in self._eset
@@ -169,40 +161,51 @@ class SetLattice:
         )
 
 
+def _closure_failure(universe: Sequence, family: Sequence[frozenset], meet: Callable) -> tuple | None:
+    """(message, (a, b)) for the first a, b, b not before a, whose join or meet leaves the family.
+
+    None when the family is closed.  Join and meet commute, so no pair with b
+    before a could fail first.
+    """
+    members = set(family)
+    for i, a in enumerate(family):
+        for b in family[i:]:
+            for law, op, c in (("join", "v", a | b), ("meet", "^", meet(a, b))):
+                if c not in members:
+                    a_s, b_s, c_s = (_show(universe, e) for e in (a, b, c))
+                    return f"family is not {law}-closed: {a_s} {op} {b_s} = {c_s} missing", (a, b)
+    return None
+
+
+def _show(universe: Sequence, e: frozenset) -> list:
+    """The members of e in universe order, for messages."""
+    return [u for u in universe if u in e]
+
+
 def checked_sublattice(
     universe: Sequence[Hashable],
     elements: Iterable[Iterable],
-    meet: Callable | None = None,
-    top: frozenset | None = None,
+    core: Callable[[frozenset], frozenset] | None = None,
 ) -> SetLattice:
-    """The family as a SetLattice, after checking that it is a bounded sublattice.
+    """The family as a SetLattice with the given core, after checking that it is a bounded sublattice.
 
-    The family must hold 0, ``top`` (default: the whole universe) and be
-    closed under union and ``meet`` (default: intersection); the first
+    The family must hold 0 and the top ``core(universe)`` (the universe without
+    a core) and be closed under union and the meet ``core(a & b)``; the first
     failure raises NotASublattice with the missing element or the offending
-    pair as its witness.
+    pair as its witness.  SetLattice's core checks follow.
     """
-    family = [frozenset(e) for e in elements]
-    fam = set(family)
-    top = frozenset(universe) if top is None else top
-    meet = meet or (lambda a, b: a & b)
-    show = lambda e: [u for u in universe if u in e]
-    if frozenset() not in fam:
+    family = list(dict.fromkeys(map(frozenset, elements)))
+    top = frozenset(universe) if core is None else core(frozenset(universe))
+    if frozenset() not in family:
         raise NotASublattice("family is missing the bottom element (the empty set)", frozenset())
-    if top not in fam:
-        raise NotASublattice(f"family is missing the top element {show(top)}", top)
-    for a in family:
-        for b in family:
-            if a | b not in fam:
-                raise NotASublattice(
-                    f"family is not join-closed: {show(a)} v {show(b)} = {show(a | b)} missing", (a, b)
-                )
-            m = meet(a, b)
-            if m not in fam:
-                raise NotASublattice(
-                    f"family is not meet-closed: {show(a)} ^ {show(b)} = {show(m)} missing", (a, b)
-                )
-    return SetLattice(universe, family, meet=meet)
+    if top not in family:
+        raise NotASublattice(f"family is missing the top element {_show(universe, top)}", top)
+    lat = SetLattice(universe, family, core, check=False)
+    failure = _closure_failure(universe, family, lat.meet)
+    if failure:
+        raise NotASublattice(*failure)
+    lat._check_core()
+    return lat
 
 
 # -- join-irreducibles and Birkhoff ---------------------------------------
@@ -219,7 +222,7 @@ def join_irreducibles(lat: SetLattice) -> Poset:
     for c in irr:
         m = 0
         for j, d in enumerate(irr):
-            if lat.leq(d, c):
+            if d <= c:
                 m |= 1 << j
         below.append(m)
     return Poset(irr, below, _checked=True)
@@ -228,8 +231,8 @@ def join_irreducibles(lat: SetLattice) -> Poset:
 def lower_covers(lat: SetLattice, c: frozenset) -> list[int]:
     """Indices, ascending, of the elements that c covers: the maximal ones strictly below c."""
     es = lat.elements
-    below = [i for i, a in enumerate(es) if a != c and lat.leq(a, c)]
-    return [i for i in below if not any(k != i and lat.leq(es[i], es[k]) for k in below)]
+    below = [i for i, a in enumerate(es) if a < c]
+    return [i for i in below if not any(es[i] < es[k] for k in below)]
 
 
 def predecessor(lat: SetLattice, c: frozenset) -> frozenset:
@@ -245,7 +248,7 @@ def predecessor(lat: SetLattice, c: frozenset) -> frozenset:
 def birkhoff_down(lat: SetLattice, a: frozenset, jl: Poset | None = None) -> DownSet:
     """The Birkhoff image of a: the down-set of join-irreducibles below a."""
     jl = jl if jl is not None else join_irreducibles(lat)
-    members = frozenset(b for b in jl.carrier if lat.leq(b, a))
+    members = frozenset(b for b in jl.carrier if b <= a)
     return DownSet(jl, members, _checked=True)
 
 
@@ -447,10 +450,5 @@ def sublattices(lat: SetLattice):
     for m in range(1 << len(middle)):
         chosen = [middle[i] for i in range(len(middle)) if m >> i & 1]
         family = set(base) | set(chosen)
-        closed = all(
-            lat.join(a, b) in family and lat.meet(a, b) in family
-            for a in family
-            for b in family
-        )
-        if closed:
+        if _closure_failure(lat.universe, list(family), lat.meet) is None:
             yield tuple(sorted(family, key=lat._canon_key))

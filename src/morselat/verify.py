@@ -15,8 +15,8 @@ preimage, Inv and Inv+ (the fixpoints of ``dynsys._inv`` and ``_inv_plus``),
 the states with a complete backward orbit inside the mask, the unions of the
 pointwise limit sets and the S+ and S- of P2.16 fill in by increasing mask, each
 entry from a smaller mask; omega and alpha fill in along trajectories of
-masks.  The duals A* and R* come from ``dynsys`` with its Eq (6)/(7)
-cross-checks, each once per system.
+masks.  The duals A* and R* come from the memo of ``FiniteDynSys``, which
+runs each Eq (6)/(7) cross-check once per system and serves D1 too.
 
 Statements made once for attractors and once for repellers (L3.4 and
 C3.26+27, P3.21 and P3.25, P3.7 and P3.28, P4.1 and P4.2, P4.3 and P4.4)
@@ -50,6 +50,7 @@ class SystemData:
     """Mask tables for one system: every per-subset quantity a check reads, as a 2^n list."""
 
     def __init__(self, sys: FiniteDynSys):
+        sys._check_bound()  # TooLarge before any 2^n table exists
         self.sys = sys
         self.n = sys._n
         self.full = sys._full
@@ -104,8 +105,6 @@ class SystemData:
         self.repelling = [m for m in range(size) if not (self.alpha[m] & ~m)]
         self.att_elems = sorted({self.omega[m] for m in self.attracting})
         self.rep_elems = sorted({self.alpha[m] for m in self.repelling})
-        self._rep_duals = {}
-        self._att_duals = {}
 
     def _limits(self, tab):
         # limit sets are constant along a trajectory of masks, so one walk
@@ -131,17 +130,12 @@ class SystemData:
         return out
 
     def dual_repeller(self, a: int) -> int:
-        """A* of the attractor a, from dynsys with its Eq (6) cross-check, once per system."""
-        return self._dual(self._rep_duals, self.sys.dual_repeller, a)
+        """A* of the attractor a, from the system's memo of duals with their Eq (6) cross-check."""
+        return self.sys._dual_mask(a, True)
 
     def dual_attractor(self, r: int) -> int:
-        """R* of the repeller r, from dynsys with its Eq (7) cross-check, once per system."""
-        return self._dual(self._att_duals, self.sys.dual_attractor, r)
-
-    def _dual(self, known, dual, m):
-        if m not in known:
-            known[m] = self.sys.mask(dual(self.sys.unmask(m)))
-        return known[m]
+        """R* of the repeller r, from the system's memo of duals with their Eq (7) cross-check."""
+        return self.sys._dual_mask(r, False)
 
     def eventually_inside(self, m: int) -> bool:
         """Does the image trajectory of m eventually stay inside m?"""

@@ -1,6 +1,6 @@
 import pytest
 
-from morselat import CellGrid, CellMap, Poset, ds1, ds2, ds3, ingest_interval_map
+from morselat import CellGrid, CellMap, Poset, ds1, ds2, ds3, ingest_interval_map, join_irreducibles
 from morselat.order import all_posets
 
 
@@ -82,3 +82,26 @@ def random_poset(rng, n):
                 below[i] = acc
                 changed = True
     return Poset(tuple(range(n)), below)
+
+
+def meet_lower_covers(lat, c):
+    """Indices of the elements c covers, by the cubic scan under the meet-defined order a ^ b == a."""
+    es = lat.elements
+    leq = lambda a, b: lat.meet(a, b) == a
+    below = [i for i, a in enumerate(es) if a != c and leq(a, c)]
+    return [i for i in below if not any(k != i and leq(es[i], es[k]) for k in below)]
+
+
+def check_order_is_inclusion(lat):
+    """The meet-defined order is inclusion on lat, and covers() and J(L) match the meet oracle."""
+    es = lat.elements
+    for a in es:
+        for b in es:
+            assert (lat.meet(a, b) == a) == (a <= b) == lat.leq(a, b), (a, b)
+    lower = [meet_lower_covers(lat, c) for c in es]
+    assert lat.covers() == [(i, j) for j in range(len(es)) for i in lower[j]]
+    jl = join_irreducibles(lat)
+    assert tuple(jl.carrier) == tuple(c for c, low in zip(es, lower) if len(low) == 1)
+    for a in jl.carrier:
+        for b in jl.carrier:
+            assert jl.leq(a, b) == (lat.meet(a, b) == a)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morselat import SetLattice, cli, ds1
+from morselat import SetLattice, TooLarge, cli, ds1
 from morselat.formats import (
     InputError,
     RunConfig,
@@ -24,6 +24,7 @@ from morselat.formats import (
     parse_dot,
 )
 from morselat.grid import comb_inv
+from morselat.verify import SystemData
 
 DS1_DOC = {
     "type": "finite",
@@ -146,6 +147,28 @@ class TestCliAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "bound" and "7 Morse sets" in err["message"]
 
+    def test_analyze_cross_checks_each_dual_once(self, tmp_path, monkeypatch):
+        # Eq (6) checks A* against A+ = dual_plus(A) and Eq (7) R* against
+        # R- = dual_minus(R); dual_pairs and the commuting square share both
+        from morselat import FiniteDynSys
+
+        calls = []
+        for name in ("dual_plus", "dual_minus"):
+            real = getattr(FiniteDynSys, name)
+            monkeypatch.setattr(
+                FiniteDynSys, name, lambda self, x, real=real, name=name: calls.append((name, frozenset(x))) or real(self, x)
+            )
+        path = write(tmp_path, "system.json", DS1_DOC)
+        out = tmp_path / "a.json"
+        assert cli.main(["analyze", path, "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        attractors = {frozenset(a) for a in payload["attractors"]}
+        repellers = {frozenset(p["repeller"]) for p in payload["dual_pairs"]}
+        eq6 = [x for name, x in calls if name == "dual_plus" and x in attractors]
+        eq7 = [x for name, x in calls if name == "dual_minus"]
+        assert len(eq6) == len(attractors) == 4 and set(eq6) == attractors
+        assert len(eq7) == len(repellers) == 4 and set(eq7) == repellers
+
     @pytest.mark.parametrize(
         "command, docs, field",
         [
@@ -196,6 +219,10 @@ class TestCliAnalyze:
             ("analyze", [dict(G1_DOC, domain=[-1, True])], "domain"),
             ("analyze", [dict(G1_DOC, padding=True)], "padding"),
             ("analyze", [dict(G1_DOC, padding="0.001")], "padding"),
+            # a poset's leq matrix takes JSON booleans only
+            ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, "0"], [False, True]]}], "leq"),
+            ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, 1], [0, True]]}], "leq"),
+            ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, None], [False, True]]}], "leq"),
         ],
     )
     def test_malformed_field_exit_2(self, tmp_path, capsys, command, docs, field):
@@ -456,6 +483,15 @@ class TestCliVerifyBirkhoff:
         assert cli.main(["verify", "--exhaustive", "3", "-o", str(out)]) == 0
         text = out.read_text()
         assert "P2.11" in text and "FAIL" not in text
+
+    def test_verify_above_the_bound_exit_3(self, monkeypatch, capsys):
+        # SystemData refuses the system before it builds any 2^n table
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "3")
+        with pytest.raises(TooLarge):
+            SystemData(ds1())
+        assert cli.main(["verify", "--exhaustive", "4"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bound" and "4 states" in err["message"]
 
     def test_birkhoff_p3(self, tmp_path, monkeypatch):
         import morselat.formats

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morselat import (
+    CellGrid,
+    CellMap,
+    FiniteDynSys,
     LatticeHom,
     NotAHom,
     NotALattice,
@@ -19,14 +22,20 @@ from morselat import (
     booleanize,
     check_anti_hom,
     check_hom,
+    checked_sublattice,
     complement_map,
+    grid,
+    ingest_interval_map,
     join_irreducibles,
     predecessor,
     sublattices,
 )
+from morselat import lattice as lattice_module
+from morselat.dynsys_lift import attractor_sublattice, repeller_sublattice
+from morselat.grid import comb_att_lattice, comb_inv, comb_rep_lattice, grid_lift_problem
 from morselat.order import chain
 from morselat.verify import random_systems
-from conftest import all_labeled_posets, random_poset
+from conftest import all_labeled_posets, check_order_is_inclusion, random_poset
 
 
 def powerset_lattice(labels):
@@ -305,3 +314,78 @@ def test_sublattice_enumeration_of_square():
     # {0,1}, {0,a,1}, {0,b,1}, all
     assert len(subs) == 4
     assert (fs(), fs("a", "b")) in subs
+
+
+# -- the order of every set lattice is inclusion ---------------------------------
+
+
+def exact_lattices(sys):
+    """Att and Rep of an exact system, and each again as a checked sublattice."""
+    att, rep = sys.att_lattice(), sys.rep_lattice()
+    return [att, rep, attractor_sublattice(sys, att.elements), repeller_sublattice(sys, rep.elements)]
+
+
+def grid_lattices(cmap):
+    """The combinatorial Att and Rep of a cell map, and each again as a checked sublattice."""
+    att, rep = comb_att_lattice(cmap), comb_rep_lattice(cmap)
+    att_sub = checked_sublattice(range(cmap.n), att.elements, lambda x: comb_inv(x, cmap))
+    return [att, rep, att_sub, grid_lift_problem(cmap, rep.elements).target]
+
+
+def g1_at(cells):
+    return ingest_interval_map("(x + x^3)/2", CellGrid(-1.0, 1.0, cells))
+
+
+small_maps = st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+small_cell_maps = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=n, max_size=n)
+)
+
+
+class TestInclusionOrder:
+    def test_exact_fixtures(self, sys1, sys2, sys3):
+        for sys in (sys1, sys2, sys3):
+            for lat in exact_lattices(sys):
+                check_order_is_inclusion(lat)
+
+    def test_grid_fixtures(self, g1, g2, tripod):
+        for cmap in (g1, g2, tripod, g1_at(12)):
+            for lat in grid_lattices(cmap):
+                check_order_is_inclusion(lat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_maps)
+    def test_random_maps(self, targets):
+        sys = FiniteDynSys(range(len(targets)), dict(enumerate(targets)))
+        assume(len(sys.cycles()) <= 4)
+        for lat in exact_lattices(sys):
+            check_order_is_inclusion(lat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_cell_maps)
+    def test_random_cell_maps(self, arrows):
+        cmap = CellMap(CellGrid(0.0, float(len(arrows)), len(arrows)), tuple(arrows))
+        assume(len(grid._morse_attractors(cmap)) <= 16)
+        for lat in grid_lattices(cmap):
+            check_order_is_inclusion(lat)
+
+    def test_order_queries_evaluate_no_core(self, monkeypatch):
+        lat = comb_att_lattice(g1_at(12))
+        calls = []
+        real = grid.comb_inv
+        monkeypatch.setattr(grid, "comb_inv", lambda cells, cmap: calls.append(cells) or real(cells, cmap))
+        jl = join_irreducibles(lat)
+        assert lat.covers() and len(jl) > 1
+        for c in jl.carrier:
+            predecessor(lat, c)
+        for a in lat.elements:
+            birkhoff_down(lat, a, jl)
+        assert calls == []
+
+    def test_grid_sublattice_runs_one_closure_pass(self, g1, monkeypatch):
+        rep = comb_rep_lattice(g1)
+        passes = []
+        real = lattice_module._closure_failure
+        monkeypatch.setattr(lattice_module, "_closure_failure", lambda *args: passes.append(args) or real(*args))
+        grid_lift_problem(g1, rep.elements)
+        assert len(passes) == 1

@@ -89,15 +89,16 @@ def test_tables_match_the_direct_computations(corpus):
 
 
 def test_each_dual_is_computed_once_per_system(monkeypatch):
+    # counts the computations with their Eq (6)/(7) cross-checks, over every tag
     calls = []
-    for name in ("dual_repeller", "dual_attractor"):
+    for name in ("_attractor_star", "_repeller_star"):
         real = getattr(FiniteDynSys, name)
         monkeypatch.setattr(
-            FiniteDynSys, name, lambda self, x, real=real, name=name: calls.append((name, x)) or real(self, x)
+            FiniteDynSys, name, lambda self, m, real=real, name=name: calls.append((name, m)) or real(self, m)
         )
     for sys in _seeded_maps(5, 7, seed=2):
         calls.clear()
-        run_verification([sys], tags={"P3.21", "P3.25", "P4.7", "T3.19"})
+        run_verification([sys])
         assert calls and len(calls) == len(set(calls))
 
 
