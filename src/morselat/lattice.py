@@ -5,7 +5,9 @@ Every lattice here is materialized as a family of subsets of a finite ground
 set.  Join is union; meet is the intersection under the lattice's core, an
 interior operator: Inv on Att, comb_inv or comb_inv_plus on a grid, none for
 plain intersection.  Each element is its own core, so a ^ b == a iff a is a
-subset of b: the order is inclusion and evaluates no meet.
+subset of b: the order is inclusion and evaluates no meet.  J(L), the covers
+and predecessors come from one O(|L|^2) pass over the size-sorted elements,
+kept on the lattice for its lifetime.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .order import DownSet, Poset, UnknownElement
+from .order import DownSet, Poset, TooLarge, UnknownElement, cover_masks, enum_bound, mask_pairs
 
 DISTRIBUTIVITY_CHECK_LIMIT = 64
 
@@ -80,6 +82,7 @@ class SetLattice:
         self.elements = tuple(sorted(elems, key=self._canon_key))
         self._eset = frozenset(self.elements)
         self.core = core
+        self._lower = None
         if check:
             if frozenset() not in self._eset:
                 raise NotALattice("0 (the empty set) is missing")
@@ -148,8 +151,28 @@ class SetLattice:
         return f"SetLattice({len(self.elements)} elements over {list(self.universe)!r})"
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j) of element indices with elements[j] covering elements[i]."""
-        return [(i, j) for j, c in enumerate(self.elements) for i in lower_covers(self, c)]
+        """Cover pairs (i, j) of element indices with elements[j] covering elements[i], by j then i."""
+        return mask_pairs(self._lower_masks())
+
+    def _lower_masks(self) -> list[int]:
+        """Per element, the mask over element indices of the elements it covers.
+
+        One pass, kept for the lattice's lifetime: the elements are size-sorted,
+        so only earlier ones can lie strictly below an element and a subset
+        test decides each; order.cover_masks then keeps the maximal ones.
+        O(|L|^2) subset tests and int ORs, and no meet or core call.
+        """
+        if self._lower is None:
+            es = self.elements
+            strict = []
+            for j, c in enumerate(es):
+                m = 0
+                for i in range(j):
+                    if es[i] < c:
+                        m |= 1 << i
+                strict.append(m)
+            self._lower = cover_masks(strict)
+        return self._lower
 
     @classmethod
     def from_poset(cls, poset: Poset) -> "SetLattice":
@@ -217,7 +240,7 @@ def join_irreducibles(lat: SetLattice) -> Poset:
     An element is join-irreducible iff it is nonzero and has exactly one
     lower cover, its predecessor.
     """
-    irr = [c for c in lat.elements if len(lower_covers(lat, c)) == 1]
+    irr = [c for c, low in zip(lat.elements, lat._lower_masks()) if low and not low & (low - 1)]
     below = []
     for c in irr:
         m = 0
@@ -228,21 +251,17 @@ def join_irreducibles(lat: SetLattice) -> Poset:
     return Poset(irr, below, _checked=True)
 
 
-def lower_covers(lat: SetLattice, c: frozenset) -> list[int]:
-    """Indices, ascending, of the elements that c covers: the maximal ones strictly below c."""
-    es = lat.elements
-    below = [i for i, a in enumerate(es) if a < c]
-    return [i for i in below if not any(es[i] < es[k] for k in below)]
-
-
 def predecessor(lat: SetLattice, c: frozenset) -> frozenset:
     """The unique maximal element strictly below a join-irreducible."""
-    covers = lower_covers(lat, c)
-    if not covers:
+    c = frozenset(c)
+    if c not in lat:
+        raise NotJoinIrreducible(f"{sorted(map(repr, c))} is not an element of the lattice")
+    low = lat._lower_masks()[lat.elements.index(c)]
+    if not low:
         raise NotJoinIrreducible(f"{sorted(map(repr, c))} has no predecessor")
-    if len(covers) != 1:
+    if low & (low - 1):
         raise NotJoinIrreducible(f"{sorted(map(repr, c))} is not join-irreducible")
-    return lat.elements[covers[0]]
+    return lat.elements[low.bit_length() - 1]
 
 
 def birkhoff_down(lat: SetLattice, a: frozenset, jl: Poset | None = None) -> DownSet:
@@ -442,10 +461,15 @@ def boolean_extension(poset: Poset, hom: LatticeHom) -> BooleanExtension:
 
 
 def sublattices(lat: SetLattice):
-    """All bounded sublattices (containing 0 and 1), as tuples of elements."""
+    """All bounded sublattices (containing 0 and 1), as tuples of elements.
+
+    The 2^(|L| - 2) candidate families are refused with TooLarge when |L| - 2
+    exceeds the enumeration bound.
+    """
     middle = [e for e in lat.elements if e not in (lat.bottom, lat.top)]
-    if len(middle) > 20:
-        raise ValueError(f"too many elements to enumerate sublattices ({len(lat)})")
+    limit = enum_bound()
+    if len(middle) > limit:
+        raise TooLarge(f"lattice has {len(middle)} elements besides 0 and 1, enumeration bound is {limit}")
     base = (lat.bottom, lat.top) if lat.bottom != lat.top else (lat.bottom,)
     for m in range(1 << len(middle)):
         chosen = [middle[i] for i in range(len(middle)) if m >> i & 1]

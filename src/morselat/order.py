@@ -38,6 +38,39 @@ def closure(rel: Sequence[int]) -> list[int]:
     return out
 
 
+def cover_masks(strict: Sequence[int]) -> list[int]:
+    """Transitive reduction: per element i, the mask of the elements that i covers.
+
+    ``strict[i]`` is the mask of the elements strictly below i.  The elements
+    i covers are strict[i] minus the union of strict[j] over j in strict[i]:
+    O(n^2) int ORs in all.  A j already in that union adds nothing, since
+    strict[j] lies inside the mask that put it there; so the scan skips it,
+    and taking the highest index first visits only the covers when indices
+    are in size order.
+    """
+    out = []
+    for m in strict:
+        deeper = 0
+        rest = m
+        while rest:
+            j = rest.bit_length() - 1
+            deeper |= strict[j]
+            rest &= ~(deeper | 1 << j)
+        out.append(m & ~deeper)
+    return out
+
+
+def mask_pairs(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (i, j) with bit i set in masks[j], by j then i."""
+    out = []
+    for j, m in enumerate(masks):
+        while m:
+            bit = m & -m
+            out.append((bit.bit_length() - 1, j))
+            m ^= bit
+    return out
+
+
 def closed_masks(rel: Sequence[int], within: int | None = None) -> Iterator[int]:
     """Every U inside ``within`` with rel[i] contained in U for each i in U, ascending.
 
@@ -266,22 +299,9 @@ class Poset:
         return Poset(self.carrier, above, _checked=True)
 
     def covers(self) -> list[tuple]:
-        """Cover pairs (p, q) with q covering p (transitive reduction)."""
-        n = len(self.carrier)
-        out = []
-        for i in range(n):
-            strict = self.below[i] & ~(1 << i)
-            rest = strict
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                # j is covered by i iff nothing lies strictly between
-                if not any(
-                    strict >> k & 1 and k != j and self.below[k] >> j & 1
-                    for k in range(n)
-                ):
-                    out.append((self.carrier[j], self.carrier[i]))
-                rest &= rest - 1
-        return out
+        """Cover pairs (p, q) with q covering p (transitive reduction), by q then p in carrier order."""
+        strict = [m & ~(1 << i) for i, m in enumerate(self.below)]
+        return [(self.carrier[i], self.carrier[j]) for i, j in mask_pairs(cover_masks(strict))]
 
 
 def _lex_key(mask: int, n: int) -> tuple:

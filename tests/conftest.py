@@ -1,6 +1,17 @@
 import pytest
 
-from morselat import CellGrid, CellMap, Poset, ds1, ds2, ds3, ingest_interval_map, join_irreducibles
+from morselat import (
+    CellGrid,
+    CellMap,
+    NotJoinIrreducible,
+    Poset,
+    ds1,
+    ds2,
+    ds3,
+    ingest_interval_map,
+    join_irreducibles,
+    predecessor,
+)
 from morselat.order import all_posets
 
 
@@ -82,6 +93,39 @@ def random_poset(rng, n):
                 below[i] = acc
                 changed = True
     return Poset(tuple(range(n)), below)
+
+
+def lower_covers(lat, c):
+    """Indices, ascending, of the elements that c covers, by the cubic scan: the maximal ones strictly below c."""
+    es = lat.elements
+    below = [i for i, a in enumerate(es) if a < c]
+    return [i for i in below if not any(es[i] < es[k] for k in below)]
+
+
+def check_cover_queries(lat):
+    """covers(), the carrier order of J(L) and predecessor() agree with the cubic lower_covers."""
+    es = lat.elements
+    lower = [lower_covers(lat, c) for c in es]
+    assert lat.covers() == [(i, j) for j in range(len(es)) for i in lower[j]]
+    assert join_irreducibles(lat).carrier == tuple(c for c, low in zip(es, lower) if len(low) == 1)
+    for c, low in zip(es, lower):
+        if len(low) == 1:
+            assert predecessor(lat, c) == es[low[0]]
+        else:
+            with pytest.raises(NotJoinIrreducible):
+                predecessor(lat, c)
+
+
+def cubic_poset_covers(poset):
+    """Cover pairs (p, q) of a poset by the cubic scan: p < q with nothing strictly between, by q then p."""
+    n = len(poset.carrier)
+    lt = lambda i, j: i != j and poset.below[j] >> i & 1
+    return [
+        (poset.carrier[i], poset.carrier[j])
+        for j in range(n)
+        for i in range(n)
+        if lt(i, j) and not any(lt(i, k) and lt(k, j) for k in range(n))
+    ]
 
 
 def meet_lower_covers(lat, c):

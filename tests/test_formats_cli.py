@@ -511,6 +511,16 @@ class TestCliVerifyBirkhoff:
         assert payload["round_trip_ok"] is True
         assert len(calls) == 1  # J(L) serves both the Booleanization and the payload
 
+    def test_birkhoff_makes_one_cover_pass(self, tmp_path, monkeypatch):
+        import morselat.lattice
+
+        passes = []
+        real = morselat.lattice.cover_masks
+        monkeypatch.setattr(morselat.lattice, "cover_masks", lambda strict: passes.append(strict) or real(strict))
+        path = write(tmp_path, "poset.json", P3_DOC)
+        assert cli.main(["birkhoff", path, "-o", str(tmp_path / "b.json")]) == 0
+        assert len(passes) == 1  # J(L), the Booleanization and hasse all read it
+
     def test_birkhoff_antichain(self, tmp_path):
         path = write(tmp_path, "poset.json", {"elements": ["a", "b", "c"], "covers": []})
         out = tmp_path / "b.json"

@@ -88,6 +88,8 @@ BIRKHOFF = {
     "chain": {"elements": ["a", "b", "c", "d"], "covers": [["a", "b"], ["b", "c"], ["c", "d"]]},
     "n_poset": {"elements": ["a", "b", "c", "d"], "covers": [["a", "c"], ["b", "c"], ["b", "d"]]},
     "seeded7": seeded_poset(1, 7),
+    # 101 down-sets: the top size band of the benchmark's birkhoff ops
+    "seeded13": seeded_poset(7, 13),
     "lattice": {
         "universe": ["x", "y", "z", "w"],
         "elements": [[], ["x"], ["y"], ["x", "y"], ["x", "y", "z"], ["x", "y", "w"], ["x", "y", "z", "w"]],

@@ -33,9 +33,9 @@ from morselat import (
 from morselat import lattice as lattice_module
 from morselat.dynsys_lift import attractor_sublattice, repeller_sublattice
 from morselat.grid import comb_att_lattice, comb_inv, comb_rep_lattice, grid_lift_problem
-from morselat.order import chain
+from morselat.order import TooLarge, chain
 from morselat.verify import random_systems
-from conftest import all_labeled_posets, check_order_is_inclusion, random_poset
+from conftest import all_labeled_posets, check_cover_queries, check_order_is_inclusion, random_poset
 
 
 def powerset_lattice(labels):
@@ -71,26 +71,53 @@ class TestSetLattice:
             assert lat.leq(a, a)
 
 
-def hasse_oracle(lat):
-    """The transitive reduction of leq: pairs i < j with nothing strictly between, by j then i."""
-    es = lat.elements
-    lt = lambda i, j: i != j and lat.leq(es[i], es[j])
-    n = len(es)
-    between = lambda i, j: any(lt(i, k) and lt(k, j) for k in range(n))
-    return [(i, j) for j in range(n) for i in range(n) if lt(i, j) and not between(i, j)]
+def closed_family(subsets):
+    """The subsets with 0, closed under union and intersection."""
+    family = {frozenset()} | set(subsets)
+    while True:
+        more = {op(a, b) for a in family for b in family for op in (frozenset.union, frozenset.intersection)}
+        if more <= family:
+            return family
+        family |= more
 
 
 class TestCovers:
+    """covers(), J(L) and predecessor() from the one cover pass, against the cubic lower_covers."""
+
     def test_down_set_lattices_of_small_posets(self):
         for n in range(1, 5):
             for p in all_labeled_posets(n):
-                lat = SetLattice.from_poset(p)
-                assert lat.covers() == hasse_oracle(lat), p.below
+                check_cover_queries(SetLattice.from_poset(p))
 
     def test_attractor_lattices_of_random_maps(self):
         for sys in random_systems(200, 9, seed=3):
-            lat = sys.att_lattice()
-            assert lat.covers() == hasse_oracle(lat), dict(sys.next)
+            check_cover_queries(sys.att_lattice())
+
+    def test_fixture_lattices(self, sys1, sys2, sys3, g1, g2, tripod):
+        for sys in (sys1, sys2, sys3):
+            check_cover_queries(sys.att_lattice())
+            check_cover_queries(sys.rep_lattice())
+        for cmap in (g1, g1_at(12), g2, tripod):
+            check_cover_queries(comb_att_lattice(cmap))
+            check_cover_queries(comb_rep_lattice(cmap))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=6))
+    def test_families_closed_under_union_and_intersection(self, subsets):
+        family = closed_family(subsets)
+        check_cover_queries(SetLattice(range(6), family))
+
+    def test_cover_pass_runs_once_per_lattice(self, p3, monkeypatch):
+        lat = SetLattice.from_poset(p3)
+        passes = []
+        real = lattice_module.cover_masks
+        monkeypatch.setattr(lattice_module, "cover_masks", lambda strict: passes.append(strict) or real(strict))
+        jl = join_irreducibles(lat)
+        lat.covers()
+        for c in jl.carrier:
+            predecessor(lat, c)
+        booleanize(lat)
+        assert len(passes) == 1
 
 
 class TestJoinIrreducibles:
@@ -314,6 +341,18 @@ def test_sublattice_enumeration_of_square():
     # {0,1}, {0,a,1}, {0,b,1}, all
     assert len(subs) == 4
     assert (fs(), fs("a", "b")) in subs
+
+
+def test_sublattice_enumeration_bound(monkeypatch):
+    # 21 elements besides 0 and 1 exceed the default bound of 20
+    labels = [str(i) for i in range(22)]
+    with pytest.raises(TooLarge):
+        list(sublattices(SetLattice(labels, [fs(*labels[:k]) for k in range(23)])))
+    monkeypatch.setenv("MORSELAT_MAX_ENUM", "1")
+    with pytest.raises(TooLarge):
+        list(sublattices(powerset_lattice("ab")))
+    monkeypatch.setenv("MORSELAT_MAX_ENUM", "2")
+    assert len(list(sublattices(powerset_lattice("ab")))) == 4
 
 
 # -- the order of every set lattice is inclusion ---------------------------------

@@ -20,7 +20,7 @@ from morselat import (
     is_order_preserving,
     validate_poset,
 )
-from conftest import all_labeled_posets, random_poset
+from conftest import all_labeled_posets, cubic_poset_covers, random_poset
 
 
 def members(downsets):
@@ -138,6 +138,21 @@ class TestDuality:
     def test_from_covers_matches_relation(self, p3):
         leq = [[p3.leq(a, b) for b in p3.carrier] for a in p3.carrier]
         assert validate_poset(p3.carrier, leq) == p3
+
+
+class TestCovers:
+    """Poset.covers, by the mask reduction, against the cubic scan."""
+
+    def test_all_small_posets(self):
+        for n in range(1, 5):
+            for p in all_labeled_posets(n):
+                assert p.covers() == cubic_poset_covers(p), p.below
+
+    def test_seeded_ten_element_posets(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            p = random_poset(rng, 10)
+            assert p.covers() == cubic_poset_covers(p), p.below
 
 
 class TestComplementMap:
