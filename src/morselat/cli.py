@@ -1,9 +1,10 @@
 """Command-line surface: analyze, lift, verify, birkhoff.
 
-Exit codes: 0 success, 2 unreadable or malformed input or a verify flag
-out of range, an interval map whose image leaves its domain or cannot be
-evaluated there, or an output path that cannot be written (the message
-names the path, field, flag, position or cell), 3 enumeration bound
+Exit codes: 0 success, 2 unreadable or malformed input, a verify flag
+out of range, lift's --direct or pins off a grid's attractor side, an
+interval map whose image leaves its domain or cannot be evaluated there, or
+an output path that cannot be written (the message names the path, field,
+flag, position or cell), 3 enumeration bound
 overflow (on a grid the bound counts Morse sets, not cells; in verify, the
 states of each system) or an invalid MORSELAT_MAX_ENUM, 4 lift
 obstruction, 5 a family that is not a lattice or sublattice, whose
@@ -121,13 +122,13 @@ def cmd_analyze(args) -> int:
         _emit(formats.hasse_dot(att), args.output)
         return 0
     payload = formats.lattice_payload(att, config)
-    payload["attractors"] = [formats.sorted_labels(e, att.universe) for e in att.elements]
-    payload["repellers"] = [formats.sorted_labels(e, rep.universe) for e in rep.elements]
+    payload["attractors"] = [formats.sorted_labels(e, att) for e in att.elements]
+    payload["repellers"] = [formats.sorted_labels(e, rep) for e in rep.elements]
     payload["anbhd_count"], payload["rnbhd_count"] = system.neighborhood_counts()
     payload["dual_pairs"] = [
         {
-            "attractor": formats.sorted_labels(e, att.universe),
-            "repeller": formats.sorted_labels(system.dual_repeller(e), att.universe),
+            "attractor": formats.sorted_labels(e, att),
+            "repeller": formats.sorted_labels(system.dual_repeller(e), att),
         }
         for e in att.elements
     ]
@@ -147,6 +148,10 @@ def cmd_lift(args) -> int:
         side = subdoc.get("side", "attractor" if on_grid else "repeller")
         if side not in ("attractor", "repeller"):
             raise ValueError(f'must be "attractor" or "repeller", got {side!r}')
+    if not (on_grid and side == "attractor"):
+        for flag, given in (("--direct", args.direct), ("pins", "pins" in subdoc)):
+            if given:
+                raise InputError(f"{flag!r} applies only to the attractor side of a grid map")
     if on_grid:
         cmap = formats.load_gridmap(doc)
         with formats.input_field("elements"):
@@ -224,9 +229,7 @@ def cmd_birkhoff(args) -> int:
         return 0
     rep = booleanize(lat)
     payload = formats.lattice_payload(lat, config, rep.ground)
-    payload["booleanization_ground"] = [
-        formats.sorted_labels(e, lat.universe) for e in rep.ground.carrier
-    ]
+    payload["booleanization_ground"] = [formats.sorted_labels(e, lat) for e in rep.ground.carrier]
     # round trip: joining the Birkhoff image of each element recovers it
     payload["round_trip_ok"] = all(
         frozenset().union(*rep.j[a]) == a if rep.j[a] else a == frozenset()

@@ -185,9 +185,9 @@ def element_sets(elements) -> list:
 # -- outputs ------------------------------------------------------------------
 
 
-def sorted_labels(members, universe) -> list:
-    order = {u: i for i, u in enumerate(universe)}
-    return sorted(members, key=lambda m: order[m])
+def sorted_labels(members, lat: SetLattice) -> list:
+    """The members in the order of the lattice's universe, through its one label index."""
+    return sorted(members, key=lat._uindex.__getitem__)
 
 
 def lattice_payload(lat: SetLattice, config: RunConfig, jl: Poset | None = None) -> dict:
@@ -197,8 +197,8 @@ def lattice_payload(lat: SetLattice, config: RunConfig, jl: Poset | None = None)
     out.update(
         {
             "universe": list(lat.universe),
-            "elements": [sorted_labels(e, lat.universe) for e in lat.elements],
-            "join_irreducibles": [sorted_labels(e, lat.universe) for e in jl.carrier],
+            "elements": [sorted_labels(e, lat) for e in lat.elements],
+            "join_irreducibles": [sorted_labels(e, lat) for e in jl.carrier],
             "hasse": [list(pair) for pair in lat.covers()],
         }
     )

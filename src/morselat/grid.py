@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import expr as exprmod
 from .lattice import SetLattice, birkhoff_embedding, checked_sublattice
-from .lifting import LiftProblem, PartialLift, lift, transport_by_duality
+from .lifting import LiftProblem, lift, transport_by_duality
 from .order import Poset, TooLarge, closed_masks, enum_bound
 
 GRID_ENUM_BOUND = 16
@@ -346,65 +346,27 @@ def shrink_repelling_block(
     w = frozenset(block)
     if not is_repelling_block(w, cmap):
         raise NotARepellingBlock(f"{sorted(w)} is not a repelling block")
-    return _shrink_steps(w, lambda v: v & cmap.preimage(v), cmap.n if max_depth is None else max_depth)
-
-
-def _shrink_steps(w: frozenset, step, depth: int) -> frozenset:
-    """w, step(w), step(step(w)), ... up to the fixed point or ``depth`` steps."""
-    for _ in range(depth):
-        nxt = step(w)
+    for _ in range(cmap.n if max_depth is None else max_depth):
+        nxt = w & cmap.preimage(w)
         if nxt == w:
-            return w
+            break
         w = nxt
     return w
 
 
-def _shrinking_oracle(partial: PartialLift, q, depths: Iterable[int], block) -> dict:
-    """Conditioners by progressive shrinking, deepest shrink = the image itself.
-
-    ``block(l, depth)`` is the conditioner for the L element l at that
-    depth.  Retries with deeper shrinking before giving up; on exhaustion it
-    returns the deepest family and the engine reports the obstruction.
-    Reads the embedding from the partial lift's own problem so that it works
-    both for direct problems and for duality-transported ones.
-    """
-    problem = partial.problem
-    s = problem.s
-    downs = problem.down_sets()
-    mu = frozenset(problem.poset.down_set(q).members)
-    k_lam = partial.table[partial.lam]
-    family = {}
-    for depth in depths:
-        family = {alpha: block(s[alpha], depth) for alpha in downs}
-        if all((family[mu] & family[alpha]) <= k_lam for alpha in downs if q not in alpha):
-            return family
-    return family
-
-
-def _rep_sublattice(cmap: CellMap, images: Iterable[Iterable[int]]) -> SetLattice:
-    return checked_sublattice(tuple(range(cmap.n)), images, lambda w: comb_inv_plus(w, cmap))
-
-
-def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping) -> LiftProblem:
+def _rep_problem(cmap: CellMap, poset: Poset, s: Mapping) -> LiftProblem:
     def section(l: frozenset) -> frozenset:
         if not is_repelling_block(l, cmap) or comb_inv_plus(l, cmap) != l:
             raise NotARepellingBlock(f"no repelling block realizes {sorted(l)}")
         return l
 
-    def oracle(partial: PartialLift, q) -> dict:
-        shrink = lambda l, d: _shrink_steps(l, lambda v: v & cmap.preimage(v), d)
-        return _shrinking_oracle(partial, q, range(cmap.n + 1), shrink)
-
     return LiftProblem(
         poset=poset,
-        target=lat,
         s=s,
         ambient=cmap.all_cells(),
         h=lambda w: comb_inv_plus(w, cmap),
         section=section,
-        conditioner_oracle=oracle,
         member=lambda w: is_repelling_block(w, cmap),
-        top_unique=True,
     )
 
 
@@ -413,12 +375,13 @@ def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftPro
 
     The image family must form a bounded distributive sublattice under union
     and comb_inv_plus(cap); each image is its own repelling block (anything
-    outside a block pointing into the walk-core would itself have an infinite
-    walk), so sections are the images themselves, and conditioners shrink
-    from them.
+    outside a block pointing into the walk-core would itself have an
+    infinite walk), so the sections, and with them the conditioners, are the
+    images themselves; an image that is no repelling block raises
+    NotARepellingBlock when the lift takes its section.
     """
-    lat = _rep_sublattice(cmap, images)
-    return _rep_problem(cmap, lat, *birkhoff_embedding(lat))
+    lat = checked_sublattice(tuple(range(cmap.n)), images, lambda w: comb_inv_plus(w, cmap))
+    return _rep_problem(cmap, *birkhoff_embedding(lat))
 
 
 def grid_attractor_lift(
@@ -429,13 +392,15 @@ def grid_attractor_lift(
 ):
     """Lift an attractor-side sublattice, by duality transport or directly.
 
-    Both routes share one problem, h = comb_inv on attracting blocks.  The
-    direct route runs the induction on it; ``pinned`` forces specific block
-    choices, each checked first to be an attracting block whose comb_inv is
-    its attractor (and the obstruction, when the pinned family admits no
-    conditioners, surfaces as ObstructionFound).  The duality route realizes
-    * as A -> comb_inv_plus(N^c) for a block N with comb_inv(N) = A, lifts on
-    the repeller side, and transports back through cell-set complement.
+    Both routes share one problem, h = comb_inv on attracting blocks, whose
+    section takes each attractor A to its pinned block or else to the
+    forward closure of A; each pin is checked first to be an attracting
+    block whose comb_inv is its attractor.  The direct route runs the
+    induction on it, with the sections as conditioners (when they violate
+    Eq (20), the obstruction surfaces as ObstructionFound).  The duality
+    route realizes * as A -> comb_inv_plus(N^c) for the section N of A,
+    lifts on the repeller side, whose embedding check certifies the dual
+    family, and transports back through cell-set complement.
     """
     ambient = cmap.all_cells()
     lat = checked_sublattice(tuple(range(cmap.n)), images, lambda n: comb_inv(n, cmap))
@@ -453,27 +418,15 @@ def grid_attractor_lift(
             raise NotAnAttractingBlock(f"no attracting block realizes {sorted(a)}")
         return blk
 
-    def block(l: frozenset, depth: int) -> frozenset:
-        return pinned[l] if l in pinned else _shrink_steps(att_block_for(l), cmap.image, depth)
-
-    def oracle(partial: PartialLift, q) -> dict:
-        return _shrinking_oracle(partial, q, range(cmap.n + 1), block)
-
     problem = LiftProblem(
         poset=poset,
-        target=lat,
         s=s,
         ambient=ambient,
         h=lambda n: comb_inv(n, cmap),
         section=att_block_for,
-        conditioner_oracle=oracle,
         member=lambda n: is_attracting_block(n, cmap),
-        top_unique=lat.top == ambient,
     )
     if direct:
         return lift(problem)
     star = {a: comb_inv_plus(ambient - att_block_for(a), cmap) for a in lat.elements}
-    rep_lat = _rep_sublattice(cmap, star.values())
-    return transport_by_duality(
-        problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, rep_lat, dual, s_rep)
-    )
+    return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, dual, s_rep))

@@ -1,24 +1,30 @@
 """Constructive lifting of lattice embeddings through epimorphisms.
 
 Given an embedding s of a down-set lattice O(P) into L and an epimorphism
-h : K -> L evaluated by oracles, the engine runs the inductive construction:
-start with k(0) = 0, repeatedly pick a minimal q outside the current down-set
-lambda, obtain conditioners v_alpha in h^-1(s(alpha)) satisfying
+h : K -> L evaluated by oracles, the engine runs the inductive construction
+with one fixed conditioner family, the section's preimages
+
+    v_alpha = section(s(alpha)) in h^-1(s(alpha)),
+
+computed once: start with k(0) = 0, repeatedly pick a minimal q outside the
+current down-set lambda, check
 
     v_mu ^ v_alpha <= k(lambda)      (mu = down-set of q, q not in alpha)
 
-combine them with the cached ones by meet, carve the new Booleanization atom
+carve the new Booleanization atom
 
     B_q = v_mu ^ k(lambda)^c
 
 and extend k to all down-sets inside lambda union mu by unions of atoms.
 Every concrete K in this package is a sublattice of a powerset, so atoms are
 plain set differences and the ambient Boolean algebra never needs to be
-materialized.
+materialized.  L is read off h: 0 is the empty set, 1 = h(ambient), join is
+union and meet is h(a ^ b).
 
-The certificate records the assignment, the atoms, and a per-step audit of
-the disjointness and annihilation identities; LiftCertificate.verify()
-re-checks everything independently of the construction path.
+The certificate records the assignment and a per-step audit (with the step's
+atom) of the disjointness and annihilation identities;
+LiftCertificate.verify() re-checks everything independently of the
+construction path.
 """
 
 from __future__ import annotations
@@ -73,22 +79,20 @@ class LiftProblem:
     """A lifting instance: find k with h o k = s.
 
     ``s`` maps every down-set of ``poset`` (as a frozenset of carrier labels)
-    to an element of ``target``.  K is a sublattice of the powerset of
-    ``ambient``; ``h`` evaluates the epimorphism on any K element,
-    ``section`` produces some h-preimage of an L element, and
-    ``conditioner_oracle(partial_lift, q)`` returns a full family
-    {alpha -> v_alpha} over O(P).
+    to an element of L.  K is a sublattice of the powerset of ``ambient``;
+    ``h`` evaluates the epimorphism on any K element, ``section`` produces
+    some h-preimage of an L element, and ``member`` (None to skip the test)
+    decides membership in K.  The conditioners are the section's preimages
+    of the s values, one fixed family for every step; none is shrunk or
+    combined by meet.
     """
 
     poset: Poset
-    target: SetLattice
     s: Mapping[frozenset, frozenset]
     ambient: frozenset
     h: Callable[[frozenset], frozenset]
     section: Callable[[frozenset], frozenset]
-    conditioner_oracle: Callable[["PartialLift", object], Mapping[frozenset, frozenset]]
-    member: Callable[[frozenset], bool] | None = None
-    top_unique: bool = True
+    member: Callable[[frozenset], bool] | None
 
     @cached_property
     def _downs(self) -> list[frozenset]:
@@ -99,19 +103,19 @@ class LiftProblem:
         return self._downs
 
     def check_embedding(self) -> None:
+        """s is total, injective and a bounded lattice hom into L = (0, h(ambient), union, h(a ^ b))."""
         downs = self.down_sets()
         missing = [d for d in downs if d not in self.s]
         if missing:
             raise NotAnEmbedding(f"s is not total on O(P); missing {missing[0]!r}")
         if len({self.s[d] for d in downs}) != len(downs):
             raise NotAnEmbedding("s is not injective")
-        lat = self.target
-        if self.s[frozenset()] != lat.bottom:
+        if self.s[frozenset()] != frozenset():
             raise NotAnEmbedding("s(0) != 0")
         full = frozenset(self.poset.carrier)
-        if self.s[full] != lat.top:
+        if self.s[full] != self.h(self.ambient):
             raise NotAnEmbedding("s(1) != 1")
-        broken = _broken_law(downs, self.s, lat.join, lat.meet)
+        broken = _broken_law(downs, self.s, or_, lambda a, b: self.h(a & b))
         if broken:
             raise NotAnEmbedding(f"s does not preserve {broken[0]} at {broken[1]!r}")
 
@@ -142,7 +146,6 @@ class LiftStep:
     q: object
     mu: frozenset
     lam_before: frozenset
-    conditioners: dict
     atom: frozenset
     checks: dict
 
@@ -151,7 +154,6 @@ class LiftStep:
 class LiftCertificate:
     problem: LiftProblem
     table: dict[frozenset, frozenset]
-    atoms: dict
     audit: list[LiftStep]
     top_preserved: bool
 
@@ -268,17 +270,21 @@ def lift(problem: LiftProblem) -> LiftCertificate:
     downs = problem.down_sets()
     ambient = problem.ambient
 
+    if not poset.carrier:
+        return LiftCertificate(problem, {frozenset(): ambient}, [], True)
+
+    # the one conditioner family: v_alpha = section(s(alpha)), each checked
+    # to be an h-preimage of s(alpha); it anchors k(down q) at the base step
+    cond: dict[frozenset, frozenset] = {}
+    for alpha in downs:
+        v = problem.section(problem.s[alpha])
+        if problem.h(v) != problem.s[alpha]:
+            raise SectionInconsistent(f"section for {sorted(map(repr, problem.s[alpha]))} has the wrong h image")
+        cond[alpha] = v
+
     table: dict[frozenset, frozenset] = {frozenset(): frozenset(), full: ambient}
     atoms: dict = {}
-    cond: dict[frozenset, frozenset] = {}
     audit: list[LiftStep] = []
-
-    if not poset.carrier:
-        top = ambient
-        if problem.h(top) != problem.s[full]:
-            raise SectionInconsistent("h(1) != s(1) on the empty poset")
-        return LiftCertificate(problem, {frozenset(): ambient}, {}, [], True)
-
     lam: frozenset = frozenset()
     step = 0
     while lam != full:
@@ -289,29 +295,6 @@ def lift(problem: LiftProblem) -> LiftCertificate:
         )
         mu = frozenset(poset.down_set(q).members)
         mu_pred = mu - {q}
-        partial = PartialLift(problem, lam, dict(table), dict(cond) if cond else None)
-
-        step_cond = dict(problem.conditioner_oracle(partial, q))
-        if step == 0:
-            # base case: the first k(down q) is anchored by the section oracle;
-            # the combine below may only legally shrink it (Remark on
-            # conditioner shrinking), which keeps it an h-preimage of s(mu)
-            v_mu = problem.section(problem.s[mu])
-            if problem.h(v_mu) != problem.s[mu]:
-                raise SectionInconsistent(
-                    f"section for {sorted(map(repr, problem.s[mu]))} has the wrong h image"
-                )
-            cond[mu] = frozenset(v_mu)
-
-        for alpha in downs:
-            if alpha not in step_cond:
-                raise ConditionerMissing(alpha)
-            v = step_cond[alpha]
-            if problem.h(v) != problem.s[alpha]:
-                raise SectionInconsistent(
-                    f"conditioner for alpha={sorted(map(repr, alpha))} has the wrong h image"
-                )
-            cond[alpha] = (cond[alpha] & v) if alpha in cond else frozenset(v)
 
         # Eq (20): v_mu ^ v_alpha <= k(lambda) whenever q not in alpha; at the
         # base step k(lambda) = 0 and this is exactly condition (i)
@@ -351,7 +334,7 @@ def lift(problem: LiftProblem) -> LiftCertificate:
         if not all(checks.values()):
             failed = [name for name, ok in checks.items() if not ok]
             raise LiftError(f"step {step} audit failed: {failed} (q={q!r})")
-        audit.append(LiftStep(q, mu, lam, {a: cond[a] for a in downs}, b_q, checks))
+        audit.append(LiftStep(q, mu, lam, b_q, checks))
         lam = new_lam
         step += 1
 
@@ -361,11 +344,9 @@ def lift(problem: LiftProblem) -> LiftCertificate:
     if problem.h(union_top) != problem.s[full]:
         raise LiftError("terminal h(k(1)) != s(1)")
     top_preserved = union_top == ambient
-    if problem.top_unique and not top_preserved:
-        raise TopNotUnique(
-            "h^-1(1) = 1 was declared but the terminal value is not the ambient top"
-        )
-    cert = LiftCertificate(problem, table, atoms, audit, top_preserved)
+    if not top_preserved and problem.h(ambient) == ambient:
+        raise TopNotUnique("h^-1(1) = 1, but the terminal value is not the ambient top")
+    cert = LiftCertificate(problem, table, audit, top_preserved)
     cert.verify()
     return cert
 
@@ -462,7 +443,7 @@ def transport_by_duality(
     s_rep = {carrier - alpha: star(problem.s[alpha]) for alpha in downs}
     rep_cert = lift(rep_problem(problem.poset.dual(), s_rep))
     table = {alpha: problem.ambient - rep_cert.table[carrier - alpha] for alpha in downs}
-    cert = LiftCertificate(problem, table, {}, list(rep_cert.audit), rep_cert.top_preserved)
+    cert = LiftCertificate(problem, table, list(rep_cert.audit), rep_cert.top_preserved)
     cert.verify()
     return cert
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from morselat import (
     CellGrid,
@@ -13,6 +14,12 @@ from morselat import (
     predecessor,
 )
 from morselat.order import all_posets
+
+# small single-valued maps (targets of states 0..n-1) and cell maps (arrows of cells 0..n-1)
+small_maps = st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+small_cell_maps = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=n, max_size=n)
+)
 
 
 @pytest.fixture

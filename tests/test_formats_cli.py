@@ -45,6 +45,7 @@ P3_DOC = {"elements": ["1", "2", "3"], "covers": [["1", "2"], ["1", "3"]]}
 
 TRIPOD_DOC = {"type": "cell_map", "cells": 4, "arrows": [[0], [0], [1, 2], [1, 3]]}
 TRIPOD_ATT = [[], [0], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]]
+TRIPOD_REP = [[], [2], [3], [2, 3], [0, 1, 2, 3]]
 
 
 def write(tmp_path, name, doc):
@@ -223,10 +224,16 @@ class TestCliAnalyze:
             ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, "0"], [False, True]]}], "leq"),
             ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, 1], [0, True]]}], "leq"),
             ("birkhoff", [{"elements": ["1", "2"], "leq": [[True, None], [False, True]]}], "leq"),
+            # --direct and pins apply only to the attractor side of a grid map (a string is a flag)
+            ("lift", [DS1_DOC, {"side": "attractor", "elements": [[], ["z"], ["z", "b"]], "pins": [[["z"], ["a"]]]}], "pins"),
+            ("lift", [DS1_DOC, {"side": "attractor", "elements": [[], ["z"], ["z", "b"]]}, "--direct"], "--direct"),
+            ("lift", [DS1_DOC, {"side": "repeller", "elements": [[], ["m", "z"], ["a", "b"], list("mzab")]}, "--direct"], "--direct"),
+            ("lift", [TRIPOD_DOC, {"side": "repeller", "elements": TRIPOD_REP, "pins": [[[0], [3]]]}], "pins"),
+            ("lift", [TRIPOD_DOC, {"side": "repeller", "elements": TRIPOD_REP}, "--direct"], "--direct"),
         ],
     )
     def test_malformed_field_exit_2(self, tmp_path, capsys, command, docs, field):
-        paths = [write(tmp_path, f"input{i}.json", doc) for i, doc in enumerate(docs)]
+        paths = [doc if isinstance(doc, str) else write(tmp_path, f"input{i}.json", doc) for i, doc in enumerate(docs)]
         assert cli.main([command] + paths) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "parse" and repr(field) in err["message"]

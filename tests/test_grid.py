@@ -23,6 +23,7 @@ from morselat import (
     ingest_interval_map,
 )
 from morselat.grid import (
+    _forward_closure,
     attracting_blocks,
     block_lattices,
     comb_att_lattice,
@@ -280,6 +281,32 @@ class TestMorseRoute:
         monkeypatch.setenv("MORSELAT_MAX_ENUM", "6")
         with pytest.raises(TooLarge):
             comb_att_lattice(g1)
+
+
+def check_sections_are_fixed(cmap):
+    """Shrinking the lift's sections would change none of them, so the lift takes them as they are.
+
+    An attractor's section is its forward closure N, and F(N) = N; a
+    repeller is its own section, and r ^ F^-1(r) = r.
+    """
+    for a in comb_att_lattice(cmap).elements:
+        n = _forward_closure(a, cmap)
+        assert cmap.image(n) == n
+    for r in comb_rep_lattice(cmap).elements:
+        assert r & cmap.preimage(r) == r
+
+
+class TestNothingShrinks:
+    def test_fixtures(self, g1, g2, tripod):
+        for cmap in [g1, g2, tripod] + small_fixtures():
+            check_sections_are_fixed(cmap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell_maps)
+    def test_random_cell_maps(self, arrows):
+        cmap = CellMap(CellGrid(0.0, float(len(arrows)), len(arrows)), tuple(arrows))
+        assume(len(attracting_blocks(cmap)) <= 32)
+        check_sections_are_fixed(cmap)
 
 
 class TestShrink:

@@ -31,11 +31,19 @@ from morselat import (
     sublattices,
 )
 from morselat import lattice as lattice_module
-from morselat.dynsys_lift import attractor_sublattice, repeller_sublattice
-from morselat.grid import comb_att_lattice, comb_inv, comb_rep_lattice, grid_lift_problem
+from morselat.dynsys_lift import attractor_lift, attractor_sublattice, repeller_sublattice
+from morselat.lifting import lift
+from morselat.grid import comb_att_lattice, comb_inv, comb_inv_plus, comb_rep_lattice, grid_lift_problem
 from morselat.order import TooLarge, chain
 from morselat.verify import random_systems
-from conftest import all_labeled_posets, check_cover_queries, check_order_is_inclusion, random_poset
+from conftest import (
+    all_labeled_posets,
+    check_cover_queries,
+    check_order_is_inclusion,
+    random_poset,
+    small_cell_maps,
+    small_maps,
+)
 
 
 def powerset_lattice(labels):
@@ -368,17 +376,14 @@ def grid_lattices(cmap):
     """The combinatorial Att and Rep of a cell map, and each again as a checked sublattice."""
     att, rep = comb_att_lattice(cmap), comb_rep_lattice(cmap)
     att_sub = checked_sublattice(range(cmap.n), att.elements, lambda x: comb_inv(x, cmap))
-    return [att, rep, att_sub, grid_lift_problem(cmap, rep.elements).target]
+    rep_sub = checked_sublattice(range(cmap.n), rep.elements, lambda x: comb_inv_plus(x, cmap))
+    return [att, rep, att_sub, rep_sub]
 
 
 def g1_at(cells):
     return ingest_interval_map("(x + x^3)/2", CellGrid(-1.0, 1.0, cells))
 
 
-small_maps = st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-small_cell_maps = st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=n, max_size=n)
-)
 
 
 class TestInclusionOrder:
@@ -428,3 +433,68 @@ class TestInclusionOrder:
         monkeypatch.setattr(lattice_module, "_closure_failure", lambda *args: passes.append(args) or real(*args))
         grid_lift_problem(g1, rep.elements)
         assert len(passes) == 1
+
+
+# -- a lift problem reads L off h --------------------------------------------------
+
+
+def front_ends(exact=None, cmap=None):
+    """(side, lattice, h, ambient, declared) for each lift front-end of a system or cell map.
+
+    ``declared`` is the h^-1(1) = 1 flag each front-end passed to the lift
+    before the lift read it off h as h(ambient) == ambient.
+    """
+    if exact is not None:
+        ambient = frozenset(exact.states)
+        return [
+            ("attractor", attractor_sublattice(exact, exact.att_lattice().elements), exact.inv, ambient, False),
+            ("repeller", repeller_sublattice(exact, exact.rep_lattice().elements), exact.inv_plus, ambient, True),
+        ]
+    ambient = cmap.all_cells()
+    inv, inv_plus = (lambda x: comb_inv(x, cmap)), (lambda x: comb_inv_plus(x, cmap))
+    att = checked_sublattice(range(cmap.n), comb_att_lattice(cmap).elements, inv)
+    rep = checked_sublattice(range(cmap.n), comb_rep_lattice(cmap).elements, inv_plus)
+    return [("attractor", att, inv, ambient, att.top == ambient), ("repeller", rep, inv_plus, ambient, True)]
+
+
+def check_lattice_is_read_off_h(exact=None, cmap=None):
+    """0 is the empty set, 1 = h(ambient), join is union and meet is h(a & b); the flag is h(ambient) == ambient.
+
+    The one exception is Att of a permutation, declared False with every
+    state on a cycle; its lift keeps the top, so the flag never decided it.
+    """
+    for side, lat, h, ambient, declared in front_ends(exact, cmap):
+        assert lat.bottom == frozenset() and lat.top == h(ambient)
+        for a in lat.elements:
+            for b in lat.elements:
+                assert lat.join(a, b) == a | b and lat.meet(a, b) == h(a & b)
+        if declared != (h(ambient) == ambient):
+            assert exact is not None and side == "attractor" and frozenset().union(*exact.cycles()) == ambient
+            assert lift(attractor_lift(exact, lat.elements).problem).top_preserved
+
+
+class TestLatticeReadOffH:
+    def test_exact_fixtures(self, sys1, sys2, sys3):
+        for sys in (sys1, sys2, sys3):
+            check_lattice_is_read_off_h(exact=sys)
+
+    def test_grid_fixtures(self, g1, g2, tripod):
+        for cmap in (g1, g2, tripod, g1_at(12)):
+            check_lattice_is_read_off_h(cmap=cmap)
+
+    def test_permutation(self):
+        check_lattice_is_read_off_h(exact=FiniteDynSys("xyw", {"x": "y", "y": "x", "w": "w"}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_maps)
+    def test_random_maps(self, targets):
+        sys = FiniteDynSys(range(len(targets)), dict(enumerate(targets)))
+        assume(len(sys.cycles()) <= 4)
+        check_lattice_is_read_off_h(exact=sys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_cell_maps)
+    def test_random_cell_maps(self, arrows):
+        cmap = CellMap(CellGrid(0.0, float(len(arrows)), len(arrows)), tuple(arrows))
+        assume(len(grid._morse_attractors(cmap)) <= 16)
+        check_lattice_is_read_off_h(cmap=cmap)

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from morselat import (
     CellGrid,
@@ -30,13 +32,18 @@ from morselat import (
     repeller_sublattice,
     spaciousness_falsifier,
 )
-from morselat import lattice
-from morselat.lattice import sublattices
+from morselat import dynsys_lift, grid, lattice
+from morselat.grid import _forward_closure, _morse_attractors, comb_att_lattice, comb_inv_plus
+from morselat.lattice import checked_sublattice, sublattices
 from morselat.order import all_posets
+from conftest import small_cell_maps, small_maps
 
 
 def fs(*items):
     return frozenset(items)
+
+
+TRIPOD_FAMILY = [fs(), fs(0), fs(0, 1, 2), fs(0, 1, 3), fs(0, 1, 2, 3)]
 
 
 def powerset_lattice(labels):
@@ -54,14 +61,11 @@ def identity_problem(labels="ab"):
     poset, s = birkhoff_embedding(lat)
     return LiftProblem(
         poset=poset,
-        target=lat,
         s=s,
         ambient=fs(*labels),
         h=lambda u: u,
         section=lambda l: l,
-        conditioner_oracle=lambda partial, q: dict(partial.problem.s),
         member=lambda u: True,
-        top_unique=True,
     )
 
 
@@ -160,14 +164,11 @@ def tripod_problem(tripod):
     ap = fs(0, 1, 3)
     prob = LiftProblem(
         poset=poset,
-        target=lat,
         s=s,
         ambient=fs(0, 1, 2, 3),
         h=lambda n: comb_inv(n, tripod),
         section=lambda l: l,
-        conditioner_oracle=lambda partial, q: dict(partial.problem.s),
         member=None,
-        top_unique=True,
     )
     a0d = fs(a0)
     amd = fs(a0, am)
@@ -216,17 +217,7 @@ class TestLift:
 
     def test_section_inconsistency_detected(self):
         prob = identity_problem()
-        bad = LiftProblem(
-            poset=prob.poset,
-            target=prob.target,
-            s=prob.s,
-            ambient=prob.ambient,
-            h=prob.h,
-            section=lambda l: fs("a", "b"),
-            conditioner_oracle=prob.conditioner_oracle,
-            member=prob.member,
-            top_unique=True,
-        )
+        bad = dataclasses.replace(prob, section=lambda l: fs("a", "b"))
         with pytest.raises(SectionInconsistent):
             lift(bad)
 
@@ -316,6 +307,93 @@ class TestTransport:
         else:
             grid_attractor_lift(tripod, [fs(), fs(0), fs(0, 1, 2), fs(0, 1, 3), fs(0, 1, 2, 3)])
         assert len(calls) == 1
+
+
+class Tagged(frozenset):
+    """A section's value: set operations on it give plain frozensets, so h can tell it apart."""
+
+
+def counting(problem):
+    """The problem with section and h wrapped to count section calls and h calls on section values."""
+    calls = {"section": 0, "h on a section": 0}
+
+    def section(l):
+        calls["section"] += 1
+        return Tagged(problem.section(l))
+
+    def h(u):
+        calls["h on a section"] += isinstance(u, Tagged)
+        return problem.h(u)
+
+    return dataclasses.replace(problem, section=section, h=h), calls
+
+
+def test_lift_takes_each_conditioner_once(sys1, tripod, g1):
+    problems = [
+        repeller_lift_problem(sys1, sys1.rep_lattice().elements),
+        grid_lift_problem(g1, comb_rep_lattice(g1).elements),
+        grid_attractor_lift(g1, comb_att_lattice(g1).elements, direct=True).problem,
+        grid_attractor_lift(tripod, TRIPOD_FAMILY, direct=True, pinned={fs(0): fs(0, 1)}).problem,
+    ]
+    for problem in problems:
+        counted, calls = counting(problem)
+        cert = lift(counted)
+        n = len(problem.down_sets())
+        assert len(cert.audit) > 1
+        assert calls == {"section": n, "h on a section": n}
+        assert cert.table == lift(problem).table
+
+
+@pytest.mark.parametrize("route", ["exact", "grid"])
+def test_attractor_lift_by_duality_checks_one_sublattice(route, sys1, tripod, monkeypatch):
+    calls = []
+    module = dynsys_lift if route == "exact" else grid
+    real = module.checked_sublattice
+    monkeypatch.setattr(module, "checked_sublattice", lambda *args: calls.append(args) or real(*args))
+    if route == "exact":
+        attractor_lift(sys1, sys1.att_lattice().elements).verify()
+    else:
+        grid_attractor_lift(tripod, TRIPOD_FAMILY).verify()
+    assert len(calls) == 1
+
+
+def check_star_images(exact=None, cmap=None):
+    """The duality route's dual family of every attractor sublattice is a sublattice of repellers.
+
+    It passes repeller_sublattice on an exact system and checked_sublattice
+    under comb_inv_plus on a cell map; the route itself certifies it only
+    through the embedding check of its repeller lift.
+    """
+    if exact is not None:
+        for sub in sublattices(exact.att_lattice()):
+            repeller_sublattice(exact, [exact.dual_repeller(a) for a in sub])
+        return
+    ambient = cmap.all_cells()
+    for sub in sublattices(comb_att_lattice(cmap)):
+        star = [comb_inv_plus(ambient - _forward_closure(a, cmap), cmap) for a in sub]
+        checked_sublattice(tuple(range(cmap.n)), star, lambda w: comb_inv_plus(w, cmap))
+
+
+class TestStarImages:
+    def test_fixtures(self, sys1, sys2, sys3, tripod, g2):
+        for system in (sys1, sys2, sys3):
+            check_star_images(exact=system)
+        for cmap in (tripod, g2):
+            check_star_images(cmap=cmap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_maps)
+    def test_random_maps(self, targets):
+        system = FiniteDynSys(range(len(targets)), dict(enumerate(targets)))
+        assume(len(system.att_lattice()) <= 8)
+        check_star_images(exact=system)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_cell_maps)
+    def test_random_cell_maps(self, arrows):
+        cmap = CellMap(CellGrid(0.0, float(len(arrows)), len(arrows)), tuple(arrows))
+        assume(len(_morse_attractors(cmap)) <= 8)
+        check_star_images(cmap=cmap)
 
 
 def test_lift_enumerates_down_sets_once(tripod, g1, monkeypatch):
