@@ -5,8 +5,9 @@ out of range, lift's --direct or pins off a grid's attractor side, an
 interval map whose image leaves its domain or cannot be evaluated there, or
 an output path that cannot be written (the message names the path, field,
 flag, position or cell), 3 enumeration bound
-overflow (on a grid the bound counts Morse sets, not cells; in verify, the
-states of each system) or an invalid MORSELAT_MAX_ENUM, 4 lift
+overflow (on a grid the bound counts Morse sets, not cells; on a finite
+system analyze counts cycles; in verify, the states of each system) or an
+invalid MORSELAT_MAX_ENUM, 4 lift
 obstruction, 5 a family that is not a lattice or sublattice, whose
 elements no block realizes, or with a pin that is not an attracting block
 for its attractor.

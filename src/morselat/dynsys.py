@@ -12,8 +12,12 @@ alpha(U) the union of alpha(x) (the basin of x's cycle when x lies on one,
 else empty).  The cycles, their basins and the per-state limit sets all come
 from one walk of the map, made once per system.  The attracting (repelling)
 neighborhoods are the sets closed under x -> omega(x) (x -> alpha(x)),
-enumerated output-sensitively by ``order.closed_masks``.  Nothing here scans
-all 2^n subsets; that is left to the exhaustive oracle in ``verify``.
+enumerated output-sensitively by ``order.closed_masks``, and counted in
+closed form from the cycles and their basins.  Att, Rep, the duals and the
+commuting square of diagram (1) are built from the unions of cycles, so
+their cost grows with 2^cycles; listing the neighborhoods grows with their
+number.  Nothing here scans all 2^n subsets; that is left to the exhaustive
+oracle in ``verify``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import partial
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import SetLattice
-from .order import TooLarge, UnknownElement, closed_masks, enum_bound
+from .order import TooLarge, UnknownElement, _lex_key, closed_masks, enum_bound
 
 
 class InvalidOrbit(ValueError):
@@ -341,18 +345,13 @@ class FiniteDynSys:
         m = self.mask(subset)
         return not (self._alpha_mask(m) & ~m)
 
-    def _check_bound(self) -> None:
-        limit = enum_bound()
-        if self._n > limit:
-            raise TooLarge(f"{self._n} states exceeds enumeration bound {limit}")
-
     def _attracting_masks(self):
         """Attracting neighborhoods as ascending masks: the sets closed under x -> omega(x)."""
-        self._check_bound()
+        _check_bound(self._n, "states")
         return closed_masks(self._omega_points())
 
     def _repelling_masks(self):
-        self._check_bound()
+        _check_bound(self._n, "states")
         return closed_masks(self._alpha_points())
 
     def attracting_neighborhoods(self) -> list[frozenset]:
@@ -362,15 +361,23 @@ class FiniteDynSys:
         return [self.unmask(m) for m in self._repelling_masks()]
 
     def neighborhood_counts(self) -> tuple[int, int]:
-        """(number of attracting, number of repelling neighborhoods), without listing them."""
-        return (
-            sum(1 for _ in self._attracting_masks()),
-            sum(1 for _ in self._repelling_masks()),
-        )
+        """(number of attracting, number of repelling neighborhoods), without listing them.
+
+        An attracting neighborhood meets the basin of a cycle C nowhere, or
+        in C and any part of the rest of the basin, so their number is the
+        product over cycles of 1 + 2^(|basin C| - |C|).  U is attracting iff
+        U^c is repelling (Prop 4.6), so there are as many repelling ones.
+        """
+        count = 1
+        for c, b in self._limit_points()[3]:
+            count *= 1 + (1 << (b.bit_count() - c.bit_count()))
+        return count, count
 
     def _recurrent_unions(self):
-        """The unions of cycles: the omega-closed subsets of the cycle states."""
-        return closed_masks(self._omega_points(), within=sum(self._cycle_masks()))
+        """The unions of cycles, ascending: the omega-closed subsets of the cycle states."""
+        cycles = self._cycle_masks()
+        _check_bound(len(cycles), "cycles")
+        return closed_masks(self._omega_points(), within=sum(cycles))
 
     def att_lattice(self) -> SetLattice:
         """Att = omega images of attracting neighborhoods, join union, core Inv.
@@ -380,7 +387,6 @@ class FiniteDynSys:
         unions of cycles.  Built once per system; its core holds no reference
         to the system, so the cache makes no reference cycle.
         """
-        self._check_bound()
         if self._att_cache is None:
             core = partial(_inv_labels, self.states, self.index, self._img1)
             self._att_cache = SetLattice(self.states, map(self.unmask, self._recurrent_unions()), core)
@@ -388,7 +394,6 @@ class FiniteDynSys:
 
     def rep_lattice(self) -> SetLattice:
         """Rep = alpha images of repelling neighborhoods: the unions of basins of cycles."""
-        self._check_bound()
         elems = {self._alpha_mask(m) for m in self._recurrent_unions()}
         return SetLattice(self.states, (self.unmask(m) for m in elems))
 
@@ -480,12 +485,25 @@ class FiniteDynSys:
         return True, None, None
 
     def commuting_square_check(self) -> PairReport:
-        """Diagram (1): omega = Inv on ANbhd, alpha = Inv+ on RNbhd, and the square commutes."""
-        att = self.att_lattice()
-        star = {x: self.dual_repeller(x) for x in att.elements}
-        star_mask = {self.mask(x): self.mask(sx) for x, sx in star.items()}
+        """Diagram (1) on the certificate family: each attractor A and its basin.
+
+        The basin of a union of cycles is its alpha.  ``verify`` tag D1 walks
+        every attracting neighborhood with the same routine.
+        """
+        return self._square(m for a in self._recurrent_unions() for m in (a, self._alpha_mask(a)))
+
+    def _square(self, masks) -> PairReport:
+        """Diagram (1) on the attracting neighborhoods ``masks``, then Props 4.6/4.7 on Att.
+
+        On each U: omega(U) = Inv(U), U^c is repelling with alpha(U^c) =
+        Inv+(U^c), and the square commutes, omega(U)* = alpha(U^c).  Att is
+        walked in its lattice order, so a failing law names the same pair as
+        on ``att_lattice().elements``.
+        """
+        atts = sorted(self._recurrent_unions(), key=lambda m: (m.bit_count(), _lex_key(m, self._n)))
+        star = {a: self._dual_mask(a, True) for a in atts}
         full = self._full
-        for m in self._attracting_masks():
+        for m in masks:
             om = self._omega_mask(m)
             if _inv(self._img1, m) != om:
                 return PairReport(False, "Inv(U) != omega(U) on an attracting neighborhood", self.unmask(m))
@@ -495,21 +513,28 @@ class FiniteDynSys:
                 return PairReport(False, "U attracting but U^c not repelling", self.unmask(m))
             if _inv_plus(self._img1, mc) != al:
                 return PairReport(False, "Inv+(U^c) != alpha(U^c)", self.unmask(m))
-            if star_mask.get(om) != al:
+            if star.get(om) != al:
                 return PairReport(False, "omega(U)* != alpha(U^c)", self.unmask(m))
-        # Props 4.6 / 4.7: the anti-isomorphism laws on the full lattices
-        for x in att.elements:
-            for y in att.elements:
-                if star[att.join(x, y)] != star[x] & star[y]:
-                    return PairReport(False, "(A v A')* != A* ^ A'*", (x, y))
-                if star[att.meet(x, y)] != star[x] | star[y]:
-                    return PairReport(False, "(A ^ A')* != A* v A'*", (x, y))
-            if self.dual_attractor(star[x]) != x:
-                return PairReport(False, "(A*)* != A", x)
+        # Props 4.6 / 4.7: the anti-isomorphism laws, join union and meet Inv of the intersection
+        for x in atts:
+            for y in atts:
+                if star[x | y] != star[x] & star[y]:
+                    return PairReport(False, "(A v A')* != A* ^ A'*", (self.unmask(x), self.unmask(y)))
+                if star[_inv(self._img1, x & y)] != star[x] | star[y]:
+                    return PairReport(False, "(A ^ A')* != A* v A'*", (self.unmask(x), self.unmask(y)))
+            if self._dual_mask(star[x], False) != x:
+                return PairReport(False, "(A*)* != A", self.unmask(x))
         return PairReport(True)
 
     def cycles(self) -> list[frozenset]:
         return [self.unmask(c) for c in self._cycle_masks()]
+
+
+def _check_bound(count: int, what: str) -> None:
+    """TooLarge when ``count`` (of states, or of cycles) exceeds the enumeration bound."""
+    limit = enum_bound()
+    if count > limit:
+        raise TooLarge(f"{count} {what} exceeds enumeration bound {limit}")
 
 
 def _union(parts: Sequence[int], m: int) -> int:

@@ -18,6 +18,11 @@ entry from a smaller mask; omega and alpha fill in along trajectories of
 masks.  The duals A* and R* come from the memo of ``FiniteDynSys``, which
 runs each Eq (6)/(7) cross-check once per system and serves D1 too.
 
+D1 reads the system, not these tables: it runs the commuting-square routine
+of ``FiniteDynSys`` (the one ``analyze`` runs on each attractor and its
+basin) on every attracting neighborhood, then the Props 4.6/4.7 laws on the
+unions of cycles, with no ``SetLattice`` of Att.
+
 Statements made once for attractors and once for repellers (L3.4 and
 C3.26+27, P3.21 and P3.25, P3.7 and P3.28, P4.1 and P4.2, P4.3 and P4.4)
 share one check body, which takes the side's family of neighborhoods, limit
@@ -30,7 +35,7 @@ import random
 from dataclasses import dataclass
 from operator import and_
 
-from .dynsys import FiniteDynSys, _reach
+from .dynsys import FiniteDynSys, _check_bound, _reach
 
 PAIR_CAP = 64  # per-family cap for pairwise laws on large random systems
 
@@ -50,7 +55,7 @@ class SystemData:
     """Mask tables for one system: every per-subset quantity a check reads, as a 2^n list."""
 
     def __init__(self, sys: FiniteDynSys):
-        sys._check_bound()  # TooLarge before any 2^n table exists
+        _check_bound(sys._n, "states")  # TooLarge before any 2^n table exists
         self.sys = sys
         self.n = sys._n
         self.full = sys._full
@@ -547,7 +552,7 @@ def check_p4_7(sd):
 
 
 def check_d1(sd):
-    report = sd.sys.commuting_square_check()
+    report = sd.sys._square(sd.sys._attracting_masks())
     if not report:
         return (report.reason, report.witness)
     return None

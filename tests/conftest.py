@@ -13,6 +13,7 @@ from morselat import (
     join_irreducibles,
     predecessor,
 )
+from morselat.dynsys import PairReport, _inv, _inv_plus
 from morselat.order import all_posets
 
 # small single-valued maps (targets of states 0..n-1) and cell maps (arrows of cells 0..n-1)
@@ -156,3 +157,32 @@ def check_order_is_inclusion(lat):
     for a in jl.carrier:
         for b in jl.carrier:
             assert jl.leq(a, b) == (lat.meet(a, b) == a)
+
+
+def commuting_square_oracle(sys):
+    """Diagram (1) by the exhaustive walk over every attracting neighborhood, laws on the Att SetLattice."""
+    att = sys.att_lattice()
+    star = {x: sys.dual_repeller(x) for x in att.elements}
+    star_mask = {sys.mask(x): sys.mask(sx) for x, sx in star.items()}
+    full = sys._full
+    for m in sys._attracting_masks():
+        om = sys._omega_mask(m)
+        if _inv(sys._img1, m) != om:
+            return PairReport(False, "Inv(U) != omega(U) on an attracting neighborhood", sys.unmask(m))
+        mc = full & ~m
+        al = sys._alpha_mask(mc)
+        if al & ~mc:
+            return PairReport(False, "U attracting but U^c not repelling", sys.unmask(m))
+        if _inv_plus(sys._img1, mc) != al:
+            return PairReport(False, "Inv+(U^c) != alpha(U^c)", sys.unmask(m))
+        if star_mask.get(om) != al:
+            return PairReport(False, "omega(U)* != alpha(U^c)", sys.unmask(m))
+    for x in att.elements:
+        for y in att.elements:
+            if star[att.join(x, y)] != star[x] & star[y]:
+                return PairReport(False, "(A v A')* != A* ^ A'*", (x, y))
+            if star[att.meet(x, y)] != star[x] | star[y]:
+                return PairReport(False, "(A ^ A')* != A* v A'*", (x, y))
+        if sys.dual_attractor(star[x]) != x:
+            return PairReport(False, "(A*)* != A", x)
+    return PairReport(True)

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
+from conftest import commuting_square_oracle
 from morselat import (
+    FiniteDynSys,
     InvalidOrbit,
     NotAnAttractor,
     NotARepeller,
     NotForwardInvariant,
     Orbit,
 )
-from morselat.verify import all_systems
+from morselat.verify import SystemData, all_systems, check_d1
 
 
 def S(labels):
@@ -253,3 +257,46 @@ class TestCommutingSquare:
 
     def test_ds3(self, sys3):
         assert sys3.commuting_square_check()
+
+
+def square_verdicts(sys):
+    """(ok, reason, witness) of the exhaustive oracle, commuting_square_check() and verify's D1."""
+    d1 = check_d1(SystemData(sys))
+    return [
+        (r.ok, r.reason, r.witness) for r in (commuting_square_oracle(sys), sys.commuting_square_check())
+    ] + [(True, None, None) if d1 is None else (False, *d1)]
+
+
+def seeded_maps(count, seed, low, high):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(low, high)
+        yield FiniteDynSys(range(n), {i: rng.randrange(n) for i in range(n)})
+
+
+class TestSquareAgainstOracle:
+    """The certificate-family square of analyze and the D1 walk agree with the exhaustive oracle."""
+
+    def test_every_small_map(self):
+        for n in range(1, 6):
+            for sys in all_systems(n):
+                assert all(v[0] for v in square_verdicts(sys)), dict(sys.next)
+
+    def test_seeded_maps(self):
+        for sys in seeded_maps(200, 14, 6, 12):
+            assert all(v[0] for v in square_verdicts(sys)), dict(sys.next)
+
+    @pytest.mark.parametrize("of_attractor", [True, False], ids=["A*", "R*"])
+    def test_corrupt_dual_memo(self, of_attractor):
+        # one wrong memo entry for each attractor A in turn: A* itself, or
+        # (A*)* keyed by the true A*; a fresh system for each
+        maps = [dict(s.next) for s in seeded_maps(6, 3, 3, 7)] + [{0: 0, 1: 0, 2: 2, 3: 2}]
+        for table in maps:
+            for a in FiniteDynSys(list(table), table)._recurrent_unions():
+                sys = FiniteDynSys(list(table), table)
+                key = (a, True) if of_attractor else (sys._dual_mask(a, True), False)
+                sys._duals[key] = sys._dual_mask(*key) ^ 1
+                oracle, square, d1 = square_verdicts(sys)
+                assert not oracle[0], (table, key)
+                assert square[:2] == oracle[:2], (table, key)
+                assert d1 == oracle, (table, key)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morselat import SetLattice, TooLarge, cli, ds1
+from morselat import FiniteDynSys, SetLattice, TooLarge, cli, ds1
 from morselat.formats import (
     InputError,
     RunConfig,
@@ -148,6 +149,34 @@ class TestCliAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "bound" and "7 Morse sets" in err["message"]
 
+    def test_exact_bound_counts_cycles(self, tmp_path, monkeypatch, capsys):
+        # exact analyze enumerates the unions of cycles, so its bound counts
+        # cycles; verify's 2^n tables and the neighbourhood listings count states
+        rng = random.Random(5)
+        while True:
+            targets = [rng.randrange(64) for _ in range(64)]
+            if len(FiniteDynSys(range(64), dict(enumerate(targets))).cycles()) == 4:
+                break
+        doc = {
+            "type": "finite",
+            "states": [str(i) for i in range(64)],
+            "map": {str(i): str(t) for i, t in enumerate(targets)},
+        }
+        out = tmp_path / "m64.json"
+        assert cli.main(["analyze", write(tmp_path, "m64.json", doc), "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["attractors"]) == 16 and payload["diagram_commutes"] is True
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "2")
+        three = {"type": "finite", "states": ["a", "b", "c", "d"], "map": {"a": "a", "b": "b", "c": "c", "d": "a"}}
+        assert cli.main(["analyze", write(tmp_path, "three.json", three)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bound" and "3 cycles" in err["message"]
+        assert cli.main(["analyze", write(tmp_path, "ds1.json", DS1_DOC)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--exhaustive", "3"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bound" and "3 states" in err["message"]
+
     def test_analyze_cross_checks_each_dual_once(self, tmp_path, monkeypatch):
         # Eq (6) checks A* against A+ = dual_plus(A) and Eq (7) R* against
         # R- = dual_minus(R); dual_pairs and the commuting square share both
@@ -271,7 +300,8 @@ class TestCliAnalyze:
         assert err["error"] == "parse" and "levels of nesting" in err["message"]
 
     def test_bound_overflow_exit_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MORSELAT_MAX_ENUM", "2")
+        # DS1 has two cycles
+        monkeypatch.setenv("MORSELAT_MAX_ENUM", "1")
         path = write(tmp_path, "system.json", DS1_DOC)
         assert cli.main(["analyze", path]) == 3
 

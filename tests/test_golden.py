@@ -19,7 +19,7 @@ import tempfile
 
 import pytest
 
-from morselat import cli, verify
+from morselat import FiniteDynSys, cli, ds2, ds3, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
@@ -203,6 +203,34 @@ def test_lift_matches_golden(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(BIRKHOFF))
 def test_birkhoff_matches_golden(tmp_path, name, fmt):
     assert birkhoff(str(tmp_path), name, fmt) == (GOLDEN / f"{name}.birkhoff.{fmt}").read_text()
+
+
+def finite_doc(sys) -> dict:
+    return {
+        "type": "finite",
+        "states": [str(s) for s in sys.states],
+        "map": {str(s): str(t) for s, t in sys.next.items()},
+    }
+
+
+def test_exact_analyze_lists_no_neighborhoods(tmp_path, monkeypatch):
+    # analyze counts the neighbourhoods in closed form and checks diagram (1)
+    # on each attractor and its basin, so it lists no neighbourhood
+    docs = {"ds1": INPUTS["ds1"], "ds2": finite_doc(ds2()), "ds3": finite_doc(ds3())}
+    argv = lambda fmt: ["analyze", "--format", fmt]
+    expected = {
+        (name, fmt): run(str(tmp_path), argv(fmt), {name: doc}) for name, doc in docs.items() for fmt in FORMATS
+    }
+
+    def refuse(self):
+        raise AssertionError("analyze listed the neighborhoods")
+
+    monkeypatch.setattr(FiniteDynSys, "_attracting_masks", refuse)
+    monkeypatch.setattr(FiniteDynSys, "_repelling_masks", refuse)
+    for (name, fmt), text in expected.items():
+        assert run(str(tmp_path), argv(fmt), {name: docs[name]}) == text
+    for fmt in FORMATS:
+        assert expected["ds1", fmt] == (GOLDEN / f"ds1.analyze.{fmt}").read_text()
 
 
 def test_verify_report_matches_golden(tmp_path):

@@ -80,7 +80,7 @@ def check_system(sys):
     assert sys.repelling_neighborhoods() == [sys.unmask(m) for m in rnbhd]
     assert set(sys.att_lattice().elements) == {sys.unmask(omega[m]) for m in anbhd}
     assert set(sys.rep_lattice().elements) == {sys.unmask(alpha[m]) for m in rnbhd}
-    assert sys.neighborhood_counts() == (nbhd_product(sys),) * 2
+    assert sys.neighborhood_counts() == (len(anbhd), len(rnbhd)) == (nbhd_product(sys),) * 2
 
 
 maps = st.integers(1, 10).flatmap(
