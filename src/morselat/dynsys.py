@@ -27,7 +27,7 @@ from functools import partial
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import SetLattice
-from .order import TooLarge, UnknownElement, _lex_key, closed_masks, enum_bound
+from .order import UnknownElement, _lex_key, check_bound, closed_masks
 
 
 class InvalidOrbit(ValueError):
@@ -116,7 +116,35 @@ class FiniteDynSys:
         for i, s in enumerate(self.states):
             pre[self.index[next_map[s]]] |= 1 << i
         self._pre1 = tuple(pre)
-        self._limit_pts = None
+        # one walk of the map: each state's forward path runs until it meets
+        # a state whose omega is known, or closes on itself, which finds a new
+        # cycle; omega of the path is then that of where it stopped
+        omega = [0] * n
+        cycles = []
+        for i in range(n):
+            path = []
+            on_path = 0
+            j = i
+            while not omega[j] and not on_path >> j & 1:
+                path.append(j)
+                on_path |= 1 << j
+                j = self._img1[j].bit_length() - 1
+            c = omega[j]
+            if not c:
+                c = sum(1 << k for k in path[path.index(j):])
+                cycles.append(c)
+            for k in path:
+                omega[k] = c
+        cycles.sort(key=lambda c: c & -c)
+        basin = dict.fromkeys(cycles, 0)
+        for i, c in enumerate(omega):
+            basin[c] |= 1 << i
+        # the cycles by lowest state; omega(x), the cycle x runs into; alpha(x),
+        # the basin of x's cycle, empty off the cycles; the (cycle, basin) pairs
+        self._cycles = tuple(cycles)
+        self._omega_pts = tuple(omega)
+        self._alpha_pts = tuple(basin[c] if c >> i & 1 else 0 for i, c in enumerate(omega))
+        self._basins = tuple(basin.items())
         self._att_cache = None
         self._duals = {}
 
@@ -140,65 +168,32 @@ class FiniteDynSys:
         return _union(self._pre1, m)
 
     def _omega_mask(self, m: int) -> int:
+        """omega(m): the union of the cycles whose basins m meets."""
         out = 0
-        for c, b in self._limit_points()[3]:
+        for c, b in self._basins:
             if b & m:
                 out |= c
         return out
 
     def _alpha_mask(self, m: int) -> int:
+        """alpha(m): the union of the basins whose cycles m meets."""
         out = 0
-        for c, b in self._limit_points()[3]:
+        for c, b in self._basins:
             if c & m:
                 out |= b
         return out
 
-    def _omega_points(self) -> tuple:
-        """omega(x) for each state x: the cycle its forward orbit runs into."""
-        return self._limit_points()[1]
+    def _splus(self, m: int) -> int:
+        """S+ of the mask m: the states whose omega-limit misses it."""
+        out = 0
+        for i, c in enumerate(self._omega_pts):
+            if not c & m:
+                out |= 1 << i
+        return out
 
-    def _alpha_points(self) -> tuple:
-        """alpha(x) for each state x: the basin of x's cycle, empty off the cycles."""
-        return self._limit_points()[2]
-
-    def _limit_points(self):
-        """(cycles, omega points, alpha points, (cycle, basin) pairs), from one walk.
-
-        Each state's forward path runs until it meets a state whose omega is
-        known, or closes on itself, which finds a new cycle; omega of the
-        path is then that of where it stopped.  Cycles are ordered by their
-        lowest state.  omega and alpha are union-linear, so omega(U) is the
-        union of the cycles whose basins U meets and alpha(U) the union of
-        the basins whose cycles U meets.
-        """
-        if self._limit_pts is None:
-            omega = [0] * self._n
-            cycles = []
-            for i in range(self._n):
-                path = []
-                on_path = 0
-                j = i
-                while not omega[j] and not on_path >> j & 1:
-                    path.append(j)
-                    on_path |= 1 << j
-                    j = self._img1[j].bit_length() - 1
-                c = omega[j]
-                if not c:
-                    c = sum(1 << k for k in path[path.index(j):])
-                    cycles.append(c)
-                for k in path:
-                    omega[k] = c
-            cycles.sort(key=lambda c: c & -c)
-            basin = dict.fromkeys(cycles, 0)
-            for i, c in enumerate(omega):
-                basin[c] |= 1 << i
-            alpha = tuple(basin[c] if c >> i & 1 else 0 for i, c in enumerate(omega))
-            self._limit_pts = (tuple(cycles), tuple(omega), alpha, tuple(basin.items()))
-        return self._limit_pts
-
-    def _cycle_masks(self):
-        """The cycles of the next map, one mask per cycle, ordered by lowest state."""
-        return self._limit_points()[0]
+    def _sminus(self, m: int) -> int:
+        """S- of the mask m: what the cycles missing it reach (a sum of cycles is their union)."""
+        return _reach(self._img1, sum(c for c in self._cycles if not c & m))
 
     # -- dynamics operations ---------------------------------------------------
 
@@ -286,7 +281,7 @@ class FiniteDynSys:
         if x not in self.index:
             raise UnknownElement(x)
         start = j = self.index[x]
-        cycle = self._omega_points()[j]
+        cycle = self._omega_pts[j]
         if not cycle >> j & 1:
             return []
         seq = []
@@ -298,19 +293,11 @@ class FiniteDynSys:
 
     def dual_plus(self, subset: Iterable) -> frozenset:
         """S+ : states whose omega-limit misses S."""
-        m = self.mask(subset)
-        pts = self._omega_points()
-        out = 0
-        for i in range(self._n):
-            if not pts[i] & m:
-                out |= 1 << i
-        return self.unmask(out)
+        return self.unmask(self._splus(self.mask(subset)))
 
     def dual_minus(self, subset: Iterable) -> frozenset:
         """S- : states with some backward orbit whose orbital alpha-limit misses S."""
-        m = self.mask(subset)
-        # cycles are disjoint, so their sum is their union
-        return self.unmask(_reach(self._img1, sum(c for c in self._cycle_masks() if not c & m)))
+        return self.unmask(self._sminus(self.mask(subset)))
 
     def restrict(self, subset: Iterable) -> "FiniteDynSys":
         m = self.mask(subset)
@@ -347,12 +334,12 @@ class FiniteDynSys:
 
     def _attracting_masks(self):
         """Attracting neighborhoods as ascending masks: the sets closed under x -> omega(x)."""
-        _check_bound(self._n, "states")
-        return closed_masks(self._omega_points())
+        check_bound(self._n, "states")
+        return closed_masks(self._omega_pts)
 
     def _repelling_masks(self):
-        _check_bound(self._n, "states")
-        return closed_masks(self._alpha_points())
+        check_bound(self._n, "states")
+        return closed_masks(self._alpha_pts)
 
     def attracting_neighborhoods(self) -> list[frozenset]:
         return [self.unmask(m) for m in self._attracting_masks()]
@@ -369,15 +356,14 @@ class FiniteDynSys:
         U^c is repelling (Prop 4.6), so there are as many repelling ones.
         """
         count = 1
-        for c, b in self._limit_points()[3]:
+        for c, b in self._basins:
             count *= 1 + (1 << (b.bit_count() - c.bit_count()))
         return count, count
 
     def _recurrent_unions(self):
         """The unions of cycles, ascending: the omega-closed subsets of the cycle states."""
-        cycles = self._cycle_masks()
-        _check_bound(len(cycles), "cycles")
-        return closed_masks(self._omega_points(), within=sum(cycles))
+        check_bound(len(self._cycles), "cycles")
+        return closed_masks(self._omega_pts, within=sum(self._cycles))
 
     def att_lattice(self) -> SetLattice:
         """Att = omega images of attracting neighborhoods, join union, core Inv.
@@ -399,7 +385,7 @@ class FiniteDynSys:
 
     def basin(self, attractor: Iterable) -> frozenset:
         """The canonical trapping region: states whose omega-limit lies in A, so misses A^c."""
-        return self.dual_plus(self.unmask(self._full & ~self.mask(attractor)))
+        return self.unmask(self._splus(self._full & ~self.mask(attractor)))
 
     def dual_repeller(self, attractor: Iterable) -> frozenset:
         """A* = Inv+(U^c) for a trapping region U of A; cross-checked against A+."""
@@ -426,12 +412,11 @@ class FiniteDynSys:
     def _attractor_star(self, a: int) -> int:
         if self._omega_mask(a) != a or (self._image_mask(a) != a):
             raise NotAnAttractor(f"{sorted(map(repr, self.unmask(a)))}")
-        u = self.mask(self.basin(self.unmask(a)))
+        u = self._splus(self._full & ~a)
         if self._omega_mask(u) != a:
             raise NotAnAttractor(f"{sorted(map(repr, self.unmask(a)))}")
         star = _inv_plus(self._img1, ~u & self._full)
-        plus = self.mask(self.dual_plus(self.unmask(a)))
-        if star != plus:
+        if star != self._splus(a):
             raise AssertionError("Eq (6) cross-check failed: A* != A+")
         return star
 
@@ -443,8 +428,7 @@ class FiniteDynSys:
         ):
             raise NotARepeller(f"{sorted(map(repr, self.unmask(r)))}")
         star = _inv(self._img1, ~r & self._full)
-        minus = self.mask(self.dual_minus(self.unmask(r)))
-        if star != minus:
+        if star != self._sminus(r):
             raise AssertionError("Eq (7) cross-check failed: R* != R-")
         return star
 
@@ -453,7 +437,7 @@ class FiniteDynSys:
         a = self.mask(attractor)
         r = self.mask(repeller)
         try:
-            by_duality = self.mask(self.dual_repeller(self.unmask(a))) == r
+            by_duality = self._dual_mask(a, True) == r
         except NotAnAttractor:
             by_duality = False
         direct, reason, witness = self._ar_direct(a, r)
@@ -470,10 +454,10 @@ class FiniteDynSys:
             return False, "A is not invariant", self.unmask(a)
         if self._image_mask(r) & ~r:
             return False, "R is not forward invariant", self.unmask(r)
-        pts = self._omega_points()
+        pts = self._omega_pts
         # the states with a backward orbit whose alpha_o escapes R: those
         # reached from a cycle that leaves R (a sum of cycles is their union)
-        escapes = _reach(self._img1, sum(c for c in self._cycle_masks() if c & ~r))
+        escapes = _reach(self._img1, sum(c for c in self._cycles if c & ~r))
         rest = self._full & ~(a | r)
         while rest:
             i = (rest & -rest).bit_length() - 1
@@ -527,14 +511,7 @@ class FiniteDynSys:
         return PairReport(True)
 
     def cycles(self) -> list[frozenset]:
-        return [self.unmask(c) for c in self._cycle_masks()]
-
-
-def _check_bound(count: int, what: str) -> None:
-    """TooLarge when ``count`` (of states, or of cycles) exceeds the enumeration bound."""
-    limit = enum_bound()
-    if count > limit:
-        raise TooLarge(f"{count} {what} exceeds enumeration bound {limit}")
+        return [self.unmask(c) for c in self._cycles]
 
 
 def _union(parts: Sequence[int], m: int) -> int:

@@ -123,24 +123,20 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                node = (tok[1], node, self.term())
-            else:
-                return node
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.factor()
+        return self.chain("*/", self.factor)
+
+    def chain(self, ops: str, operand):
+        """operand ((one of ops) operand)*, left associative."""
+        node = operand()
         while True:
             tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.next()
-                node = (tok[1], node, self.factor())
-            else:
+            if not (tok and tok[0] == "op" and tok[1] in ops):
                 return node
+            self.next()
+            node = (tok[1], node, operand())
 
     def factor(self):
         # every recursion of the grammar passes through here

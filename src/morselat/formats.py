@@ -255,38 +255,12 @@ def _dot_id(label) -> str:
 
 def hasse_dot(obj) -> str:
     """DOT digraph of the cover relation (transitive reduction) of a poset or lattice."""
-    lines = ["digraph hasse {", "  rankdir=BT;"]
     if isinstance(obj, SetLattice):
-        names = {i: _dot_id(e) for i, e in enumerate(obj.elements)}
-        for i in names:
-            lines.append(f"  n{i} [label={names[i]}];")
-        for i, j in obj.covers():
-            lines.append(f"  n{i} -> n{j};")
+        labels, edges = obj.elements, obj.covers()
     else:
-        index = {p: i for i, p in enumerate(obj.carrier)}
-        for p, i in index.items():
-            lines.append(f"  n{i} [label={_dot_id(p)}];")
-        for a, b in obj.covers():
-            lines.append(f"  n{index[a]} -> n{index[b]};")
+        labels, edges = obj.carrier, [(obj.index[a], obj.index[b]) for a, b in obj.covers()]
+    lines = ["digraph hasse {", "  rankdir=BT;"]
+    lines += [f"  n{i} [label={_dot_id(p)}];" for i, p in enumerate(labels)]
+    lines += [f"  n{i} -> n{j};" for i, j in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dot(text: str):
-    """Minimal DOT reader used by tests: returns (node ids, edge pairs)."""
-    nodes = set()
-    edges = set()
-    body = text.strip()
-    if not body.startswith("digraph") or not body.endswith("}"):
-        raise InputError("not a digraph")
-    for line in body.splitlines()[1:-1]:
-        line = line.strip().rstrip(";")
-        if not line or line.startswith("rankdir"):
-            continue
-        if "->" in line:
-            a, b = [part.strip() for part in line.split("->")]
-            edges.add((a, b))
-            nodes.update((a, b))
-        else:
-            nodes.add(line.split(" ")[0])
-    return nodes, edges

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from . import expr as exprmod
 from .lattice import SetLattice, birkhoff_embedding, checked_sublattice
 from .lifting import LiftProblem, lift, transport_by_duality
-from .order import Poset, TooLarge, closed_masks, enum_bound
+from .order import Poset, check_bound, closed_masks
 
 GRID_ENUM_BOUND = 16
 DEFAULT_SAMPLES = 32
@@ -274,10 +274,8 @@ def attracting_blocks(cmap: CellMap) -> list[frozenset]:
 
     Exhaustive over all cell subsets; the test oracle for comb_att_lattice.
     """
-    limit = enum_bound(GRID_ENUM_BOUND)
     n = cmap.n
-    if n > limit:
-        raise TooLarge(f"{n} cells exceeds the enumeration bound {limit}")
+    check_bound(n, "cells", GRID_ENUM_BOUND)
     arrows_masks = [0] * n
     for c in range(n):
         for j in cmap.arrows[c]:
@@ -306,9 +304,7 @@ def _morse_attractors(cmap: CellMap) -> list[frozenset]:
     exactly a down-set of them, and its walk core is their forward closure.
     """
     morse = _cyclic_components(cmap.all_cells(), cmap)
-    limit = enum_bound(GRID_ENUM_BOUND)
-    if len(morse) > limit:
-        raise TooLarge(f"{len(morse)} Morse sets exceeds the enumeration bound {limit}")
+    check_bound(len(morse), "Morse sets", GRID_ENUM_BOUND)
     reach = [_forward_closure(m, cmap) for m in morse]
     rel = [sum(1 << j for j, m in enumerate(morse) if m <= r) for r in reach]
     return [

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .order import DownSet, Poset, TooLarge, UnknownElement, cover_masks, enum_bound, mask_pairs
+from .order import DownSet, Poset, UnknownElement, check_bound, cover_masks, mask_pairs
 
 DISTRIBUTIVITY_CHECK_LIMIT = 64
 
@@ -289,8 +289,6 @@ def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict]:
 
 def birkhoff_up(poset: Poset, p) -> frozenset:
     """The down-set of p, a join-irreducible element of O(P)."""
-    if p not in poset.index:
-        raise UnknownElement(p)
     return poset.down_set(p).members
 
 
@@ -358,13 +356,26 @@ def _check_laws(table: Mapping, source: SetLattice, target: SetLattice, ops: tup
         return HomReport(False, laws[0], (source.bottom,))
     if frozenset(table[source.top]) != top:
         return HomReport(False, laws[1], (source.top,))
-    for a in source.elements:
-        for b in source.elements:
-            if frozenset(table[source.join(a, b)]) != join(frozenset(table[a]), frozenset(table[b])):
-                return HomReport(False, laws[2], (a, b))
-            if frozenset(table[source.meet(a, b)]) != meet(frozenset(table[a]), frozenset(table[b])):
-                return HomReport(False, laws[3], (a, b))
+    k = {a: frozenset(v) for a, v in table.items()}
+    broken = _broken_law(source.elements, k, join, meet, source.meet)
+    if broken:
+        return HomReport(False, laws[2] if broken[0] == "joins" else laws[3], broken[1])
     return HomReport(True)
+
+
+def _broken_law(elements, k: Mapping, join: Callable, meet: Callable, source_meet: Callable) -> tuple | None:
+    """The first ("joins" or "meets", (a, b)) over pairs of ``elements`` at which k breaks that law.
+
+    The elements join by union and meet by ``source_meet``; their images by
+    ``join`` and ``meet``.
+    """
+    for a in elements:
+        for b in elements:
+            if k[a | b] != join(k[a], k[b]):
+                return "joins", (a, b)
+            if k[source_meet(a, b)] != meet(k[a], k[b]):
+                return "meets", (a, b)
+    return None
 
 
 @dataclass(frozen=True)
@@ -467,9 +478,7 @@ def sublattices(lat: SetLattice):
     exceeds the enumeration bound.
     """
     middle = [e for e in lat.elements if e not in (lat.bottom, lat.top)]
-    limit = enum_bound()
-    if len(middle) > limit:
-        raise TooLarge(f"lattice has {len(middle)} elements besides 0 and 1, enumeration bound is {limit}")
+    check_bound(len(middle), "lattice elements besides 0 and 1")
     base = (lat.bottom, lat.top) if lat.bottom != lat.top else (lat.bottom,)
     for m in range(1 << len(middle)):
         chosen = [middle[i] for i in range(len(middle)) if m >> i & 1]

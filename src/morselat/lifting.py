@@ -35,7 +35,7 @@ from itertools import product
 from operator import and_, or_
 from typing import Callable, Mapping
 
-from .lattice import HomReport, SetLattice
+from .lattice import HomReport, SetLattice, _broken_law
 from .order import Poset, all_posets
 
 
@@ -81,10 +81,9 @@ class LiftProblem:
     ``s`` maps every down-set of ``poset`` (as a frozenset of carrier labels)
     to an element of L.  K is a sublattice of the powerset of ``ambient``;
     ``h`` evaluates the epimorphism on any K element, ``section`` produces
-    some h-preimage of an L element, and ``member`` (None to skip the test)
-    decides membership in K.  The conditioners are the section's preimages
-    of the s values, one fixed family for every step; none is shrunk or
-    combined by meet.
+    some h-preimage of an L element, and ``member`` decides membership in K.
+    The conditioners are the section's preimages of the s values, one fixed
+    family for every step; none is shrunk or combined by meet.
     """
 
     poset: Poset
@@ -92,7 +91,7 @@ class LiftProblem:
     ambient: frozenset
     h: Callable[[frozenset], frozenset]
     section: Callable[[frozenset], frozenset]
-    member: Callable[[frozenset], bool] | None
+    member: Callable[[frozenset], bool]
 
     @cached_property
     def _downs(self) -> list[frozenset]:
@@ -115,20 +114,9 @@ class LiftProblem:
         full = frozenset(self.poset.carrier)
         if self.s[full] != self.h(self.ambient):
             raise NotAnEmbedding("s(1) != 1")
-        broken = _broken_law(downs, self.s, or_, lambda a, b: self.h(a & b))
+        broken = _broken_law(downs, self.s, or_, lambda a, b: self.h(a & b), and_)
         if broken:
             raise NotAnEmbedding(f"s does not preserve {broken[0]} at {broken[1]!r}")
-
-
-def _broken_law(downs, k: Mapping, join, meet) -> tuple | None:
-    """The first ("joins" or "meets", (a, b)) over pairs of ``downs`` at which k breaks that law."""
-    for a in downs:
-        for b in downs:
-            if k[a | b] != join(k[a], k[b]):
-                return "joins", (a, b)
-            if k[a & b] != meet(k[a], k[b]):
-                return "meets", (a, b)
-    return None
 
 
 @dataclass
@@ -166,13 +154,13 @@ class LiftCertificate:
                 raise LiftError(f"certificate table misses {d!r}")
             if prob.h(self.table[d]) != prob.s[d]:
                 raise LiftError(f"h(k({sorted(map(repr, d))})) != s(...)")
-            if prob.member is not None and not prob.member(self.table[d]):
+            if not prob.member(self.table[d]):
                 raise LiftError(f"k({sorted(map(repr, d))}) is not a K element")
         if len({self.table[d] for d in downs}) != len(downs):
             raise LiftError("k is not injective")
         if self.table[frozenset()] != frozenset():
             raise LiftError("k(0) != 0")
-        broken = _broken_law(downs, self.table, or_, and_)
+        broken = _broken_law(downs, self.table, or_, and_, and_)
         if broken:
             raise LiftError(f"k does not preserve {broken[0]} at {broken[1]!r}")
         full = frozenset(prob.poset.carrier)
@@ -180,9 +168,9 @@ class LiftCertificate:
             raise LiftError("k(1) != 1 but certificate claims top preservation")
 
 
-def is_partial_lift(candidate: PartialLift, problem: LiftProblem | None = None) -> HomReport:
+def is_partial_lift(candidate: PartialLift) -> HomReport:
     """Def 5.4: hom laws on O(lambda^T) plus h(k(beta)) = s(beta) for beta <= lambda."""
-    prob = problem or candidate.problem
+    prob = candidate.problem
     full = frozenset(prob.poset.carrier)
     downs = [d for d in prob.down_sets() if d <= candidate.lam]
     for d in downs:
@@ -194,7 +182,7 @@ def is_partial_lift(candidate: PartialLift, problem: LiftProblem | None = None) 
         return HomReport(False, "k(1) = 1", (full,))
     if candidate.table.get(frozenset()) != frozenset():
         return HomReport(False, "k(0) = 0", (frozenset(),))
-    broken = _broken_law(downs, candidate.table, or_, and_)
+    broken = _broken_law(downs, candidate.table, or_, and_, and_)
     if broken:
         law = "k(a v b) = k(a) v k(b)" if broken[0] == "joins" else "k(a ^ b) = k(a) ^ k(b)"
         return HomReport(False, law, broken[1])
@@ -210,14 +198,14 @@ def lift_atom(candidate: PartialLift, p) -> frozenset:
     return candidate.table[dp] - candidate.table[dp - {p}]
 
 
-def is_conditional_lift(candidate: PartialLift, problem: LiftProblem | None = None) -> HomReport:
+def is_conditional_lift(candidate: PartialLift) -> HomReport:
     """Def 5.5 (Eq 18) cross-checked against the Prop 5.7 atom form.
 
     The two characterizations are equivalent; both are evaluated and must
     agree, otherwise the engine itself is broken.
     """
-    prob = problem or candidate.problem
-    base = is_partial_lift(candidate, prob)
+    prob = candidate.problem
+    base = is_partial_lift(candidate)
     if not base:
         return base
     if candidate.conditioners is None:
@@ -317,9 +305,8 @@ def lift(problem: LiftProblem) -> LiftCertificate:
         checks = {
             "k(mu) = k(pred mu) v v_mu": table[mu] == table[mu_pred] | cond[mu],
             "h(k(mu)) = s(mu)": problem.h(table[mu]) == problem.s[mu],
+            "k(mu) in K": problem.member(table[mu]),
         }
-        if problem.member is not None:
-            checks["k(mu) in K"] = problem.member(table[mu])
         # Eq (22): B_p ^ v_alpha = 0 for p in (lambda u mu) not in alpha
         ok22 = True
         for alpha in downs:
@@ -537,7 +524,7 @@ def _embeddings(poset: Poset, downs, l_lattice: SetLattice):
             s = build(assign)
             if len(set(s.values())) != len(downs):
                 return
-            if s[full] != l_lattice.top or _broken_law(downs, s, l_lattice.join, l_lattice.meet):
+            if s[full] != l_lattice.top or _broken_law(downs, s, l_lattice.join, l_lattice.meet, and_):
                 return
             yield dict(s)
             return
@@ -577,7 +564,7 @@ def _check_site(poset, downs, s, lam, q, mu, fibers, k_lattice, work, budget):
             table[d] = val
         # joins of sections automatically satisfy h o k = s and stay in K,
         # but the meet law is a genuine partial-lift filter
-        if _broken_law(lam_downs, table, or_, and_):
+        if _broken_law(lam_downs, table, or_, and_, and_):
             continue
         k_lam = table[lam]
         family_exists = False

@@ -25,6 +25,13 @@ def enum_bound(default: int = DEFAULT_ENUM_BOUND) -> int:
         raise ValueError(f"MORSELAT_MAX_ENUM must be an integer, got {env!r}") from None
 
 
+def check_bound(count: int, what: str, default: int = DEFAULT_ENUM_BOUND) -> None:
+    """TooLarge when ``count`` (of ``what``) exceeds the enumeration bound."""
+    limit = enum_bound(default)
+    if count > limit:
+        raise TooLarge(f"{count} {what} exceeds the enumeration bound {limit}")
+
+
 def closure(rel: Sequence[int]) -> list[int]:
     """Reflexive-transitive closure of a relation given as one bitmask per element."""
     n = len(rel)
@@ -60,6 +67,17 @@ def cover_masks(strict: Sequence[int]) -> list[int]:
     return out
 
 
+def transpose(masks: Sequence[int]) -> list[int]:
+    """The converse relation: bit j of out[i] is set iff bit i of masks[j] is."""
+    out = [0] * len(masks)
+    for j, m in enumerate(masks):
+        while m:
+            bit = m & -m
+            out[bit.bit_length() - 1] |= 1 << j
+            m ^= bit
+    return out
+
+
 def mask_pairs(masks: Sequence[int]) -> list[tuple[int, int]]:
     """The pairs (i, j) with bit i set in masks[j], by j then i."""
     out = []
@@ -83,13 +101,7 @@ def closed_masks(rel: Sequence[int], within: int | None = None) -> Iterator[int]
     """
     n = len(rel)
     down = closure(rel)
-    up = [0] * n
-    for i, m in enumerate(down):
-        rest = m
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            up[j] |= 1 << i
-            rest &= rest - 1
+    up = transpose(down)
     stack = [(0, (1 << n) - 1 if within is None else within)]
     while stack:
         u, free = stack.pop()
@@ -171,14 +183,24 @@ class Poset:
                     raise NotAntisymmetric(self.carrier[j], self.carrier[i])
         for i in range(n):
             # transitivity: j <= i implies below[j] subset below[i]
-            m = self.below[i]
-            rest = m
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                if self.below[j] & ~m:
-                    k = ((self.below[j] & ~m) & -(self.below[j] & ~m)).bit_length() - 1
-                    raise NotTransitive(self.carrier[k], self.carrier[j], self.carrier[i])
-                rest &= rest - 1
+            escape = self._escape(self.below[i])
+            if escape:
+                j, k = escape
+                raise NotTransitive(self.carrier[k], self.carrier[j], self.carrier[i])
+
+    def _escape(self, mask: int) -> tuple[int, int] | None:
+        """(j, k): the lowest j in mask with some k <= j outside it, and the lowest such k.
+
+        None when mask is a down-set.
+        """
+        rest = mask
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            out = self.below[j] & ~mask
+            if out:
+                return j, (out & -out).bit_length() - 1
+            rest &= rest - 1
+        return None
 
     # -- constructors ------------------------------------------------------
 
@@ -252,13 +274,7 @@ class Poset:
         return frozenset(self.carrier[i] for i in range(len(self.carrier)) if mask >> i & 1)
 
     def is_down_mask(self, mask: int) -> bool:
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if self.below[i] & ~mask:
-                return False
-            rest &= rest - 1
-        return True
+        return self._escape(mask) is None
 
     def minimal_elements(self, within: int | None = None):
         """Minimal elements of the sub-poset induced on the mask ``within``."""
@@ -283,20 +299,12 @@ class Poset:
 
     def down_masks(self) -> list[int]:
         n = len(self.carrier)
-        limit = enum_bound()
-        if n > limit:
-            raise TooLarge(f"poset has {n} elements, enumeration bound is {limit}")
+        check_bound(n, "poset elements")
         return sorted(closed_masks(self.below), key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
 
     def dual(self) -> "Poset":
         """The opposite poset: p <= q in the dual iff q <= p here."""
-        n = len(self.carrier)
-        above = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if self.below[j] >> i & 1:
-                    above[i] |= 1 << j
-        return Poset(self.carrier, above, _checked=True)
+        return Poset(self.carrier, transpose(self.below), _checked=True)
 
     def covers(self) -> list[tuple]:
         """Cover pairs (p, q) with q covering p (transitive reduction), by q then p in carrier order."""
@@ -319,16 +327,9 @@ class DownSet:
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
         if not self._checked:
-            mask = self.poset.mask_of(self.members)
-            if not self.poset.is_down_mask(mask):
-                rest = mask
-                while rest:
-                    i = (rest & -rest).bit_length() - 1
-                    missing = self.poset.below[i] & ~mask
-                    if missing:
-                        k = (missing & -missing).bit_length() - 1
-                        raise NotADownSet(self.members, self.poset.carrier[k])
-                    rest &= rest - 1
+            escape = self.poset._escape(self.poset.mask_of(self.members))
+            if escape:
+                raise NotADownSet(self.members, self.poset.carrier[escape[1]])
 
     @property
     def mask(self) -> int:
@@ -371,27 +372,22 @@ def complement_map(alpha: DownSet) -> DownSet:
 
 
 def is_order_preserving(f: Mapping | Callable, source: Poset, target: Poset) -> bool:
-    get = f.__getitem__ if isinstance(f, Mapping) else f
-    for p in source.carrier:
-        if get(p) not in target.index:
-            raise UnknownElement(get(p))
-    for p in source.carrier:
-        for q in source.carrier:
-            if source.leq(p, q) and not target.leq(get(p), get(q)):
-                return False
-    return True
+    return all(f_le for le, f_le in _order_pairs(f, source, target) if le)
 
 
 def is_order_embedding(f: Mapping | Callable, source: Poset, target: Poset) -> bool:
+    return all(le == f_le for le, f_le in _order_pairs(f, source, target))
+
+
+def _order_pairs(f: Mapping | Callable, source: Poset, target: Poset):
+    """(p <= q, f(p) <= f(q)) over all pairs of source, once every f(p) is known to lie in target."""
     get = f.__getitem__ if isinstance(f, Mapping) else f
     for p in source.carrier:
         if get(p) not in target.index:
             raise UnknownElement(get(p))
     for p in source.carrier:
         for q in source.carrier:
-            if source.leq(p, q) != target.leq(get(p), get(q)):
-                return False
-    return True
+            yield source.leq(p, q), target.leq(get(p), get(q))
 
 
 def antichain(labels: Sequence[Hashable]) -> Poset:

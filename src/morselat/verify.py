@@ -35,7 +35,8 @@ import random
 from dataclasses import dataclass
 from operator import and_
 
-from .dynsys import FiniteDynSys, _check_bound, _reach
+from .dynsys import FiniteDynSys, _reach
+from .order import check_bound
 
 PAIR_CAP = 64  # per-family cap for pairwise laws on large random systems
 
@@ -55,7 +56,7 @@ class SystemData:
     """Mask tables for one system: every per-subset quantity a check reads, as a 2^n list."""
 
     def __init__(self, sys: FiniteDynSys):
-        _check_bound(sys._n, "states")  # TooLarge before any 2^n table exists
+        check_bound(sys._n, "states")  # TooLarge before any 2^n table exists
         self.sys = sys
         self.n = sys._n
         self.full = sys._full
@@ -89,7 +90,7 @@ class SystemData:
         # union over j in m of the states whose omega holds j
         hits = [sum(1 << i for i, o in enumerate(self.omega_pt) if o >> j & 1) for j in range(self.n)]
         self.splus = [self.full & ~h for h in _union_table(hits)]
-        self.cycles = list(sys._cycle_masks())
+        self.cycles = list(sys._cycles)
         # S- of P2.16: what the cycles that miss m reach, one reach per
         # union of cycles
         cycles_at = [sum(c for c in self.cycles if c >> j & 1) for j in range(self.n)]

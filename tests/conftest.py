@@ -14,6 +14,7 @@ from morselat import (
     predecessor,
 )
 from morselat.dynsys import PairReport, _inv, _inv_plus
+from morselat.formats import InputError
 from morselat.order import all_posets
 
 # small single-valued maps (targets of states 0..n-1) and cell maps (arrows of cells 0..n-1)
@@ -186,3 +187,63 @@ def commuting_square_oracle(sys):
         if sys.dual_attractor(star[x]) != x:
             return PairReport(False, "(A*)* != A", x)
     return PairReport(True)
+
+
+def parse_dot(text: str):
+    """Minimal DOT reader: returns (node ids, edge pairs)."""
+    nodes = set()
+    edges = set()
+    body = text.strip()
+    if not body.startswith("digraph") or not body.endswith("}"):
+        raise InputError("not a digraph")
+    for line in body.splitlines()[1:-1]:
+        line = line.strip().rstrip(";")
+        if not line or line.startswith("rankdir"):
+            continue
+        if "->" in line:
+            a, b = [part.strip() for part in line.split("->")]
+            edges.add((a, b))
+            nodes.update((a, b))
+        else:
+            nodes.add(line.split(" ")[0])
+    return nodes, edges
+
+
+# the three down-set witness loops that Poset._escape replaced, kept as its oracle
+
+
+def is_down_mask_oracle(poset, mask):
+    rest = mask
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        if poset.below[i] & ~mask:
+            return False
+        rest &= rest - 1
+    return True
+
+
+def not_a_down_set_witness_oracle(poset, mask):
+    """The missing element NotADownSet names for mask, or None for a down-set."""
+    rest = mask
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        missing = poset.below[i] & ~mask
+        if missing:
+            k = (missing & -missing).bit_length() - 1
+            return poset.carrier[k]
+        rest &= rest - 1
+    return None
+
+
+def not_transitive_triple_oracle(carrier, below):
+    """The (p, q, r) NotTransitive names for a reflexive, antisymmetric relation, or None."""
+    for i in range(len(carrier)):
+        m = below[i]
+        rest = m
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            if below[j] & ~m:
+                k = ((below[j] & ~m) & -(below[j] & ~m)).bit_length() - 1
+                return carrier[k], carrier[j], carrier[i]
+            rest &= rest - 1
+    return None

@@ -22,10 +22,10 @@ from morselat.formats import (
     load_gridmap,
     load_poset,
     load_system,
-    parse_dot,
 )
 from morselat.grid import comb_inv
 from morselat.verify import SystemData
+from conftest import parse_dot
 
 DS1_DOC = {
     "type": "finite",
@@ -178,15 +178,15 @@ class TestCliAnalyze:
         assert err["error"] == "bound" and "3 states" in err["message"]
 
     def test_analyze_cross_checks_each_dual_once(self, tmp_path, monkeypatch):
-        # Eq (6) checks A* against A+ = dual_plus(A) and Eq (7) R* against
-        # R- = dual_minus(R); dual_pairs and the commuting square share both
+        # Eq (6) checks A* against A+ = _splus(A) and Eq (7) R* against
+        # R- = _sminus(R); dual_pairs and the commuting square share both
         from morselat import FiniteDynSys
 
         calls = []
-        for name in ("dual_plus", "dual_minus"):
+        for name in ("_splus", "_sminus"):
             real = getattr(FiniteDynSys, name)
             monkeypatch.setattr(
-                FiniteDynSys, name, lambda self, x, real=real, name=name: calls.append((name, frozenset(x))) or real(self, x)
+                FiniteDynSys, name, lambda self, m, real=real, name=name: calls.append((name, self.unmask(m))) or real(self, m)
             )
         path = write(tmp_path, "system.json", DS1_DOC)
         out = tmp_path / "a.json"
@@ -194,8 +194,8 @@ class TestCliAnalyze:
         payload = json.loads(out.read_text())
         attractors = {frozenset(a) for a in payload["attractors"]}
         repellers = {frozenset(p["repeller"]) for p in payload["dual_pairs"]}
-        eq6 = [x for name, x in calls if name == "dual_plus" and x in attractors]
-        eq7 = [x for name, x in calls if name == "dual_minus"]
+        eq6 = [x for name, x in calls if name == "_splus" and x in attractors]
+        eq7 = [x for name, x in calls if name == "_sminus"]
         assert len(eq6) == len(attractors) == 4 and set(eq6) == attractors
         assert len(eq7) == len(repellers) == 4 and set(eq7) == repellers
 

@@ -93,7 +93,7 @@ class TestPartialLift:
             lam: q1,  # the repeller itself, a repelling neighborhood of itself
             frozenset(prob.poset.carrier): prob.ambient,
         }
-        assert is_partial_lift(PartialLift(prob, lam, table), prob)
+        assert is_partial_lift(PartialLift(prob, lam, table))
 
 
 class TestConditionalLift:
@@ -122,7 +122,7 @@ class TestConditionalLift:
         table = {d: prob.s[d] for d in prob.down_sets() if d <= lam}
         table[frozenset(prob.poset.carrier)] = prob.ambient
         cond = dict(prob.s)  # repeller-self conditioners
-        assert is_conditional_lift(PartialLift(prob, lam, table, dict(cond)), prob)
+        assert is_conditional_lift(PartialLift(prob, lam, table, dict(cond)))
 
     def test_unconstrained_pairs_impose_nothing(self, tripod_problem):
         # with lambda a single minimal element, the only active constraint is
@@ -133,7 +133,7 @@ class TestConditionalLift:
         table = {d: (fs(0) if d else fs()) for d in prob.down_sets() if d <= lam}
         table[frozenset(prob.poset.carrier)] = prob.ambient
         cond = {d: prob.s[d] for d in prob.down_sets()}
-        assert is_conditional_lift(PartialLift(prob, lam, table, cond), prob)
+        assert is_conditional_lift(PartialLift(prob, lam, table, cond))
 
     def test_branch_overlap_breaks_the_annihilation_law(self, tripod_problem):
         # at lambda = both left elements, the right-branch conditioner meets
@@ -148,14 +148,14 @@ class TestConditionalLift:
         }
         cond = {d: prob.s[d] for d in prob.down_sets()}
         cand = PartialLift(prob, lam, table, cond)
-        report = is_conditional_lift(cand, prob)
+        report = is_conditional_lift(cand)
         assert not report and "Eq (18)" in report.law
 
 
 @pytest.fixture
 def tripod_problem(tripod):
     """The direct attractor-side problem on the branched fixture."""
-    from morselat.grid import comb_att_lattice, comb_inv
+    from morselat.grid import comb_att_lattice, comb_inv, is_attracting_block
 
     lat = comb_att_lattice(tripod)
     poset, s = birkhoff_embedding(lat)
@@ -168,7 +168,7 @@ def tripod_problem(tripod):
         ambient=fs(0, 1, 2, 3),
         h=lambda n: comb_inv(n, tripod),
         section=lambda l: l,
-        member=None,
+        member=lambda n: is_attracting_block(n, tripod),
     )
     a0d = fs(a0)
     amd = fs(a0, am)

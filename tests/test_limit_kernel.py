@@ -61,7 +61,7 @@ def closed_filter(rel, n):
 def nbhd_product(sys):
     """Prod over cycles of (1 + 2^(|basin| - |cycle|)), basins by the oracle."""
     out = 1
-    for c in sys._cycle_masks():
+    for c in sys._cycles:
         basin = sum(1 for i in range(sys._n) if omega_oracle(sys, 1 << i) == c)
         out *= 1 + 2 ** (basin - bin(c).count("1"))
     return out
@@ -181,7 +181,7 @@ def ar_direct_oracle(sys, a, r):
 class TestCycleWalk:
     def check_cycles(self, sys):
         cycles = cycles_oracle(sys)
-        assert sys._cycle_masks() == tuple(cycles), dict(sys.next)
+        assert sys._cycles == tuple(cycles), dict(sys.next)
         assert sys.cycles() == [sys.unmask(c) for c in cycles]
 
     def test_all_four_state_maps(self):

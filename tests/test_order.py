@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,16 @@ from morselat import (
     is_order_preserving,
     validate_poset,
 )
-from conftest import all_labeled_posets, cubic_poset_covers, random_poset
+from morselat import Poset, SetLattice, comb_att_lattice, ds1, sublattices
+from morselat.grid import attracting_blocks
+from conftest import (
+    all_labeled_posets,
+    cubic_poset_covers,
+    is_down_mask_oracle,
+    not_a_down_set_witness_oracle,
+    not_transitive_triple_oracle,
+    random_poset,
+)
 
 
 def members(downsets):
@@ -117,6 +127,60 @@ class TestDownSets:
             for b in masks:
                 assert (a | b) in masks
                 assert (a & b) in masks
+
+
+class TestEscape:
+    """Poset._escape against the three witness loops it replaced, on every poset of at most four elements."""
+
+    def test_down_mask_and_not_a_down_set_witness(self):
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                for mask in range(1 << n):
+                    assert p.is_down_mask(mask) == is_down_mask_oracle(p, mask)
+                    witness = not_a_down_set_witness_oracle(p, mask)
+                    if witness is None:
+                        DownSet(p, p.members_of(mask))
+                        continue
+                    with pytest.raises(NotADownSet) as err:
+                        DownSet(p, p.members_of(mask))
+                    assert err.value.witness == witness
+
+    def test_not_transitive_triple(self):
+        # dropping the elements of a mask from below one element keeps the
+        # relation reflexive and antisymmetric, and may break transitivity
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                for i in range(n):
+                    for mask in range(1 << n):
+                        below = list(p.below)
+                        below[i] &= ~mask | 1 << i
+                        triple = not_transitive_triple_oracle(p.carrier, below)
+                        if triple is None:
+                            Poset(p.carrier, below)
+                            continue
+                        with pytest.raises(NotTransitive) as err:
+                            Poset(p.carrier, below)
+                        assert err.value.triple == triple
+
+
+# (what is counted, a call on the tripod cell map or none that enumerates them, how many it counts)
+BOUND_SITES = [
+    ("poset elements", lambda _: antichain(range(4)).down_masks(), 4),
+    ("lattice elements besides 0 and 1", lambda _: list(sublattices(SetLattice("ab", map(frozenset, ["", "a", "b", "ab"])))), 2),
+    ("states", lambda _: ds1().attracting_neighborhoods(), 4),
+    ("cycles", lambda _: ds1().att_lattice(), 2),
+    ("Morse sets", comb_att_lattice, 3),
+    ("cells", attracting_blocks, 4),
+]
+
+
+@pytest.mark.parametrize("what, run, count", BOUND_SITES, ids=[w for w, _, _ in BOUND_SITES])
+def test_bound_sites_follow_the_environment(what, run, count, tripod, monkeypatch):
+    monkeypatch.setenv("MORSELAT_MAX_ENUM", str(count))
+    run(tripod)
+    monkeypatch.setenv("MORSELAT_MAX_ENUM", str(count - 1))
+    with pytest.raises(TooLarge, match=f"^{re.escape(f'{count} {what}')} exceeds the enumeration bound {count - 1}$"):
+        run(tripod)
 
 
 class TestDuality:
