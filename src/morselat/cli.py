@@ -18,6 +18,7 @@ each exception type to its exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -240,7 +241,9 @@ def cmd_birkhoff(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The four-subcommand parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="morselat",
         description="attractor/repeller lattices and constructive lattice lifting",
@@ -253,7 +256,6 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--output")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("lift", help="lift a sublattice to neighborhoods")
     p.add_argument("input")
@@ -261,7 +263,6 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--output")
     p.add_argument("--direct", action="store_true", help="attractor-side route without duality")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("verify", help="run the proposition suites over a corpus")
     p.add_argument("--exhaustive", type=int, default=0, metavar="N", help="all maps on N states")
@@ -269,22 +270,24 @@ def main(argv=None) -> int:
     p.add_argument("--max-states", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("birkhoff", help="down-set lattice, irreducibles, Booleanization")
     p.add_argument("input")
     p.add_argument("-o", "--output")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_birkhoff)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         enum_bound()
     except ValueError as exc:
         return _fail(EXIT_BOUND, "bound", str(exc))
     try:
-        return args.fn(args)
+        # looked up per call, so that a wrapped cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:
         for types, code, kind, extra in ERRORS:
             if isinstance(exc, types):

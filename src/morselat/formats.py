@@ -49,7 +49,58 @@ class RunConfig:
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, written directly.
+
+    Dicts (with string keys), lists and tuples are laid out here; strings go
+    through the C string encoder, ints through ``int.__repr__``, and any
+    other scalar through ``json.dumps``, so the text is the stdlib's byte for
+    byte at a fraction of its pure-Python indenting encoder's cost.
+    """
+    out = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write(x, newline: str, out: list) -> None:
+    """Append the text of x to out; newline is the line break and indent x starts at."""
+    if isinstance(x, str):
+        out.append(_encode_str(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(x.items()):
+            out.append(sep + _encode_str(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(x))
 
 
 # -- inputs -------------------------------------------------------------------

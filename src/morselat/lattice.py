@@ -7,7 +7,9 @@ interior operator: Inv on Att, comb_inv or comb_inv_plus on a grid, none for
 plain intersection.  Each element is its own core, so a ^ b == a iff a is a
 subset of b: the order is inclusion and evaluates no meet.  J(L), the covers
 and predecessors come from one O(|L|^2) pass over the size-sorted elements,
-kept on the lattice for its lifetime.
+kept on the lattice for its lifetime.  The down-set lattice O(P) of a known
+poset needs no such pass: from_poset reads its covers off the poset in
+O(|L| |P|).
 """
 
 from __future__ import annotations
@@ -176,12 +178,29 @@ class SetLattice:
 
     @classmethod
     def from_poset(cls, poset: Poset) -> "SetLattice":
-        """The down-set lattice O(P) as a lattice of subsets of the carrier."""
-        return cls(
-            poset.carrier,
-            [d.members for d in poset.all_down_sets()],
-            check=False,
-        )
+        """The down-set lattice O(P) as a lattice of subsets of the carrier.
+
+        Its covers are read off the poset, not searched: the lower covers of a
+        down-set d are the d minus {p} for p maximal in d, that is, those of
+        the |d| masks d minus one bit that are down-sets.  O(|L| |P|) lookups;
+        the masks come in the lattice's canonical order.
+        """
+        masks = poset.down_masks()
+        lat = cls(poset.carrier, [poset.members_of(m) for m in masks], check=False)
+        position = {m: i for i, m in enumerate(masks)}
+        lower = []
+        for m in masks:
+            low = 0
+            rest = m
+            while rest:
+                bit = rest & -rest
+                i = position.get(m ^ bit)
+                if i is not None:
+                    low |= 1 << i
+                rest ^= bit
+            lower.append(low)
+        lat._lower = lower
+        return lat
 
 
 def _closure_failure(universe: Sequence, family: Sequence[frozenset], meet: Callable) -> tuple | None:

@@ -327,7 +327,8 @@ def lift(problem: LiftProblem) -> LiftCertificate:
 
     # the final extension step replaced k(1) with the union of all atoms
     union_top = frozenset().union(*atoms.values())
-    assert table[full] == union_top
+    if table[full] != union_top:
+        raise LiftError("k(1) is not the union of the atoms")
     if problem.h(union_top) != problem.s[full]:
         raise LiftError("terminal h(k(1)) != s(1)")
     top_preserved = union_top == ambient

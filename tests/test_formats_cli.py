@@ -554,9 +554,15 @@ class TestCliVerifyBirkhoff:
         passes = []
         real = morselat.lattice.cover_masks
         monkeypatch.setattr(morselat.lattice, "cover_masks", lambda strict: passes.append(strict) or real(strict))
-        path = write(tmp_path, "poset.json", P3_DOC)
-        assert cli.main(["birkhoff", path, "-o", str(tmp_path / "b.json")]) == 0
-        assert len(passes) == 1  # J(L), the Booleanization and hasse all read it
+        family = {"universe": ["a", "b"], "elements": [[], ["a"], ["b"], ["a", "b"]]}
+        # J(L), the Booleanization and hasse all read at most one general pass
+        # on a lattice file, and none on a poset file, whose covers O(P) reads
+        # off the poset
+        for doc, most in ((family, 1), (P3_DOC, 0)):
+            passes.clear()
+            path = write(tmp_path, "input.json", doc)
+            assert cli.main(["birkhoff", path, "-o", str(tmp_path / "b.json")]) == 0
+            assert len(passes) <= most
 
     def test_birkhoff_antichain(self, tmp_path):
         path = write(tmp_path, "poset.json", {"elements": ["a", "b", "c"], "covers": []})
@@ -590,6 +596,57 @@ class TestCliVerifyBirkhoff:
         assert cli.main(["birkhoff", path]) == 5
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "not_a_lattice" and "'c'" in err["message"]
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process; no call leaves state in it for the next."""
+
+    CALLS = [
+        (["analyze", "{system}", "--format", "dot"], ["analyze", "{system}"]),
+        (["lift", "{grid}", "{attractors}", "--direct"], ["lift", "{grid}", "{attractors}"]),
+        (["verify", "--seed", "5"], ["verify"]),
+    ]
+
+    @pytest.mark.parametrize("first, second", CALLS)
+    def test_second_call_matches_a_fresh_process(self, tmp_path, capsys, first, second):
+        paths = {
+            "system": write(tmp_path, "system.json", DS1_DOC),
+            "grid": write(tmp_path, "tripod.json", TRIPOD_DOC),
+            "attractors": write(tmp_path, "sub.json", {"side": "attractor", "elements": TRIPOD_ATT}),
+        }
+        first, second = ([arg.format(**paths) for arg in argv] for argv in (first, second))
+        cli.main(first)
+        capsys.readouterr()
+        code = cli.main(second)
+        out, err = capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        fresh = subprocess.run([sys.executable, "-m", "morselat.cli"] + second, env=env, capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([1e-9, -0.0, math.inf, -math.inf, math.nan, 1e308, 5e-324])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"])
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+def test_dumps_writes_the_stdlib_text(x):
+    assert dumps(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
 
 
 # -- fuzzed input fields --------------------------------------------------------

@@ -116,16 +116,32 @@ class TestCovers:
         check_cover_queries(SetLattice(range(6), family))
 
     def test_cover_pass_runs_once_per_lattice(self, p3, monkeypatch):
-        lat = SetLattice.from_poset(p3)
+        # at most one general pass on a lattice given by its family, none on
+        # O(P), whose covers from_poset reads off the poset
         passes = []
         real = lattice_module.cover_masks
         monkeypatch.setattr(lattice_module, "cover_masks", lambda strict: passes.append(strict) or real(strict))
-        jl = join_irreducibles(lat)
-        lat.covers()
-        for c in jl.carrier:
-            predecessor(lat, c)
-        booleanize(lat)
-        assert len(passes) == 1
+        family = SetLattice(p3.carrier, [d.members for d in p3.all_down_sets()])
+        for lat, most in ((family, 1), (SetLattice.from_poset(p3), 0)):
+            passes.clear()
+            jl = join_irreducibles(lat)
+            lat.covers()
+            for c in jl.carrier:
+                predecessor(lat, c)
+            booleanize(lat)
+            assert len(passes) <= most
+
+    def test_from_poset_matches_the_general_pass(self):
+        # every poset of at most 5 elements: the covers read off the poset
+        # give the covers, J(L) and Booleanization of the general pass
+        for n in range(6):
+            for p in all_labeled_posets(n):
+                fast = SetLattice.from_poset(p)
+                general = SetLattice(p.carrier, [d.members for d in p.all_down_sets()], check=False)
+                assert fast.elements == general.elements
+                assert fast.covers() == general.covers()
+                assert join_irreducibles(fast) == join_irreducibles(general)
+                assert booleanize(fast).j == booleanize(general).j
 
 
 class TestJoinIrreducibles:

@@ -10,6 +10,7 @@ from morselat import (
     CellMap,
     ConditionerMissing,
     FiniteDynSys,
+    LiftError,
     LiftProblem,
     NotASublattice,
     ObstructionFound,
@@ -220,6 +221,16 @@ class TestLift:
         bad = dataclasses.replace(prob, section=lambda l: fs("a", "b"))
         with pytest.raises(SectionInconsistent):
             lift(bad)
+
+    def test_top_entry_off_the_atoms_is_a_lift_error(self):
+        # h drops c, so k(1) is the union of the atoms, {a, b}, not the ambient set
+        prob = dataclasses.replace(identity_problem(), ambient=fs("a", "b", "c"), h=lambda u: u & fs("a", "b"))
+        full = frozenset(prob.poset.carrier)
+        assert lift(prob).table[full] == fs("a", "b")
+        # corrupt the table: without P in O(P), k(1) keeps its seed, the ambient set
+        prob.__dict__["_downs"] = [d for d in prob.down_sets() if d != full]
+        with pytest.raises(LiftError, match="union of the atoms"):
+            lift(prob)
 
 
 class TestConditionI:
