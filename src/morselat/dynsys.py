@@ -27,7 +27,7 @@ from functools import partial
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import SetLattice
-from .order import UnknownElement, _lex_key, check_bound, closed_masks
+from .order import UnknownElement, canonical_order, check_bound, closed_masks
 
 
 class InvalidOrbit(ValueError):
@@ -378,10 +378,13 @@ class FiniteDynSys:
             self._att_cache = SetLattice(self.states, map(self.unmask, self._recurrent_unions()), core)
         return self._att_cache
 
+    def _basin_unions(self):
+        """The unions of basins of cycles: alpha of each union of cycles, in the order of ``_recurrent_unions``."""
+        return [self._alpha_mask(m) for m in self._recurrent_unions()]
+
     def rep_lattice(self) -> SetLattice:
         """Rep = alpha images of repelling neighborhoods: the unions of basins of cycles."""
-        elems = {self._alpha_mask(m) for m in self._recurrent_unions()}
-        return SetLattice(self.states, (self.unmask(m) for m in elems))
+        return SetLattice(self.states, map(self.unmask, self._basin_unions()))
 
     def basin(self, attractor: Iterable) -> frozenset:
         """The canonical trapping region: states whose omega-limit lies in A, so misses A^c."""
@@ -484,7 +487,7 @@ class FiniteDynSys:
         walked in its lattice order, so a failing law names the same pair as
         on ``att_lattice().elements``.
         """
-        atts = sorted(self._recurrent_unions(), key=lambda m: (m.bit_count(), _lex_key(m, self._n)))
+        atts = canonical_order(self._recurrent_unions(), self._n)
         star = {a: self._dual_mask(a, True) for a in atts}
         full = self._full
         for m in masks:

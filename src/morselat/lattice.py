@@ -5,11 +5,11 @@ Every lattice here is materialized as a family of subsets of a finite ground
 set.  Join is union; meet is the intersection under the lattice's core, an
 interior operator: Inv on Att, comb_inv or comb_inv_plus on a grid, none for
 plain intersection.  Each element is its own core, so a ^ b == a iff a is a
-subset of b: the order is inclusion and evaluates no meet.  J(L), the covers
-and predecessors come from one O(|L|^2) pass over the size-sorted elements,
-kept on the lattice for its lifetime.  The down-set lattice O(P) of a known
-poset needs no such pass: from_poset reads its covers off the poset in
-O(|L| |P|).
+subset of b: the order is inclusion and evaluates no meet.  J(L), the covers,
+predecessors and the Booleanization come from one O(|L|^2) pass over the
+size-sorted elements, kept on the lattice for its lifetime.  The down-set
+lattice O(P) of a known poset needs no such pass: from_poset reads its covers
+off the poset in O(|L| |P|).
 """
 
 from __future__ import annotations
@@ -331,9 +331,23 @@ class BooleanAlgebraRep:
 
 
 def booleanize(lat: SetLattice) -> BooleanAlgebraRep:
-    """The Booleanization of L, realised as 2^{J(L)}."""
+    """The Booleanization of L, realised as 2^{J(L)}.
+
+    j(a), the join-irreducibles below a, is a itself if it is one, together
+    with j of each lower cover of a: one walk of the elements in order, on
+    masks over J(L), with no subset test.
+    """
     jl = join_irreducibles(lat)
-    table = {a: birkhoff_down(lat, a, jl).members for a in lat.elements}
+    position = {c: k for k, c in enumerate(jl.carrier)}
+    below = []
+    for a, low in zip(lat.elements, lat._lower_masks()):
+        m = 1 << position[a] if a in position else 0
+        while low:
+            bit = low & -low
+            m |= below[bit.bit_length() - 1]
+            low ^= bit
+        below.append(m)
+    table = {a: jl.members_of(m) for a, m in zip(lat.elements, below)}
     rep = BooleanAlgebraRep(jl, table)
     # complementation axiom on the image: j(a) and its complement partition J(L)
     ground = frozenset(jl.carrier)

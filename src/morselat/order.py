@@ -300,7 +300,7 @@ class Poset:
     def down_masks(self) -> list[int]:
         n = len(self.carrier)
         check_bound(n, "poset elements")
-        return sorted(closed_masks(self.below), key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
+        return canonical_order(closed_masks(self.below), n)
 
     def dual(self) -> "Poset":
         """The opposite poset: p <= q in the dual iff q <= p here."""
@@ -314,6 +314,11 @@ class Poset:
 
 def _lex_key(mask: int, n: int) -> tuple:
     return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def canonical_order(masks: Iterable[int], n: int) -> list[int]:
+    """The masks over n bits by size, then by ascending bit list: the order of ``SetLattice.elements``."""
+    return sorted(masks, key=lambda m: (m.bit_count(), _lex_key(m, n)))
 
 
 @dataclass(frozen=True)

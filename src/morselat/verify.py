@@ -21,7 +21,10 @@ runs each Eq (6)/(7) cross-check once per system and serves D1 too.
 D1 reads the system, not these tables: it runs the commuting-square routine
 of ``FiniteDynSys`` (the one ``analyze`` runs on each attractor and its
 basin) on every attracting neighborhood, then the Props 4.6/4.7 laws on the
-unions of cycles, with no ``SetLattice`` of Att.
+unions of cycles, with no ``SetLattice`` of Att.  P3.7 and P3.28 read masks
+too: they restrict the system to each nonzero attractor (repeller) and look
+the restriction's unions of cycles (of basins) up among the system's
+attractors (repellers), with no ``SetLattice`` of the restriction.
 
 Statements made once for attractors and once for repellers (L3.4 and
 C3.26+27, P3.21 and P3.25, P3.7 and P3.28, P4.1 and P4.2, P4.3 and P4.4)
@@ -35,8 +38,8 @@ import random
 from dataclasses import dataclass
 from operator import and_
 
-from .dynsys import FiniteDynSys, _reach
-from .order import check_bound
+from .dynsys import FiniteDynSys, _reach, _union
+from .order import canonical_order, check_bound
 
 PAIR_CAP = 64  # per-family cap for pairwise laws on large random systems
 
@@ -464,23 +467,35 @@ def check_c3_26_27(sd):
 
 
 def check_p3_7(sd):
-    return _restricted_lattices(sd, sd.att_elems, FiniteDynSys.att_lattice)
+    return _restricted_elements(sd, sd.att_elems, FiniteDynSys._recurrent_unions)
 
 
 def check_p3_28(sd):
-    return _restricted_lattices(sd, sd.rep_elems, FiniteDynSys.rep_lattice)
+    return _restricted_elements(sd, sd.rep_elems, FiniteDynSys._basin_unions)
 
 
-def _restricted_lattices(sd, elems, lattice_of):
-    """Each element of the lattice of the system restricted to a nonzero element is one of ``elems``."""
+def _restricted_elements(sd, elems, masks_of):
+    """Each attractor (repeller) of the system restricted to a nonzero element is one of ``elems``."""
     known = set(elems)
     for e in elems:
         if not e:
             continue
-        for e2 in lattice_of(sd.sys.restrict(_u(sd, e))).elements:
-            if sd.sys.mask(e2) not in known:
-                return (_u(sd, e), e2)
+        for m in _restricted_masks(sd.sys, e, masks_of):
+            if m not in known:
+                return (_u(sd, e), _u(sd, m))
     return None
+
+
+def _restricted_masks(sys, e, masks_of):
+    """``masks_of`` the system restricted to the mask e, as masks of ``sys``, in SetLattice's canonical order.
+
+    The restriction keeps the order of the states, so bit k of its masks is
+    the k-th lowest bit of e, and the order is that of the elements of its
+    att_lattice() or rep_lattice().
+    """
+    sub = sys.restrict(sys.unmask(e))
+    bits = [1 << i for i in range(sys._n) if e >> i & 1]
+    return [_union(bits, m) for m in canonical_order(masks_of(sub), sub._n)]
 
 
 def check_p4_1(sd):

@@ -252,6 +252,19 @@ class TestBooleanize:
         rep = booleanize(SetLattice(labels, elems))
         assert len(rep.ground) == 4
 
+    def test_j_is_birkhoff_down(self, sys1, sys2, sys3, g1, g2, tripod):
+        # booleanize reads j off the cover masks; birkhoff_down, a subset scan
+        # per element, is the oracle, on every poset of at most 5 elements and
+        # every fixture lattice
+        lattices = [SetLattice.from_poset(p) for n in range(6) for p in all_labeled_posets(n)]
+        lattices += [lat for sys in (sys1, sys2, sys3) for lat in (sys.att_lattice(), sys.rep_lattice())]
+        lattices += [lat(cmap) for cmap in (g1, g1_at(12), g2, tripod) for lat in (comb_att_lattice, comb_rep_lattice)]
+        for lat in lattices:
+            jl = join_irreducibles(lat)
+            rep = booleanize(lat)
+            assert rep.ground == jl
+            assert rep.j == {a: birkhoff_down(lat, a, jl).members for a in lat.elements}
+
     def test_order_test_both_forms(self):
         rep = booleanize(powerset_lattice("ab"))
         ja = rep.j[fs("a")]

@@ -14,6 +14,7 @@ from morselat.dynsys import _inv, _inv_plus, _reach, _union
 from morselat.verify import (
     CHECKS,
     SystemData,
+    _restricted_masks,
     all_systems,
     check_p3_1,
     random_systems,
@@ -117,3 +118,45 @@ def test_checks_detect_a_broken_operator(monkeypatch):
     assert check_p3_1(sd) is None
     sd.inv[3] = 3
     assert check_p3_1(sd) is not None
+
+
+def test_restricted_masks_are_the_restricted_lattices():
+    # P3.7 and P3.28 build no lattice of the restricted system; here each one
+    # is built with its full validation and must list, in order, the sets
+    # they read: every map of at most 4 states and 100 of 5 to 10 states
+    systems = [sys for n in range(1, 5) for sys in all_systems(n)]
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(5, 10)
+        systems.append(FiniteDynSys(range(n), {s: rng.randrange(n) for s in range(n)}))
+    sides = (
+        (FiniteDynSys._recurrent_unions, FiniteDynSys.att_lattice),
+        (FiniteDynSys._basin_unions, FiniteDynSys.rep_lattice),
+    )
+    for sys in systems:
+        for masks_of, lattice_of in sides:
+            for e in masks_of(sys):
+                if e:
+                    lat = lattice_of(sys.restrict(sys.unmask(e)))
+                    assert [sys.unmask(m) for m in _restricted_masks(sys, e, masks_of)] == list(lat.elements)
+
+
+def test_p3_7_and_p3_28_fire_from_the_restricted_side(monkeypatch):
+    # the 2-cycle {0, 1} and the fixed point 3 with 2 in its basin, with the
+    # lowest state of every restriction made a fixed point: restricted to
+    # {0, 1} the map gains the foreign attractor {0}, restricted to {2, 3}
+    # the foreign repeller {2}; the unrestricted system's tables are intact
+    sys = FiniteDynSys(range(4), {0: 1, 1: 0, 2: 3, 3: 3})
+    real = FiniteDynSys.restrict
+
+    def restrict(self, subset):
+        sub = real(self, subset)
+        low = sub.states[0]
+        return FiniteDynSys(sub.states, {**sub.next, low: low})
+
+    monkeypatch.setattr(FiniteDynSys, "restrict", restrict)
+    results = run_verification([sys], tags={"P3.7", "P3.28"})
+    assert [(r.tag, r.passed, r.counterexample) for r in results] == [
+        ("P3.7", False, (sys.next, (frozenset({0, 1}), frozenset({0})))),
+        ("P3.28", False, (sys.next, (frozenset({2, 3}), frozenset({2})))),
+    ]
