@@ -2,6 +2,8 @@
 
 Each golden is the CLI output with ``config.inputs`` cut to the inputs' file
 names, so it does not depend on where the inputs were written.
+G1 at 256 and 1024 cells is pinned too, the larger by the SHA-256 of its
+output (231 KB) in ``g1_1024.analyze.json.sha256``.
 ``verify_witnesses.json`` holds the witness every ``verify`` check returns on
 seeded systems whose tables were corrupted after construction.  After a
 deliberate change of output, regenerate all the files with
@@ -10,6 +12,7 @@ deliberate change of output, regenerate all the files with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -45,6 +48,9 @@ INPUTS = {
     },
 }
 FORMATS = ("json", "dot")
+# G1 past the cubic lattice check's wall: analyze output in full, or by digest
+LARGE = {"g1_256": interval(G1, 256), "g1_1024": interval(G1, 1024)}
+DIGESTS = ("g1_1024",)
 
 G1_12_ATT = [
     [], [5, 6], [4, 5, 6], [5, 6, 7], [4, 5, 6, 7], [1, 2, 3, 4, 5, 6], [5, 6, 7, 8, 9, 10],
@@ -176,7 +182,11 @@ def run(directory, argv, docs) -> str:
 
 
 def analyze(directory, name, fmt) -> str:
-    return run(directory, ["analyze", "--format", fmt], {name: INPUTS[name]})
+    return run(directory, ["analyze", "--format", fmt], {name: INPUTS[name] if name in INPUTS else LARGE[name]})
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest() + "\n"
 
 
 def lift(directory, name) -> str:
@@ -192,6 +202,15 @@ def birkhoff(directory, name, fmt) -> str:
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_analyze_matches_golden(tmp_path, name, fmt):
     assert analyze(str(tmp_path), name, fmt) == (GOLDEN / f"{name}.analyze.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_analyze_matches_golden(tmp_path, name):
+    text = analyze(str(tmp_path), name, "json")
+    if name in DIGESTS:
+        assert sha256(text) == (GOLDEN / f"{name}.analyze.json.sha256").read_text()
+    else:
+        assert text == (GOLDEN / f"{name}.analyze.json").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(LIFTS))
@@ -247,6 +266,12 @@ if __name__ == "__main__":
         for name in sorted(INPUTS):
             for fmt in FORMATS:
                 (GOLDEN / f"{name}.analyze.{fmt}").write_text(analyze(tmp, name, fmt))
+        for name in sorted(LARGE):
+            text = analyze(tmp, name, "json")
+            if name in DIGESTS:
+                (GOLDEN / f"{name}.analyze.json.sha256").write_text(sha256(text))
+            else:
+                (GOLDEN / f"{name}.analyze.json").write_text(text)
         for name in sorted(LIFTS):
             (GOLDEN / f"{name}.lift.json").write_text(lift(tmp, name))
         for name in sorted(BIRKHOFF):
