@@ -10,8 +10,11 @@ outer-approximation soundness.
 The lattices of combinatorial attractors and repellers come from the Morse
 poset: the Morse sets are the cyclic SCCs of the cell map, ordered by
 reachability, and each down-set of them gives one attractor, the forward
-closure of its Morse sets.  Enumerating every attracting block
-(attracting_blocks, block_lattices) is kept as the test oracle.
+closure of its Morse sets.  Both lattices are certified as images of the
+down-set lattice (SetLattice.from_down_sets), with one core call per pair of
+down-sets, so they are distributive at every size.  Enumerating every
+attracting block (attracting_blocks, block_lattices) is kept as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -297,8 +300,8 @@ def block_lattices(cmap: CellMap) -> tuple[SetLattice, SetLattice]:
     )
 
 
-def _morse_attractors(cmap: CellMap) -> list[frozenset]:
-    """comb_inv(N) for every attracting block N, one per down-set of the Morse poset.
+def _morse_attractors(cmap: CellMap) -> dict[int, frozenset]:
+    """Down-set mask d of the Morse poset -> comb_inv(N) for the attracting blocks N holding d.
 
     The Morse sets are ordered by reachability.  An attracting block holds
     exactly a down-set of them, and its walk core is their forward closure.
@@ -307,26 +310,29 @@ def _morse_attractors(cmap: CellMap) -> list[frozenset]:
     check_bound(len(morse), "Morse sets", GRID_ENUM_BOUND)
     reach = [_forward_closure(m, cmap) for m in morse]
     rel = [sum(1 << j for j, m in enumerate(morse) if m <= r) for r in reach]
-    return [
-        frozenset().union(*(r for i, r in enumerate(reach) if d >> i & 1))
+    return {
+        d: frozenset().union(*(r for i, r in enumerate(reach) if d >> i & 1))
         for d in closed_masks(rel)
-    ]
+    }
 
 
 def comb_att_lattice(cmap: CellMap) -> SetLattice:
     """{comb_inv(N) | N an attracting block}, join union, core comb_inv."""
-    return SetLattice(tuple(range(cmap.n)), _morse_attractors(cmap), lambda x: comb_inv(x, cmap))
+    return SetLattice.from_down_sets(tuple(range(cmap.n)), _morse_attractors(cmap), lambda x: comb_inv(x, cmap))
 
 
 def comb_rep_lattice(cmap: CellMap) -> SetLattice:
     """{comb_inv_plus(W) | W a repelling block}, join union, core comb_inv_plus.
 
     W = cells - N for an attracting block N, and comb_inv_plus(W) depends on
-    N only through comb_inv(N).
+    N only through comb_inv(N).  Rep is O(P) with the order reversed, so it
+    is certified on the complemented masks.
     """
     full = cmap.all_cells()
-    elems = [comb_inv_plus(full - a, cmap) for a in _morse_attractors(cmap)]
-    return SetLattice(tuple(range(cmap.n)), elems, lambda x: comb_inv_plus(x, cmap))
+    att = _morse_attractors(cmap)
+    top = max(att)
+    elems = {top ^ d: comb_inv_plus(full - a, cmap) for d, a in att.items()}
+    return SetLattice.from_down_sets(tuple(range(cmap.n)), elems, lambda x: comb_inv_plus(x, cmap))
 
 
 def shrink_repelling_block(

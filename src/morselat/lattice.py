@@ -10,6 +10,13 @@ predecessors and the Booleanization come from one O(|L|^2) pass over the
 size-sorted elements, kept on the lattice for its lifetime.  The down-set
 lattice O(P) of a known poset needs no such pass: from_poset reads its covers
 off the poset in O(|L| |P|).
+
+A family given as a bare list is validated by closure over all pairs and by
+distributivity over all triples, the latter only up to
+DISTRIBUTIVITY_CHECK_LIMIT elements.  A family given as the image of O(P)
+under a map (from_down_sets, the grid Att and Rep) is certified instead: a
+map that preserves union and meet on every pair of down-sets is a lattice
+embedding of a ring of sets, so its image is distributive at every size.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ class SetLattice:
     order).  Unless ``check`` is false, construction checks 0, closure, that
     each element is its own core and, with a core, distributivity (up to
     DISTRIBUTIVITY_CHECK_LIMIT elements; union and intersection distribute).
+    ``_canonical`` elements are distinct frozensets of the universe already in
+    canonical order, and are taken as they are.
     """
 
     def __init__(
@@ -74,14 +83,19 @@ class SetLattice:
         elements: Iterable[frozenset],
         core: Callable[[frozenset], frozenset] | None = None,
         check: bool = True,
+        *,
+        _canonical: bool = False,
     ):
         self.universe = tuple(universe)
         self._uindex = {u: i for i, u in enumerate(self.universe)}
-        elems = {frozenset(e) for e in elements}
-        outside = frozenset().union(*elems).difference(self._uindex)
-        if outside:
-            raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
-        self.elements = tuple(sorted(elems, key=self._canon_key))
+        if _canonical:
+            self.elements = tuple(elements)
+        else:
+            elems = {frozenset(e) for e in elements}
+            outside = frozenset().union(*elems).difference(self._uindex)
+            if outside:
+                raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
+            self.elements = tuple(sorted(elems, key=self._canon_key))
         self._eset = frozenset(self.elements)
         self.core = core
         self._lower = None
@@ -186,7 +200,7 @@ class SetLattice:
         the masks come in the lattice's canonical order.
         """
         masks = poset.down_masks()
-        lat = cls(poset.carrier, [poset.members_of(m) for m in masks], check=False)
+        lat = cls(poset.carrier, [poset.members_of(m) for m in masks], check=False, _canonical=True)
         position = {m: i for i, m in enumerate(masks)}
         lower = []
         for m in masks:
@@ -200,6 +214,49 @@ class SetLattice:
                 rest ^= bit
             lower.append(low)
         lat._lower = lower
+        return lat
+
+    @classmethod
+    def from_down_sets(
+        cls,
+        universe: Sequence[Hashable],
+        image: Mapping[int, frozenset],
+        core: Callable[[frozenset], frozenset],
+    ) -> "SetLattice":
+        """The image of O(P) under ``image``, a map from the down-set masks of a poset P, certified.
+
+        The map must be injective, take the empty down-set to the empty set
+        and, on every pair d, e of down-sets (d = e included), satisfy
+        A_d | A_e = A_(d | e) and core(A_d & A_e) = A_(d & e).  It is then a
+        lattice embedding of O(P), a ring of sets, so its image is a
+        distributive lattice under union and core(a & b) at every size
+        (Birkhoff, "Rings of sets", 1937): |L|(|L|+1)/2 core calls and no
+        triples.  The first failure raises NotALattice naming the law and the
+        pair.
+        """
+        lat = cls(universe, image.values(), core, check=False)
+        owner = {}
+        for d, a in image.items():
+            if owner.setdefault(a, d) != d:
+                raise NotALattice(
+                    f"the map is not injective: the down-sets {owner[a]:#b} and {d:#b} both map to "
+                    f"{_show(lat.universe, a)}"
+                )
+        if image.get(0) != frozenset():
+            raise NotALattice("the empty down-set does not map to 0 (the empty set)")
+        masks = list(image)
+        for i, d in enumerate(masks):
+            a = image[d]
+            for e in masks[i:]:
+                b = image[e]
+                for law, op, de, c in (("join", "v", d | e, a | b), ("meet", "^", d & e, core(a & b))):
+                    if image.get(de) != c:
+                        a_s, b_s, c_s = (_show(lat.universe, x) for x in (a, b, c))
+                        want = "no image" if de not in image else f"image {_show(lat.universe, image[de])}"
+                        raise NotALattice(
+                            f"the {law} law fails on the down-sets {d:#b}, {e:#b}: "
+                            f"{a_s} {op} {b_s} = {c_s}, but {de:#b} has {want}"
+                        )
         return lat
 
 

@@ -8,6 +8,7 @@ near the slow fixed points).
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,9 +20,12 @@ from morselat import (
     ImageOutOfDomain,
     NotARepellingBlock,
     NotASublattice,
+    SetLattice,
     TooLarge,
+    cli,
     ingest_interval_map,
 )
+from morselat import grid
 from morselat.grid import (
     _forward_closure,
     attracting_blocks,
@@ -281,6 +285,61 @@ class TestMorseRoute:
         monkeypatch.setenv("MORSELAT_MAX_ENUM", "6")
         with pytest.raises(TooLarge):
             comb_att_lattice(g1)
+
+
+def cubic_lattices(cmap):
+    """Att and Rep built from the Morse attractors as bare families, under the cubic SetLattice check."""
+    universe, full = tuple(range(cmap.n)), cmap.all_cells()
+    att = list(grid._morse_attractors(cmap).values())
+    return (
+        SetLattice(universe, att, lambda x: comb_inv(x, cmap), check=True),
+        SetLattice(universe, [comb_inv_plus(full - a, cmap) for a in att], lambda x: comb_inv_plus(x, cmap), check=True),
+    )
+
+
+def check_certified_lattices(cmap):
+    """The certified Att and Rep hold the oracle's elements in the oracle's order."""
+    att, rep = cubic_lattices(cmap)
+    assert comb_att_lattice(cmap).elements == att.elements
+    assert comb_rep_lattice(cmap).elements == rep.elements
+
+
+class TestCertifiedAgainstCubicCheck:
+    def test_fixtures(self, g1, g2, tripod):
+        g1_64 = ingest_interval_map("(x + x^3)/2", CellGrid(-1.0, 1.0, 64))
+        for cmap in [g1, g1_64, g2, tripod] + small_fixtures():
+            check_certified_lattices(cmap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_maps)
+    def test_random_cell_maps(self, arrows):
+        cmap = CellMap(CellGrid(0.0, float(len(arrows)), len(arrows)), tuple(arrows))
+        # the oracle is cubic in |Att|; keep each example quick
+        assume(len(grid._morse_attractors(cmap)) <= 16)
+        check_certified_lattices(cmap)
+
+    @pytest.mark.parametrize("corrupt", ["attractor", "core"])
+    def test_corruption_exits_5(self, tmp_path, monkeypatch, capsys, corrupt):
+        if corrupt == "attractor":
+            real = grid._morse_attractors
+
+            def one_cell_more(cmap):
+                image = real(cmap)
+                d = sorted(image)[len(image) // 2]
+                image[d] = image[d] | {min(cmap.all_cells() - image[d])}
+                return image
+
+            monkeypatch.setattr(grid, "_morse_attractors", one_cell_more)
+        else:
+            real = grid.comb_inv
+            monkeypatch.setattr(grid, "comb_inv", lambda cells, cmap: real(cells, cmap) - {cmap.n - 1})
+        path = tmp_path / "g1.json"
+        path.write_text(json.dumps({"type": "interval_map", "domain": [-1, 1], "cells": 16, "expr": "(x + x^3)/2"}))
+        assert cli.main(["analyze", str(path)]) == 5
+        out = capsys.readouterr()
+        err = json.loads(out.err)
+        assert out.out == "" and err["error"] == "not_a_lattice" and "law fails" in err["message"]
+        assert "Traceback" not in out.err
 
 
 def check_sections_are_fixed(cmap):

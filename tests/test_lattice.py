@@ -79,6 +79,46 @@ class TestSetLattice:
             assert lat.leq(a, a)
 
 
+def down_set_image(poset):
+    return {m: poset.members_of(m) for m in poset.down_masks()}
+
+
+class TestFromDownSets:
+    """The certificate of a map from O(P): pairs, against the cubic check on bare families."""
+
+    def test_small_posets_match_the_cubic_check(self):
+        # O(P) under a core that is the identity on it, and O(P) of the dual on complemented masks
+        core = lambda x: x
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                image = down_set_image(p)
+                cubic = SetLattice(p.carrier, image.values(), core, check=True)
+                assert SetLattice.from_down_sets(p.carrier, image, core) == cubic
+                top = (1 << n) - 1
+                flipped = {top ^ m: frozenset(p.carrier) - a for m, a in image.items()}
+                cubic = SetLattice(p.carrier, flipped.values(), core, check=True)
+                assert SetLattice.from_down_sets(p.carrier, flipped, core) == cubic
+
+    @pytest.mark.parametrize("mask, value, message", [
+        (0b111, fs("1", "3"), "not injective"),
+        (0b000, fs("2"), "empty down-set"),
+        (0b111, fs("1", "2", "3", "4"), "join law fails on the down-sets 0b11, 0b101"),
+        (0b111, None, "0b111 has no image"),
+    ])
+    def test_a_broken_map_names_the_law(self, p3, mask, value, message):
+        image = down_set_image(p3)
+        if value is None:
+            del image[mask]
+        else:
+            image[mask] = value
+        with pytest.raises(NotALattice, match=message):
+            SetLattice.from_down_sets(("1", "2", "3", "4"), image, lambda x: x)
+
+    def test_a_broken_core_names_the_law(self, p3):
+        with pytest.raises(NotALattice, match="meet law fails on the down-sets 0b11, 0b11"):
+            SetLattice.from_down_sets(p3.carrier, down_set_image(p3), lambda x: x - {"2"})
+
+
 def closed_family(subsets):
     """The subsets with 0, closed under union and intersection."""
     family = {frozenset()} | set(subsets)
