@@ -412,8 +412,16 @@ class FiniteDynSys:
             self._duals[key] = self._attractor_star(m) if of_attractor else self._repeller_star(m)
         return self._duals[key]
 
+    def _is_attractor(self, m: int) -> bool:
+        """m is invariant and its own omega-limit: a union of cycles."""
+        return self._image_mask(m) == m and self._omega_mask(m) == m
+
+    def _is_repeller(self, m: int) -> bool:
+        """m is forward-backward invariant and Inv+ fixes it: a union of basins."""
+        return not (self._image_mask(m) & ~m or self._preimage_mask(m) & ~m) and _inv_plus(self._img1, m) == m
+
     def _attractor_star(self, a: int) -> int:
-        if self._omega_mask(a) != a or (self._image_mask(a) != a):
+        if not self._is_attractor(a):
             raise NotAnAttractor(f"{sorted(map(repr, self.unmask(a)))}")
         u = self._splus(self._full & ~a)
         if self._omega_mask(u) != a:
@@ -424,11 +432,7 @@ class FiniteDynSys:
         return star
 
     def _repeller_star(self, r: int) -> int:
-        if (
-            self._image_mask(r) & ~r
-            or self._preimage_mask(r) & ~r
-            or _inv_plus(self._img1, r) != r
-        ):
+        if not self._is_repeller(r):
             raise NotARepeller(f"{sorted(map(repr, self.unmask(r)))}")
         star = _inv(self._img1, ~r & self._full)
         if star != self._sminus(r):

@@ -64,19 +64,22 @@ def dumps(payload: dict) -> str:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+# the text of a scalar of exactly this type (keyed by type, so a bool is no int here)
+_SCALAR = {str: _encode_str, int: int.__repr__, bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
 
 def _write(x, newline: str, out: list) -> None:
-    """Append the text of x to out; newline is the line break and indent x starts at."""
-    if isinstance(x, str):
-        out.append(_encode_str(x))
-    elif x is None:
-        out.append("null")
-    elif x is True:
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
+    """Append the text of x to out; newline is the line break and indent x starts at.
+
+    A scalar of a type in _SCALAR, the bulk of a payload, is looked up by
+    its exact type and, inside a dict or list, written in place with no call
+    of _write.  Subclasses of dict, list and tuple take the isinstance path
+    below; any other scalar, subclasses of str and int too, goes through
+    ``json.dumps``, which writes the same text.
+    """
+    encode = _SCALAR.get(type(x))
+    if encode is not None:
+        out.append(encode(x))
     elif isinstance(x, dict):
         if not x:
             out.append("{}")
@@ -84,8 +87,12 @@ def _write(x, newline: str, out: list) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(x.items()):
-            out.append(sep + _encode_str(key) + ": ")
-            _write(value, inner, out)
+            encode = _SCALAR.get(type(value))
+            if encode is None:
+                out.append(sep + _encode_str(key) + ": ")
+                _write(value, inner, out)
+            else:
+                out.append(sep + _encode_str(key) + ": " + encode(value))
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(x, (list, tuple)):
@@ -95,8 +102,12 @@ def _write(x, newline: str, out: list) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for value in x:
-            out.append(sep)
-            _write(value, inner, out)
+            encode = _SCALAR.get(type(value))
+            if encode is None:
+                out.append(sep)
+                _write(value, inner, out)
+            else:
+                out.append(sep + encode(value))
             sep = "," + inner
         out.append(newline + "]")
     else:

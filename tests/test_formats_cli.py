@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -514,6 +515,53 @@ class TestCliLift:
         assert cli.main(["lift", spath, lpath2, "-o", str(tmp_path / "ok.json")]) == 0
 
 
+# -- exact lift families that are not sublattices, through the CLI ----------------
+
+# the states out of sorted order: z <-> y a 2-cycle, x fixed, w -> x
+SWAP_DOC = {"type": "finite", "states": ["z", "y", "x", "w"], "map": {"z": "y", "y": "z", "x": "x", "w": "x"}}
+FIXED3_DOC = {"type": "finite", "states": ["x", "y", "w"], "map": {"x": "x", "y": "y", "w": "w"}}
+MEETLESS = [[], ["x", "y"], ["y", "w"], ["x", "y", "w"]]
+MEETLESS_MESSAGE = "family is not meet-closed: ['x', 'y'] ^ ['y', 'w'] = ['y'] missing"
+_REAL_IMAGE_MASK = FiniteDynSys._image_mask
+
+
+def leaky_image_of_z(self, m):
+    """FiniteDynSys._image_mask, except that the image of {z} also holds state 0 (m on DS1)."""
+    out = _REAL_IMAGE_MASK(self, m)
+    return out | 1 if self.unmask(m) == frozenset("z") else out
+
+
+# (system, side, elements, a patch of FiniteDynSys._image_mask or None, the error message)
+EXACT_FAMILY_ROWS = {
+    "union of cycles made non-invariant": (
+        DS1_DOC, "attractor", [[], ["z"], ["b"], ["z", "b"]], leaky_image_of_z, "['z'] is not an attractor",
+    ),
+    "attractors missing a meet": (FIXED3_DOC, "attractor", MEETLESS, None, MEETLESS_MESSAGE),
+    "repellers missing a meet": (FIXED3_DOC, "repeller", MEETLESS, None, MEETLESS_MESSAGE),
+    "non-attractor in universe order": (
+        SWAP_DOC, "attractor", [[], ["z", "y"], ["x", "w"], ["z", "y", "x"]], None, "['x', 'w'] is not an attractor",
+    ),
+    "non-repeller in universe order": (
+        SWAP_DOC, "repeller", [[], ["z", "y"], ["z", "y", "x"], ["z", "y", "x", "w"]], None,
+        "['z', 'y', 'x'] is not a repeller",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", EXACT_FAMILY_ROWS)
+def test_exact_family_that_is_no_sublattice_exits_5(row, tmp_path, monkeypatch, capsys):
+    """Each row exits 5 with one JSON error naming the element or the pair, and no traceback."""
+    doc, side, elements, image_mask, message = EXACT_FAMILY_ROWS[row]
+    if image_mask is not None:
+        monkeypatch.setattr(FiniteDynSys, "_image_mask", image_mask)
+    spath = write(tmp_path, "system.json", doc)
+    lpath = write(tmp_path, "sub.json", {"side": side, "elements": elements})
+    assert cli.main(["lift", spath, lpath]) == 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "not_a_sublattice", "message": message}
+
+
 class TestCliVerifyBirkhoff:
     def test_verify_small_corpus(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -698,3 +746,16 @@ def test_fuzzed_field_exits_with_a_documented_code(case, data):
     assert code in (0, 2, 3, 4, 5)
     if code:
         assert "error" in json.loads(err.getvalue().splitlines()[-1])
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+def test_dumps_writes_subclasses_as_the_stdlib():
+    x = {Label("k"): [Count(3), Label("v"), collections.OrderedDict(b=1, a=True)], "t": (None, 2.5)}
+    assert dumps(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"

@@ -12,6 +12,7 @@ from morselat import (
     FiniteDynSys,
     LiftError,
     LiftProblem,
+    NotALattice,
     NotASublattice,
     ObstructionFound,
     PartialLift,
@@ -357,10 +358,15 @@ def test_lift_takes_each_conditioner_once(sys1, tripod, g1):
 
 @pytest.mark.parametrize("route", ["exact", "grid"])
 def test_attractor_lift_by_duality_checks_one_sublattice(route, sys1, tripod, monkeypatch):
+    """One sublattice check per attractor lift and none on the dual family.
+
+    The exact front-ends check their family as a ring of sets through
+    dynsys_lift._ring_of_sets; the grid ones through checked_sublattice.
+    """
     calls = []
-    module = dynsys_lift if route == "exact" else grid
-    real = module.checked_sublattice
-    monkeypatch.setattr(module, "checked_sublattice", lambda *args: calls.append(args) or real(*args))
+    module, name = (dynsys_lift, "_ring_of_sets") if route == "exact" else (grid, "checked_sublattice")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
     if route == "exact":
         attractor_lift(sys1, sys1.att_lattice().elements).verify()
     else:
@@ -489,3 +495,89 @@ def test_sublattice_check_reaches_every_front_end(front_end, broken):
         assert a in family and b in family
         missing = a | b if law == "join-closed" else a & b
         assert missing not in family
+
+
+@pytest.mark.parametrize("cell", [3, -1])
+@pytest.mark.parametrize("front_end", ["grid_lift_problem", "grid_attractor_lift"])
+def test_grid_family_outside_the_cells_is_no_lattice(front_end, cell):
+    """A cell outside 0..n-1 raises NotALattice before any core call or message sees it."""
+    run, _ = SUBLATTICE_FRONT_ENDS[front_end]
+    with pytest.raises(NotALattice, match=f"elements leave the universe: \\[{cell}\\]"):
+        run([fs(), fs(0, cell), fs(0, 1, 2)])
+
+
+# -- the exact front-ends against the cubic check ---------------------------------
+
+
+def cubic_front_end(system, side, family):
+    """The exact front-ends as the cubic check: each element tested on labels, then checked_sublattice.
+
+    Attractors are invariant sets that are their own omega-limit and meet by
+    Inv; repellers are forward-backward invariant sets fixed by Inv+ and meet
+    by intersection.  The first element that fails is named in universe order.
+    """
+    for e in map(frozenset, family):
+        if side == "attractor":
+            ok, what = system.image(e) == e and system.omega(e) == e, "an attractor"
+        else:
+            ok, what = system.classify_invariance(e).forward_backward and system.inv_plus(e) == e, "a repeller"
+        if not ok:
+            raise NotASublattice(f"{[s for s in system.states if s in e]} is not {what}", e)
+    if side == "attractor":
+        return checked_sublattice(system.states, family, system.inv)
+    return checked_sublattice(system.states, family)
+
+
+def outcome(run, *args):
+    """What a front-end does with a family: the exception's type, message and witness, or the lattice."""
+    try:
+        lat = run(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    es = lat.elements
+    return lat.universe, es, [lat.meet(a, b) for a in es for b in es]
+
+
+def families(system, side, rng, cap):
+    """Every family of attractors (repellers), or ``cap`` seeded ones, each shuffled, then again with one non-member.
+
+    The families of a lattice of at most log2(cap) elements are all its subsets.
+    """
+    lat = system.att_lattice() if side == "attractor" else system.rep_lattice()
+    members = lat.elements
+    n = len(system.states)
+    outsiders = [
+        e for e in (system.unmask(m) for m in range(1 << n)) if e not in lat
+    ]
+    picks = range(1 << len(members)) if 1 << len(members) <= cap else (rng.getrandbits(len(members)) for _ in range(cap))
+    for pick in picks:
+        family = [e for i, e in enumerate(members) if pick >> i & 1]
+        rng.shuffle(family)
+        yield family
+        if outsiders:
+            spoilt = list(family)
+            spoilt.insert(rng.randint(0, len(spoilt)), rng.choice(outsiders))
+            yield spoilt
+
+
+def check_against_cubic(system, rng, cap=256):
+    for side, run in (("attractor", attractor_sublattice), ("repeller", repeller_sublattice)):
+        for family in families(system, side, rng, cap):
+            assert outcome(run, system, family) == outcome(cubic_front_end, system, side, family), (side, family)
+
+
+class TestExactSublatticeAgainstCubicCheck:
+    def test_every_map_of_at_most_four_states(self):
+        rng = random.Random(4)
+        for n in range(1, 5):
+            for targets in itertools.product(range(n), repeat=n):
+                system = FiniteDynSys(range(n), dict(enumerate(targets)))
+                if len(system.att_lattice()) <= 8:
+                    check_against_cubic(system, rng)
+
+    def test_seeded_maps_of_five_to_eight_states(self):
+        rng = random.Random(58)
+        for _ in range(200):
+            n = rng.randint(5, 8)
+            system = FiniteDynSys(range(n), {i: rng.randrange(n) for i in range(n)})
+            check_against_cubic(system, rng)
