@@ -8,67 +8,50 @@ attractor problem (h = Inv) goes through the duality transport onto a
 repeller problem on the dual poset, whose embedding check certifies the
 dual family.
 
-A given family is checked on masks, as a ring of sets.  Attractors are the
-unions of cycles and repellers the unions of basins; both families are
+A given family is first tested element by element on masks: a union of
+cycles is an attractor, a union of basins a repeller.  Both families are
 closed under intersection, and Inv fixes every union of cycles, so the
-attractor meet Inv(a & b) is plain a & b.  A family of them that holds 0
-and the top and is closed under union and intersection over pairs is a
-ring of sets, distributive by set algebra, with no core call and no triple.
+attractor meet Inv(a & b) is plain a & b.  The family then goes to
+checked_sublattice with no core: 0, the top, and closure under union and
+intersection over pairs make it a ring of sets, distributive by set algebra,
+with no core call and no triple.
 """
 
 from __future__ import annotations
 
-from operator import and_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dynsys import FiniteDynSys
-from .lattice import NotASublattice, SetLattice, _require_bounds, _require_closed, _show, birkhoff_embedding
+from .lattice import NotASublattice, SetLattice, _show, birkhoff_embedding, checked_sublattice
 from .lifting import LiftCertificate, LiftProblem, lift, transport_by_duality
-from .order import Poset, canonical_order
+from .order import Poset
 
 
-def _ring_of_sets(
-    system: FiniteDynSys,
-    elements: Sequence[Iterable],
-    is_member: Callable[[int], bool],
-    what: str,
-    top: Iterable,
-    core: Callable[[frozenset], frozenset] | None,
-) -> SetLattice:
-    """The family as a SetLattice with ``core``, once each element passes ``is_member`` and the masks form a ring.
-
-    The first element that fails raises NotASublattice "... is not ``what``"
-    with the element as witness; then the bounds and the pair closure under
-    union and intersection, as in ``checked_sublattice``.  ``core`` is only
-    carried to the lattice: no check calls it.
-    """
-    masks = {}
-    for e in elements:
-        m = system.mask(e)
-        if not is_member(m):
-            bad = system.unmask(m)
-            raise NotASublattice(f"{_show(system.states, bad)} is not {what}", bad)
-        masks[m] = None
-    family = list(masks)
-    _require_bounds(system.states, family, 0, system.mask(top), system.unmask)
-    _require_closed(system.states, family, and_, system.unmask)
-    ordered = canonical_order(family, len(system.states))
-    return SetLattice(system.states, map(system.unmask, ordered), core, check=False, _canonical=True)
+def _members(system: FiniteDynSys, elements: Sequence[Iterable], is_member: Callable[[int], bool], what: str) -> list:
+    """The elements as frozensets; the first whose mask fails ``is_member`` raises "... is not ``what``"."""
+    family = [frozenset(e) for e in elements]
+    for e in family:
+        if not is_member(system.mask(e)):
+            raise NotASublattice(f"{_show(system.states, e)} is not {what}", e)
+    return family
 
 
 def repeller_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> SetLattice:
     """The top is all states; the lattice has no core."""
-    return _ring_of_sets(system, elements, system._is_repeller, "a repeller", system.states, None)
+    return checked_sublattice(system.states, _members(system, elements, system._is_repeller, "a repeller"))
 
 
 def attractor_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> SetLattice:
-    """The top is the union of all cycles, Inv of all states.
+    """The top is the union of all cycles, Inv of all states, so those states are the universe of the check.
 
-    The lattice keeps the core Inv, as ``att_lattice()`` does, so its meet on
-    any two sets is Inv(a & b); on its own elements that is plain
-    intersection.
+    The lattice returned keeps the core Inv over all states, as
+    ``att_lattice()`` does, so its meet on any two sets is Inv(a & b); on its
+    own elements that is plain intersection.
     """
-    return _ring_of_sets(system, elements, system._is_attractor, "an attractor", system.inv(system.states), system.inv)
+    family = _members(system, elements, system._is_attractor, "an attractor")
+    on_cycles = system.inv(system.states)
+    ring = checked_sublattice([x for x in system.states if x in on_cycles], family)
+    return SetLattice(system.states, ring.elements, system.inv, check=False)
 
 
 def _repeller_problem(system: FiniteDynSys, poset: Poset, s: Mapping) -> LiftProblem:

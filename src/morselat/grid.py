@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import expr as exprmod
 from .lattice import SetLattice, birkhoff_embedding, checked_sublattice
-from .lifting import LiftProblem, lift, transport_by_duality
+from .lifting import LiftProblem, ObstructionFound, lift, transport_by_duality
 from .order import Poset, check_bound, closed_masks
 
 GRID_ENUM_BOUND = 16
@@ -402,7 +402,9 @@ def grid_attractor_lift(
     Eq (20), the obstruction surfaces as ObstructionFound).  The duality
     route realizes * as A -> comb_inv_plus(N^c) for the section N of A,
     lifts on the repeller side, whose embedding check certifies the dual
-    family, and transports back through cell-set complement.
+    family, and transports back through cell-set complement.  The dual
+    problem can be obstructed where this one is not, so an obstruction
+    there falls back to the direct route, and only its obstruction stands.
     """
     ambient = cmap.all_cells()
     lat = checked_sublattice(tuple(range(cmap.n)), images, lambda n: comb_inv(n, cmap))
@@ -431,4 +433,7 @@ def grid_attractor_lift(
     if direct:
         return lift(problem)
     star = {a: comb_inv_plus(ambient - att_block_for(a), cmap) for a in lat.elements}
-    return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, dual, s_rep))
+    try:
+        return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, dual, s_rep))
+    except ObstructionFound:
+        return lift(problem)

@@ -11,22 +11,20 @@ size-sorted elements, kept on the lattice for its lifetime.  The down-set
 lattice O(P) of a known poset needs no such pass: from_poset reads its covers
 off the poset in O(|L| |P|).
 
-A family given as a bare list is validated by closure over all pairs and by
-distributivity over all triples, the latter only up to
-DISTRIBUTIVITY_CHECK_LIMIT elements; checked_sublattice does so for the grid
-lift front-ends.  Its bounds and pair-closure halves, _require_bounds and
-_require_closed, also run on int masks, and are all the exact lift
-front-ends (dynsys_lift) need: their families are rings of sets.  A family
-given as the image of O(P) under a map (from_down_sets, the grid Att and Rep)
-is certified instead: a map that preserves union and meet on every pair of
-down-sets is a lattice embedding of a ring of sets, so its image is
-distributive at every size.
+A family given as a bare list is validated by closure over all pairs and,
+with a core, by distributivity over all triples, the latter only up to
+DISTRIBUTIVITY_CHECK_LIMIT elements; checked_sublattice does so for every
+lift front-end.  Without a core the family is a ring of sets, distributive
+by set algebra, so no triple is checked: the exact front-ends (dynsys_lift)
+call it without one.  A family given as the image of O(P) under a map
+(from_down_sets, the grid Att and Rep) is certified instead: a map that
+preserves union and meet on every pair of down-sets is a lattice embedding
+of a ring of sets, so its image is distributive at every size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .order import DownSet, Poset, UnknownElement, check_bound, cover_masks, mask_pairs
@@ -107,7 +105,7 @@ class SetLattice:
         if check:
             if frozenset() not in self._eset:
                 raise NotALattice("0 (the empty set) is missing")
-            failure = _closure_failure(self.elements, self.meet, partial(_show, self.universe))
+            failure = _closure_failure(self.universe, self.elements, self.meet)
             if failure:
                 raise NotALattice(failure[0])
             self._check_core()
@@ -265,50 +263,25 @@ class SetLattice:
         return lat
 
 
-def _closure_failure(family: Sequence, meet: Callable, show: Callable) -> tuple | None:
+def _closure_failure(universe: Sequence, family: Sequence[frozenset], meet: Callable) -> tuple | None:
     """(message, (a, b)) for the first a, b, b not before a, whose join or meet leaves the family.
 
     None when the family is closed.  Join and meet commute, so no pair with b
-    before a could fail first.  The elements are frozensets or int masks (join
-    is ``|`` on both); ``show`` lists the members of one for the message.
+    before a could fail first.
     """
     members = set(family)
     for i, a in enumerate(family):
         for b in family[i:]:
             for law, op, c in (("join", "v", a | b), ("meet", "^", meet(a, b))):
                 if c not in members:
-                    return f"family is not {law}-closed: {show(a)} {op} {show(b)} = {show(c)} missing", (a, b)
+                    a_s, b_s, c_s = (_show(universe, e) for e in (a, b, c))
+                    return f"family is not {law}-closed: {a_s} {op} {b_s} = {c_s} missing", (a, b)
     return None
 
 
 def _show(universe: Sequence, e: frozenset) -> list:
     """The members of e in universe order, for messages."""
     return [u for u in universe if u in e]
-
-
-def _require_bounds(universe: Sequence, family: Sequence, bottom, top, label: Callable) -> None:
-    """Raise NotASublattice unless ``family`` holds ``bottom`` and ``top``.
-
-    The elements are frozensets over ``universe`` or int masks over its
-    positions; ``label`` takes one to its frozenset, for the witness, and the
-    message lists its members in universe order.
-    """
-    if bottom not in family:
-        raise NotASublattice("family is missing the bottom element (the empty set)", label(bottom))
-    if top not in family:
-        raise NotASublattice(f"family is missing the top element {_show(universe, label(top))}", label(top))
-
-
-def _require_closed(universe: Sequence, family: Sequence, meet: Callable, label: Callable) -> None:
-    """Raise NotASublattice, with the offending pair, unless ``family`` is closed under ``|`` and ``meet``.
-
-    Elements and ``label`` as in ``_require_bounds``.  No triple is checked:
-    that is the caller's business.
-    """
-    failure = _closure_failure(family, meet, lambda e: _show(universe, label(e)))
-    if failure:
-        message, (a, b) = failure
-        raise NotASublattice(message, (label(a), label(b)))
 
 
 def checked_sublattice(
@@ -322,13 +295,19 @@ def checked_sublattice(
     a core), stay inside the universe (NotALattice otherwise) and be closed
     under union and the meet ``core(a & b)``; the first failure raises
     NotASublattice with the missing element or the offending pair as its
-    witness.  SetLattice's core checks follow.
+    witness.  SetLattice's core checks follow; without a core there are
+    none, as a ring of sets is distributive.
     """
     family = list(dict.fromkeys(map(frozenset, elements)))
     top = frozenset(universe) if core is None else core(frozenset(universe))
-    _require_bounds(universe, family, frozenset(), top, frozenset)
+    if frozenset() not in family:
+        raise NotASublattice("family is missing the bottom element (the empty set)", frozenset())
+    if top not in family:
+        raise NotASublattice(f"family is missing the top element {_show(universe, top)}", top)
     lat = SetLattice(universe, family, core, check=False)
-    _require_closed(universe, family, lat.meet, frozenset)
+    failure = _closure_failure(universe, family, lat.meet)
+    if failure:
+        raise NotASublattice(*failure)
     lat._check_core()
     return lat
 
@@ -431,14 +410,7 @@ def booleanize(lat: SetLattice) -> BooleanAlgebraRep:
             low ^= bit
         below.append(m)
     table = {a: jl.members_of(m) for a, m in zip(lat.elements, below)}
-    rep = BooleanAlgebraRep(jl, table)
-    # complementation axiom on the image: j(a) and its complement partition J(L)
-    ground = frozenset(jl.carrier)
-    for a in lat.elements:
-        ja = table[a]
-        if ja & rep.complement(ja) or (ja | rep.complement(ja)) != ground:
-            raise NotALattice("Booleanization complement axiom fails")
-    return rep
+    return BooleanAlgebraRep(jl, table)
 
 
 # -- homomorphisms ----------------------------------------------------------
@@ -522,7 +494,7 @@ class BooleanExtension:
     extension to arbitrary subsets is by unions.
     """
 
-    def __init__(self, poset: Poset, hom: LatticeHom, check: bool = True):
+    def __init__(self, poset: Poset, hom: LatticeHom):
         self.poset = poset
         self.hom = hom
         self.target_rep = booleanize(hom.target)
@@ -533,8 +505,7 @@ class BooleanExtension:
             self._atoms[p] = (
                 self.target_rep.j[hom(dp)] - self.target_rep.j[hom(frozenset(dp_pred))]
             )
-        if check:
-            self._validate()
+        self._validate()
 
     def atom(self, p) -> frozenset:
         if p not in self._atoms:
@@ -599,5 +570,5 @@ def sublattices(lat: SetLattice):
     for m in range(1 << len(middle)):
         chosen = [middle[i] for i in range(len(middle)) if m >> i & 1]
         family = set(base) | set(chosen)
-        if _closure_failure(list(family), lat.meet, partial(_show, lat.universe)) is None:
+        if _closure_failure(lat.universe, list(family), lat.meet) is None:
             yield tuple(sorted(family, key=lat._canon_key))

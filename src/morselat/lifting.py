@@ -207,6 +207,15 @@ def lift_atom(candidate: PartialLift, p) -> frozenset:
     return candidate.table[dp] - candidate.table[dp - {p}]
 
 
+def _annihilation_failure(atoms: Mapping, downs: list, cond: Mapping) -> tuple | None:
+    """Eq (22), the Prop 5.7 atom form: the first (p, alpha), p not in alpha, with B_p ^ v_alpha != 0, or None."""
+    for p, b in atoms.items():
+        for alpha in downs:
+            if p not in alpha and b & cond[alpha]:
+                return p, alpha
+    return None
+
+
 def is_conditional_lift(candidate: PartialLift) -> HomReport:
     """Def 5.5 (Eq 18) cross-checked against the Prop 5.7 atom form.
 
@@ -240,15 +249,8 @@ def is_conditional_lift(candidate: PartialLift) -> HomReport:
                 break
         if eq18_witness:
             break
-    atom_witness = None
-    for p in candidate.lam:
-        bp = lift_atom(candidate, p)
-        for alpha in downs:
-            if p not in alpha and bp & candidate.conditioners[alpha]:
-                atom_witness = (p, alpha)
-                break
-        if atom_witness:
-            break
+    atoms = {p: lift_atom(candidate, p) for p in candidate.lam}
+    atom_witness = _annihilation_failure(atoms, downs, candidate.conditioners)
     if (eq18_witness is None) != (atom_witness is None):
         raise AssertionError(
             "Eq (18) and the Prop 5.7 atom form disagree: "
@@ -316,13 +318,8 @@ def lift(problem: LiftProblem) -> LiftCertificate:
             "h(k(mu)) = s(mu)": problem.h(table[mu]) == problem.s[mu],
             "k(mu) in K": problem.member(table[mu]),
         }
-        # Eq (22): B_p ^ v_alpha = 0 for p in (lambda u mu) not in alpha
-        ok22 = True
-        for alpha in downs:
-            for p in new_lam - alpha:
-                if atoms[p] & cond[alpha]:
-                    ok22 = False
-        checks["Eq (22)"] = ok22
+        # Eq (22): B_p ^ v_alpha = 0 for p in (lambda u mu), the atoms so far, not in alpha
+        checks["Eq (22)"] = _annihilation_failure(atoms, downs, cond) is None
         # Eq (23): atoms pairwise disjoint
         checks["Eq (23)"] = not any(
             atoms[p] & b_q for p in new_lam if p != q

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morselat import FiniteDynSys, SetLattice, TooLarge, cli, ds1
+from morselat import FiniteDynSys, SetLattice, TooLarge, cli, ds1, grid
 from morselat.formats import (
     InputError,
     RunConfig,
@@ -25,6 +25,7 @@ from morselat.formats import (
     load_system,
 )
 from morselat.grid import comb_inv
+from morselat.lifting import lift
 from morselat.verify import SystemData
 from conftest import parse_dot
 
@@ -513,6 +514,24 @@ class TestCliLift:
             {"side": "attractor", "elements": [[], [0], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3]]},
         )
         assert cli.main(["lift", spath, lpath2, "-o", str(tmp_path / "ok.json")]) == 0
+
+    def test_obstructed_dual_falls_back_to_the_direct_route(self, tmp_path, monkeypatch):
+        # the repeller lift of the dual problem is obstructed (step 0, excess
+        # [4]), yet the attractor problem lifts directly
+        doc = {"type": "cell_map", "cells": 6, "arrows": [[0], [1], [5], [2], [1, 5], [3]]}
+        elements = [[], [0, 1], [2, 3, 5], [0, 1, 2, 3, 5]]
+        spath = write(tmp_path, "map.json", doc)
+        lpath = write(tmp_path, "sub.json", {"side": "attractor", "elements": elements})
+        assignments = []
+        for flags in ([], ["--direct"]):
+            out = tmp_path / "out.json"
+            assert cli.main(["lift", spath, lpath, "-o", str(out), *flags]) == 0
+            assignments.append(json.loads(out.read_text())["assignment"])
+        assert assignments[0] == assignments[1]
+        direct = []
+        monkeypatch.setattr(grid, "lift", lambda problem: direct.append(problem) or lift(problem))
+        grid.grid_attractor_lift(load_gridmap(doc), elements).verify()
+        assert len(direct) == 1
 
 
 # -- exact lift families that are not sublattices, through the CLI ----------------

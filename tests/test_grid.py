@@ -9,6 +9,7 @@ near the slow fixed points).
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from morselat import (
     CellGrid,
     CellMap,
+    FiniteDynSys,
     ImageOutOfDomain,
     NotARepellingBlock,
     NotASublattice,
@@ -41,6 +43,7 @@ from morselat.grid import (
     shrink_repelling_block,
 )
 from morselat.lifting import lift
+from morselat.verify import all_systems
 
 
 def fs(*items):
@@ -340,6 +343,41 @@ class TestCertifiedAgainstCubicCheck:
         err = json.loads(out.err)
         assert out.out == "" and err["error"] == "not_a_lattice" and "law fails" in err["message"]
         assert "Traceback" not in out.err
+
+
+# -- a single-valued map is a cell map with singleton arrows -------------------
+
+
+def check_single_valued(system, subsets=False):
+    """The grid route on a FiniteDynSys's cell map, one arrow per cell, gives the dynsys Att and Rep.
+
+    For single arrows weak and strict invariance coincide.  With ``subsets``,
+    comb_inv, comb_inv_plus and the block test also agree with Inv, Inv+ and
+    the trapping-region test on every subset of the states.
+    """
+    n = len(system.states)
+    cmap = CellMap(CellGrid(0.0, float(n), n), tuple(frozenset({system.next[s]}) for s in system.states))
+    assert comb_att_lattice(cmap).elements == system.att_lattice().elements
+    assert comb_rep_lattice(cmap).elements == system.rep_lattice().elements
+    if subsets:
+        for m in range(1 << n):
+            cells = frozenset(i for i in range(n) if m >> i & 1)
+            assert comb_inv(cells, cmap) == system.inv(cells)
+            assert comb_inv_plus(cells, cmap) == system.inv_plus(cells)
+            assert is_attracting_block(cells, cmap) == bool(system.is_trapping_region(cells))
+
+
+class TestSingleValuedAgreesWithDynsys:
+    def test_every_map_up_to_4_states(self):
+        for n in range(1, 5):
+            for system in all_systems(n):
+                check_single_valued(system, subsets=True)
+
+    def test_random_maps_of_5_to_8_states(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(5, 8)
+            check_single_valued(FiniteDynSys(range(n), {s: rng.randrange(n) for s in range(n)}))
 
 
 def check_sections_are_fixed(cmap):

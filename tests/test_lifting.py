@@ -360,13 +360,13 @@ def test_lift_takes_each_conditioner_once(sys1, tripod, g1):
 def test_attractor_lift_by_duality_checks_one_sublattice(route, sys1, tripod, monkeypatch):
     """One sublattice check per attractor lift and none on the dual family.
 
-    The exact front-ends check their family as a ring of sets through
-    dynsys_lift._ring_of_sets; the grid ones through checked_sublattice.
+    Both front-ends check their family through checked_sublattice, the exact
+    ones with no core, as a ring of sets.
     """
     calls = []
-    module, name = (dynsys_lift, "_ring_of_sets") if route == "exact" else (grid, "checked_sublattice")
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    module = dynsys_lift if route == "exact" else grid
+    real = module.checked_sublattice
+    monkeypatch.setattr(module, "checked_sublattice", lambda *args: calls.append(args) or real(*args))
     if route == "exact":
         attractor_lift(sys1, sys1.att_lattice().elements).verify()
     else:
