@@ -56,7 +56,7 @@ ERRORS = (
         ObstructionFound,
         EXIT_OBSTRUCTION,
         "obstruction",
-        lambda e: {"step": e.step, "q": str(e.q), "alpha": [str(x) for x in sorted(e.alpha, key=str)]},
+        lambda e: {"step": e.step, "q": formats.poset_label(e.q), "alpha": sorted(map(formats.poset_label, e.alpha))},
     ),
     (NotASublattice, EXIT_SUBLATTICE, "not_a_sublattice", lambda e: {}),
     (NotALattice, EXIT_SUBLATTICE, "not_a_lattice", lambda e: {}),

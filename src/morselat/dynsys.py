@@ -23,10 +23,10 @@ oracle in ``verify``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from operator import and_, or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .lattice import SetLattice
+from .lattice import HomReport, SetLattice, _broken_law
 from .order import UnknownElement, canonical_order, check_bound, closed_masks
 
 
@@ -78,19 +78,6 @@ class Orbit:
     pre: tuple
     cycle: tuple
     backward: bool = True
-
-
-@dataclass(frozen=True)
-class PairReport:
-    ok: bool
-    reason: str | None = None
-    witness: object = None
-
-    def __bool__(self):
-        return self.ok
-
-    def __str__(self):
-        return "Ok" if self.ok else f"violation: {self.reason} at {self.witness!r}"
 
 
 class FiniteDynSys:
@@ -145,7 +132,6 @@ class FiniteDynSys:
         self._omega_pts = tuple(omega)
         self._alpha_pts = tuple(basin[c] if c >> i & 1 else 0 for i, c in enumerate(omega))
         self._basins = tuple(basin.items())
-        self._att_cache = None
         self._duals = {}
 
     # -- mask plumbing -------------------------------------------------------
@@ -249,20 +235,14 @@ class FiniteDynSys:
             raise InvalidOrbit("orbit needs a nonempty cycle")
         cyc = list(orbit.cycle)
         if orbit.backward:
-            # consecutive states related by preimage: next(seq[k+1]) == seq[k]
-            seq = list(orbit.pre) + cyc
-            for a, b in zip(seq, seq[1:]):
-                if self.next[b] != a:
-                    raise InvalidOrbit(f"{b!r} is not a preimage of {a!r}")
-            if self.next[cyc[0]] != cyc[-1]:
-                raise InvalidOrbit("cycle part does not close up")
-        else:
-            seq = list(orbit.pre) + cyc
-            for a, b in zip(seq, seq[1:]):
-                if self.next[a] != b:
-                    raise InvalidOrbit(f"{b!r} does not follow {a!r}")
-            if self.next[cyc[-1]] != cyc[0]:
-                raise InvalidOrbit("cycle part does not close up")
+            # backward time order reversed is forward time order
+            states.reverse()
+            cyc.reverse()
+        for a, b in zip(states, states[1:]):
+            if self.next[a] != b:
+                raise InvalidOrbit(f"{b!r} does not follow {a!r}")
+        if self.next[cyc[-1]] != cyc[0]:
+            raise InvalidOrbit("cycle part does not close up")
 
     def alpha_orbital(self, orbit: Orbit) -> frozenset:
         """States visited at arbitrarily negative times: the backward cycle."""
@@ -370,13 +350,9 @@ class FiniteDynSys:
 
         omega(U) of a neighborhood U is the union of the cycles U meets, and
         every union of cycles is omega of its basin, so Att is the family of
-        unions of cycles.  Built once per system; its core holds no reference
-        to the system, so the cache makes no reference cycle.
+        unions of cycles.
         """
-        if self._att_cache is None:
-            core = partial(_inv_labels, self.states, self.index, self._img1)
-            self._att_cache = SetLattice(self.states, map(self.unmask, self._recurrent_unions()), core)
-        return self._att_cache
+        return SetLattice(self.states, map(self.unmask, self._recurrent_unions()), self.inv)
 
     def _basin_unions(self):
         """The unions of basins of cycles: alpha of each union of cycles, in the order of ``_recurrent_unions``."""
@@ -439,7 +415,7 @@ class FiniteDynSys:
             raise AssertionError("Eq (7) cross-check failed: R* != R-")
         return star
 
-    def check_ar_pair(self, attractor: Iterable, repeller: Iterable) -> PairReport:
+    def check_ar_pair(self, attractor: Iterable, repeller: Iterable) -> HomReport:
         """Both characterizations of an attractor-repeller pair, which must agree."""
         a = self.mask(attractor)
         r = self.mask(repeller)
@@ -450,9 +426,7 @@ class FiniteDynSys:
         direct, reason, witness = self._ar_direct(a, r)
         if direct != by_duality:
             raise AssertionError("Theorem 3.19 characterizations disagree")
-        if direct:
-            return PairReport(True)
-        return PairReport(False, reason, witness)
+        return HomReport(direct, reason, witness)
 
     def _ar_direct(self, a: int, r: int):
         if a & r:
@@ -475,7 +449,7 @@ class FiniteDynSys:
                 return False, "alpha_o of a backward orbit escapes R", self.states[i]
         return True, None, None
 
-    def commuting_square_check(self) -> PairReport:
+    def commuting_square_check(self) -> HomReport:
         """Diagram (1) on the certificate family: each attractor A and its basin.
 
         The basin of a union of cycles is its alpha.  ``verify`` tag D1 walks
@@ -483,13 +457,14 @@ class FiniteDynSys:
         """
         return self._square(m for a in self._recurrent_unions() for m in (a, self._alpha_mask(a)))
 
-    def _square(self, masks) -> PairReport:
+    def _square(self, masks) -> HomReport:
         """Diagram (1) on the attracting neighborhoods ``masks``, then Props 4.6/4.7 on Att.
 
         On each U: omega(U) = Inv(U), U^c is repelling with alpha(U^c) =
-        Inv+(U^c), and the square commutes, omega(U)* = alpha(U^c).  Att is
-        walked in its lattice order, so a failing law names the same pair as
-        on ``att_lattice().elements``.
+        Inv+(U^c), and the square commutes, omega(U)* = alpha(U^c).  The pair
+        laws on Att go through ``lattice._broken_law`` in its lattice order, so
+        a failing law names the same pair as on ``att_lattice().elements``;
+        (A*)* = A is checked after them.
         """
         atts = canonical_order(self._recurrent_unions(), self._n)
         star = {a: self._dual_mask(a, True) for a in atts}
@@ -497,25 +472,24 @@ class FiniteDynSys:
         for m in masks:
             om = self._omega_mask(m)
             if _inv(self._img1, m) != om:
-                return PairReport(False, "Inv(U) != omega(U) on an attracting neighborhood", self.unmask(m))
+                return HomReport(False, "Inv(U) != omega(U) on an attracting neighborhood", self.unmask(m))
             mc = full & ~m
             al = self._alpha_mask(mc)
             if al & ~mc:
-                return PairReport(False, "U attracting but U^c not repelling", self.unmask(m))
+                return HomReport(False, "U attracting but U^c not repelling", self.unmask(m))
             if _inv_plus(self._img1, mc) != al:
-                return PairReport(False, "Inv+(U^c) != alpha(U^c)", self.unmask(m))
+                return HomReport(False, "Inv+(U^c) != alpha(U^c)", self.unmask(m))
             if star.get(om) != al:
-                return PairReport(False, "omega(U)* != alpha(U^c)", self.unmask(m))
+                return HomReport(False, "omega(U)* != alpha(U^c)", self.unmask(m))
         # Props 4.6 / 4.7: the anti-isomorphism laws, join union and meet Inv of the intersection
+        broken = _broken_law(atts, star, and_, or_, lambda x, y: _inv(self._img1, x & y))
+        if broken:
+            law = "(A v A')* != A* ^ A'*" if broken[0] == "joins" else "(A ^ A')* != A* v A'*"
+            return HomReport(False, law, tuple(map(self.unmask, broken[1])))
         for x in atts:
-            for y in atts:
-                if star[x | y] != star[x] & star[y]:
-                    return PairReport(False, "(A v A')* != A* ^ A'*", (self.unmask(x), self.unmask(y)))
-                if star[_inv(self._img1, x & y)] != star[x] | star[y]:
-                    return PairReport(False, "(A ^ A')* != A* v A'*", (self.unmask(x), self.unmask(y)))
             if self._dual_mask(star[x], False) != x:
-                return PairReport(False, "(A*)* != A", self.unmask(x))
-        return PairReport(True)
+                return HomReport(False, "(A*)* != A", self.unmask(x))
+        return HomReport(True)
 
     def cycles(self) -> list[frozenset]:
         return [self.unmask(c) for c in self._cycles]
@@ -571,12 +545,6 @@ def _inv_plus(img1: Sequence[int], m: int) -> int:
         if keep == cur:
             return cur
         cur = keep
-
-
-def _inv_labels(states: tuple, index: Mapping, img1: Sequence[int], a: frozenset) -> frozenset:
-    """Inv(a), the core of Att, on labels."""
-    m = _inv(img1, sum(1 << index[s] for s in a))
-    return frozenset(states[i] for i in range(len(states)) if m >> i & 1)
 
 
 # shared test fixtures from the exact-dynamics corpus

@@ -267,28 +267,32 @@ def lattice_payload(lat: SetLattice, config: RunConfig, jl: Poset | None = None)
     return out
 
 
+def poset_label(p):
+    """A poset element as JSON: a join-irreducible, a set of states or cells, as its sorted members."""
+    return sorted(p) if isinstance(p, frozenset) else p
+
+
 def certificate_payload(cert: LiftCertificate, config: RunConfig) -> dict:
     poset = cert.problem.poset
-    label = lambda p: sorted(p) if isinstance(p, frozenset) else p
     out = config.payload()
     out.update(
         {
             "poset": {
-                "elements": [label(p) for p in poset.carrier],
-                "covers": [[label(a), label(b)] for a, b in poset.covers()],
+                "elements": [poset_label(p) for p in poset.carrier],
+                "covers": [[poset_label(a), poset_label(b)] for a, b in poset.covers()],
             },
             "assignment": [
                 {
-                    "downset": sorted(label(p) for p in d),
+                    "downset": sorted(poset_label(p) for p in d),
                     "neighborhood": sorted(cert.table[d]),
                 }
-                for d in sorted(cert.table, key=lambda d: (len(d), sorted(label(p) for p in d)))
+                for d in sorted(cert.table, key=lambda d: (len(d), sorted(poset_label(p) for p in d)))
             ],
             "audit": [
                 {
-                    "q": label(step.q),
-                    "mu": sorted(label(p) for p in step.mu),
-                    "lambda": sorted(label(p) for p in step.lam_before),
+                    "q": poset_label(step.q),
+                    "mu": sorted(poset_label(p) for p in step.mu),
+                    "lambda": sorted(poset_label(p) for p in step.lam_before),
                     "atom": sorted(step.atom),
                     "checks": {k: bool(v) for k, v in step.checks.items()},
                 }

@@ -20,11 +20,16 @@ call it without one.  A family given as the image of O(P) under a map
 (from_down_sets, the grid Att and Rep) is certified instead: a map that
 preserves union and meet on every pair of down-sets is a lattice embedding
 of a ring of sets, so its image is distributive at every size.
+
+Every pairwise hom law of the package, here, in the lift checks and in the
+Props 4.6/4.7 laws of dynsys, goes through one scan, _broken_law, over the
+pairs (a, b) with b not before a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .order import DownSet, Poset, UnknownElement, check_bound, cover_masks, mask_pairs
@@ -54,11 +59,11 @@ class NotASublattice(ValueError):
 
 @dataclass(frozen=True)
 class HomReport:
-    """Outcome of a homomorphism-law check; falsy iff a law is violated."""
+    """Outcome of a law check (a hom, an attractor-repeller pair, diagram (1)); falsy iff a law is violated."""
 
     ok: bool
     law: str | None = None
-    witness: tuple | None = None
+    witness: object = None
 
     def __bool__(self):
         return self.ok
@@ -247,19 +252,20 @@ class SetLattice:
                 )
         if image.get(0) != frozenset():
             raise NotALattice("the empty down-set does not map to 0 (the empty set)")
-        masks = list(image)
-        for i, d in enumerate(masks):
-            a = image[d]
-            for e in masks[i:]:
-                b = image[e]
-                for law, op, de, c in (("join", "v", d | e, a | b), ("meet", "^", d & e, core(a & b))):
-                    if image.get(de) != c:
-                        a_s, b_s, c_s = (_show(lat.universe, x) for x in (a, b, c))
-                        want = "no image" if de not in image else f"image {_show(lat.universe, image[de])}"
-                        raise NotALattice(
-                            f"the {law} law fails on the down-sets {d:#b}, {e:#b}: "
-                            f"{a_s} {op} {b_s} = {c_s}, but {de:#b} has {want}"
-                        )
+        broken = _broken_law(list(image), image, or_, lambda a, b: core(a & b), and_)
+        if broken:
+            d, e = broken[1]
+            a, b = image[d], image[e]
+            if broken[0] == "joins":
+                law, op, de, c = "join", "v", d | e, a | b
+            else:
+                law, op, de, c = "meet", "^", d & e, core(a & b)
+            a_s, b_s, c_s = (_show(lat.universe, x) for x in (a, b, c))
+            want = "no image" if de not in image else f"image {_show(lat.universe, image[de])}"
+            raise NotALattice(
+                f"the {law} law fails on the down-sets {d:#b}, {e:#b}: "
+                f"{a_s} {op} {b_s} = {c_s}, but {de:#b} has {want}"
+            )
         return lat
 
 
@@ -451,17 +457,21 @@ def _check_laws(table: Mapping, source: SetLattice, target: SetLattice, ops: tup
     return HomReport(True)
 
 
-def _broken_law(elements, k: Mapping, join: Callable, meet: Callable, source_meet: Callable) -> tuple | None:
-    """The first ("joins" or "meets", (a, b)) over pairs of ``elements`` at which k breaks that law.
+def _broken_law(elements: Sequence, k: Mapping, join: Callable, meet: Callable, source_meet: Callable) -> tuple | None:
+    """The first ("joins" or "meets", (a, b)), b not before a in ``elements``, at which k breaks that law.
 
     The elements join by union and meet by ``source_meet``; their images by
-    ``join`` and ``meet``.
+    ``join`` and ``meet``.  A join or meet with no image in k breaks the law.
+    Every caller's joins and meets commute, so no pair with b before a could
+    fail first: this is the first failing pair of the ordered scan too.
     """
-    for a in elements:
-        for b in elements:
-            if k[a | b] != join(k[a], k[b]):
+    for i, a in enumerate(elements):
+        ka = k[a]
+        for b in elements[i:]:
+            kb = k[b]
+            if k.get(a | b) != join(ka, kb):
                 return "joins", (a, b)
-            if k[source_meet(a, b)] != meet(k[a], k[b]):
+            if k.get(source_meet(a, b)) != meet(ka, kb):
                 return "meets", (a, b)
     return None
 
@@ -538,15 +548,13 @@ class BooleanExtension:
             frozenset(self.poset.carrier[i] for i in range(n) if m >> i & 1)
             for m in range(1 << n)
         ]
-        for a in subsets:
-            for b in subsets:
-                if self(a | b) != self(a) | self(b):
-                    return HomReport(False, "B(f)(a v b)", (a, b))
-                if self(a & b) != self(a) & self(b):
-                    return HomReport(False, "B(f)(a ^ b)", (a, b))
+        image = {a: self(a) for a in subsets}
+        broken = _broken_law(subsets, image, or_, and_, and_)
+        if broken:
+            return HomReport(False, "B(f)(a v b)" if broken[0] == "joins" else "B(f)(a ^ b)", broken[1])
         full = frozenset(self.poset.carrier)
         for a in subsets:
-            if self(full - a) != ground - self(a):
+            if image[full - a] != ground - image[a]:
                 return HomReport(False, "complement preservation", (a,))
         return HomReport(True)
 

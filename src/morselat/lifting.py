@@ -117,7 +117,7 @@ class LiftProblem:
         meets = {}
 
         def meet(a: frozenset, b: frozenset) -> frozenset:
-            # h once per distinct a & b: the |O(P)|^2 pairs have far fewer
+            # h once per distinct a & b: the pairs of O(P) have far fewer
             c = a & b
             if c not in meets:
                 meets[c] = self.h(c)

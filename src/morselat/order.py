@@ -336,10 +336,6 @@ class DownSet:
             if escape:
                 raise NotADownSet(self.members, self.poset.carrier[escape[1]])
 
-    @property
-    def mask(self) -> int:
-        return self.poset.mask_of(self.members)
-
     def __contains__(self, p):
         return p in self.members
 

@@ -570,7 +570,7 @@ def check_p4_7(sd):
 def check_d1(sd):
     report = sd.sys._square(sd.sys._attracting_masks())
     if not report:
-        return (report.reason, report.witness)
+        return (report.law, report.witness)
     return None
 
 

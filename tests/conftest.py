@@ -13,8 +13,9 @@ from morselat import (
     join_irreducibles,
     predecessor,
 )
-from morselat.dynsys import PairReport, _inv, _inv_plus
+from morselat.dynsys import _inv, _inv_plus
 from morselat.formats import InputError
+from morselat.lattice import HomReport
 from morselat.order import all_posets
 
 # small single-valued maps (targets of states 0..n-1) and cell maps (arrows of cells 0..n-1)
@@ -161,7 +162,10 @@ def check_order_is_inclusion(lat):
 
 
 def commuting_square_oracle(sys):
-    """Diagram (1) by the exhaustive walk over every attracting neighborhood, laws on the Att SetLattice."""
+    """Diagram (1) by the exhaustive walk over every attracting neighborhood, laws on the Att SetLattice.
+
+    Every ordered pair law is checked before (A*)* = A on any element.
+    """
     att = sys.att_lattice()
     star = {x: sys.dual_repeller(x) for x in att.elements}
     star_mask = {sys.mask(x): sys.mask(sx) for x, sx in star.items()}
@@ -169,24 +173,36 @@ def commuting_square_oracle(sys):
     for m in sys._attracting_masks():
         om = sys._omega_mask(m)
         if _inv(sys._img1, m) != om:
-            return PairReport(False, "Inv(U) != omega(U) on an attracting neighborhood", sys.unmask(m))
+            return HomReport(False, "Inv(U) != omega(U) on an attracting neighborhood", sys.unmask(m))
         mc = full & ~m
         al = sys._alpha_mask(mc)
         if al & ~mc:
-            return PairReport(False, "U attracting but U^c not repelling", sys.unmask(m))
+            return HomReport(False, "U attracting but U^c not repelling", sys.unmask(m))
         if _inv_plus(sys._img1, mc) != al:
-            return PairReport(False, "Inv+(U^c) != alpha(U^c)", sys.unmask(m))
+            return HomReport(False, "Inv+(U^c) != alpha(U^c)", sys.unmask(m))
         if star_mask.get(om) != al:
-            return PairReport(False, "omega(U)* != alpha(U^c)", sys.unmask(m))
+            return HomReport(False, "omega(U)* != alpha(U^c)", sys.unmask(m))
     for x in att.elements:
         for y in att.elements:
             if star[att.join(x, y)] != star[x] & star[y]:
-                return PairReport(False, "(A v A')* != A* ^ A'*", (x, y))
+                return HomReport(False, "(A v A')* != A* ^ A'*", (x, y))
             if star[att.meet(x, y)] != star[x] | star[y]:
-                return PairReport(False, "(A ^ A')* != A* v A'*", (x, y))
+                return HomReport(False, "(A ^ A')* != A* v A'*", (x, y))
+    for x in att.elements:
         if sys.dual_attractor(star[x]) != x:
-            return PairReport(False, "(A*)* != A", x)
-    return PairReport(True)
+            return HomReport(False, "(A*)* != A", x)
+    return HomReport(True)
+
+
+def broken_law_oracle(elements, k, join, meet, source_meet):
+    """lattice._broken_law by the ordered scan over all pairs (a, b), with a missing image a broken law."""
+    for a in elements:
+        for b in elements:
+            if k.get(a | b) != join(k[a], k[b]):
+                return "joins", (a, b)
+            if k.get(source_meet(a, b)) != meet(k[a], k[b]):
+                return "meets", (a, b)
+    return None
 
 
 def parse_dot(text: str):

@@ -10,6 +10,8 @@ from morselat import (
     NotARepeller,
     NotForwardInvariant,
     Orbit,
+    ds1,
+    ds2,
 )
 from morselat.verify import SystemData, all_systems, check_d1
 
@@ -130,6 +132,20 @@ class TestOrbits:
         with pytest.raises(InvalidOrbit):
             sys1.alpha_orbital(Orbit(pre=(), cycle=("z",), backward=False))
 
+    # per system and direction: a valid orbit, one with a broken link, one whose cycle does not close
+    @pytest.mark.parametrize("make, backward, valid, broken_link, open_cycle", [
+        (ds1, False, (("m",), ("z",)), (("m",), ("b",)), ((), ("m", "z"))),
+        (ds1, True, (("z",), ("z",)), (("m",), ("b",)), ((), ("z", "m"))),
+        (ds2, False, ((0,), (1, 2, 0)), ((0,), (2, 0, 1)), ((), (0, 1))),
+        (ds2, True, ((0,), (2, 1, 0)), ((0,), (1, 2, 0)), ((), (2, 1))),
+    ])
+    def test_orbit_links_in_both_directions(self, make, backward, valid, broken_link, open_cycle):
+        sys = make()
+        sys.validate_orbit(Orbit(*valid, backward))
+        for pre, cycle in (broken_link, open_cycle):
+            with pytest.raises(InvalidOrbit):
+                sys.validate_orbit(Orbit(pre, cycle, backward))
+
 
 class TestDualSets:
     def test_dual_plus(self, sys1):
@@ -242,7 +258,7 @@ class TestArPairs:
     def test_bad_pair_reports(self, sys1):
         report = sys1.check_ar_pair(S("z"), S("b"))
         assert not report
-        assert report.reason is not None
+        assert report.law is not None
 
     def test_top_pair(self, sys1):
         assert sys1.check_ar_pair(sys1.inv(S("mzab")), S(""))
@@ -260,10 +276,10 @@ class TestCommutingSquare:
 
 
 def square_verdicts(sys):
-    """(ok, reason, witness) of the exhaustive oracle, commuting_square_check() and verify's D1."""
+    """(ok, law, witness) of the exhaustive oracle, commuting_square_check() and verify's D1."""
     d1 = check_d1(SystemData(sys))
     return [
-        (r.ok, r.reason, r.witness) for r in (commuting_square_oracle(sys), sys.commuting_square_check())
+        (r.ok, r.law, r.witness) for r in (commuting_square_oracle(sys), sys.commuting_square_check())
     ] + [(True, None, None) if d1 is None else (False, *d1)]
 
 

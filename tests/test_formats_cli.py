@@ -471,16 +471,20 @@ class TestCliLift:
                 "elements": [[], ["s6"], ["s2", "s3", "s4", "s6"], ["s0", "s1", "s5", "s6", "s7"], states],
             },
         )
+        # the obstruction error of the tripod: its q and alpha are sets of cells
+        tpath = write(tmp_path, "tripod.json", TRIPOD_DOC)
+        ppath = write(tmp_path, "pinned.json", {"side": "attractor", "elements": TRIPOD_ATT, "pins": [[[0], [0]]]})
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        outputs = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            run = subprocess.run(
-                [sys.executable, "-m", "morselat.cli", "lift", spath, lpath],
-                env=env, capture_output=True, check=True,
-            )
-            outputs.append(run.stdout)
-        assert outputs[0] == outputs[1]
+        for args, code, stream in (([spath, lpath], 0, "stdout"), ([tpath, ppath, "--direct"], 4, "stderr")):
+            outputs = []
+            for seed in ("1", "2"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                run = subprocess.run(
+                    [sys.executable, "-m", "morselat.cli", "lift", *args], env=env, capture_output=True
+                )
+                assert run.returncode == code
+                outputs.append(getattr(run, stream))
+            assert outputs[0] == outputs[1]
 
     def test_obstruction_exit_4(self, tmp_path, capsys):
         # the branched cell map: pinning the central attractor to its minimal
@@ -507,6 +511,9 @@ class TestCliLift:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "obstruction"
         assert "step" in err
+        # q and alpha are poset labels, printed as the certificate prints them
+        assert err["q"] == [0, 1, 2]
+        assert err["alpha"] == [[0], [0, 1, 3]]
         # without the pin and with a fatter seed the duality route succeeds
         lpath2 = write(
             tmp_path,

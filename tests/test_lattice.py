@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import and_, or_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -38,6 +39,7 @@ from morselat.order import TooLarge, chain
 from morselat.verify import random_systems
 from conftest import (
     all_labeled_posets,
+    broken_law_oracle,
     check_cover_queries,
     check_order_is_inclusion,
     random_poset,
@@ -335,6 +337,20 @@ class TestHomChecking:
         }
         assert check_anti_hom(table, src, dst)
         assert not check_hom(table, src, dst)
+
+    def test_unordered_scan_agrees_with_the_ordered_oracle(self):
+        # the identity on O(P), and each copy with one image replaced by another down-set
+        maps = broken = 0
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                downs = [d.members for d in p.all_down_sets()]
+                identity = {d: d for d in downs}
+                for k in [identity] + [{**identity, d: e} for d in downs for e in downs if e != d]:
+                    found = lattice_module._broken_law(downs, k, or_, and_, and_)
+                    assert found == broken_law_oracle(downs, k, or_, and_, and_), (p, k)
+                    maps += 1
+                    broken += found is not None
+        assert maps == 12637 and 0 < broken < maps
 
 
 class TestBooleanExtension:
