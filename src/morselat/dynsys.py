@@ -462,9 +462,9 @@ class FiniteDynSys:
 
         On each U: omega(U) = Inv(U), U^c is repelling with alpha(U^c) =
         Inv+(U^c), and the square commutes, omega(U)* = alpha(U^c).  The pair
-        laws on Att go through ``lattice._broken_law`` in its lattice order, so
-        a failing law names the same pair as on ``att_lattice().elements``;
-        (A*)* = A is checked after them.
+        laws on Att go through ``lattice._broken_law`` in order.canonical_order,
+        the one element order, so a failing law names the same pair as on
+        ``att_lattice().elements``; (A*)* = A is checked after them.
         """
         atts = canonical_order(self._recurrent_unions(), self._n)
         star = {a: self._dual_mask(a, True) for a in atts}

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from .dynsys import FiniteDynSys
 from .grid import DEFAULT_PADDING, DEFAULT_SAMPLES, CellGrid, CellMap, ingest_interval_map
 from .lattice import SetLattice, join_irreducibles
-from .lifting import LiftCertificate
+from .lifting import LiftCertificate, poset_label
 from .order import Poset
 
 VERSION = "0.1.0"
@@ -265,11 +265,6 @@ def lattice_payload(lat: SetLattice, config: RunConfig, jl: Poset | None = None)
         }
     )
     return out
-
-
-def poset_label(p):
-    """A poset element as JSON: a join-irreducible, a set of states or cells, as its sorted members."""
-    return sorted(p) if isinstance(p, frozenset) else p
 
 
 def certificate_payload(cert: LiftCertificate, config: RunConfig) -> dict:

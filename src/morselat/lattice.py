@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .order import DownSet, Poset, UnknownElement, check_bound, cover_masks, mask_pairs
+from .order import DownSet, Poset, UnknownElement, canonical_order, check_bound, cover_masks, mask_pairs
 
 DISTRIBUTIVITY_CHECK_LIMIT = 64
 
@@ -77,12 +77,13 @@ class HomReport:
 class SetLattice:
     """A finite bounded distributive lattice of subsets of ``universe`` with meet ``core(a & b)``.
 
-    ``elements`` is canonically ordered by (size, lexicographic in universe
-    order).  Unless ``check`` is false, construction checks 0, closure, that
+    ``elements`` is in the package's one element order, order.canonical_order
+    on their masks over the universe: by size, then lexicographic in universe
+    order.  Unless ``check`` is false, construction checks 0, closure, that
     each element is its own core and, with a core, distributivity (up to
     DISTRIBUTIVITY_CHECK_LIMIT elements; union and intersection distribute).
     ``_canonical`` elements are distinct frozensets of the universe already in
-    canonical order, and are taken as they are.
+    that order, and are taken as they are.
     """
 
     def __init__(
@@ -103,7 +104,8 @@ class SetLattice:
             outside = frozenset().union(*elems).difference(self._uindex)
             if outside:
                 raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
-            self.elements = tuple(sorted(elems, key=self._canon_key))
+            by_mask = {sum(1 << self._uindex[x] for x in e): e for e in elems}
+            self.elements = tuple(by_mask[m] for m in canonical_order(by_mask, len(self.universe)))
         self._eset = frozenset(self.elements)
         self.core = core
         self._lower = None
@@ -114,9 +116,6 @@ class SetLattice:
             if failure:
                 raise NotALattice(failure[0])
             self._check_core()
-
-    def _canon_key(self, e: frozenset):
-        return (len(e), tuple(sorted(self._uindex[x] for x in e)))
 
     def _check_core(self):
         """Each element is its own core, so a ^ b == a iff a <= b, and the meet distributes."""
@@ -131,7 +130,8 @@ class SetLattice:
                 for b in self.elements:
                     for c in self.elements:
                         if self.meet(a, self.join(b, c)) != self.join(self.meet(a, b), self.meet(a, c)):
-                            raise NotALattice(f"distributivity fails at {(a, b, c)!r}")
+                            a_s, b_s, c_s = (_show(self.universe, e) for e in (a, b, c))
+                            raise NotALattice(f"distributivity fails at {a_s} ^ ({b_s} v {c_s})")
 
     # -- lattice interface --------------------------------------------------
 
@@ -374,11 +374,6 @@ def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict]:
     return jl, s
 
 
-def birkhoff_up(poset: Poset, p) -> frozenset:
-    """The down-set of p, a join-irreducible element of O(P)."""
-    return poset.down_set(p).members
-
-
 @dataclass(frozen=True)
 class BooleanAlgebraRep:
     """B(L) = the powerset of J(L), with the embedding j = birkhoff_down."""
@@ -567,16 +562,15 @@ def boolean_extension(poset: Poset, hom: LatticeHom) -> BooleanExtension:
 
 
 def sublattices(lat: SetLattice):
-    """All bounded sublattices (containing 0 and 1), as tuples of elements.
+    """All bounded sublattices (containing 0 and 1), as tuples of elements in ``lat.elements`` order.
 
     The 2^(|L| - 2) candidate families are refused with TooLarge when |L| - 2
     exceeds the enumeration bound.
     """
     middle = [e for e in lat.elements if e not in (lat.bottom, lat.top)]
     check_bound(len(middle), "lattice elements besides 0 and 1")
-    base = (lat.bottom, lat.top) if lat.bottom != lat.top else (lat.bottom,)
+    top = (lat.top,) if lat.bottom != lat.top else ()
     for m in range(1 << len(middle)):
-        chosen = [middle[i] for i in range(len(middle)) if m >> i & 1]
-        family = set(base) | set(chosen)
-        if _closure_failure(lat.universe, list(family), lat.meet) is None:
-            yield tuple(sorted(family, key=lat._canon_key))
+        family = (lat.bottom, *(middle[i] for i in range(len(middle)) if m >> i & 1), *top)
+        if _closure_failure(lat.universe, family, lat.meet) is None:
+            yield family

@@ -15,7 +15,8 @@ carve the new Booleanization atom
 
     B_q = v_mu ^ k(lambda)^c
 
-and extend k to all down-sets inside lambda union mu by unions of atoms.
+and add it to the running union k(lambda).  Once lambda = P, k is built
+from the atoms alone: k(alpha) is the union of B_p over p in alpha.
 Every concrete K in this package is a sublattice of a powerset, so atoms are
 plain set differences and the ambient Boolean algebra never needs to be
 materialized.  L is read off h: 0 is the empty set, 1 = h(ambient), join is
@@ -43,6 +44,11 @@ class LiftError(Exception):
     pass
 
 
+def poset_label(p):
+    """A poset element as JSON: a join-irreducible, a set of states or cells, as its sorted members."""
+    return sorted(p) if isinstance(p, frozenset) else p
+
+
 class ObstructionFound(LiftError):
     def __init__(self, step, q, alpha, witness):
         self.step = step
@@ -50,9 +56,9 @@ class ObstructionFound(LiftError):
         self.alpha = alpha
         self.witness = witness
         super().__init__(
-            f"step {step}: no conditioner family for q={q!r}: "
-            f"v_mu ^ v_alpha escapes k(lambda) at alpha={sorted(map(repr, alpha))}, "
-            f"excess {sorted(map(repr, witness))}"
+            f"step {step}: no conditioner family for q={poset_label(q)!r}: "
+            f"v_mu ^ v_alpha escapes k(lambda) at alpha={sorted(map(poset_label, alpha))}, "
+            f"excess {sorted(map(poset_label, witness))}"
         )
 
 
@@ -281,10 +287,14 @@ def lift(problem: LiftProblem) -> LiftCertificate:
             raise SectionInconsistent(f"section for {sorted(map(repr, problem.s[alpha]))} has the wrong h image")
         cond[alpha] = v
 
-    table: dict[frozenset, frozenset] = {frozenset(): frozenset(), full: ambient}
     atoms: dict = {}
+
+    def k(alpha: frozenset) -> frozenset:
+        return frozenset().union(*(atoms[p] for p in alpha))
+
     audit: list[LiftStep] = []
     lam: frozenset = frozenset()
+    k_lam: frozenset = frozenset()
     step = 0
     while lam != full:
         remaining = poset.mask_of(full - lam)
@@ -297,7 +307,6 @@ def lift(problem: LiftProblem) -> LiftCertificate:
 
         # Eq (20): v_mu ^ v_alpha <= k(lambda) whenever q not in alpha; at the
         # base step k(lambda) = 0 and this is exactly condition (i)
-        k_lam = table[lam]
         for alpha in downs:
             if q in alpha:
                 continue
@@ -307,37 +316,33 @@ def lift(problem: LiftProblem) -> LiftCertificate:
 
         b_q = cond[mu] - k_lam
         atoms[q] = b_q
-        new_lam = frozenset(lam | mu)
-
-        for alpha in downs:
-            if alpha <= new_lam and q in alpha:
-                table[alpha] = table[frozenset(alpha - {q})] | b_q
+        k_pred, k_mu = k(mu_pred), k(mu)
 
         checks = {
-            "k(mu) = k(pred mu) v v_mu": table[mu] == table[mu_pred] | cond[mu],
-            "h(k(mu)) = s(mu)": problem.h(table[mu]) == problem.s[mu],
-            "k(mu) in K": problem.member(table[mu]),
+            "k(mu) = k(pred mu) v v_mu": k_mu == k_pred | cond[mu],
+            "h(k(mu)) = s(mu)": problem.h(k_mu) == problem.s[mu],
+            "k(mu) in K": problem.member(k_mu),
         }
         # Eq (22): B_p ^ v_alpha = 0 for p in (lambda u mu), the atoms so far, not in alpha
         checks["Eq (22)"] = _annihilation_failure(atoms, downs, cond) is None
-        # Eq (23): atoms pairwise disjoint
-        checks["Eq (23)"] = not any(
-            atoms[p] & b_q for p in new_lam if p != q
-        )
+        # Eq (23): atoms pairwise disjoint; the earlier ones already are
+        checks["Eq (23)"] = not any(atoms[p] & b_q for p in lam)
         if not all(checks.values()):
             failed = [name for name, ok in checks.items() if not ok]
             raise LiftError(f"step {step} audit failed: {failed} (q={q!r})")
         audit.append(LiftStep(q, mu, lam, b_q, checks))
-        lam = new_lam
+        lam |= mu
+        k_lam |= b_q
         step += 1
 
-    # the final extension step replaced k(1) with the union of all atoms
-    union_top = frozenset().union(*atoms.values())
-    if table[full] != union_top:
+    # k(alpha) = B(k)(alpha), the union of the atoms of alpha (Eqs (3), (4));
+    # k(1) is missed only if O(P) was enumerated without P
+    table = {alpha: k(alpha) for alpha in downs}
+    if table.get(full) != k_lam:
         raise LiftError("k(1) is not the union of the atoms")
-    if problem.h(union_top) != problem.s[full]:
+    if problem.h(k_lam) != problem.s[full]:
         raise LiftError("terminal h(k(1)) != s(1)")
-    top_preserved = union_top == ambient
+    top_preserved = k_lam == ambient
     if not top_preserved and problem.h(ambient) == ambient:
         raise TopNotUnique("h^-1(1) = 1, but the terminal value is not the ambient top")
     cert = LiftCertificate(problem, table, audit, top_preserved)

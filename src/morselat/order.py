@@ -346,23 +346,6 @@ class DownSet:
         return self.members <= other.members
 
 
-def validate_poset(carrier: Sequence[Hashable], leq: Sequence[Sequence[bool]]) -> Poset:
-    """Check the three order axioms, naming the first violated one."""
-    return Poset.from_relation(carrier, leq)
-
-
-def down_set(poset: Poset, p) -> DownSet:
-    return poset.down_set(p)
-
-
-def all_down_sets(poset: Poset) -> list[DownSet]:
-    return poset.all_down_sets()
-
-
-def dual_poset(poset: Poset) -> Poset:
-    return poset.dual()
-
-
 def complement_map(alpha: DownSet) -> DownSet:
     """alpha -> P \\ alpha, a down-set of the dual poset.
 

@@ -487,11 +487,11 @@ def _restricted_elements(sd, elems, masks_of):
 
 
 def _restricted_masks(sys, e, masks_of):
-    """``masks_of`` the system restricted to the mask e, as masks of ``sys``, in SetLattice's canonical order.
+    """``masks_of`` the system restricted to the mask e, as masks of ``sys``, in order.canonical_order.
 
-    The restriction keeps the order of the states, so bit k of its masks is
-    the k-th lowest bit of e, and the order is that of the elements of its
-    att_lattice() or rep_lattice().
+    The one element order (SetLattice's too); the restriction keeps the order
+    of the states, so bit k of its masks is the k-th lowest bit of e, and the
+    order is that of the elements of its att_lattice() or rep_lattice().
     """
     sub = sys.restrict(sys.unmask(e))
     bits = [1 << i for i in range(sys._n) if e >> i & 1]

@@ -514,6 +514,10 @@ class TestCliLift:
         # q and alpha are poset labels, printed as the certificate prints them
         assert err["q"] == [0, 1, 2]
         assert err["alpha"] == [[0], [0, 1, 3]]
+        assert err["message"] == (
+            "step 1: no conditioner family for q=[0, 1, 2]: "
+            "v_mu ^ v_alpha escapes k(lambda) at alpha=[[0], [0, 1, 3]], excess [1]"
+        )
         # without the pin and with a fatter seed the duality route succeeds
         lpath2 = write(
             tmp_path,

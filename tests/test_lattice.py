@@ -18,7 +18,6 @@ from morselat import (
     birkhoff_down,
     birkhoff_embedding,
     birkhoff_join,
-    birkhoff_up,
     boolean_extension,
     booleanize,
     check_anti_hom,
@@ -73,6 +72,14 @@ class TestSetLattice:
     def test_canonical_order(self):
         lat = powerset_lattice("ab")
         assert lat.elements[0] == fs() and lat.elements[-1] == fs("a", "b")
+
+    def test_distributivity_failure_in_universe_order(self):
+        # N5 under a core that sends {2} to 0: {1, 2} ^ ({1} v {2, 3}) = {1, 2},
+        # but ({1, 2} ^ {1}) v ({1, 2} ^ {2, 3}) = {1}
+        family = [fs(), fs(1), fs(1, 2), fs(2, 3), fs(1, 2, 3)]
+        with pytest.raises(NotALattice) as err:
+            SetLattice([1, 2, 3], family, lambda a: fs() if a == fs(2) else a)
+        assert str(err.value) == "distributivity fails at [1, 2] ^ ([1] v [2, 3])"
 
     def test_leq_is_subset_for_set_lattices(self, p3):
         lat = SetLattice.from_poset(p3)
@@ -231,14 +238,14 @@ class TestBirkhoff:
         assert birkhoff_down(lat, fs(), jl).members == set()
 
     def test_up_is_irreducible(self, p3):
-        d = birkhoff_up(p3, "2")
+        d = p3.down_set("2").members
         assert d == fs("1", "2")
         lat = SetLattice.from_poset(p3)
         assert d in {c for c in join_irreducibles(lat).carrier}
 
     def test_up_on_chain(self):
         p = chain(["p", "q"])
-        assert birkhoff_up(p, "q") == fs("p", "q")
+        assert p.down_set("q").members == fs("p", "q")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_j_of_o_p_isomorphic_to_p_exhaustive(self, n):
@@ -383,7 +390,7 @@ class TestBooleanExtension:
         ext = boolean_extension(p3, hom)
         for d in p3.all_down_sets():
             img = ext(d.members)
-            assert img == {birkhoff_up(p3, q) for q in d.members}
+            assert img == {p3.down_set(q).members for q in d.members}
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

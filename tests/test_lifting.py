@@ -26,6 +26,7 @@ from morselat import (
     comb_rep_lattice,
     grid_attractor_lift,
     grid_lift_problem,
+    ingest_interval_map,
     is_conditional_lift,
     is_partial_lift,
     lift,
@@ -228,7 +229,7 @@ class TestLift:
         prob = dataclasses.replace(identity_problem(), ambient=fs("a", "b", "c"), h=lambda u: u & fs("a", "b"))
         full = frozenset(prob.poset.carrier)
         assert lift(prob).table[full] == fs("a", "b")
-        # corrupt the table: without P in O(P), k(1) keeps its seed, the ambient set
+        # corrupt the enumeration: without P in O(P), the table has no k(1)
         prob.__dict__["_downs"] = [d for d in prob.down_sets() if d != full]
         with pytest.raises(LiftError, match="union of the atoms"):
             lift(prob)
@@ -424,6 +425,50 @@ def test_lift_enumerates_down_sets_once(tripod, g1, monkeypatch):
         lift(problem)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def assert_k_is_the_union_of_atoms(cert, transported=False):
+    """k(alpha) is the union of the audit atoms B_p over p in alpha (Eqs (3), (4)).
+
+    A certificate transported by duality carries the audit of the lift on the
+    dual poset: there the complement of k(alpha) is the union over the
+    complement of alpha.
+    """
+    atoms = {step.q: step.atom for step in cert.audit}
+    carrier = frozenset(cert.problem.poset.carrier)
+    assert set(atoms) == carrier
+    for alpha, value in cert.table.items():
+        if transported:
+            alpha, value = carrier - alpha, cert.problem.ambient - value
+        assert value == frozenset().union(*(atoms[p] for p in alpha)), alpha
+
+
+class TestTableFromAtoms:
+    def test_seeded_maps_on_both_sides(self):
+        rng = random.Random(22)
+        lifted = 0
+        for _ in range(40):
+            n = rng.randint(5, 8)
+            system = FiniteDynSys(range(n), {i: rng.randrange(n) for i in range(n)})
+            for sub in sublattices(system.att_lattice()):
+                assert_k_is_the_union_of_atoms(attractor_lift(system, sub), transported=True)
+                lifted += 1
+            for sub in sublattices(system.rep_lattice()):
+                assert_k_is_the_union_of_atoms(repeller_lift(system, sub))
+                lifted += 1
+        assert lifted > 500
+
+    def test_g1_at_twelve_cells_on_both_routes(self):
+        cmap = ingest_interval_map("(x + x^3)/2", CellGrid(-1.0, 1.0, 12))
+        att = comb_att_lattice(cmap).elements
+        assert_k_is_the_union_of_atoms(grid_attractor_lift(cmap, att), transported=True)
+        assert_k_is_the_union_of_atoms(grid_attractor_lift(cmap, att, direct=True))
+        assert_k_is_the_union_of_atoms(lift(grid_lift_problem(cmap, comb_rep_lattice(cmap).elements)))
+
+    def test_pinned_tripod(self, tripod):
+        cert = grid_attractor_lift(tripod, TRIPOD_FAMILY, pinned={fs(0): fs(0)})
+        assert_k_is_the_union_of_atoms(cert, transported=True)
+        assert_k_is_the_union_of_atoms(grid_attractor_lift(tripod, TRIPOD_FAMILY, direct=True, pinned={fs(0): fs(0, 1)}))
 
 
 class TestFalsifier:

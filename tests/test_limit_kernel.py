@@ -101,9 +101,10 @@ class TestLimitSets:
     def test_random_maps(self, targets):
         check_system(FiniteDynSys(range(len(targets)), dict(enumerate(targets))))
 
-    def test_att_cache_frees_with_system(self):
-        # the cached Att lattice must not refer back to its system, or each
-        # system of a streamed verify corpus lives on until the next collection
+    def test_att_lattice_leaves_no_cycle_through_its_system(self):
+        # att_lattice() keeps nothing on the system that refers back to it (its
+        # core is the bound system.inv), or each system of a streamed verify
+        # corpus lives on until the next collection
         sys = FiniteDynSys(range(4), {0: 1, 1: 0, 2: 2, 3: 2})
         assert len(sys.att_lattice().elements) == 4
         ref = weakref.ref(sys)

@@ -16,10 +16,8 @@ from morselat import (
     antichain,
     chain,
     complement_map,
-    dual_poset,
     is_order_embedding,
     is_order_preserving,
-    validate_poset,
 )
 from morselat import Poset, SetLattice, comb_att_lattice, ds1, sublattices
 from morselat.grid import attracting_blocks
@@ -40,7 +38,7 @@ def members(downsets):
 class TestValidatePoset:
     def test_identity_relation_is_an_antichain(self):
         leq = [[i == j for j in range(3)] for i in range(3)]
-        p = validate_poset([1, 2, 3], leq)
+        p = Poset.from_relation([1, 2, 3], leq)
         assert not any(p.leq(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b)
 
     def test_p3_is_valid(self, p3):
@@ -50,13 +48,13 @@ class TestValidatePoset:
     def test_antisymmetry_violation_names_the_pair(self):
         leq = [[True, True], [True, True]]
         with pytest.raises(NotAntisymmetric) as err:
-            validate_poset([1, 2], leq)
+            Poset.from_relation([1, 2], leq)
         assert set(err.value.pair) == {1, 2}
 
     def test_reflexivity_violation_names_the_element(self):
         leq = [[False]]
         with pytest.raises(NotReflexive) as err:
-            validate_poset(["a"], leq)
+            Poset.from_relation(["a"], leq)
         assert err.value.element == "a"
 
     def test_transitivity_violation_names_the_triple(self):
@@ -67,12 +65,12 @@ class TestValidatePoset:
             [False, False, True],
         ]
         with pytest.raises(NotTransitive) as err:
-            validate_poset([1, 2, 3], leq)
+            Poset.from_relation([1, 2, 3], leq)
         assert err.value.triple == (1, 2, 3)
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(Exception):
-            validate_poset([1, 2], [[True, False]])
+            Poset.from_relation([1, 2], [[True, False]])
 
 
 class TestDownSets:
@@ -186,10 +184,10 @@ def test_bound_sites_follow_the_environment(what, run, count, tripod, monkeypatc
 class TestDuality:
     def test_antichain_self_dual(self):
         p = antichain([1, 2])
-        assert dual_poset(p) == p
+        assert p.dual() == p
 
     def test_p3_dual_flips_covers(self, p3):
-        d = dual_poset(p3)
+        d = p3.dual()
         assert d.leq("2", "1") and d.leq("3", "1")
         assert not d.leq("1", "2")
 
@@ -197,11 +195,11 @@ class TestDuality:
         rng = random.Random(7)
         for _ in range(100):
             p = random_poset(rng, rng.randint(1, 7))
-            assert dual_poset(dual_poset(p)) == p
+            assert p.dual().dual() == p
 
     def test_from_covers_matches_relation(self, p3):
         leq = [[p3.leq(a, b) for b in p3.carrier] for a in p3.carrier]
-        assert validate_poset(p3.carrier, leq) == p3
+        assert Poset.from_relation(p3.carrier, leq) == p3
 
 
 class TestCovers:
@@ -223,7 +221,7 @@ class TestComplementMap:
     def test_p3_singleton(self, p3):
         c = complement_map(p3.down_set("1"))
         assert c.members == {"2", "3"}
-        assert c.poset == dual_poset(p3)
+        assert c.poset == p3.dual()
 
     def test_neutral_elements_swap(self, p3):
         downs = p3.all_down_sets()
@@ -269,7 +267,7 @@ class TestOrderMaps:
 
     def test_identity_into_dual_not_preserving(self, p3):
         f = {p: p for p in p3.carrier}
-        assert not is_order_preserving(f, p3, dual_poset(p3))
+        assert not is_order_preserving(f, p3, p3.dual())
 
     def test_unknown_image_raises(self, p3):
         with pytest.raises(UnknownElement):
