@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from .dynsys import FiniteDynSys
 from .grid import DEFAULT_PADDING, DEFAULT_SAMPLES, CellGrid, CellMap, ingest_interval_map
 from .lattice import SetLattice, join_irreducibles
-from .lifting import LiftCertificate, poset_label
+from .lifting import LiftCertificate, down_label, poset_label
 from .order import Poset
 
 VERSION = "0.1.0"
@@ -269,6 +269,7 @@ def lattice_payload(lat: SetLattice, config: RunConfig, jl: Poset | None = None)
 
 def certificate_payload(cert: LiftCertificate, config: RunConfig) -> dict:
     poset = cert.problem.poset
+    downs = {d: down_label(poset, d) for d in cert.table}
     out = config.payload()
     out.update(
         {
@@ -277,17 +278,14 @@ def certificate_payload(cert: LiftCertificate, config: RunConfig) -> dict:
                 "covers": [[poset_label(a), poset_label(b)] for a, b in poset.covers()],
             },
             "assignment": [
-                {
-                    "downset": sorted(poset_label(p) for p in d),
-                    "neighborhood": sorted(cert.table[d]),
-                }
-                for d in sorted(cert.table, key=lambda d: (len(d), sorted(poset_label(p) for p in d)))
+                {"downset": downs[d], "neighborhood": sorted(cert.table[d])}
+                for d in sorted(downs, key=lambda d: (len(downs[d]), downs[d]))
             ],
             "audit": [
                 {
-                    "q": poset_label(step.q),
-                    "mu": sorted(poset_label(p) for p in step.mu),
-                    "lambda": sorted(poset_label(p) for p in step.lam_before),
+                    "q": poset_label(poset.carrier[step.q]),
+                    "mu": down_label(poset, step.mu),
+                    "lambda": down_label(poset, step.lam_before),
                     "atom": sorted(step.atom),
                     "checks": {k: bool(v) for k, v in step.checks.items()},
                 }

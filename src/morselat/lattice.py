@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .order import DownSet, Poset, UnknownElement, canonical_order, check_bound, cover_masks, mask_pairs
+from .order import Poset, UnknownElement, canonical_order, check_bound, cover_masks, mask_pairs
 
 DISTRIBUTIVITY_CHECK_LIMIT = 64
 
@@ -351,11 +351,10 @@ def predecessor(lat: SetLattice, c: frozenset) -> frozenset:
     return lat.elements[low.bit_length() - 1]
 
 
-def birkhoff_down(lat: SetLattice, a: frozenset, jl: Poset | None = None) -> DownSet:
+def birkhoff_down(lat: SetLattice, a: frozenset, jl: Poset | None = None) -> frozenset:
     """The Birkhoff image of a: the down-set of join-irreducibles below a."""
     jl = jl if jl is not None else join_irreducibles(lat)
-    members = frozenset(b for b in jl.carrier if b <= a)
-    return DownSet(jl, members, _checked=True)
+    return frozenset(b for b in jl.carrier if b <= a)
 
 
 def birkhoff_join(lat: SetLattice, down: Iterable[frozenset]) -> frozenset:
@@ -366,12 +365,10 @@ def birkhoff_join(lat: SetLattice, down: Iterable[frozenset]) -> frozenset:
     return out
 
 
-def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict]:
-    """J(L) and the embedding s : O(J(L)) -> L, s(alpha) = join of alpha."""
+def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict[int, frozenset]]:
+    """J(L) and the embedding s : O(J(L)) -> L, s(alpha) = join of alpha, keyed by the down-set masks of J(L)."""
     jl = join_irreducibles(lat)
-    s = {d.members: birkhoff_join(lat, d.members) for d in jl.all_down_sets()}
-    s[frozenset(jl.carrier)] = lat.top
-    return jl, s
+    return jl, {m: birkhoff_join(lat, jl.members_of(m)) for m in jl.down_masks()}
 
 
 @dataclass(frozen=True)
@@ -505,11 +502,8 @@ class BooleanExtension:
         self.target_rep = booleanize(hom.target)
         self._atoms = {}
         for p in poset.carrier:
-            dp = poset.down_set(p).members
-            dp_pred = dp - {p}
-            self._atoms[p] = (
-                self.target_rep.j[hom(dp)] - self.target_rep.j[hom(frozenset(dp_pred))]
-            )
+            dp = poset.down_set(p)
+            self._atoms[p] = self.target_rep.j[hom(dp)] - self.target_rep.j[hom(dp - {p})]
         self._validate()
 
     def atom(self, p) -> frozenset:
@@ -532,8 +526,8 @@ class BooleanExtension:
                     raise NotAHom(HomReport(False, "Eq (4) atom disjointness", (p, q)))
         # agreement with j o f on O(P), which also gives Eq (3) on down-sets
         for d in self.poset.all_down_sets():
-            if self(d.members) != self.target_rep.j[self.hom(d.members)]:
-                raise NotAHom(HomReport(False, "B(f) = j o f on O(P)", (d.members,)))
+            if self(d) != self.target_rep.j[self.hom(d)]:
+                raise NotAHom(HomReport(False, "B(f) = j o f on O(P)", (d,)))
 
     def is_boolean_hom(self) -> HomReport:
         """Check that the extension preserves meets, joins and complements on all of 2^P."""
@@ -552,10 +546,6 @@ class BooleanExtension:
             if image[full - a] != ground - image[a]:
                 return HomReport(False, "complement preservation", (a,))
         return HomReport(True)
-
-
-def boolean_extension(poset: Poset, hom: LatticeHom) -> BooleanExtension:
-    return BooleanExtension(poset, hom)
 
 
 # -- sublattice enumeration --------------------------------------------------

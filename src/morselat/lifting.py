@@ -22,6 +22,12 @@ plain set differences and the ambient Boolean algebra never needs to be
 materialized.  L is read off h: 0 is the empty set, 1 = h(ambient), join is
 union and meet is h(a ^ b).
 
+A down-set of P is an int mask over ``poset.carrier`` and an element of P
+its index there, everywhere in the engine: union, meet, inclusion and the
+complement ``full ^ d`` of the duality transport are bit operations.  Labels
+appear only at I/O: in ``formats.certificate_payload``, in ObstructionFound
+and in messages, through ``down_label``.
+
 The certificate records the assignment and a per-step audit (with the step's
 atom) of the disjointness and annihilation identities;
 LiftCertificate.verify() re-checks everything independently of the
@@ -49,15 +55,27 @@ def poset_label(p):
     return sorted(p) if isinstance(p, frozenset) else p
 
 
+def down_label(poset: Poset, d: int) -> list:
+    """The down-set mask d of ``poset`` as JSON and in messages: its elements' labels, sorted."""
+    return sorted(poset_label(p) for p in poset.members_of(d))
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 class ObstructionFound(LiftError):
-    def __init__(self, step, q, alpha, witness):
+    """No conditioner family at a step; ``q`` and ``alpha`` are carried as poset labels."""
+
+    def __init__(self, poset: Poset, step: int, q: int, alpha: int, witness: frozenset):
         self.step = step
-        self.q = q
-        self.alpha = alpha
+        self.q = poset.carrier[q]
+        self.alpha = poset.members_of(alpha)
         self.witness = witness
         super().__init__(
-            f"step {step}: no conditioner family for q={poset_label(q)!r}: "
-            f"v_mu ^ v_alpha escapes k(lambda) at alpha={sorted(map(poset_label, alpha))}, "
+            f"step {step}: no conditioner family for q={poset_label(self.q)!r}: "
+            f"v_mu ^ v_alpha escapes k(lambda) at alpha={down_label(poset, alpha)}, "
             f"excess {sorted(map(poset_label, witness))}"
         )
 
@@ -71,9 +89,9 @@ class TopNotUnique(LiftError):
 
 
 class ConditionerMissing(LiftError):
-    def __init__(self, alpha):
+    def __init__(self, poset: Poset, alpha: int):
         self.alpha = alpha
-        super().__init__(f"no conditioner supplied for alpha={sorted(map(repr, alpha))}")
+        super().__init__(f"no conditioner supplied for alpha={down_label(poset, alpha)}")
 
 
 class NotAnEmbedding(LiftError):
@@ -84,8 +102,8 @@ class NotAnEmbedding(LiftError):
 class LiftProblem:
     """A lifting instance: find k with h o k = s.
 
-    ``s`` maps every down-set of ``poset`` (as a frozenset of carrier labels)
-    to an element of L.  K is a sublattice of the powerset of ``ambient``;
+    ``s`` maps every down-set of ``poset``, an int mask over its carrier, to
+    an element of L.  K is a sublattice of the powerset of ``ambient``;
     ``h`` evaluates the epimorphism on any K element, ``section`` produces
     some h-preimage of an L element, and ``member`` decides membership in K.
     The conditioners are the section's preimages of the s values, one fixed
@@ -93,32 +111,29 @@ class LiftProblem:
     """
 
     poset: Poset
-    s: Mapping[frozenset, frozenset]
+    s: Mapping[int, frozenset]
     ambient: frozenset
     h: Callable[[frozenset], frozenset]
     section: Callable[[frozenset], frozenset]
     member: Callable[[frozenset], bool]
 
     @cached_property
-    def _downs(self) -> list[frozenset]:
-        return [frozenset(d.members) for d in self.poset.all_down_sets()]
-
-    def down_sets(self) -> list[frozenset]:
-        """O(P), enumerated once per problem."""
-        return self._downs
+    def down_sets(self) -> list[int]:
+        """O(P) as masks, in ``Poset.down_masks`` order, enumerated once per problem."""
+        return self.poset.down_masks()
 
     def check_embedding(self) -> None:
         """s is total, injective and a bounded lattice hom into L = (0, h(ambient), union, h(a ^ b))."""
-        downs = self.down_sets()
+        poset = self.poset
+        downs = self.down_sets
         missing = [d for d in downs if d not in self.s]
         if missing:
-            raise NotAnEmbedding(f"s is not total on O(P); missing {missing[0]!r}")
+            raise NotAnEmbedding(f"s is not total on O(P); missing {down_label(poset, missing[0])}")
         if len({self.s[d] for d in downs}) != len(downs):
             raise NotAnEmbedding("s is not injective")
-        if self.s[frozenset()] != frozenset():
+        if self.s[0] != frozenset():
             raise NotAnEmbedding("s(0) != 0")
-        full = frozenset(self.poset.carrier)
-        if self.s[full] != self.h(self.ambient):
+        if self.s[(1 << len(poset)) - 1] != self.h(self.ambient):
             raise NotAnEmbedding("s(1) != 1")
         meets = {}
 
@@ -131,24 +146,27 @@ class LiftProblem:
 
         broken = _broken_law(downs, self.s, or_, meet, and_)
         if broken:
-            raise NotAnEmbedding(f"s does not preserve {broken[0]} at {broken[1]!r}")
+            a, b = broken[1]
+            raise NotAnEmbedding(f"s does not preserve {broken[0]} at {down_label(poset, a)}, {down_label(poset, b)}")
 
 
 @dataclass
 class PartialLift:
-    """k on O(lambda^T): all down-sets inside lambda, plus the top P -> 1."""
+    """k on O(lambda^T): all down-sets inside lambda, plus the top P -> 1; every down-set a mask."""
 
     problem: LiftProblem
-    lam: frozenset
-    table: dict[frozenset, frozenset]
-    conditioners: dict[frozenset, frozenset] | None = None
+    lam: int
+    table: dict[int, frozenset]
+    conditioners: dict[int, frozenset] | None = None
 
 
 @dataclass(frozen=True)
 class LiftStep:
-    q: object
-    mu: frozenset
-    lam_before: frozenset
+    """One induction step: q is an index into the carrier, mu = down q and lam_before are masks."""
+
+    q: int
+    mu: int
+    lam_before: int
     atom: frozenset
     checks: dict
 
@@ -156,38 +174,39 @@ class LiftStep:
 @dataclass
 class LiftCertificate:
     problem: LiftProblem
-    table: dict[frozenset, frozenset]
+    table: dict[int, frozenset]
     audit: list[LiftStep]
     top_preserved: bool
 
     def verify(self) -> None:
         """Re-check hom laws, injectivity and h o k = s, independent of the construction."""
         prob = self.problem
-        downs = prob.down_sets()
+        poset = prob.poset
+        downs = prob.down_sets
         for d in downs:
             if d not in self.table:
-                raise LiftError(f"certificate table misses {d!r}")
+                raise LiftError(f"certificate table misses {down_label(poset, d)}")
             if prob.h(self.table[d]) != prob.s[d]:
-                raise LiftError(f"h(k({sorted(map(repr, d))})) != s(...)")
+                raise LiftError(f"h(k({down_label(poset, d)})) != s(...)")
             if not prob.member(self.table[d]):
-                raise LiftError(f"k({sorted(map(repr, d))}) is not a K element")
+                raise LiftError(f"k({down_label(poset, d)}) is not a K element")
         if len({self.table[d] for d in downs}) != len(downs):
             raise LiftError("k is not injective")
-        if self.table[frozenset()] != frozenset():
+        if self.table[0] != frozenset():
             raise LiftError("k(0) != 0")
         broken = _broken_law(downs, self.table, or_, and_, and_)
         if broken:
-            raise LiftError(f"k does not preserve {broken[0]} at {broken[1]!r}")
-        full = frozenset(prob.poset.carrier)
-        if self.top_preserved and self.table[full] != prob.ambient:
+            a, b = broken[1]
+            raise LiftError(f"k does not preserve {broken[0]} at {down_label(poset, a)}, {down_label(poset, b)}")
+        if self.top_preserved and self.table[(1 << len(poset)) - 1] != prob.ambient:
             raise LiftError("k(1) != 1 but certificate claims top preservation")
 
 
 def is_partial_lift(candidate: PartialLift) -> HomReport:
     """Def 5.4: hom laws on O(lambda^T) plus h(k(beta)) = s(beta) for beta <= lambda."""
     prob = candidate.problem
-    full = frozenset(prob.poset.carrier)
-    downs = [d for d in prob.down_sets() if d <= candidate.lam]
+    full = (1 << len(prob.poset)) - 1
+    downs = [d for d in prob.down_sets if not d & ~candidate.lam]
     for d in downs:
         if d not in candidate.table:
             return HomReport(False, "totality on O(lambda^T)", (d,))
@@ -195,8 +214,8 @@ def is_partial_lift(candidate: PartialLift) -> HomReport:
         return HomReport(False, "k(1) = 1 (missing top entry)", (full,))
     if candidate.table[full] != prob.ambient:
         return HomReport(False, "k(1) = 1", (full,))
-    if candidate.table.get(frozenset()) != frozenset():
-        return HomReport(False, "k(0) = 0", (frozenset(),))
+    if candidate.table.get(0) != frozenset():
+        return HomReport(False, "k(0) = 0", (0,))
     broken = _broken_law(downs, candidate.table, or_, and_, and_)
     if broken:
         law = "k(a v b) = k(a) v k(b)" if broken[0] == "joins" else "k(a ^ b) = k(a) ^ k(b)"
@@ -207,17 +226,17 @@ def is_partial_lift(candidate: PartialLift) -> HomReport:
     return HomReport(True)
 
 
-def lift_atom(candidate: PartialLift, p) -> frozenset:
-    """B(k)({p}) = k(down p) minus k(down p without p), inside the ambient powerset."""
-    dp = frozenset(candidate.problem.poset.down_set(p).members)
-    return candidate.table[dp] - candidate.table[dp - {p}]
+def lift_atom(candidate: PartialLift, p: int) -> frozenset:
+    """B(k)({p}) = k(down p) minus k(down p without p), inside the ambient powerset; p is a carrier index."""
+    dp = candidate.problem.poset.below[p]
+    return candidate.table[dp] - candidate.table[dp ^ 1 << p]
 
 
-def _annihilation_failure(atoms: Mapping, downs: list, cond: Mapping) -> tuple | None:
+def _annihilation_failure(atoms: Mapping[int, frozenset], downs: list[int], cond: Mapping) -> tuple | None:
     """Eq (22), the Prop 5.7 atom form: the first (p, alpha), p not in alpha, with B_p ^ v_alpha != 0, or None."""
     for p, b in atoms.items():
         for alpha in downs:
-            if p not in alpha and b & cond[alpha]:
+            if not alpha >> p & 1 and b & cond[alpha]:
                 return p, alpha
     return None
 
@@ -233,20 +252,20 @@ def is_conditional_lift(candidate: PartialLift) -> HomReport:
     if not base:
         return base
     if candidate.conditioners is None:
-        raise ConditionerMissing(frozenset())
-    downs = prob.down_sets()
+        raise ConditionerMissing(prob.poset, 0)
+    downs = prob.down_sets
     for alpha in downs:
         if alpha not in candidate.conditioners:
-            raise ConditionerMissing(alpha)
+            raise ConditionerMissing(prob.poset, alpha)
         v = candidate.conditioners[alpha]
         if prob.h(v) != prob.s[alpha]:
             return HomReport(False, "v_alpha in h^-1(s(alpha))", (alpha, v))
-    lam_downs = [d for d in downs if d <= candidate.lam]
+    lam_downs = [d for d in downs if not d & ~candidate.lam]
     eq18_witness = None
     for gamma in lam_downs:
         for beta in lam_downs:
             for alpha in downs:
-                if gamma & alpha <= beta:
+                if not gamma & alpha & ~beta:
                     v = candidate.conditioners[alpha]
                     if (candidate.table[gamma] & v) - candidate.table[beta]:
                         eq18_witness = (gamma, alpha, beta)
@@ -255,7 +274,7 @@ def is_conditional_lift(candidate: PartialLift) -> HomReport:
                 break
         if eq18_witness:
             break
-    atoms = {p: lift_atom(candidate, p) for p in candidate.lam}
+    atoms = {p: lift_atom(candidate, p) for p in _bits(candidate.lam)}
     atom_witness = _annihilation_failure(atoms, downs, candidate.conditioners)
     if (eq18_witness is None) != (atom_witness is None):
         raise AssertionError(
@@ -271,52 +290,50 @@ def lift(problem: LiftProblem) -> LiftCertificate:
     """Run the lifting induction and return an audited certificate."""
     problem.check_embedding()
     poset = problem.poset
-    full = frozenset(poset.carrier)
-    downs = problem.down_sets()
+    below = poset.below
+    full = (1 << len(poset)) - 1
+    downs = problem.down_sets
     ambient = problem.ambient
 
-    if not poset.carrier:
-        return LiftCertificate(problem, {frozenset(): ambient}, [], True)
+    if not full:
+        return LiftCertificate(problem, {0: ambient}, [], True)
 
     # the one conditioner family: v_alpha = section(s(alpha)), each checked
     # to be an h-preimage of s(alpha); it anchors k(down q) at the base step
-    cond: dict[frozenset, frozenset] = {}
+    cond: dict[int, frozenset] = {}
     for alpha in downs:
         v = problem.section(problem.s[alpha])
         if problem.h(v) != problem.s[alpha]:
             raise SectionInconsistent(f"section for {sorted(map(repr, problem.s[alpha]))} has the wrong h image")
         cond[alpha] = v
 
-    atoms: dict = {}
+    atoms: dict[int, frozenset] = {}
 
-    def k(alpha: frozenset) -> frozenset:
-        return frozenset().union(*(atoms[p] for p in alpha))
+    def k(alpha: int) -> frozenset:
+        return frozenset().union(*(atoms[p] for p in _bits(alpha)))
 
     audit: list[LiftStep] = []
-    lam: frozenset = frozenset()
+    lam = 0
     k_lam: frozenset = frozenset()
     step = 0
     while lam != full:
-        remaining = poset.mask_of(full - lam)
-        q = min(
-            poset.minimal_elements(within=remaining),
-            key=lambda p: poset.index[p],
-        )
-        mu = frozenset(poset.down_set(q).members)
-        mu_pred = mu - {q}
+        # q: the first element, in carrier order, that is minimal outside lambda
+        rest = full ^ lam
+        q = next(i for i in range(len(below)) if below[i] & rest == 1 << i)
+        mu = below[q]
 
         # Eq (20): v_mu ^ v_alpha <= k(lambda) whenever q not in alpha; at the
         # base step k(lambda) = 0 and this is exactly condition (i)
         for alpha in downs:
-            if q in alpha:
+            if alpha >> q & 1:
                 continue
             excess = (cond[mu] & cond[alpha]) - k_lam
             if excess:
-                raise ObstructionFound(step, q, alpha, excess)
+                raise ObstructionFound(poset, step, q, alpha, excess)
 
         b_q = cond[mu] - k_lam
         atoms[q] = b_q
-        k_pred, k_mu = k(mu_pred), k(mu)
+        k_pred, k_mu = k(mu ^ 1 << q), k(mu)
 
         checks = {
             "k(mu) = k(pred mu) v v_mu": k_mu == k_pred | cond[mu],
@@ -326,10 +343,10 @@ def lift(problem: LiftProblem) -> LiftCertificate:
         # Eq (22): B_p ^ v_alpha = 0 for p in (lambda u mu), the atoms so far, not in alpha
         checks["Eq (22)"] = _annihilation_failure(atoms, downs, cond) is None
         # Eq (23): atoms pairwise disjoint; the earlier ones already are
-        checks["Eq (23)"] = not any(atoms[p] & b_q for p in lam)
+        checks["Eq (23)"] = not any(atoms[p] & b_q for p in _bits(lam))
         if not all(checks.values()):
             failed = [name for name, ok in checks.items() if not ok]
-            raise LiftError(f"step {step} audit failed: {failed} (q={q!r})")
+            raise LiftError(f"step {step} audit failed: {failed} (q={poset_label(poset.carrier[q])!r})")
         audit.append(LiftStep(q, mu, lam, b_q, checks))
         lam |= mu
         k_lam |= b_q
@@ -437,11 +454,11 @@ def transport_by_duality(
     outer c being set complement in the ambient space.  The certificate is
     one for ``problem`` itself, so verify() re-checks h o k = s there.
     """
-    carrier = frozenset(problem.poset.carrier)
-    downs = problem.down_sets()
-    s_rep = {carrier - alpha: star(problem.s[alpha]) for alpha in downs}
+    full = (1 << len(problem.poset)) - 1
+    downs = problem.down_sets
+    s_rep = {full ^ alpha: star(problem.s[alpha]) for alpha in downs}
     rep_cert = lift(rep_problem(problem.poset.dual(), s_rep))
-    table = {alpha: problem.ambient - rep_cert.table[carrier - alpha] for alpha in downs}
+    table = {alpha: problem.ambient - rep_cert.table[full ^ alpha] for alpha in downs}
     cert = LiftCertificate(problem, table, list(rep_cert.audit), rep_cert.top_preserved)
     cert.verify()
     return cert
@@ -497,18 +514,18 @@ def spaciousness_falsifier(
     checked = 0
     for size in range(1, poset_bound + 1):
         labels = tuple(f"p{i}" for i in range(size))
+        full = (1 << size) - 1
         for poset in all_posets(labels):
-            downs = [frozenset(d.members) for d in poset.all_down_sets()]
+            downs = poset.down_masks()
             for s in _embeddings(poset, downs, l_lattice):
                 for lam in downs:
-                    if lam == frozenset(poset.carrier):
+                    if lam == full:
                         continue
-                    remaining = poset.mask_of(frozenset(poset.carrier) - lam)
-                    for q in poset.minimal_elements(within=remaining):
-                        mu = frozenset(poset.down_set(q).members)
-                        outcome, work = _check_site(
-                            poset, downs, s, lam, q, mu, fibers, k_lattice, work, budget
-                        )
+                    rest = full ^ lam
+                    for q in range(size):
+                        if poset.below[q] & rest != 1 << q:
+                            continue
+                        outcome, work = _check_site(poset, downs, s, lam, q, fibers, work, budget)
                         checked += 1
                         if outcome is not None:
                             if outcome == "budget":
@@ -517,22 +534,22 @@ def spaciousness_falsifier(
     return FalsifierResult("no_counterexample", "enumeration", None, checked)
 
 
-def _embeddings(poset: Poset, downs, l_lattice: SetLattice):
-    """All lattice embeddings O(P) -> L, generated from irreducible images."""
-    carrier = list(poset.carrier)
-    full = frozenset(carrier)
+def _embeddings(poset: Poset, downs: list[int], l_lattice: SetLattice):
+    """All lattice embeddings O(P) -> L, generated from irreducible images, keyed by down-set mask."""
+    n = len(poset)
+    full = (1 << n) - 1
 
     def build(assign):
         s = {}
         for d in downs:
             val = l_lattice.bottom
-            for p in d:
+            for p in _bits(d):
                 val = l_lattice.join(val, assign[p])
             s[d] = val
         return s
 
     def rec(i, assign):
-        if i == len(carrier):
+        if i == n:
             s = build(assign)
             if len(set(s.values())) != len(downs):
                 return
@@ -540,38 +557,33 @@ def _embeddings(poset: Poset, downs, l_lattice: SetLattice):
                 return
             yield dict(s)
             return
-        p = carrier[i]
         for val in l_lattice.elements:
             if val == l_lattice.bottom:
                 continue
-            ok = all(
-                not poset.leq(carrier[j], p) or l_lattice.leq(assign[carrier[j]], val)
-                for j in range(i)
-            )
-            if ok:
-                assign[p] = val
+            if all(l_lattice.leq(assign[j], val) for j in _bits(poset.below[i]) if j < i):
+                assign[i] = val
                 yield from rec(i + 1, assign)
-                del assign[p]
+                del assign[i]
 
     yield from rec(0, {})
 
 
-def _check_site(poset, downs, s, lam, q, mu, fibers, k_lattice, work, budget):
-    """Does some partial lift at (s, lam, q) admit no conditioner family?"""
-    lam_irr = [p for p in poset.carrier if p in lam]
-    choice_lists = [fibers.get(s[frozenset(poset.down_set(p).members)], []) for p in lam_irr]
+def _check_site(poset, downs, s, lam, q, fibers, work, budget):
+    """Does some partial lift at (s, lam, q) admit no conditioner family?  Masks and carrier indices throughout."""
+    lam_irr = _bits(lam)
+    choice_lists = [fibers.get(s[poset.below[p]], []) for p in lam_irr]
     if any(not c for c in choice_lists):
         return None, work  # s(down p) has no section at all: not a partial lift site
-    mu_fiber = fibers.get(s[mu], [])
-    alphas = [a for a in downs if q not in a]
+    mu_fiber = fibers.get(s[poset.below[q]], [])
+    alphas = [a for a in downs if not a >> q & 1]
 
-    lam_downs = [d for d in downs if d <= lam]
+    lam_downs = [d for d in downs if not d & ~lam]
     for choice in product(*choice_lists):
         assign = dict(zip(lam_irr, choice))
         table = {}
         for d in lam_downs:
             val = frozenset()
-            for p in d:
+            for p in _bits(d):
                 val |= assign[p]
             table[d] = val
         # joins of sections automatically satisfy h o k = s and stay in K,

@@ -1,14 +1,16 @@
 """Finite posets, down-sets, the down-set lattice O(P), and poset duality.
 
 Elements are identified by arbitrary hashable labels; the order relation is
-kept internally as one bitmask per element over a fixed carrier ordering, so
-set algebra on down-sets is constant-time word arithmetic.
+kept internally as one bitmask per element over a fixed carrier ordering.  A
+down-set is an int mask over the carrier, so set algebra on down-sets is
+constant-time word arithmetic, and the complement of a down-set d,
+``full ^ d``, is a down-set of the dual poset.  Labels appear only where a
+caller asks for them (``members_of``, ``down_set``, ``all_down_sets``).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ENUM_BOUND = 20
@@ -141,12 +143,6 @@ class UnknownElement(PosetError):
         super().__init__(f"unknown element {p!r}")
 
 
-class NotADownSet(ValueError):
-    def __init__(self, members, witness):
-        self.witness = witness
-        super().__init__(f"{sorted(map(repr, members))} is not downward closed (missing {witness!r})")
-
-
 class TooLarge(ValueError):
     pass
 
@@ -276,28 +272,20 @@ class Poset:
     def is_down_mask(self, mask: int) -> bool:
         return self._escape(mask) is None
 
-    def minimal_elements(self, within: int | None = None):
-        """Minimal elements of the sub-poset induced on the mask ``within``."""
-        full = (1 << len(self.carrier)) - 1
-        w = full if within is None else within
-        out = []
-        for i in range(len(self.carrier)):
-            if w >> i & 1 and not (self.below[i] & w & ~(1 << i)):
-                out.append(self.carrier[i])
-        return out
-
     # -- order operations --------------------------------------------------
 
-    def down_set(self, p) -> "DownSet":
+    def down_set(self, p) -> frozenset:
+        """The labels at or below p."""
         if p not in self.index:
             raise UnknownElement(p)
-        return DownSet(self, self.members_of(self.below[self.index[p]]), _checked=True)
+        return self.members_of(self.below[self.index[p]])
 
-    def all_down_sets(self) -> list["DownSet"]:
-        """The lattice O(P), ordered by (size, lexicographic in carrier order)."""
-        return [DownSet(self, self.members_of(m), _checked=True) for m in self.down_masks()]
+    def all_down_sets(self) -> list[frozenset]:
+        """The lattice O(P) as sets of labels, in the order of ``down_masks``."""
+        return [self.members_of(m) for m in self.down_masks()]
 
     def down_masks(self) -> list[int]:
+        """The lattice O(P) as masks, ordered by (size, lexicographic in carrier order)."""
         n = len(self.carrier)
         check_bound(n, "poset elements")
         return canonical_order(closed_masks(self.below), n)
@@ -319,40 +307,6 @@ def _lex_key(mask: int, n: int) -> tuple:
 def canonical_order(masks: Iterable[int], n: int) -> list[int]:
     """The masks over n bits by size, then by ascending bit list: the order of ``SetLattice.elements``."""
     return sorted(masks, key=lambda m: (m.bit_count(), _lex_key(m, n)))
-
-
-@dataclass(frozen=True)
-class DownSet:
-    """A downward closed subset of a poset."""
-
-    poset: Poset
-    members: frozenset
-    _checked: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not self._checked:
-            escape = self.poset._escape(self.poset.mask_of(self.members))
-            if escape:
-                raise NotADownSet(self.members, self.poset.carrier[escape[1]])
-
-    def __contains__(self, p):
-        return p in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __le__(self, other):
-        return self.members <= other.members
-
-
-def complement_map(alpha: DownSet) -> DownSet:
-    """alpha -> P \\ alpha, a down-set of the dual poset.
-
-    This is an involutive lattice anti-morphism O(P) -> O(P^op).
-    """
-    p = alpha.poset
-    return DownSet(p.dual(), frozenset(p.carrier) - alpha.members, _checked=True)
 
 
 def is_order_preserving(f: Mapping | Callable, source: Poset, target: Poset) -> bool:

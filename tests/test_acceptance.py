@@ -18,13 +18,13 @@ import time
 import pytest
 
 from morselat import (
+    BooleanExtension,
     CellGrid,
     LatticeHom,
     SetLattice,
     attractor_lift,
     birkhoff_down,
     birkhoff_join,
-    boolean_extension,
     ds1,
     ingest_interval_map,
     join_irreducibles,
@@ -75,11 +75,11 @@ def birkhoff_round_trip(lat):
     images = set()
     for a in lat.elements:
         d = birkhoff_down(lat, a, jl)
-        assert birkhoff_join(lat, d.members) == a
-        images.add(frozenset(d.members))
+        assert birkhoff_join(lat, d) == a
+        images.add(d)
     assert len(images) == len(lat.elements)
     # the image family is exactly O(J(L)): set equality after relabeling
-    expected = {frozenset(d.members) for d in jl.all_down_sets()}
+    expected = set(jl.all_down_sets())
     assert images == expected
 
 
@@ -90,7 +90,7 @@ def test_criterion_1_birkhoff_suite():
         for p in all_labeled_posets(n):
             lat = SetLattice.from_poset(p)
             jl = join_irreducibles(lat)
-            downs = {q: p.down_set(q).members for q in p.carrier}
+            downs = {q: p.down_set(q) for q in p.carrier}
             assert set(downs.values()) == set(jl.carrier)
             for a in p.carrier:
                 for b in p.carrier:
@@ -140,7 +140,7 @@ def test_criterion_2_booleanization_suite():
         }
         hom = LatticeHom(src, dst, table)
         # construction validates Eq (3) on O(P) and the Eq (4) disjointness
-        ext = boolean_extension(p, hom)
+        ext = BooleanExtension(p, hom)
         # Eq (3) verbatim on all of 2^P, and agreement with j o f on O(P)
         rep = ext.target_rep
         n = len(p.carrier)
@@ -151,7 +151,7 @@ def test_criterion_2_booleanization_suite():
                 union |= ext.atom(x)
             assert ext(subset) == union
         for d in p.all_down_sets():
-            assert ext(d.members) == rep.j[hom(d.members)]
+            assert ext(d) == rep.j[hom(d)]
         done += 1
     elapsed = time.time() - t0
     report(2, "Booleanization suite", True, f"{done} random homs", t0)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morselat import (
+    BooleanExtension,
     CellGrid,
     CellMap,
     FiniteDynSys,
@@ -18,12 +19,10 @@ from morselat import (
     birkhoff_down,
     birkhoff_embedding,
     birkhoff_join,
-    boolean_extension,
     booleanize,
     check_anti_hom,
     check_hom,
     checked_sublattice,
-    complement_map,
     grid,
     ingest_interval_map,
     join_irreducibles,
@@ -170,7 +169,7 @@ class TestCovers:
         passes = []
         real = lattice_module.cover_masks
         monkeypatch.setattr(lattice_module, "cover_masks", lambda strict: passes.append(strict) or real(strict))
-        family = SetLattice(p3.carrier, [d.members for d in p3.all_down_sets()])
+        family = SetLattice(p3.carrier, p3.all_down_sets())
         for lat, most in ((family, 1), (SetLattice.from_poset(p3), 0)):
             passes.clear()
             jl = join_irreducibles(lat)
@@ -186,7 +185,7 @@ class TestCovers:
         for n in range(6):
             for p in all_labeled_posets(n):
                 fast = SetLattice.from_poset(p)
-                general = SetLattice(p.carrier, [d.members for d in p.all_down_sets()], check=False)
+                general = SetLattice(p.carrier, p.all_down_sets(), check=False)
                 assert fast.elements == general.elements
                 assert fast.covers() == general.covers()
                 assert join_irreducibles(fast) == join_irreducibles(general)
@@ -234,25 +233,25 @@ class TestBirkhoff:
     def test_down_image_in_o_p3(self, p3):
         lat = SetLattice.from_poset(p3)
         jl = join_irreducibles(lat)
-        assert birkhoff_down(lat, fs("1", "2"), jl).members == {fs("1"), fs("1", "2")}
-        assert birkhoff_down(lat, fs(), jl).members == set()
+        assert birkhoff_down(lat, fs("1", "2"), jl) == {fs("1"), fs("1", "2")}
+        assert birkhoff_down(lat, fs(), jl) == set()
 
     def test_up_is_irreducible(self, p3):
-        d = p3.down_set("2").members
+        d = p3.down_set("2")
         assert d == fs("1", "2")
         lat = SetLattice.from_poset(p3)
         assert d in {c for c in join_irreducibles(lat).carrier}
 
     def test_up_on_chain(self):
         p = chain(["p", "q"])
-        assert p.down_set("q").members == fs("p", "q")
+        assert p.down_set("q") == fs("p", "q")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_j_of_o_p_isomorphic_to_p_exhaustive(self, n):
         for p in all_labeled_posets(n):
             lat = SetLattice.from_poset(p)
             jl = join_irreducibles(lat)
-            downs = {q: p.down_set(q).members for q in p.carrier}
+            downs = {q: p.down_set(q) for q in p.carrier}
             assert set(downs.values()) == set(jl.carrier)
             for a in p.carrier:
                 for b in p.carrier:
@@ -265,8 +264,8 @@ class TestBirkhoff:
             jl, s = birkhoff_embedding(lat)
             assert jl == join_irreducibles(lat)
             assert len(s) == len(lat) and set(s.values()) == set(lat.elements)
-            for d in jl.all_down_sets():
-                assert s[d.members] == birkhoff_join(lat, d.members)
+            for m in jl.down_masks():
+                assert s[m] == birkhoff_join(lat, jl.members_of(m))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -278,8 +277,8 @@ class TestBirkhoff:
         seen = set()
         for a in lat.elements:
             d = birkhoff_down(lat, a, jl)
-            assert birkhoff_join(lat, d.members) == a
-            seen.add(d.members)
+            assert birkhoff_join(lat, d) == a
+            seen.add(d)
         assert len(seen) == len(lat.elements)
 
 
@@ -312,7 +311,7 @@ class TestBooleanize:
             jl = join_irreducibles(lat)
             rep = booleanize(lat)
             assert rep.ground == jl
-            assert rep.j == {a: birkhoff_down(lat, a, jl).members for a in lat.elements}
+            assert rep.j == {a: birkhoff_down(lat, a, jl) for a in lat.elements}
 
     def test_order_test_both_forms(self):
         rep = booleanize(powerset_lattice("ab"))
@@ -339,9 +338,8 @@ class TestHomChecking:
     def test_complement_map_is_anti_hom(self, p3):
         src = SetLattice.from_poset(p3)
         dst = SetLattice.from_poset(p3.dual())
-        table = {
-            d.members: complement_map(d).members for d in p3.all_down_sets()
-        }
+        full = (1 << len(p3)) - 1
+        table = {p3.members_of(m): p3.members_of(full ^ m) for m in p3.down_masks()}
         assert check_anti_hom(table, src, dst)
         assert not check_hom(table, src, dst)
 
@@ -350,7 +348,7 @@ class TestHomChecking:
         maps = broken = 0
         for n in range(5):
             for p in all_labeled_posets(n):
-                downs = [d.members for d in p.all_down_sets()]
+                downs = p.all_down_sets()
                 identity = {d: d for d in downs}
                 for k in [identity] + [{**identity, d: e} for d in downs for e in downs if e != d]:
                     found = lattice_module._broken_law(downs, k, or_, and_, and_)
@@ -373,7 +371,7 @@ class TestBooleanExtension:
 
     def test_identity_atom_images(self, p3):
         hom = self.hom_from_order_map(p3, p3, {p: p for p in p3.carrier})
-        ext = boolean_extension(p3, hom)
+        ext = BooleanExtension(p3, hom)
         # the atom at 2 is the singleton of the join-irreducible down 2
         assert ext.atom("2") == {fs("1", "2")}
         assert ext.atom("1") == {fs("1")}
@@ -381,16 +379,16 @@ class TestBooleanExtension:
     def test_extension_is_boolean_hom(self, p3):
         # u: chain -> P3, 1,2 -> their namesakes, 3 -> 2 (order-preserving)
         hom = self.hom_from_order_map(p3, chain(["1", "2", "3"]), {"1": "1", "2": "2", "3": "2"})
-        ext = boolean_extension(p3, hom)
+        ext = BooleanExtension(p3, hom)
         assert ext.is_boolean_hom()
 
     def test_inclusion_case(self, p3):
         # with L = O(P), the extension restricted to O(P) is the inclusion into 2^P
         hom = self.hom_from_order_map(p3, p3, {p: p for p in p3.carrier})
-        ext = boolean_extension(p3, hom)
+        ext = BooleanExtension(p3, hom)
         for d in p3.all_down_sets():
-            img = ext(d.members)
-            assert img == {p3.down_set(q).members for q in d.members}
+            img = ext(d)
+            assert img == {p3.down_set(q) for q in d}
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -402,7 +400,7 @@ class TestBooleanExtension:
         if point_map is None:
             return
         hom = self.hom_from_order_map(p, q, point_map)
-        ext = boolean_extension(p, hom)  # validates Eq (3) on O(P) and Eq (4)
+        ext = BooleanExtension(p, hom)  # validates Eq (3) on O(P) and Eq (4)
         assert ext.is_boolean_hom()
 
 

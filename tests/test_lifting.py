@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -49,6 +50,11 @@ def fs(*items):
 TRIPOD_FAMILY = [fs(), fs(0), fs(0, 1, 2), fs(0, 1, 3), fs(0, 1, 2, 3)]
 
 
+def top(problem):
+    """The mask of the whole carrier, the top of O(P)."""
+    return (1 << len(problem.poset)) - 1
+
+
 def powerset_lattice(labels):
     subs = [
         frozenset(c)
@@ -76,25 +82,26 @@ class TestPartialLift:
     def test_identity_partial_lift_any_lambda(self):
         prob = identity_problem()
         for lam_members in (fs(), fs(fs("a")), fs(fs("a"), fs("b"))):
-            table = {d: prob.s[d] for d in prob.down_sets() if d <= lam_members}
-            table[frozenset(prob.poset.carrier)] = prob.ambient
-            cand = PartialLift(prob, lam_members, table)
+            lam = prob.poset.mask_of(lam_members)
+            table = {d: prob.s[d] for d in prob.down_sets if not d & ~lam}
+            table[top(prob)] = prob.ambient
+            cand = PartialLift(prob, lam, table)
             assert is_partial_lift(cand)
 
     def test_missing_top_entry_is_a_violation(self):
         prob = identity_problem()
-        cand = PartialLift(prob, fs(), {fs(): fs()})
+        cand = PartialLift(prob, 0, {0: fs()})
         report = is_partial_lift(cand)
         assert not report and "k(1)" in report.law
 
     def test_ds1_repeller_self_assignment(self, sys1):
         prob = repeller_lift_problem(sys1, sys1.rep_lattice().elements)
         q1 = prob.poset.carrier[0]
-        lam = fs(q1)
+        lam = prob.poset.mask_of({q1})
         table = {
-            fs(): fs(),
+            0: fs(),
             lam: q1,  # the repeller itself, a repelling neighborhood of itself
-            frozenset(prob.poset.carrier): prob.ambient,
+            top(prob): prob.ambient,
         }
         assert is_partial_lift(PartialLift(prob, lam, table))
 
@@ -102,28 +109,28 @@ class TestPartialLift:
 class TestConditionalLift:
     def test_self_conditioners_pass(self):
         prob = identity_problem()
-        lam = fs(fs("a"))
-        table = {d: prob.s[d] for d in prob.down_sets() if d <= lam}
-        table[frozenset(prob.poset.carrier)] = prob.ambient
+        lam = prob.poset.mask_of({fs("a")})
+        table = {d: prob.s[d] for d in prob.down_sets if not d & ~lam}
+        table[top(prob)] = prob.ambient
         cond = dict(prob.s)
         cand = PartialLift(prob, lam, table, cond)
         assert is_conditional_lift(cand)
 
     def test_missing_conditioner_raises(self):
         prob = identity_problem()
-        lam = fs(fs("a"))
-        table = {d: prob.s[d] for d in prob.down_sets() if d <= lam}
-        table[frozenset(prob.poset.carrier)] = prob.ambient
-        cand = PartialLift(prob, lam, table, {fs(): fs()})
+        lam = prob.poset.mask_of({fs("a")})
+        table = {d: prob.s[d] for d in prob.down_sets if not d & ~lam}
+        table[top(prob)] = prob.ambient
+        cand = PartialLift(prob, lam, table, {0: fs()})
         with pytest.raises(ConditionerMissing):
             is_conditional_lift(cand)
 
     def test_shrunk_conditioners_still_pass(self, sys1):
         # a conditioner below a passing one, with the same h image, passes
         prob = repeller_lift_problem(sys1, sys1.rep_lattice().elements)
-        lam = fs(prob.poset.carrier[0])
-        table = {d: prob.s[d] for d in prob.down_sets() if d <= lam}
-        table[frozenset(prob.poset.carrier)] = prob.ambient
+        lam = prob.poset.mask_of({prob.poset.carrier[0]})
+        table = {d: prob.s[d] for d in prob.down_sets if not d & ~lam}
+        table[top(prob)] = prob.ambient
         cond = dict(prob.s)  # repeller-self conditioners
         assert is_conditional_lift(PartialLift(prob, lam, table, dict(cond)))
 
@@ -133,9 +140,9 @@ class TestConditionalLift:
         # conditioners satisfy it
         prob, a0d, amd, apd = tripod_problem
         lam = a0d
-        table = {d: (fs(0) if d else fs()) for d in prob.down_sets() if d <= lam}
-        table[frozenset(prob.poset.carrier)] = prob.ambient
-        cond = {d: prob.s[d] for d in prob.down_sets()}
+        table = {d: (fs(0) if d else fs()) for d in prob.down_sets if not d & ~lam}
+        table[top(prob)] = prob.ambient
+        cond = {d: prob.s[d] for d in prob.down_sets}
         assert is_conditional_lift(PartialLift(prob, lam, table, cond))
 
     def test_branch_overlap_breaks_the_annihilation_law(self, tripod_problem):
@@ -144,12 +151,12 @@ class TestConditionalLift:
         prob, a0d, amd, apd = tripod_problem
         lam = amd  # members {A0, A-}
         table = {
-            fs(): fs(),
+            0: fs(),
             a0d: fs(0),
             amd: fs(0, 1, 2),
-            frozenset(prob.poset.carrier): prob.ambient,
+            top(prob): prob.ambient,
         }
-        cond = {d: prob.s[d] for d in prob.down_sets()}
+        cond = {d: prob.s[d] for d in prob.down_sets}
         cand = PartialLift(prob, lam, table, cond)
         report = is_conditional_lift(cand)
         assert not report and "Eq (18)" in report.law
@@ -173,9 +180,9 @@ def tripod_problem(tripod):
         section=lambda l: l,
         member=lambda n: is_attracting_block(n, tripod),
     )
-    a0d = fs(a0)
-    amd = fs(a0, am)
-    apd = fs(a0, ap)
+    a0d = poset.mask_of({a0})
+    amd = poset.mask_of({a0, am})
+    apd = poset.mask_of({a0, ap})
     return prob, a0d, amd, apd
 
 
@@ -183,7 +190,7 @@ class TestLift:
     def test_identity_epimorphism(self):
         cert = lift(identity_problem())
         cert.verify()
-        for d in cert.problem.down_sets():
+        for d in cert.problem.down_sets:
             assert cert.table[d] == cert.problem.s[d]
 
     def test_ds1_full_repeller_lattice(self, sys1):
@@ -227,12 +234,24 @@ class TestLift:
     def test_top_entry_off_the_atoms_is_a_lift_error(self):
         # h drops c, so k(1) is the union of the atoms, {a, b}, not the ambient set
         prob = dataclasses.replace(identity_problem(), ambient=fs("a", "b", "c"), h=lambda u: u & fs("a", "b"))
-        full = frozenset(prob.poset.carrier)
+        full = top(prob)
         assert lift(prob).table[full] == fs("a", "b")
         # corrupt the enumeration: without P in O(P), the table has no k(1)
-        prob.__dict__["_downs"] = [d for d in prob.down_sets() if d != full]
+        prob.__dict__["down_sets"] = [d for d in prob.down_sets if d != full]
         with pytest.raises(LiftError, match="union of the atoms"):
             lift(prob)
+
+
+    def test_verify_names_a_down_set_by_its_labels(self, sys1):
+        # a missing entry, then a wrong one, of the down-set {{a, b}} of J(Rep)
+        cert = repeller_lift(sys1, sys1.rep_lattice().elements)
+        d = cert.problem.poset.mask_of({fs("a", "b")})
+        value = cert.table.pop(d)
+        with pytest.raises(LiftError, match=re.escape("certificate table misses [['a', 'b']]")):
+            cert.verify()
+        cert.table[d] = value - {"a"}
+        with pytest.raises(LiftError, match=re.escape("h(k([['a', 'b']])) != s(...)")):
+            cert.verify()
 
 
 class TestConditionI:
@@ -351,7 +370,7 @@ def test_lift_takes_each_conditioner_once(sys1, tripod, g1):
     for problem in problems:
         counted, calls = counting(problem)
         cert = lift(counted)
-        n = len(problem.down_sets())
+        n = len(problem.down_sets)
         assert len(cert.audit) > 1
         assert calls == {"section": n, "h on a section": n}
         assert cert.table == lift(problem).table
@@ -418,10 +437,10 @@ def test_lift_enumerates_down_sets_once(tripod, g1, monkeypatch):
     problems = [grid_lift_problem(cmap, comb_rep_lattice(cmap).elements) for cmap in (tripod, g1)]
     assert len(problems[0].poset) < len(problems[1].poset)
     counts = []
-    real = Poset.all_down_sets
+    real = Poset.down_masks
     for problem in problems:
         calls = []
-        monkeypatch.setattr(Poset, "all_down_sets", lambda self: calls.append(self) or real(self))
+        monkeypatch.setattr(Poset, "down_masks", lambda self: calls.append(self) or real(self))
         lift(problem)
         counts.append(len(calls))
     assert counts[0] == counts[1]
@@ -432,15 +451,15 @@ def assert_k_is_the_union_of_atoms(cert, transported=False):
 
     A certificate transported by duality carries the audit of the lift on the
     dual poset: there the complement of k(alpha) is the union over the
-    complement of alpha.
+    complement of alpha.  Steps name carrier indices and down-sets are masks.
     """
     atoms = {step.q: step.atom for step in cert.audit}
-    carrier = frozenset(cert.problem.poset.carrier)
-    assert set(atoms) == carrier
+    n = len(cert.problem.poset)
+    assert set(atoms) == set(range(n))
     for alpha, value in cert.table.items():
         if transported:
-            alpha, value = carrier - alpha, cert.problem.ambient - value
-        assert value == frozenset().union(*(atoms[p] for p in alpha)), alpha
+            alpha, value = top(cert.problem) ^ alpha, cert.problem.ambient - value
+        assert value == frozenset().union(*(atoms[p] for p in range(n) if alpha >> p & 1)), alpha
 
 
 class TestTableFromAtoms:
