@@ -37,7 +37,7 @@ from .grid import (
 )
 from .lattice import NotALattice, NotASublattice, SetLattice, booleanize
 from .lifting import ObstructionFound, lift
-from .order import TooLarge, enum_bound
+from .order import TooLarge, enum_bound, union_over
 from .formats import InputError, RunConfig
 
 EXIT_PARSE = 2
@@ -233,10 +233,8 @@ def cmd_birkhoff(args) -> int:
     payload = formats.lattice_payload(lat, config, rep.ground)
     payload["booleanization_ground"] = [formats.sorted_labels(e, lat) for e in rep.ground.carrier]
     # round trip: joining the Birkhoff image of each element recovers it
-    payload["round_trip_ok"] = all(
-        frozenset().union(*rep.j[a]) == a if rep.j[a] else a == frozenset()
-        for a in lat.elements
-    )
+    ground = [lat.mask_of(c) for c in rep.ground.carrier]
+    payload["round_trip_ok"] = all(union_over(ground, j) == m for m, j in zip(lat.masks, rep.j_masks))
     _emit(formats.dumps(payload), args.output)
     return 0
 

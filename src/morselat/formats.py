@@ -259,7 +259,7 @@ def lattice_payload(lat: SetLattice, config: RunConfig, jl: Poset | None = None)
     out.update(
         {
             "universe": list(lat.universe),
-            "elements": [sorted_labels(e, lat) for e in lat.elements],
+            "elements": [lat.labels(m) for m in lat.masks],
             "join_irreducibles": [sorted_labels(e, lat) for e in jl.carrier],
             "hasse": [list(pair) for pair in lat.covers()],
         }

@@ -1,15 +1,19 @@
 """Finite bounded distributive lattices of sets, Birkhoff representation,
 Booleanization, and homomorphism checking.
 
-Every lattice here is materialized as a family of subsets of a finite ground
-set.  Join is union; meet is the intersection under the lattice's core, an
-interior operator: Inv on Att, comb_inv or comb_inv_plus on a grid, none for
-plain intersection.  Each element is its own core, so a ^ b == a iff a is a
-subset of b: the order is inclusion and evaluates no meet.  J(L), the covers,
-predecessors and the Booleanization come from one O(|L|^2) pass over the
-size-sorted elements, kept on the lattice for its lifetime.  The down-set
-lattice O(P) of a known poset needs no such pass: from_poset reads its covers
-off the poset in O(|L| |P|).
+Every lattice here is a family of subsets of a finite universe, each held
+as an int mask over the universe's index: a ring of down-set masks in
+Birkhoff's coordinates.  The frozensets of labels are a view, built once on
+first use, for callers that pass elements to a frozenset core or to the
+lift engine.  Join is union; meet is the intersection under the lattice's
+core, an interior operator: Inv on Att, comb_inv or comb_inv_plus on a grid,
+none for plain intersection.  Each element is its own core, so a ^ b == a
+iff a is a subset of b: the order is inclusion and evaluates no meet.  J(L),
+the covers, predecessors, the Booleanization and the Birkhoff embedding come
+from one O(|L|^2) pass of mask tests over the size-sorted elements, kept on
+the lattice for its lifetime.  The down-set lattice O(P) of a known poset
+needs no such pass: from_poset reads its covers off the poset in O(|L| |P|)
+and builds no frozenset.
 
 A family given as a bare list is validated by closure over all pairs and,
 with a core, by distributivity over all triples, the latter only up to
@@ -29,10 +33,11 @@ pairs (a, b) with b not before a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .order import Poset, UnknownElement, canonical_order, check_bound, cover_masks, mask_pairs
+from .order import Poset, UnknownElement, canonical_order, check_bound, cover_masks, mask_pairs, union_over
 
 DISTRIBUTIVITY_CHECK_LIMIT = 64
 
@@ -77,13 +82,15 @@ class HomReport:
 class SetLattice:
     """A finite bounded distributive lattice of subsets of ``universe`` with meet ``core(a & b)``.
 
-    ``elements`` is in the package's one element order, order.canonical_order
-    on their masks over the universe: by size, then lexicographic in universe
-    order.  Unless ``check`` is false, construction checks 0, closure, that
-    each element is its own core and, with a core, distributivity (up to
-    DISTRIBUTIVITY_CHECK_LIMIT elements; union and intersection distribute).
-    ``_canonical`` elements are distinct frozensets of the universe already in
-    that order, and are taken as they are.
+    ``masks`` holds the elements as int masks over the universe (bit i for
+    universe[i]) in the package's one element order, order.canonical_order:
+    by size, then lexicographic in universe order.  ``elements`` is the same
+    family as frozensets of labels, in that order: the given sets, or a view
+    built from the masks on first use.  Unless ``check`` is false,
+    construction checks 0, closure, that each element is its own core and,
+    with a core, distributivity (up to DISTRIBUTIVITY_CHECK_LIMIT elements;
+    union and intersection distribute).  ``_canonical`` elements are distinct
+    masks over the universe already in that order, and are taken as they are.
     """
 
     def __init__(
@@ -98,15 +105,15 @@ class SetLattice:
         self.universe = tuple(universe)
         self._uindex = {u: i for i, u in enumerate(self.universe)}
         if _canonical:
-            self.elements = tuple(elements)
+            self.masks = tuple(elements)
         else:
             elems = {frozenset(e) for e in elements}
             outside = frozenset().union(*elems).difference(self._uindex)
             if outside:
                 raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
-            by_mask = {sum(1 << self._uindex[x] for x in e): e for e in elems}
-            self.elements = tuple(by_mask[m] for m in canonical_order(by_mask, len(self.universe)))
-        self._eset = frozenset(self.elements)
+            by_mask = {self.mask_of(e): e for e in elems}
+            self.masks = tuple(canonical_order(by_mask, len(self.universe)))
+            self.elements = tuple(by_mask[m] for m in self.masks)
         self.core = core
         self._lower = None
         if check:
@@ -133,6 +140,27 @@ class SetLattice:
                             a_s, b_s, c_s = (_show(self.universe, e) for e in (a, b, c))
                             raise NotALattice(f"distributivity fails at {a_s} ^ ({b_s} v {c_s})")
 
+    @cached_property
+    def elements(self) -> tuple[frozenset, ...]:
+        """The elements as frozensets of labels, in ``masks`` order."""
+        return tuple(frozenset(self.labels(m)) for m in self.masks)
+
+    @cached_property
+    def _eset(self) -> frozenset:
+        return frozenset(self.elements)
+
+    def mask_of(self, members: Iterable) -> int:
+        """The mask over the universe of a set of its members."""
+        m = 0
+        for x in members:
+            m |= 1 << self._uindex[x]
+        return m
+
+    def labels(self, mask: int) -> list:
+        """The members of a mask over the universe, in universe order."""
+        u = self.universe
+        return [u[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
     # -- lattice interface --------------------------------------------------
 
     @property
@@ -156,7 +184,7 @@ class SetLattice:
         return frozenset(e) in self._eset
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.elements)
@@ -165,14 +193,14 @@ class SetLattice:
         return (
             isinstance(other, SetLattice)
             and self.universe == other.universe
-            and self.elements == other.elements
+            and self.masks == other.masks
         )
 
     def __hash__(self):
-        return hash((self.universe, self.elements))
+        return hash((self.universe, self.masks))
 
     def __repr__(self):
-        return f"SetLattice({len(self.elements)} elements over {list(self.universe)!r})"
+        return f"SetLattice({len(self.masks)} elements over {list(self.universe)!r})"
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) of element indices with elements[j] covering elements[i], by j then i."""
@@ -182,17 +210,17 @@ class SetLattice:
         """Per element, the mask over element indices of the elements it covers.
 
         One pass, kept for the lattice's lifetime: the elements are size-sorted,
-        so only earlier ones can lie strictly below an element and a subset
+        so only earlier ones can lie strictly below an element and a mask
         test decides each; order.cover_masks then keeps the maximal ones.
-        O(|L|^2) subset tests and int ORs, and no meet or core call.
+        O(|L|^2) int ANDs and ORs, and no meet or core call.
         """
         if self._lower is None:
-            es = self.elements
+            ms = self.masks
             strict = []
-            for j, c in enumerate(es):
+            for j, c in enumerate(ms):
                 m = 0
                 for i in range(j):
-                    if es[i] < c:
+                    if not ms[i] & ~c:
                         m |= 1 << i
                 strict.append(m)
             self._lower = cover_masks(strict)
@@ -200,7 +228,7 @@ class SetLattice:
 
     @classmethod
     def from_poset(cls, poset: Poset) -> "SetLattice":
-        """The down-set lattice O(P) as a lattice of subsets of the carrier.
+        """The down-set lattice O(P) as a lattice of subsets of the carrier, on the poset's own masks.
 
         Its covers are read off the poset, not searched: the lower covers of a
         down-set d are the d minus {p} for p maximal in d, that is, those of
@@ -208,7 +236,7 @@ class SetLattice:
         the masks come in the lattice's canonical order.
         """
         masks = poset.down_masks()
-        lat = cls(poset.carrier, [poset.members_of(m) for m in masks], check=False, _canonical=True)
+        lat = cls(poset.carrier, masks, check=False, _canonical=True)
         position = {m: i for i, m in enumerate(masks)}
         lower = []
         for m in masks:
@@ -325,17 +353,18 @@ def join_irreducibles(lat: SetLattice) -> Poset:
     """J(L) as a poset under the lattice order.
 
     An element is join-irreducible iff it is nonzero and has exactly one
-    lower cover, its predecessor.
+    lower cover, its predecessor.  The order is read off the masks; only the
+    carrier is built as frozensets.
     """
-    irr = [c for c, low in zip(lat.elements, lat._lower_masks()) if low and not low & (low - 1)]
+    irr = [c for c, low in zip(lat.masks, lat._lower_masks()) if low and not low & (low - 1)]
     below = []
     for c in irr:
         m = 0
         for j, d in enumerate(irr):
-            if d <= c:
+            if not d & ~c:
                 m |= 1 << j
         below.append(m)
-    return Poset(irr, below, _checked=True)
+    return Poset([frozenset(lat.labels(c)) for c in irr], below, _checked=True)
 
 
 def predecessor(lat: SetLattice, c: frozenset) -> frozenset:
@@ -366,17 +395,31 @@ def birkhoff_join(lat: SetLattice, down: Iterable[frozenset]) -> frozenset:
 
 
 def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict[int, frozenset]]:
-    """J(L) and the embedding s : O(J(L)) -> L, s(alpha) = join of alpha, keyed by the down-set masks of J(L)."""
+    """J(L) and the embedding s : O(J(L)) -> L, s(alpha) = join of alpha, keyed by the down-set masks of J(L).
+
+    Each join is an OR of the masks of J(L); only its result becomes a frozenset.
+    """
     jl = join_irreducibles(lat)
-    return jl, {m: birkhoff_join(lat, jl.members_of(m)) for m in jl.down_masks()}
+    ground = [lat.mask_of(c) for c in jl.carrier]
+    return jl, {m: frozenset(lat.labels(union_over(ground, m))) for m in jl.down_masks()}
 
 
 @dataclass(frozen=True)
 class BooleanAlgebraRep:
-    """B(L) = the powerset of J(L), with the embedding j = birkhoff_down."""
+    """B(L) = the powerset of J(L), with the embedding j = birkhoff_down.
+
+    ``j_masks[k]`` is j(a) for a = ``lattice.masks[k]``, as a mask over the
+    carrier of ``ground``.  ``j`` is the same map on frozensets, element to
+    subset of J(L), built on first read.
+    """
 
     ground: Poset
-    j: Mapping[frozenset, frozenset]
+    lattice: SetLattice
+    j_masks: tuple[int, ...]
+
+    @cached_property
+    def j(self) -> Mapping[frozenset, frozenset]:
+        return {a: self.ground.members_of(m) for a, m in zip(self.lattice.elements, self.j_masks)}
 
     def complement(self, subset: frozenset) -> frozenset:
         return frozenset(self.ground.carrier) - subset
@@ -395,20 +438,19 @@ def booleanize(lat: SetLattice) -> BooleanAlgebraRep:
 
     j(a), the join-irreducibles below a, is a itself if it is one, together
     with j of each lower cover of a: one walk of the elements in order, on
-    masks over J(L), with no subset test.
+    masks over J(L), with no subset test.  J(L)'s carrier is in element
+    order, so the k-th join-irreducible met on the walk is bit k.
     """
     jl = join_irreducibles(lat)
-    position = {c: k for k, c in enumerate(jl.carrier)}
     below = []
-    for a, low in zip(lat.elements, lat._lower_masks()):
-        m = 1 << position[a] if a in position else 0
-        while low:
-            bit = low & -low
-            m |= below[bit.bit_length() - 1]
-            low ^= bit
+    count = 0
+    for low in lat._lower_masks():
+        m = union_over(below, low)
+        if low and not low & (low - 1):
+            m |= 1 << count
+            count += 1
         below.append(m)
-    table = {a: jl.members_of(m) for a, m in zip(lat.elements, below)}
-    return BooleanAlgebraRep(jl, table)
+    return BooleanAlgebraRep(jl, lat, tuple(below))
 
 
 # -- homomorphisms ----------------------------------------------------------

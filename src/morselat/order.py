@@ -300,13 +300,24 @@ class Poset:
         return [(self.carrier[i], self.carrier[j]) for i, j in mask_pairs(cover_masks(strict))]
 
 
-def _lex_key(mask: int, n: int) -> tuple:
-    return tuple(i for i in range(n) if mask >> i & 1)
-
-
 def canonical_order(masks: Iterable[int], n: int) -> list[int]:
-    """The masks over n bits by size, then by ascending bit list: the order of ``SetLattice.elements``."""
-    return sorted(masks, key=lambda m: (m.bit_count(), _lex_key(m, n)))
+    """The masks over n bits by size, then by ascending bit list: the order of ``SetLattice.masks``.
+
+    Of two masks of one size, the one whose ascending bit list comes first
+    has the lowest differing bit, so the larger value read with bit 0 as the
+    most significant of n: no tuple per mask.
+    """
+    return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, f"0{n}b")[::-1], 2)))
+
+
+def union_over(parts: Sequence[int], mask: int) -> int:
+    """The OR of parts[i] over the bits i of mask."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out |= parts[bit.bit_length() - 1]
+        mask ^= bit
+    return out
 
 
 def is_order_preserving(f: Mapping | Callable, source: Poset, target: Poset) -> bool:

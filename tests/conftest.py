@@ -74,6 +74,11 @@ def tripod():
     )
 
 
+def _lex_key(mask: int, n: int) -> tuple:
+    """The ascending bit list of a mask over n bits: the reference for order.canonical_order within a size."""
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
 def all_labeled_posets(n):
     """All labeled posets on range(n)."""
     return all_posets(range(n))

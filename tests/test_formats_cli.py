@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -641,6 +642,42 @@ class TestCliVerifyBirkhoff:
             path = write(tmp_path, "input.json", doc)
             assert cli.main(["birkhoff", path, "-o", str(tmp_path / "b.json")]) == 0
             assert len(passes) <= most
+
+    def test_birkhoff_round_trip_is_computed(self, tmp_path, monkeypatch):
+        # a Booleanization that drops the highest join-irreducible from the
+        # top's j no longer joins back to the top
+        real = cli.booleanize
+
+        def broken(lat):
+            rep = real(lat)
+            j = list(rep.j_masks)
+            j[-1] ^= 1 << (j[-1].bit_length() - 1)
+            return dataclasses.replace(rep, j_masks=tuple(j))
+
+        monkeypatch.setattr(cli, "booleanize", broken)
+        path = write(tmp_path, "poset.json", P3_DOC)
+        out = tmp_path / "b.json"
+        assert cli.main(["birkhoff", path, "-o", str(out)]) == 0
+        assert '"round_trip_ok": false' in out.read_text()
+
+    def test_birkhoff_on_a_poset_builds_no_element_view(self, tmp_path, monkeypatch):
+        # O(P), its covers, J(L), the Booleanization, the payload and the
+        # round trip all read the masks: no element becomes a frozenset
+        docs = [P3_DOC, {"elements": list("abcde"), "covers": [["a", "c"], ["b", "c"], ["b", "d"]]}]
+        paths = [write(tmp_path, f"poset{i}.json", doc) for i, doc in enumerate(docs)]
+        expected = []
+        for path in paths:
+            assert cli.main(["birkhoff", path, "-o", str(tmp_path / "b.json")]) == 0
+            expected.append((tmp_path / "b.json").read_text())
+
+        def refuse(self):
+            raise AssertionError("birkhoff built the frozenset view of the elements")
+
+        monkeypatch.setattr(SetLattice, "elements", property(refuse))
+        for path, text in zip(paths, expected):
+            assert cli.main(["birkhoff", path, "-o", str(tmp_path / "b.json")]) == 0
+            assert (tmp_path / "b.json").read_text() == text
+            assert '"round_trip_ok": true' in text
 
     def test_birkhoff_antichain(self, tmp_path):
         path = write(tmp_path, "poset.json", {"elements": ["a", "b", "c"], "covers": []})

@@ -48,8 +48,16 @@ INPUTS = {
     },
 }
 FORMATS = ("json", "dot")
-# G1 past the cubic lattice check's wall: analyze output in full, or by digest
-LARGE = {"g1_256": interval(G1, 256), "g1_1024": interval(G1, 1024)}
+# analyze in JSON only, in full or by digest: G1 past the cubic lattice
+# check's wall, and a 10-state map with 5 cycles (|Att| = 32), the size of
+# the benchmark's short-cycle maps
+SHORT_CYCLES = {"s0": "s0", "s1": "s2", "s2": "s1", "s3": "s3", "s4": "s5",
+                "s5": "s4", "s6": "s6", "s7": "s0", "s8": "s4", "s9": "s8"}
+LARGE = {
+    "g1_256": interval(G1, 256),
+    "g1_1024": interval(G1, 1024),
+    "short_cycles": {"type": "finite", "states": list(SHORT_CYCLES), "map": SHORT_CYCLES},
+}
 DIGESTS = ("g1_1024",)
 
 G1_12_ATT = [

@@ -180,16 +180,23 @@ class TestCovers:
             assert len(passes) <= most
 
     def test_from_poset_matches_the_general_pass(self):
-        # every poset of at most 5 elements: the covers read off the poset
-        # give the covers, J(L) and Booleanization of the general pass
-        for n in range(6):
-            for p in all_labeled_posets(n):
-                fast = SetLattice.from_poset(p)
-                general = SetLattice(p.carrier, p.all_down_sets(), check=False)
-                assert fast.elements == general.elements
-                assert fast.covers() == general.covers()
-                assert join_irreducibles(fast) == join_irreducibles(general)
-                assert booleanize(fast).j == booleanize(general).j
+        # every poset of at most 5 elements and seeded ones of 5 to 9: O(P)
+        # on the poset's masks, its covers read off the poset, gives the
+        # masks, elements, covers, J(L), Booleanization and Birkhoff
+        # embedding of the general pass over the down-sets as frozensets
+        rng = random.Random(3)
+        posets = [p for n in range(6) for p in all_labeled_posets(n)]
+        posets += [random_poset(rng, n) for n in range(5, 10) for _ in range(6)]
+        for p in posets:
+            fast = SetLattice.from_poset(p)
+            general = SetLattice(p.carrier, p.all_down_sets(), check=False)
+            assert fast.masks == general.masks
+            assert fast.elements == general.elements
+            assert fast.covers() == general.covers()
+            assert join_irreducibles(fast) == join_irreducibles(general)
+            assert booleanize(fast).j_masks == booleanize(general).j_masks
+            assert booleanize(fast).j == booleanize(general).j
+            assert birkhoff_embedding(fast) == birkhoff_embedding(general)
 
 
 class TestJoinIrreducibles:

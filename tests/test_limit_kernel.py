@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from morselat import CellGrid, CellMap, FiniteDynSys, cli, ingest_interval_map
 from morselat.grid import attracting_blocks
-from morselat.order import _lex_key, closed_masks
+from morselat.order import closed_masks
 from morselat.verify import all_systems
-from conftest import all_labeled_posets
+from conftest import _lex_key, all_labeled_posets
 
 
 def bits(m):

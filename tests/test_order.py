@@ -17,9 +17,10 @@ from morselat import (
     is_order_preserving,
 )
 from morselat import Poset, SetLattice, comb_att_lattice, ds1, sublattices
-from morselat.order import all_posets
+from morselat.order import all_posets, canonical_order
 from morselat.grid import attracting_blocks
 from conftest import (
+    _lex_key,
     all_labeled_posets,
     cubic_poset_covers,
     is_down_mask_oracle,
@@ -125,6 +126,17 @@ class TestDownSets:
             for b in masks:
                 assert (a | b) in masks
                 assert (a & b) in masks
+
+    def test_canonical_order_matches_the_bit_list_key(self):
+        # the bit-reversed key against the ascending bit lists it stands for:
+        # every mask of at most 10 bits, and seeded masks of 20, 64 and 130 bits
+        rng = random.Random(5)
+        cases = [(n, list(range(1 << n))) for n in range(11)]
+        cases += [(n, [rng.getrandbits(n) for _ in range(2000)]) for n in (20, 64, 130)]
+        for n, masks in cases:
+            rng.shuffle(masks)
+            expected = sorted(masks, key=lambda m: (m.bit_count(), _lex_key(m, n)))
+            assert canonical_order(masks, n) == expected, n
 
 
 class TestEscape:
