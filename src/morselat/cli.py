@@ -10,7 +10,8 @@ system analyze counts cycles; in verify, the states of each system) or an
 invalid MORSELAT_MAX_ENUM, 4 lift
 obstruction, 5 a family that is not a lattice or sublattice, whose
 elements no block realizes, or with a pin that is not an attracting block
-for its attractor.
+for its attractor, 6 a lift that fails one of its own checks (verify(),
+the step audit, the section, the top, the embedding: "lift_check").
 Errors are emitted as one JSON object on stderr; ERRORS in this module maps
 each exception type to its exit code.
 """
@@ -36,7 +37,7 @@ from .grid import (
     grid_lift_problem,
 )
 from .lattice import NotALattice, NotASublattice, SetLattice, booleanize
-from .lifting import ObstructionFound, lift
+from .lifting import LiftError, ObstructionFound, lift
 from .order import TooLarge, enum_bound, union_over
 from .formats import InputError, RunConfig
 
@@ -44,6 +45,7 @@ EXIT_PARSE = 2
 EXIT_BOUND = 3
 EXIT_OBSTRUCTION = 4
 EXIT_SUBLATTICE = 5
+EXIT_LIFT_CHECK = 6
 
 # exception type -> (exit code, error kind, extra JSON fields); first match wins
 ERRORS = (
@@ -58,6 +60,7 @@ ERRORS = (
         "obstruction",
         lambda e: {"step": e.step, "q": formats.poset_label(e.q), "alpha": sorted(map(formats.poset_label, e.alpha))},
     ),
+    (LiftError, EXIT_LIFT_CHECK, "lift_check", lambda e: {}),
     (NotASublattice, EXIT_SUBLATTICE, "not_a_sublattice", lambda e: {}),
     (NotALattice, EXIT_SUBLATTICE, "not_a_lattice", lambda e: {}),
     ((NotAnAttractingBlock, NotARepellingBlock), EXIT_SUBLATTICE, "not_a_block", lambda e: {}),

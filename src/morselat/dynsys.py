@@ -27,7 +27,7 @@ from operator import and_, or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import HomReport, SetLattice, _broken_law
-from .order import UnknownElement, canonical_order, check_bound, closed_masks
+from .order import UnknownElement, canonical_order, check_bound, closed_masks, members
 
 
 class InvalidOrbit(ValueError):
@@ -145,7 +145,7 @@ class FiniteDynSys:
         return m
 
     def unmask(self, m: int) -> frozenset:
-        return frozenset(self.states[i] for i in range(self._n) if m >> i & 1)
+        return members(self.states, m)
 
     def _image_mask(self, m: int) -> int:
         return _union(self._img1, m)
@@ -301,15 +301,19 @@ class FiniteDynSys:
         return RegionCheck(holds, -1 if holds else None)
 
     def is_attracting_nbhd(self, subset: Iterable) -> bool:
-        m = self.mask(subset)
+        return self._is_attracting_nbhd(self.mask(subset))
+
+    def is_repelling_nbhd(self, subset: Iterable) -> bool:
+        return self._is_repelling_nbhd(self.mask(subset))
+
+    def _is_attracting_nbhd(self, m: int) -> bool:
+        """omega(m) lies in m, cross-checked against the complement law: m^c is repelling."""
         att = not (self._omega_mask(m) & ~m)
-        rep_c = not (self._alpha_mask(~m & self._full) & m)
-        if att != rep_c:
+        if att != self._is_repelling_nbhd(~m & self._full):
             raise AssertionError("complement law U attracting iff U^c repelling failed")
         return att
 
-    def is_repelling_nbhd(self, subset: Iterable) -> bool:
-        m = self.mask(subset)
+    def _is_repelling_nbhd(self, m: int) -> bool:
         return not (self._alpha_mask(m) & ~m)
 
     def _attracting_masks(self):

@@ -14,14 +14,16 @@ closed under intersection, and Inv fixes every union of cycles, so the
 attractor meet Inv(a & b) is plain a & b.  The family then goes to
 checked_sublattice with no core: 0, the top, and closure under union and
 intersection over pairs make it a ring of sets, distributive by set algebra,
-with no core call and no triple.
+with no core call and no triple.  The problems run on masks over the
+states, with the mask kernels of ``dynsys`` as h, membership and *.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dynsys import FiniteDynSys
+from .dynsys import FiniteDynSys, _inv, _inv_plus
 from .lattice import NotASublattice, SetLattice, _show, birkhoff_embedding, checked_sublattice
 from .lifting import LiftCertificate, LiftProblem, lift, transport_by_duality
 from .order import Poset
@@ -54,14 +56,14 @@ def attractor_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> 
     return SetLattice(system.states, ring.elements, system.inv, check=False)
 
 
-def _repeller_problem(system: FiniteDynSys, poset: Poset, s: Mapping) -> LiftProblem:
+def _repeller_problem(system: FiniteDynSys, poset: Poset, s: Mapping[int, int]) -> LiftProblem:
     return LiftProblem(
         poset=poset,
         s=s,
-        ambient=frozenset(system.states),
-        h=system.inv_plus,
+        universe=system.states,
+        h=partial(_inv_plus, system._img1),
         section=lambda l: l,
-        member=system.is_repelling_nbhd,
+        member=system._is_repelling_nbhd,
     )
 
 
@@ -79,10 +81,10 @@ def attractor_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCe
     problem = LiftProblem(
         poset=poset,
         s=s,
-        ambient=frozenset(system.states),
-        h=system.inv,
+        universe=system.states,
+        h=partial(_inv, system._img1),
         section=lambda l: l,
-        member=system.is_attracting_nbhd,
+        member=system._is_attracting_nbhd,
     )
-    star = {a: system.dual_repeller(a) for a in lat.elements}
+    star = {a: system._dual_mask(a, True) for a in lat.masks}
     return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _repeller_problem(system, dual, s_rep))

@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .dynsys import FiniteDynSys
 from .grid import DEFAULT_PADDING, DEFAULT_SAMPLES, CellGrid, CellMap, ingest_interval_map
 from .lattice import SetLattice, join_irreducibles
 from .lifting import LiftCertificate, down_label, poset_label
-from .order import Poset
+from .order import Poset, members
 
 VERSION = "0.1.0"
 
@@ -45,7 +45,8 @@ class RunConfig:
     grid: dict = field(default_factory=dict)
 
     def payload(self) -> dict:
-        return {"config": asdict(self), "version": VERSION}
+        """The fields by name, shared, not deep-copied: a payload is written out, never changed."""
+        return {"config": {f.name: getattr(self, f.name) for f in fields(self)}, "version": VERSION}
 
 
 def dumps(payload: dict) -> str:
@@ -268,7 +269,7 @@ def lattice_payload(lat: SetLattice, config: RunConfig, jl: Poset | None = None)
 
 
 def certificate_payload(cert: LiftCertificate, config: RunConfig) -> dict:
-    poset = cert.problem.poset
+    poset, universe = cert.problem.poset, cert.problem.universe
     downs = {d: down_label(poset, d) for d in cert.table}
     out = config.payload()
     out.update(
@@ -278,7 +279,7 @@ def certificate_payload(cert: LiftCertificate, config: RunConfig) -> dict:
                 "covers": [[poset_label(a), poset_label(b)] for a, b in poset.covers()],
             },
             "assignment": [
-                {"downset": downs[d], "neighborhood": sorted(cert.table[d])}
+                {"downset": downs[d], "neighborhood": sorted(members(universe, cert.table[d]))}
                 for d in sorted(downs, key=lambda d: (len(downs[d]), downs[d]))
             ],
             "audit": [
@@ -286,7 +287,7 @@ def certificate_payload(cert: LiftCertificate, config: RunConfig) -> dict:
                     "q": poset_label(poset.carrier[step.q]),
                     "mu": down_label(poset, step.mu),
                     "lambda": down_label(poset, step.lam_before),
-                    "atom": sorted(step.atom),
+                    "atom": sorted(members(universe, step.atom)),
                     "checks": {k: bool(v) for k, v in step.checks.items()},
                 }
                 for step in cert.audit

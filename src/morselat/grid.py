@@ -356,19 +356,20 @@ def shrink_repelling_block(
     return w
 
 
-def _rep_problem(cmap: CellMap, poset: Poset, s: Mapping) -> LiftProblem:
-    def section(l: frozenset) -> frozenset:
-        if not is_repelling_block(l, cmap) or comb_inv_plus(l, cmap) != l:
-            raise NotARepellingBlock(f"no repelling block realizes {sorted(l)}")
+def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping[int, int]) -> LiftProblem:
+    def section(l: int) -> int:
+        cells = frozenset(lat.labels(l))
+        if not is_repelling_block(cells, cmap) or comb_inv_plus(cells, cmap) != cells:
+            raise NotARepellingBlock(f"no repelling block realizes {sorted(cells)}")
         return l
 
     return LiftProblem(
         poset=poset,
         s=s,
-        ambient=cmap.all_cells(),
-        h=lambda w: comb_inv_plus(w, cmap),
+        universe=lat.universe,
+        h=lambda w: lat.mask_of(comb_inv_plus(lat.labels(w), cmap)),
         section=section,
-        member=lambda w: is_repelling_block(w, cmap),
+        member=lambda w: is_repelling_block(lat.labels(w), cmap),
     )
 
 
@@ -383,7 +384,7 @@ def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftPro
     NotARepellingBlock when the lift takes its section.
     """
     lat = checked_sublattice(tuple(range(cmap.n)), images, lambda w: comb_inv_plus(w, cmap))
-    return _rep_problem(cmap, *birkhoff_embedding(lat))
+    return _rep_problem(cmap, lat, *birkhoff_embedding(lat))
 
 
 def grid_attractor_lift(
@@ -406,34 +407,35 @@ def grid_attractor_lift(
     problem can be obstructed where this one is not, so an obstruction
     there falls back to the direct route, and only its obstruction stands.
     """
-    ambient = cmap.all_cells()
     lat = checked_sublattice(tuple(range(cmap.n)), images, lambda n: comb_inv(n, cmap))
     poset, s = birkhoff_embedding(lat)
     pinned = dict(pinned or {})
     for a, blk in pinned.items():
         if not is_attracting_block(blk, cmap) or comb_inv(blk, cmap) != a:
             raise NotAnAttractingBlock(f"pinned block {sorted(blk)} is not an attracting block for {sorted(a)}")
+    pins = {lat.mask_of(a): lat.mask_of(blk) for a, blk in pinned.items()}
 
-    def att_block_for(a: frozenset) -> frozenset:
-        if a in pinned:
-            return pinned[a]
-        blk = _forward_closure(a, cmap)
-        if comb_inv(blk, cmap) != a:
-            raise NotAnAttractingBlock(f"no attracting block realizes {sorted(a)}")
-        return blk
+    def att_block_for(a: int) -> int:
+        if a in pins:
+            return pins[a]
+        cells = lat.labels(a)
+        blk = _forward_closure(cells, cmap)
+        if comb_inv(blk, cmap) != frozenset(cells):
+            raise NotAnAttractingBlock(f"no attracting block realizes {cells}")
+        return lat.mask_of(blk)
 
     problem = LiftProblem(
         poset=poset,
         s=s,
-        ambient=ambient,
-        h=lambda n: comb_inv(n, cmap),
+        universe=lat.universe,
+        h=lambda n: lat.mask_of(comb_inv(lat.labels(n), cmap)),
         section=att_block_for,
-        member=lambda n: is_attracting_block(n, cmap),
+        member=lambda n: is_attracting_block(lat.labels(n), cmap),
     )
     if direct:
         return lift(problem)
-    star = {a: comb_inv_plus(ambient - att_block_for(a), cmap) for a in lat.elements}
+    star = {a: lat.mask_of(comb_inv_plus(lat.labels(problem.ambient & ~att_block_for(a)), cmap)) for a in lat.masks}
     try:
-        return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, dual, s_rep))
+        return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, lat, dual, s_rep))
     except ObstructionFound:
         return lift(problem)

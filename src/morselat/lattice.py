@@ -4,8 +4,8 @@ Booleanization, and homomorphism checking.
 Every lattice here is a family of subsets of a finite universe, each held
 as an int mask over the universe's index: a ring of down-set masks in
 Birkhoff's coordinates.  The frozensets of labels are a view, built once on
-first use, for callers that pass elements to a frozenset core or to the
-lift engine.  Join is union; meet is the intersection under the lattice's
+first use, for callers that pass elements to a frozenset core or to a
+validation routine.  Join is union; meet is the intersection under the lattice's
 core, an interior operator: Inv on Att, comb_inv or comb_inv_plus on a grid,
 none for plain intersection.  Each element is its own core, so a ^ b == a
 iff a is a subset of b: the order is inclusion and evaluates no meet.  J(L),
@@ -394,14 +394,14 @@ def birkhoff_join(lat: SetLattice, down: Iterable[frozenset]) -> frozenset:
     return out
 
 
-def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict[int, frozenset]]:
+def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict[int, int]]:
     """J(L) and the embedding s : O(J(L)) -> L, s(alpha) = join of alpha, keyed by the down-set masks of J(L).
 
-    Each join is an OR of the masks of J(L); only its result becomes a frozenset.
+    Each value is the OR of the masks of the members of alpha, a mask over ``lat.universe``.
     """
     jl = join_irreducibles(lat)
     ground = [lat.mask_of(c) for c in jl.carrier]
-    return jl, {m: frozenset(lat.labels(union_over(ground, m))) for m in jl.down_masks()}
+    return jl, {m: union_over(ground, m) for m in jl.down_masks()}
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,16 @@ carve the new Booleanization atom
 
 and add it to the running union k(lambda).  Once lambda = P, k is built
 from the atoms alone: k(alpha) is the union of B_p over p in alpha.
-Every concrete K in this package is a sublattice of a powerset, so atoms are
-plain set differences and the ambient Boolean algebra never needs to be
-materialized.  L is read off h: 0 is the empty set, 1 = h(ambient), join is
-union and meet is h(a ^ b).
+Every concrete K in this package is a sublattice of the powerset of a
+``universe``, so K and L elements are int masks over it, atoms are ``a & ~b``
+and the ambient Boolean algebra is never materialized.  L is read off h: 0
+is the empty mask, 1 = h(ambient), join is OR and meet is h(a & b).
 
 A down-set of P is an int mask over ``poset.carrier`` and an element of P
 its index there, everywhere in the engine: union, meet, inclusion and the
-complement ``full ^ d`` of the duality transport are bit operations.  Labels
-appear only at I/O: in ``formats.certificate_payload``, in ObstructionFound
-and in messages, through ``down_label``.
+complements ``full ^ d`` and ``ambient & ~k`` of the duality transport are
+bit operations.  Labels appear only at I/O, in ``formats.certificate_payload``,
+ObstructionFound and messages, through ``down_label`` and ``order.members``.
 
 The certificate records the assignment and a per-step audit (with the step's
 atom) of the disjointness and annihilation identities;
@@ -40,10 +40,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import and_, or_
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .lattice import HomReport, SetLattice, _broken_law
-from .order import Poset, all_posets
+from .order import Poset, all_posets, members, union_over
 
 
 class LiftError(Exception):
@@ -102,25 +102,31 @@ class NotAnEmbedding(LiftError):
 class LiftProblem:
     """A lifting instance: find k with h o k = s.
 
-    ``s`` maps every down-set of ``poset``, an int mask over its carrier, to
-    an element of L.  K is a sublattice of the powerset of ``ambient``;
-    ``h`` evaluates the epimorphism on any K element, ``section`` produces
-    some h-preimage of an L element, and ``member`` decides membership in K.
-    The conditioners are the section's preimages of the s values, one fixed
-    family for every step; none is shrunk or combined by meet.
+    K is a sublattice of the powerset of ``universe``; a K or L element is an
+    int mask over it, bit i for universe[i], and ``ambient`` is the full mask.
+    ``s`` maps every down-set of ``poset``, a mask over its carrier, to an
+    element of L.  ``h`` evaluates the epimorphism on any K element,
+    ``section`` produces some h-preimage of an L element, and ``member``
+    decides membership in K.  The conditioners are the section's preimages of
+    the s values, one fixed family for every step; none is shrunk or combined
+    by meet.
     """
 
     poset: Poset
-    s: Mapping[int, frozenset]
-    ambient: frozenset
-    h: Callable[[frozenset], frozenset]
-    section: Callable[[frozenset], frozenset]
-    member: Callable[[frozenset], bool]
+    s: Mapping[int, int]
+    universe: Sequence
+    h: Callable[[int], int]
+    section: Callable[[int], int]
+    member: Callable[[int], bool]
 
     @cached_property
     def down_sets(self) -> list[int]:
         """O(P) as masks, in ``Poset.down_masks`` order, enumerated once per problem."""
         return self.poset.down_masks()
+
+    @cached_property
+    def ambient(self) -> int:
+        return (1 << len(self.universe)) - 1
 
     def check_embedding(self) -> None:
         """s is total, injective and a bounded lattice hom into L = (0, h(ambient), union, h(a ^ b))."""
@@ -131,13 +137,13 @@ class LiftProblem:
             raise NotAnEmbedding(f"s is not total on O(P); missing {down_label(poset, missing[0])}")
         if len({self.s[d] for d in downs}) != len(downs):
             raise NotAnEmbedding("s is not injective")
-        if self.s[0] != frozenset():
+        if self.s[0]:
             raise NotAnEmbedding("s(0) != 0")
         if self.s[(1 << len(poset)) - 1] != self.h(self.ambient):
             raise NotAnEmbedding("s(1) != 1")
         meets = {}
 
-        def meet(a: frozenset, b: frozenset) -> frozenset:
+        def meet(a: int, b: int) -> int:
             # h once per distinct a & b: the pairs of O(P) have far fewer
             c = a & b
             if c not in meets:
@@ -152,29 +158,31 @@ class LiftProblem:
 
 @dataclass
 class PartialLift:
-    """k on O(lambda^T): all down-sets inside lambda, plus the top P -> 1; every down-set a mask."""
+    """k on O(lambda^T): all down-sets inside lambda, plus the top P -> 1; every down-set and value a mask."""
 
     problem: LiftProblem
     lam: int
-    table: dict[int, frozenset]
-    conditioners: dict[int, frozenset] | None = None
+    table: dict[int, int]
+    conditioners: dict[int, int] | None = None
 
 
 @dataclass(frozen=True)
 class LiftStep:
-    """One induction step: q is an index into the carrier, mu = down q and lam_before are masks."""
+    """One induction step: q is a carrier index, mu = down q and lam_before carrier masks, atom a universe mask."""
 
     q: int
     mu: int
     lam_before: int
-    atom: frozenset
+    atom: int
     checks: dict
 
 
 @dataclass
 class LiftCertificate:
+    """The lift k: ``table`` maps every down-set mask of the poset to a K element, a mask over the universe."""
+
     problem: LiftProblem
-    table: dict[int, frozenset]
+    table: dict[int, int]
     audit: list[LiftStep]
     top_preserved: bool
 
@@ -192,7 +200,7 @@ class LiftCertificate:
                 raise LiftError(f"k({down_label(poset, d)}) is not a K element")
         if len({self.table[d] for d in downs}) != len(downs):
             raise LiftError("k is not injective")
-        if self.table[0] != frozenset():
+        if self.table[0]:
             raise LiftError("k(0) != 0")
         broken = _broken_law(downs, self.table, or_, and_, and_)
         if broken:
@@ -214,7 +222,7 @@ def is_partial_lift(candidate: PartialLift) -> HomReport:
         return HomReport(False, "k(1) = 1 (missing top entry)", (full,))
     if candidate.table[full] != prob.ambient:
         return HomReport(False, "k(1) = 1", (full,))
-    if candidate.table.get(0) != frozenset():
+    if candidate.table.get(0) != 0:
         return HomReport(False, "k(0) = 0", (0,))
     broken = _broken_law(downs, candidate.table, or_, and_, and_)
     if broken:
@@ -226,13 +234,13 @@ def is_partial_lift(candidate: PartialLift) -> HomReport:
     return HomReport(True)
 
 
-def lift_atom(candidate: PartialLift, p: int) -> frozenset:
+def lift_atom(candidate: PartialLift, p: int) -> int:
     """B(k)({p}) = k(down p) minus k(down p without p), inside the ambient powerset; p is a carrier index."""
     dp = candidate.problem.poset.below[p]
-    return candidate.table[dp] - candidate.table[dp ^ 1 << p]
+    return candidate.table[dp] & ~candidate.table[dp ^ 1 << p]
 
 
-def _annihilation_failure(atoms: Mapping[int, frozenset], downs: list[int], cond: Mapping) -> tuple | None:
+def _annihilation_failure(atoms: Mapping[int, int], downs: list[int], cond: Mapping) -> tuple | None:
     """Eq (22), the Prop 5.7 atom form: the first (p, alpha), p not in alpha, with B_p ^ v_alpha != 0, or None."""
     for p, b in atoms.items():
         for alpha in downs:
@@ -267,7 +275,7 @@ def is_conditional_lift(candidate: PartialLift) -> HomReport:
             for alpha in downs:
                 if not gamma & alpha & ~beta:
                     v = candidate.conditioners[alpha]
-                    if (candidate.table[gamma] & v) - candidate.table[beta]:
+                    if candidate.table[gamma] & v & ~candidate.table[beta]:
                         eq18_witness = (gamma, alpha, beta)
                         break
             if eq18_witness:
@@ -300,21 +308,18 @@ def lift(problem: LiftProblem) -> LiftCertificate:
 
     # the one conditioner family: v_alpha = section(s(alpha)), each checked
     # to be an h-preimage of s(alpha); it anchors k(down q) at the base step
-    cond: dict[int, frozenset] = {}
+    cond: dict[int, int] = {}
     for alpha in downs:
-        v = problem.section(problem.s[alpha])
-        if problem.h(v) != problem.s[alpha]:
-            raise SectionInconsistent(f"section for {sorted(map(repr, problem.s[alpha]))} has the wrong h image")
+        s_alpha = problem.s[alpha]
+        v = problem.section(s_alpha)
+        if problem.h(v) != s_alpha:
+            raise SectionInconsistent(f"section for {sorted(members(problem.universe, s_alpha))} has the wrong h image")
         cond[alpha] = v
 
-    atoms: dict[int, frozenset] = {}
-
-    def k(alpha: int) -> frozenset:
-        return frozenset().union(*(atoms[p] for p in _bits(alpha)))
-
+    atoms: dict[int, int] = {}
     audit: list[LiftStep] = []
     lam = 0
-    k_lam: frozenset = frozenset()
+    k_lam = 0
     step = 0
     while lam != full:
         # q: the first element, in carrier order, that is minimal outside lambda
@@ -327,13 +332,13 @@ def lift(problem: LiftProblem) -> LiftCertificate:
         for alpha in downs:
             if alpha >> q & 1:
                 continue
-            excess = (cond[mu] & cond[alpha]) - k_lam
+            excess = cond[mu] & cond[alpha] & ~k_lam
             if excess:
-                raise ObstructionFound(poset, step, q, alpha, excess)
+                raise ObstructionFound(poset, step, q, alpha, members(problem.universe, excess))
 
-        b_q = cond[mu] - k_lam
+        b_q = cond[mu] & ~k_lam
         atoms[q] = b_q
-        k_pred, k_mu = k(mu ^ 1 << q), k(mu)
+        k_pred, k_mu = union_over(atoms, mu ^ 1 << q), union_over(atoms, mu)
 
         checks = {
             "k(mu) = k(pred mu) v v_mu": k_mu == k_pred | cond[mu],
@@ -354,7 +359,7 @@ def lift(problem: LiftProblem) -> LiftCertificate:
 
     # k(alpha) = B(k)(alpha), the union of the atoms of alpha (Eqs (3), (4));
     # k(1) is missed only if O(P) was enumerated without P
-    table = {alpha: k(alpha) for alpha in downs}
+    table = {alpha: union_over(atoms, alpha) for alpha in downs}
     if table.get(full) != k_lam:
         raise LiftError("k(1) is not the union of the atoms")
     if problem.h(k_lam) != problem.s[full]:
@@ -444,21 +449,22 @@ def _fibers(k_lattice: SetLattice, h: Mapping[frozenset, frozenset]) -> dict[fro
 
 def transport_by_duality(
     problem: LiftProblem,
-    star: Callable[[frozenset], frozenset],
-    rep_problem: Callable[[Poset, Mapping[frozenset, frozenset]], LiftProblem],
+    star: Callable[[int], int],
+    rep_problem: Callable[[Poset, Mapping[int, int]], LiftProblem],
 ) -> LiftCertificate:
     """Lift an attractor-side problem through the duality of diagram (24).
 
     s is transported to s_rep = star o s o c on the dual poset, lifted on
-    ``rep_problem(dual, s_rep)``, and pulled back with k = c o k_rep o c, the
-    outer c being set complement in the ambient space.  The certificate is
-    one for ``problem`` itself, so verify() re-checks h o k = s there.
+    ``rep_problem(dual, s_rep)``, a problem over the same universe, and
+    pulled back with k = c o k_rep o c, the outer c being the complement
+    ``ambient & ~k`` in the ambient space.  The certificate is one for
+    ``problem`` itself, so verify() re-checks h o k = s there.
     """
     full = (1 << len(problem.poset)) - 1
     downs = problem.down_sets
     s_rep = {full ^ alpha: star(problem.s[alpha]) for alpha in downs}
     rep_cert = lift(rep_problem(problem.poset.dual(), s_rep))
-    table = {alpha: problem.ambient - rep_cert.table[full ^ alpha] for alpha in downs}
+    table = {alpha: problem.ambient & ~rep_cert.table[full ^ alpha] for alpha in downs}
     cert = LiftCertificate(problem, table, list(rep_cert.audit), rep_cert.top_preserved)
     cert.verify()
     return cert

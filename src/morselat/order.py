@@ -267,7 +267,7 @@ class Poset:
         return m
 
     def members_of(self, mask: int) -> frozenset:
-        return frozenset(self.carrier[i] for i in range(len(self.carrier)) if mask >> i & 1)
+        return members(self.carrier, mask)
 
     def is_down_mask(self, mask: int) -> bool:
         return self._escape(mask) is None
@@ -308,6 +308,11 @@ def canonical_order(masks: Iterable[int], n: int) -> list[int]:
     most significant of n: no tuple per mask.
     """
     return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, f"0{n}b")[::-1], 2)))
+
+
+def members(universe: Sequence, mask: int) -> frozenset:
+    """The members of a mask over ``universe``, bit i for universe[i]: the label view of any mask."""
+    return frozenset(universe[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def union_over(parts: Sequence[int], mask: int) -> int:

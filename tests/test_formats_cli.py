@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morselat import FiniteDynSys, SetLattice, TooLarge, cli, ds1, grid
+from morselat import FiniteDynSys, LiftCertificate, SetLattice, TooLarge, cli, ds1, dynsys_lift, grid
 from morselat.formats import (
     InputError,
     RunConfig,
@@ -377,6 +377,9 @@ class TestCliAnalyze:
         assert payload["config"]["grid"] == {"domain": [0.0, 4.0], "cells": 4}
 
 
+DS1_REPELLERS = [[], ["m", "z"], ["a", "b"], ["m", "z", "a", "b"]]
+
+
 class TestCliLift:
     def test_ds1_repeller_lift(self, tmp_path):
         spath = write(tmp_path, "system.json", DS1_DOC)
@@ -486,6 +489,41 @@ class TestCliLift:
                 assert run.returncode == code
                 outputs.append(getattr(run, stream))
             assert outputs[0] == outputs[1]
+
+    def test_unknown_state_exit_2(self, tmp_path, capsys):
+        spath = write(tmp_path, "system.json", DS1_DOC)
+        lpath = write(tmp_path, "sub.json", {"side": "repeller", "elements": [[], ["q", "m"], ["p", "z"]]})
+        assert cli.main(["lift", spath, lpath]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "parse", "message": "invalid 'elements': unknown state 'p'"}
+
+    def test_failed_certificate_check_exit_6(self, tmp_path, capsys, monkeypatch):
+        # k(0) becomes {m}: h and K membership still hold, so verify() fails on k(0) itself
+        real = LiftCertificate.verify
+
+        def corrupted(cert):
+            cert.table[0] = 0b1
+            real(cert)
+
+        monkeypatch.setattr(LiftCertificate, "verify", corrupted)
+        spath = write(tmp_path, "system.json", DS1_DOC)
+        lpath = write(tmp_path, "sub.json", {"side": "repeller", "elements": DS1_REPELLERS})
+        assert cli.main(["lift", spath, lpath]) == 6
+        assert json.loads(capsys.readouterr().err) == {"error": "lift_check", "message": "k(0) != 0"}
+
+    def test_inconsistent_section_exit_6(self, tmp_path, capsys, monkeypatch):
+        # a section that sends every element of L to 0 has the wrong h image at {m, z}
+        real = dynsys_lift._repeller_problem
+        monkeypatch.setattr(
+            dynsys_lift, "_repeller_problem", lambda *args: dataclasses.replace(real(*args), section=lambda l: 0)
+        )
+        spath = write(tmp_path, "system.json", DS1_DOC)
+        lpath = write(tmp_path, "sub.json", {"side": "repeller", "elements": DS1_REPELLERS})
+        assert cli.main(["lift", spath, lpath]) == 6
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "lift_check",
+            "message": "section for ['m', 'z'] has the wrong h image",
+        }
 
     def test_obstruction_exit_4(self, tmp_path, capsys):
         # the branched cell map: pinning the central attractor to its minimal

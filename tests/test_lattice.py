@@ -270,9 +270,9 @@ class TestBirkhoff:
             lat = SetLattice.from_poset(p)
             jl, s = birkhoff_embedding(lat)
             assert jl == join_irreducibles(lat)
-            assert len(s) == len(lat) and set(s.values()) == set(lat.elements)
+            assert len(s) == len(lat) and set(s.values()) == set(lat.masks)
             for m in jl.down_masks():
-                assert s[m] == birkhoff_join(lat, jl.members_of(m))
+                assert s[m] == lat.mask_of(birkhoff_join(lat, jl.members_of(m)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import random
 import re
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,9 +39,10 @@ from morselat import (
     spaciousness_falsifier,
 )
 from morselat import dynsys_lift, grid, lattice
+from morselat.dynsys import ds1
 from morselat.grid import _forward_closure, _morse_attractors, comb_att_lattice, comb_inv_plus
 from morselat.lattice import checked_sublattice, sublattices
-from morselat.order import all_posets
+from morselat.order import all_posets, members
 from conftest import small_cell_maps, small_maps
 
 
@@ -71,7 +74,7 @@ def identity_problem(labels="ab"):
     return LiftProblem(
         poset=poset,
         s=s,
-        ambient=fs(*labels),
+        universe=tuple(labels),
         h=lambda u: u,
         section=lambda l: l,
         member=lambda u: True,
@@ -90,7 +93,7 @@ class TestPartialLift:
 
     def test_missing_top_entry_is_a_violation(self):
         prob = identity_problem()
-        cand = PartialLift(prob, 0, {0: fs()})
+        cand = PartialLift(prob, 0, {0: 0})
         report = is_partial_lift(cand)
         assert not report and "k(1)" in report.law
 
@@ -99,8 +102,8 @@ class TestPartialLift:
         q1 = prob.poset.carrier[0]
         lam = prob.poset.mask_of({q1})
         table = {
-            0: fs(),
-            lam: q1,  # the repeller itself, a repelling neighborhood of itself
+            0: 0,
+            lam: sys1.mask(q1),  # the repeller itself, a repelling neighborhood of itself
             top(prob): prob.ambient,
         }
         assert is_partial_lift(PartialLift(prob, lam, table))
@@ -121,7 +124,7 @@ class TestConditionalLift:
         lam = prob.poset.mask_of({fs("a")})
         table = {d: prob.s[d] for d in prob.down_sets if not d & ~lam}
         table[top(prob)] = prob.ambient
-        cand = PartialLift(prob, lam, table, {0: fs()})
+        cand = PartialLift(prob, lam, table, {0: 0})
         with pytest.raises(ConditionerMissing):
             is_conditional_lift(cand)
 
@@ -140,7 +143,7 @@ class TestConditionalLift:
         # conditioners satisfy it
         prob, a0d, amd, apd = tripod_problem
         lam = a0d
-        table = {d: (fs(0) if d else fs()) for d in prob.down_sets if not d & ~lam}
+        table = {d: (0b1 if d else 0) for d in prob.down_sets if not d & ~lam}
         table[top(prob)] = prob.ambient
         cond = {d: prob.s[d] for d in prob.down_sets}
         assert is_conditional_lift(PartialLift(prob, lam, table, cond))
@@ -151,9 +154,9 @@ class TestConditionalLift:
         prob, a0d, amd, apd = tripod_problem
         lam = amd  # members {A0, A-}
         table = {
-            0: fs(),
-            a0d: fs(0),
-            amd: fs(0, 1, 2),
+            0: 0,
+            a0d: 0b1,  # {0}
+            amd: 0b111,  # {0, 1, 2}
             top(prob): prob.ambient,
         }
         cond = {d: prob.s[d] for d in prob.down_sets}
@@ -175,10 +178,10 @@ def tripod_problem(tripod):
     prob = LiftProblem(
         poset=poset,
         s=s,
-        ambient=fs(0, 1, 2, 3),
-        h=lambda n: comb_inv(n, tripod),
+        universe=lat.universe,
+        h=lambda n: lat.mask_of(comb_inv(lat.labels(n), tripod)),
         section=lambda l: l,
-        member=lambda n: is_attracting_block(n, tripod),
+        member=lambda n: is_attracting_block(lat.labels(n), tripod),
     )
     a0d = poset.mask_of({a0})
     amd = poset.mask_of({a0, am})
@@ -197,8 +200,9 @@ class TestLift:
         cert = repeller_lift(sys1, sys1.rep_lattice().elements)
         cert.verify()
         # with repeller-self conditioners the lift maps each repeller to itself
+        prob = cert.problem
         for d, v in cert.table.items():
-            assert sys1.inv_plus(v) == cert.problem.s[d]
+            assert sys1.inv_plus(sys1.unmask(v)) == sys1.unmask(prob.s[d])
         assert cert.top_preserved
 
     def test_audit_checks_recorded(self, sys1):
@@ -227,15 +231,15 @@ class TestLift:
 
     def test_section_inconsistency_detected(self):
         prob = identity_problem()
-        bad = dataclasses.replace(prob, section=lambda l: fs("a", "b"))
-        with pytest.raises(SectionInconsistent):
+        bad = dataclasses.replace(prob, section=lambda l: 0)
+        with pytest.raises(SectionInconsistent, match=re.escape("section for ['a'] has the wrong h image")):
             lift(bad)
 
     def test_top_entry_off_the_atoms_is_a_lift_error(self):
         # h drops c, so k(1) is the union of the atoms, {a, b}, not the ambient set
-        prob = dataclasses.replace(identity_problem(), ambient=fs("a", "b", "c"), h=lambda u: u & fs("a", "b"))
+        prob = dataclasses.replace(identity_problem(), universe=("a", "b", "c"), h=lambda u: u & 0b11)
         full = top(prob)
-        assert lift(prob).table[full] == fs("a", "b")
+        assert members(prob.universe, lift(prob).table[full]) == fs("a", "b")
         # corrupt the enumeration: without P in O(P), the table has no k(1)
         prob.__dict__["down_sets"] = [d for d in prob.down_sets if d != full]
         with pytest.raises(LiftError, match="union of the atoms"):
@@ -249,9 +253,60 @@ class TestLift:
         value = cert.table.pop(d)
         with pytest.raises(LiftError, match=re.escape("certificate table misses [['a', 'b']]")):
             cert.verify()
-        cert.table[d] = value - {"a"}
+        cert.table[d] = value & ~sys1.mask({"a"})
         with pytest.raises(LiftError, match=re.escape("h(k([['a', 'b']])) != s(...)")):
             cert.verify()
+
+
+@pytest.fixture(scope="module")
+def verify_certificates():
+    """DS1's full attractor and repeller lattices and G1's 12-cell repeller lattice, lifted."""
+    system = ds1()
+    cmap = ingest_interval_map("(x + x^3)/2", CellGrid(-1.0, 1.0, 12))
+    return {
+        "ds1 attractor": attractor_lift(system, system.att_lattice().elements),
+        "ds1 repeller": repeller_lift(system, system.rep_lattice().elements),
+        "g1 repeller": lift(grid_lift_problem(cmap, comb_rep_lattice(cmap).elements)),
+    }
+
+
+# (certificate, corruption, i, the new k(downs[i]) from the table t and O(P) as ``downs``, verify()'s message).
+# Bit 0 is the state m of DS1 ("mzab") or cell 0.  The messages are those of the
+# frozenset engine on the same corruptions.  In DS1's repeller lattice (two
+# incomparable irreducibles) every corruption that keeps h o k = s and K
+# membership breaks a meet, so its join row names the meet.
+VERIFY_CORRUPTIONS = [
+    ("ds1 attractor", "flip one bit", 1, lambda t, downs: t[downs[1]] ^ 1,
+     "k does not preserve joins at [['z']], [['b']]"),
+    ("ds1 attractor", "repeat a value", 2, lambda t, downs: t[downs[1]], "h(k([['b']])) != s(...)"),
+    ("ds1 attractor", "k(0) != 0", 0, lambda t, downs: 1, "k([]) is not a K element"),
+    ("ds1 attractor", "break one join", 2, lambda t, downs: 0b1000,
+     "k does not preserve joins at [['z']], [['b']]"),
+    ("ds1 repeller", "flip one bit", 1, lambda t, downs: t[downs[1]] ^ 1, "h(k([['m', 'z']])) != s(...)"),
+    ("ds1 repeller", "repeat a value", 2, lambda t, downs: t[downs[1]], "h(k([['a', 'b']])) != s(...)"),
+    ("ds1 repeller", "k(0) != 0", 0, lambda t, downs: 1, "k(0) != 0"),
+    ("ds1 repeller", "break one join", 1, lambda t, downs: t[downs[1]] ^ 0b100,
+     "k does not preserve meets at [['m', 'z']], [['a', 'b']]"),
+    ("g1 repeller", "flip one bit", 1, lambda t, downs: t[downs[1]] ^ 1, "h(k([[0]])) != s(...)"),
+    ("g1 repeller", "repeat a value", 2, lambda t, downs: t[downs[1]], "h(k([[11]])) != s(...)"),
+    ("g1 repeller", "k(0) != 0", 0, lambda t, downs: 1, "h(k([])) != s(...)"),
+    ("g1 repeller", "break one join", 4, lambda t, downs: t[downs[4]] ^ 0b100,
+     "k does not preserve joins at [[11]], [[0], [0, 1]]"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, corruption, i, value, message", VERIFY_CORRUPTIONS, ids=[f"{r[0]}: {r[1]}" for r in VERIFY_CORRUPTIONS]
+)
+def test_verify_names_each_corruption(verify_certificates, name, corruption, i, value, message):
+    cert = verify_certificates[name]
+    cert.verify()
+    downs = cert.problem.down_sets
+    table = dict(cert.table)
+    table[downs[i]] = value(cert.table, downs)
+    with pytest.raises(LiftError) as info:
+        dataclasses.replace(cert, table=table).verify()
+    assert str(info.value) == message
 
 
 class TestConditionI:
@@ -294,12 +349,13 @@ class TestTransport:
     def test_ds1_chain_sublattice(self, sys1):
         cert = attractor_lift(sys1, [fs(), fs("z"), fs("z", "b")])
         cert.verify()
+        prob = cert.problem
         for d, v in cert.table.items():
-            assert sys1.inv(v) == cert.problem.s[d]
+            assert sys1.inv(sys1.unmask(v)) == sys1.unmask(prob.s[d])
 
     def test_trivial_sublattice(self, sys1):
         cert = attractor_lift(sys1, [fs(), fs("z", "b")])
-        values = sorted(cert.table.values(), key=len)
+        values = sorted(map(sys1.unmask, cert.table.values()), key=len)
         assert values[0] == fs() and values[-1] == fs("m", "z", "a", "b")
 
     def test_every_ds1_attractor_sublattice(self, sys1):
@@ -341,8 +397,8 @@ class TestTransport:
         assert len(calls) == 1
 
 
-class Tagged(frozenset):
-    """A section's value: set operations on it give plain frozensets, so h can tell it apart."""
+class Tagged(int):
+    """A section's value: bit operations on it give plain ints, so h can tell it apart."""
 
 
 def counting(problem):
@@ -451,18 +507,30 @@ def assert_k_is_the_union_of_atoms(cert, transported=False):
 
     A certificate transported by duality carries the audit of the lift on the
     dual poset: there the complement of k(alpha) is the union over the
-    complement of alpha.  Steps name carrier indices and down-sets are masks.
+    complement of alpha.  Steps name carrier indices, and down-sets and
+    values are masks: every s value, table entry, conditioner and atom is an int.
     """
+    prob = cert.problem
+    for d in prob.down_sets:
+        assert all(type(v) is int for v in (prob.s[d], cert.table[d], prob.section(prob.s[d]))), d
     atoms = {step.q: step.atom for step in cert.audit}
-    n = len(cert.problem.poset)
+    assert all(type(b) is int for b in atoms.values())
+    n = len(prob.poset)
     assert set(atoms) == set(range(n))
     for alpha, value in cert.table.items():
         if transported:
-            alpha, value = top(cert.problem) ^ alpha, cert.problem.ambient - value
-        assert value == frozenset().union(*(atoms[p] for p in range(n) if alpha >> p & 1)), alpha
+            alpha, value = top(prob) ^ alpha, prob.ambient & ~value
+        assert value == functools.reduce(or_, (atoms[p] for p in range(n) if alpha >> p & 1), 0), alpha
 
 
 class TestTableFromAtoms:
+    """Each instance also checks that its K side is int masks; with DS1's two lattices, the G1 12-cell
+    routes and the tripod (pinned and not), the instances cover every golden lift."""
+
+    def test_ds1_lattices(self, sys1):
+        assert_k_is_the_union_of_atoms(attractor_lift(sys1, sys1.att_lattice().elements), transported=True)
+        assert_k_is_the_union_of_atoms(repeller_lift(sys1, sys1.rep_lattice().elements))
+
     def test_seeded_maps_on_both_sides(self):
         rng = random.Random(22)
         lifted = 0
@@ -483,6 +551,9 @@ class TestTableFromAtoms:
         assert_k_is_the_union_of_atoms(grid_attractor_lift(cmap, att), transported=True)
         assert_k_is_the_union_of_atoms(grid_attractor_lift(cmap, att, direct=True))
         assert_k_is_the_union_of_atoms(lift(grid_lift_problem(cmap, comb_rep_lattice(cmap).elements)))
+
+    def test_unpinned_tripod(self, tripod):
+        assert_k_is_the_union_of_atoms(grid_attractor_lift(tripod, TRIPOD_FAMILY), transported=True)
 
     def test_pinned_tripod(self, tripod):
         cert = grid_attractor_lift(tripod, TRIPOD_FAMILY, pinned={fs(0): fs(0)})
