@@ -10,14 +10,16 @@ Image and preimage preserve unions, so omega and alpha are union-linear:
 omega(U) is the union of omega(x) over x in U (the cycle x runs into), and
 alpha(U) the union of alpha(x) (the basin of x's cycle when x lies on one,
 else empty).  The cycles, their basins and the per-state limit sets all come
-from one walk of the map, made once per system.  The attracting (repelling)
-neighborhoods are the sets closed under x -> omega(x) (x -> alpha(x)),
-enumerated output-sensitively by ``order.closed_masks``, and counted in
-closed form from the cycles and their basins.  Att, Rep, the duals and the
-commuting square of diagram (1) are built from the unions of cycles, so
-their cost grows with 2^cycles; listing the neighborhoods grows with their
-number.  Nothing here scans all 2^n subsets; that is left to the exhaustive
-oracle in ``verify``.
+from one walk of the map, made once per system, and so do Inv(m), the union
+of the cycles inside m, and Inv+(m), m less one backward reach of its
+complement.  The attracting (repelling) neighborhoods are the sets closed
+under x -> omega(x) (x -> alpha(x)), enumerated output-sensitively by
+``order.closed_masks``, and counted in closed form from the cycles and their
+basins.  Att, Rep, the duals and the commuting square of diagram (1) are
+built from the unions of cycles, the power set of the cycles, so their cost
+grows with 2^cycles; listing the neighborhoods grows with their number.
+Nothing here scans all 2^n subsets or prunes to a fixed point; the
+exhaustive oracle in ``verify`` does both.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import and_, or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import HomReport, SetLattice, _broken_law
-from .order import UnknownElement, canonical_order, check_bound, closed_masks, members
+from .order import UnknownElement, canonical_order, check_bound, closed_masks, members, union_over, union_table
 
 
 class InvalidOrbit(ValueError):
@@ -148,10 +150,10 @@ class FiniteDynSys:
         return members(self.states, m)
 
     def _image_mask(self, m: int) -> int:
-        return _union(self._img1, m)
+        return union_over(self._img1, m)
 
     def _preimage_mask(self, m: int) -> int:
-        return _union(self._pre1, m)
+        return union_over(self._pre1, m)
 
     def _omega_mask(self, m: int) -> int:
         """omega(m): the union of the cycles whose basins m meets."""
@@ -214,11 +216,11 @@ class FiniteDynSys:
 
     def inv(self, subset: Iterable) -> frozenset:
         """Maximal invariant subset: states on a complete orbit inside."""
-        return self.unmask(_inv(self._img1, self.mask(subset)))
+        return self.unmask(_inv(self._cycles, self.mask(subset)))
 
     def inv_plus(self, subset: Iterable) -> frozenset:
         """Maximal forward invariant subset."""
-        return self.unmask(_inv_plus(self._img1, self.mask(subset)))
+        return self.unmask(_inv_plus(self._pre1, self.mask(subset)))
 
     def omega(self, subset: Iterable) -> frozenset:
         return self.unmask(self._omega_mask(self.mask(subset)))
@@ -345,9 +347,9 @@ class FiniteDynSys:
         return count, count
 
     def _recurrent_unions(self):
-        """The unions of cycles, ascending: the omega-closed subsets of the cycle states."""
+        """The unions of cycles, ascending: the power set of the cycles, each subset by its union."""
         check_bound(len(self._cycles), "cycles")
-        return closed_masks(self._omega_pts, within=sum(self._cycles))
+        return sorted(union_table(self._cycles))
 
     def att_lattice(self) -> SetLattice:
         """Att = omega images of attracting neighborhoods, join union, core Inv.
@@ -397,8 +399,8 @@ class FiniteDynSys:
         return self._image_mask(m) == m and self._omega_mask(m) == m
 
     def _is_repeller(self, m: int) -> bool:
-        """m is forward-backward invariant and Inv+ fixes it: a union of basins."""
-        return not (self._image_mask(m) & ~m or self._preimage_mask(m) & ~m) and _inv_plus(self._img1, m) == m
+        """m is forward-backward invariant, so Inv+ fixes it: a union of basins."""
+        return not (self._image_mask(m) & ~m or self._preimage_mask(m) & ~m)
 
     def _attractor_star(self, a: int) -> int:
         if not self._is_attractor(a):
@@ -406,15 +408,16 @@ class FiniteDynSys:
         u = self._splus(self._full & ~a)
         if self._omega_mask(u) != a:
             raise NotAnAttractor(f"{sorted(map(repr, self.unmask(a)))}")
-        star = _inv_plus(self._img1, ~u & self._full)
+        star = _inv_plus(self._pre1, ~u & self._full)
         if star != self._splus(a):
             raise AssertionError("Eq (6) cross-check failed: A* != A+")
         return star
 
     def _repeller_star(self, r: int) -> int:
+        """R* = Inv(R^c), checked against R- (Eq (7)); both come from the walk the tests' pruned Inv checks."""
         if not self._is_repeller(r):
             raise NotARepeller(f"{sorted(map(repr, self.unmask(r)))}")
-        star = _inv(self._img1, ~r & self._full)
+        star = _inv(self._cycles, ~r & self._full)
         if star != self._sminus(r):
             raise AssertionError("Eq (7) cross-check failed: R* != R-")
         return star
@@ -468,25 +471,27 @@ class FiniteDynSys:
         Inv+(U^c), and the square commutes, omega(U)* = alpha(U^c).  The pair
         laws on Att go through ``lattice._broken_law`` in order.canonical_order,
         the one element order, so a failing law names the same pair as on
-        ``att_lattice().elements``; (A*)* = A is checked after them.
+        ``att_lattice().elements``; (A*)* = A is checked after them.  Inv(U)
+        and omega(U) both come from the one walk of the map, which the tests'
+        pruned Inv and Inv+ check.
         """
         atts = canonical_order(self._recurrent_unions(), self._n)
         star = {a: self._dual_mask(a, True) for a in atts}
-        full = self._full
+        full, cycles = self._full, self._cycles
         for m in masks:
             om = self._omega_mask(m)
-            if _inv(self._img1, m) != om:
+            if _inv(cycles, m) != om:
                 return HomReport(False, "Inv(U) != omega(U) on an attracting neighborhood", self.unmask(m))
             mc = full & ~m
             al = self._alpha_mask(mc)
             if al & ~mc:
                 return HomReport(False, "U attracting but U^c not repelling", self.unmask(m))
-            if _inv_plus(self._img1, mc) != al:
+            if _inv_plus(self._pre1, mc) != al:
                 return HomReport(False, "Inv+(U^c) != alpha(U^c)", self.unmask(m))
             if star.get(om) != al:
                 return HomReport(False, "omega(U)* != alpha(U^c)", self.unmask(m))
         # Props 4.6 / 4.7: the anti-isomorphism laws, join union and meet Inv of the intersection
-        broken = _broken_law(atts, star, and_, or_, lambda x, y: _inv(self._img1, x & y))
+        broken = _broken_law(atts, star, and_, or_, lambda x, y: _inv(cycles, x & y))
         if broken:
             law = "(A v A')* != A* ^ A'*" if broken[0] == "joins" else "(A ^ A')* != A* v A'*"
             return HomReport(False, law, tuple(map(self.unmask, broken[1])))
@@ -499,56 +504,30 @@ class FiniteDynSys:
         return [self.unmask(c) for c in self._cycles]
 
 
-def _union(parts: Sequence[int], m: int) -> int:
-    """Union of parts[i] over the set bits i of m."""
-    out = 0
-    while m:
-        out |= parts[(m & -m).bit_length() - 1]
-        m &= m - 1
-    return out
-
-
 def _reach(parts: Sequence[int], m: int) -> int:
     """m and everything reachable from it, one step being x -> parts[x]."""
     out = frontier = m
     while frontier:
-        frontier = _union(parts, frontier) & ~out
+        frontier = union_over(parts, frontier) & ~out
         out |= frontier
     return out
 
 
-def _inv(img1: Sequence[int], m: int) -> int:
-    """Inv(m): prune states whose image leaves or that have no preimage inside."""
-    cur = m
-    while True:
-        keep = image = 0
-        rest = cur
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            image |= img1[i]
-            if img1[i] & cur:
-                keep |= 1 << i
-            rest &= rest - 1
-        keep &= image
-        if keep == cur:
-            return cur
-        cur = keep
+def _inv(cycles: Sequence[int], m: int) -> int:
+    """Inv(m): the union of the cycles inside m.
+
+    An invariant S has f(S) = S, so f permutes the finite S: S is a union of cycles.
+    """
+    out = 0
+    for c in cycles:
+        if not c & ~m:
+            out |= c
+    return out
 
 
-def _inv_plus(img1: Sequence[int], m: int) -> int:
-    """Inv+(m): prune states whose image leaves, until none does."""
-    cur = m
-    while True:
-        keep = 0
-        rest = cur
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if img1[i] & cur:
-                keep |= 1 << i
-            rest &= rest - 1
-        if keep == cur:
-            return cur
-        cur = keep
+def _inv_plus(pre1: Sequence[int], m: int) -> int:
+    """Inv+(m): the states whose forward orbit never leaves m, those that cannot reach m's complement."""
+    return m & ~_reach(pre1, ((1 << len(pre1)) - 1) & ~m)
 
 
 # shared test fixtures from the exact-dynamics corpus

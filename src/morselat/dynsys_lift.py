@@ -61,7 +61,7 @@ def _repeller_problem(system: FiniteDynSys, poset: Poset, s: Mapping[int, int]) 
         poset=poset,
         s=s,
         universe=system.states,
-        h=partial(_inv_plus, system._img1),
+        h=partial(_inv_plus, system._pre1),
         section=lambda l: l,
         member=system._is_repelling_nbhd,
     )
@@ -82,7 +82,7 @@ def attractor_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCe
         poset=poset,
         s=s,
         universe=system.states,
-        h=partial(_inv, system._img1),
+        h=partial(_inv, system._cycles),
         section=lambda l: l,
         member=system._is_attracting_nbhd,
     )

@@ -53,9 +53,10 @@ def dumps(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, written directly.
 
     Dicts (with string keys), lists and tuples are laid out here; strings go
-    through the C string encoder, ints through ``int.__repr__``, and any
+    through the C string encoder, ints through ``_int_text``, and any
     other scalar through ``json.dumps``, so the text is the stdlib's byte for
-    byte at a fraction of its pure-Python indenting encoder's cost.
+    byte at a fraction of its pure-Python indenting encoder's cost; an int
+    longer than the interpreter's int-to-str digit limit is written in full.
     """
     out = []
     _write(payload, "\n", out)
@@ -65,8 +66,22 @@ def dumps(payload: dict) -> str:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+
+def _int_text(x: int) -> str:
+    """int.__repr__(x), past the int-to-str digit limit 600 digits at a time (no limit is below 640)."""
+    try:
+        return int.__repr__(x)
+    except ValueError:
+        rest, chunks = abs(x), []
+        while rest >= 10**600:
+            rest, low = divmod(rest, 10**600)
+            chunks.append(f"{low:0600d}")
+        chunks.append(str(rest))
+        return ("-" if x < 0 else "") + "".join(reversed(chunks))
+
+
 # the text of a scalar of exactly this type (keyed by type, so a bool is no int here)
-_SCALAR = {str: _encode_str, int: int.__repr__, bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+_SCALAR = {str: _encode_str, int: _int_text, bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
 
 
 def _write(x, newline: str, out: list) -> None:
@@ -222,7 +237,7 @@ def _number(x) -> float:
 def cell_indices(items, n: int) -> frozenset:
     """Cell indices of an input file, each an integer naming one of the grid's n cells."""
     cells = frozenset(map(_integer, items))
-    outside = cells - set(range(n))
+    outside = [c for c in cells if not 0 <= c < n]
     if outside:
         raise ValueError(f"cell {min(outside)} is not one of the {n} cells")
     return cells

@@ -91,20 +91,19 @@ def mask_pairs(masks: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def closed_masks(rel: Sequence[int], within: int | None = None) -> Iterator[int]:
-    """Every U inside ``within`` with rel[i] contained in U for each i in U, ascending.
+def closed_masks(rel: Sequence[int]) -> Iterator[int]:
+    """Every U with rel[i] contained in U for each i in U, ascending.
 
-    ``within`` (default: everything) must itself be closed.  Output-sensitive
-    in the manner of Squire's ideal enumeration: after closing ``rel``, branch
-    on the highest undecided element x, first leaving out everything above x,
-    then taking in everything below it.  Both branches yield at least one set,
-    so the work is O(n) word operations per set, and deciding the highest
-    element first makes the output ascending as integers.
+    Output-sensitive in the manner of Squire's ideal enumeration: after closing
+    ``rel``, branch on the highest undecided element x, first leaving out
+    everything above x, then taking in everything below it.  Both branches
+    yield at least one set, so the work is O(n) word operations per set, and
+    deciding the highest element first makes the output ascending as integers.
     """
     n = len(rel)
     down = closure(rel)
     up = transpose(down)
-    stack = [(0, (1 << n) - 1 if within is None else within)]
+    stack = [(0, (1 << n) - 1)]
     while stack:
         u, free = stack.pop()
         if not free:
@@ -322,6 +321,17 @@ def union_over(parts: Sequence[int], mask: int) -> int:
         bit = mask & -mask
         out |= parts[bit.bit_length() - 1]
         mask ^= bit
+    return out
+
+
+def union_table(parts: Sequence[int]) -> list[int]:
+    """union_over(parts, m) for every mask m below 2^len(parts), indexed by m.
+
+    The masks with bit i set repeat the masks below 2^i, each joined with parts[i].
+    """
+    out = [0]
+    for p in parts:
+        out += [u | p for u in out]
     return out
 
 

@@ -11,12 +11,13 @@ elements, which keeps the whole suite inside its time budget on random
 
 Checks read their per-subset quantities from the tables of ``SystemData``,
 each a 2^n list indexed by mask and built once per system.  Image and
-preimage, Inv and Inv+ (the fixpoints of ``dynsys._inv`` and ``_inv_plus``),
-the states with a complete backward orbit inside the mask, the unions of the
-pointwise limit sets and the S+ and S- of P2.16 fill in by increasing mask, each
-entry from a smaller mask; omega and alpha fill in along trajectories of
-masks.  The duals A* and R* come from the memo of ``FiniteDynSys``, which
-runs each Eq (6)/(7) cross-check once per system and serves D1 too.
+preimage, Inv and Inv+ (fixpoints of pruning, independent of the closed
+forms of ``dynsys._inv`` and ``_inv_plus``), the states with a complete
+backward orbit inside the mask, the unions of the pointwise limit sets and
+the S+ and S- of P2.16 fill in by increasing mask, each entry from a smaller
+mask; omega and alpha fill in along trajectories of masks.  The duals A*
+and R* come from the memo of ``FiniteDynSys``, which runs each Eq (6)/(7)
+cross-check once per system and serves D1 too.
 
 D1 reads the system, not these tables: it runs the commuting-square routine
 of ``FiniteDynSys`` (the one ``analyze`` runs on each attractor and its
@@ -38,21 +39,10 @@ import random
 from dataclasses import dataclass
 from operator import and_
 
-from .dynsys import FiniteDynSys, _reach, _union
-from .order import canonical_order, check_bound
+from .dynsys import FiniteDynSys, _reach
+from .order import canonical_order, check_bound, union_over, union_table
 
 PAIR_CAP = 64  # per-family cap for pairwise laws on large random systems
-
-
-def _union_table(parts) -> list[int]:
-    """dynsys._union(parts, m) for every mask m.
-
-    The masks with bit i set repeat the masks below 2^i, each joined with parts[i].
-    """
-    out = [0]
-    for p in parts:
-        out += [u | p for u in out]
-    return out
 
 
 class SystemData:
@@ -64,12 +54,12 @@ class SystemData:
         self.n = sys._n
         self.full = sys._full
         size = 1 << self.n
-        self.img = img = _union_table(sys._img1)
-        self.pre = pre = _union_table(sys._pre1)
+        self.img = img = union_table(sys._img1)
+        self.pre = pre = union_table(sys._pre1)
         # Inv, Inv+ and the states of m with a complete backward orbit inside
         # m are the fixpoints of pruning m to m & pre & img, m & pre and
-        # m & img (dynsys._inv and _inv_plus prune the same way); a step that
-        # removes states lands on a smaller mask, whose fixpoint is in the table
+        # m & img, an oracle independent of the closed forms in dynsys; a step
+        # that removes states lands on a smaller mask, whose fixpoint is in the table
         inv = [0] * size
         invplus = [0] * size
         back = [0] * size
@@ -87,12 +77,12 @@ class SystemData:
         self.alpha = self._limits(pre)
         self.omega_pt = [self.omega[1 << i] for i in range(self.n)]
         self.alpha_pt = [self.alpha[1 << i] for i in range(self.n)]
-        self.omega_union = _union_table(self.omega_pt)
-        self.alpha_union = _union_table(self.alpha_pt)
+        self.omega_union = union_table(self.omega_pt)
+        self.alpha_union = union_table(self.alpha_pt)
         # S+ of P2.16: the states whose omega misses m, the complement of the
         # union over j in m of the states whose omega holds j
         hits = [sum(1 << i for i, o in enumerate(self.omega_pt) if o >> j & 1) for j in range(self.n)]
-        self.splus = [self.full & ~h for h in _union_table(hits)]
+        self.splus = [self.full & ~h for h in union_table(hits)]
         self.cycles = list(sys._cycles)
         # S- of P2.16: what the cycles that miss m reach, one reach per
         # union of cycles
@@ -100,7 +90,7 @@ class SystemData:
         all_cycles = sum(self.cycles)
         reach = {}
         self.sminus = []
-        for meeting in _union_table(cycles_at):
+        for meeting in union_table(cycles_at):
             missing = all_cycles & ~meeting
             if missing not in reach:
                 reach[missing] = _reach(sys._img1, missing)
@@ -495,7 +485,7 @@ def _restricted_masks(sys, e, masks_of):
     """
     sub = sys.restrict(sys.unmask(e))
     bits = [1 << i for i in range(sys._n) if e >> i & 1]
-    return [_union(bits, m) for m in canonical_order(masks_of(sub), sub._n)]
+    return [union_over(bits, m) for m in canonical_order(masks_of(sub), sub._n)]
 
 
 def check_p4_1(sd):

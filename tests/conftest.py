@@ -13,7 +13,6 @@ from morselat import (
     join_irreducibles,
     predecessor,
 )
-from morselat.dynsys import _inv, _inv_plus
 from morselat.formats import InputError
 from morselat.lattice import HomReport
 from morselat.order import all_posets
@@ -166,6 +165,40 @@ def check_order_is_inclusion(lat):
             assert jl.leq(a, b) == (lat.meet(a, b) == a)
 
 
+def pruned_inv(img1, m):
+    """Inv(m) by pruning: drop the states whose image leaves or that have no preimage inside, until none is dropped."""
+    cur = m
+    while True:
+        keep = image = 0
+        rest = cur
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            image |= img1[i]
+            if img1[i] & cur:
+                keep |= 1 << i
+            rest &= rest - 1
+        keep &= image
+        if keep == cur:
+            return cur
+        cur = keep
+
+
+def pruned_inv_plus(img1, m):
+    """Inv+(m) by pruning: drop the states whose image leaves, until none is dropped."""
+    cur = m
+    while True:
+        keep = 0
+        rest = cur
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            if img1[i] & cur:
+                keep |= 1 << i
+            rest &= rest - 1
+        if keep == cur:
+            return cur
+        cur = keep
+
+
 def commuting_square_oracle(sys):
     """Diagram (1) by the exhaustive walk over every attracting neighborhood, laws on the Att SetLattice.
 
@@ -177,13 +210,13 @@ def commuting_square_oracle(sys):
     full = sys._full
     for m in sys._attracting_masks():
         om = sys._omega_mask(m)
-        if _inv(sys._img1, m) != om:
+        if pruned_inv(sys._img1, m) != om:
             return HomReport(False, "Inv(U) != omega(U) on an attracting neighborhood", sys.unmask(m))
         mc = full & ~m
         al = sys._alpha_mask(mc)
         if al & ~mc:
             return HomReport(False, "U attracting but U^c not repelling", sys.unmask(m))
-        if _inv_plus(sys._img1, mc) != al:
+        if pruned_inv_plus(sys._img1, mc) != al:
             return HomReport(False, "Inv+(U^c) != alpha(U^c)", sys.unmask(m))
         if star_mask.get(om) != al:
             return HomReport(False, "omega(U)* != alpha(U^c)", sys.unmask(m))

@@ -6,12 +6,13 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morselat import FiniteDynSys, LiftCertificate, SetLattice, TooLarge, cli, ds1, dynsys_lift, grid
@@ -56,6 +57,21 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def main_in_capped_child(argv):
+    """(exit code, stderr) of the CLI run in a child process with its address space capped at 1.5 GB."""
+    limit = 1_500_000_000
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-m", "morselat.cli"] + argv,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return child.returncode, child.stderr
 
 
 class TestLoaders:
@@ -262,12 +278,20 @@ class TestCliAnalyze:
             ("lift", [DS1_DOC, {"side": "repeller", "elements": [[], ["m", "z"], ["a", "b"], list("mzab")]}, "--direct"], "--direct"),
             ("lift", [TRIPOD_DOC, {"side": "repeller", "elements": TRIPOD_REP, "pins": [[[0], [3]]]}], "pins"),
             ("lift", [TRIPOD_DOC, {"side": "repeller", "elements": TRIPOD_REP}, "--direct"], "--direct"),
+            # a cell count far beyond the arrows given is refused before anything of that size is
+            # allocated; these rows run in a child process under a 1.5 GB address-space cap
+            ("analyze", [dict(TRIPOD_DOC, cells=10**8)], "arrows"),
+            ("analyze", [dict(TRIPOD_DOC, cells=10**30)], "arrows"),
         ],
     )
     def test_malformed_field_exit_2(self, tmp_path, capsys, command, docs, field):
         paths = [doc if isinstance(doc, str) else write(tmp_path, f"input{i}.json", doc) for i, doc in enumerate(docs)]
-        assert cli.main([command] + paths) == 2
-        err = json.loads(capsys.readouterr().err)
+        if any(isinstance(doc, dict) and doc.get("cells", 0) > 10**6 for doc in docs):
+            code, err = main_in_capped_child([command] + paths)
+        else:
+            code, err = cli.main([command] + paths), capsys.readouterr().err
+        assert code == 2
+        err = json.loads(err)
         assert err["error"] == "parse" and repr(field) in err["message"]
 
     def test_dot_output_parses(self, tmp_path):
@@ -796,10 +820,21 @@ JSON_TREES = st.recursive(
 )
 
 
+def stdlib_text(x):
+    """json.dumps's indented text of x, with the interpreter's int-to-str digit limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(x, sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @settings(max_examples=400, deadline=None)
 @given(JSON_TREES)
+@example([3**10000, -(10**8000)])  # 4772 and 8001 digits, more than the interpreter writes at once
 def test_dumps_writes_the_stdlib_text(x):
-    assert dumps(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+    assert dumps(x) == stdlib_text(x)
 
 
 # -- fuzzed input fields --------------------------------------------------------

@@ -116,26 +116,52 @@ class TestLimitSets:
             gc.enable()
 
     def test_twenty_state_analyze(self, tmp_path):
-        # two cycles, {0, 1} fed by 8 states and the fixed point 10 fed by 9;
-        # 257 * 513 attracting neighbourhoods
-        nxt = {0: 1, 1: 0, 10: 10}
-        nxt.update({i: i - 2 for i in range(2, 10)})
-        nxt.update({i: 10 + (i - 11) // 2 for i in range(11, 20)})
-        doc = {
-            "type": "finite",
-            "states": [str(i) for i in range(20)],
-            "map": {str(k): str(v) for k, v in nxt.items()},
-        }
-        path = tmp_path / "m20.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "out.json"
-        t0 = time.perf_counter()
-        assert cli.main(["analyze", str(path), "-o", str(out)]) == 0
-        assert time.perf_counter() - t0 < 10
-        payload = json.loads(out.read_text())
-        assert payload["anbhd_count"] == payload["rnbhd_count"] == 257 * 513
-        assert payload["diagram_commutes"] is True
-        assert len(payload["attractors"]) == 4
+        # two cycles, {0, 1} fed by 8 states and the fixed point 10 fed by 9,
+        # with 257 * 513 attracting neighbourhoods; then 1024 states, the
+        # fixed points 0..3 fed by the chains i -> i - 4, with (1 + 2^255)^4
+        twenty = {0: 1, 1: 0, 10: 10}
+        twenty.update({i: i - 2 for i in range(2, 10)})
+        twenty.update({i: 10 + (i - 11) // 2 for i in range(11, 20)})
+        chains = {i: i if i < 4 else i - 4 for i in range(1024)}
+        for nxt, count in ((twenty, 257 * 513), (chains, (1 + 2**255) ** 4)):
+            doc = {
+                "type": "finite",
+                "states": [str(i) for i in range(len(nxt))],
+                "map": {str(k): str(v) for k, v in nxt.items()},
+            }
+            path = tmp_path / "map.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "out.json"
+            t0 = time.perf_counter()
+            assert cli.main(["analyze", str(path), "-o", str(out)]) == 0
+            assert time.perf_counter() - t0 < 10
+            payload = json.loads(out.read_text())
+            assert payload["anbhd_count"] == payload["rnbhd_count"] == count
+            assert payload["diagram_commutes"] is True
+            # the attractors are the unions of cycles, each once, and A* holds
+            # the states whose cycle is not in A
+            cycle_of = eventual_cycles(nxt)
+            cycles = set(cycle_of.values())
+            attractors = payload["attractors"]
+            assert len(attractors) == len({frozenset(a) for a in attractors}) == 2 ** len(cycles)
+            for pair in payload["dual_pairs"]:
+                a = frozenset(map(int, pair["attractor"]))
+                assert a == frozenset().union(*(c for c in cycles if c <= a))
+                assert set(map(int, pair["repeller"])) == {x for x, c in cycle_of.items() if not c <= a}
+
+
+def eventual_cycles(nxt):
+    """Each state's eventual cycle as a frozenset: with n states, f^n(x) lies on it."""
+    out = {}
+    for x in nxt:
+        y = x
+        for _ in range(len(nxt)):
+            y = nxt[y]
+        cycle = [y]
+        while nxt[cycle[-1]] != y:
+            cycle.append(nxt[cycle[-1]])
+        out[x] = frozenset(cycle)
+    return out
 
 
 def cycles_oracle(sys):
@@ -215,7 +241,6 @@ class TestClosedMasks:
         # 0 <-> 1 and 2 -> 0: closed sets are {}, {0, 1}, {0, 1, 2} and with 3
         rel = [0b10, 0b01, 0b01, 0]
         assert list(closed_masks(rel)) == [0, 0b0011, 0b0111, 0b1000, 0b1011, 0b1111]
-        assert list(closed_masks(rel, within=0b0011)) == [0, 0b0011]
 
     def test_attracting_blocks(self, tripod):
         rng = random.Random(7)

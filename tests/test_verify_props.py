@@ -10,7 +10,8 @@ import random
 import pytest
 
 from morselat import FiniteDynSys
-from morselat.dynsys import _inv, _inv_plus, _reach, _union
+from morselat.dynsys import _inv, _inv_plus, _reach
+from morselat.order import union_over
 from morselat.verify import (
     CHECKS,
     SystemData,
@@ -78,12 +79,12 @@ def test_tables_match_the_direct_computations(corpus):
     for sys in systems:
         sd = SystemData(sys)
         for m in range(1 << sd.n):
-            assert sd.img[m] == _union(sys._img1, m)
-            assert sd.pre[m] == _union(sys._pre1, m)
-            assert sd.inv[m] == _inv(sys._img1, m)
-            assert sd.invplus[m] == _inv_plus(sys._img1, m)
-            assert sd.omega_union[m] == _union(sd.omega_pt, m)
-            assert sd.alpha_union[m] == _union(sd.alpha_pt, m)
+            assert sd.img[m] == union_over(sys._img1, m)
+            assert sd.pre[m] == union_over(sys._pre1, m)
+            assert sd.inv[m] == _inv(sys._cycles, m)
+            assert sd.invplus[m] == _inv_plus(sys._pre1, m)
+            assert sd.omega_union[m] == union_over(sd.omega_pt, m)
+            assert sd.alpha_union[m] == union_over(sd.alpha_pt, m)
             assert sd.splus[m] == sum(1 << i for i in range(sd.n) if not sd.omega_pt[i] & m)
             assert sd.sminus[m] == _reach(sys._img1, sum(c for c in sd.cycles if not c & m))
             assert sd.backward_sources[m] == _backward_sources(sd, m)
