@@ -6,8 +6,8 @@ interval map whose image leaves its domain or cannot be evaluated there, or
 an output path that cannot be written (the message names the path, field,
 flag, position or cell), 3 enumeration bound
 overflow (on a grid the bound counts Morse sets, not cells; on a finite
-system analyze counts cycles; in verify, the states of each system) or an
-invalid MORSELAT_MAX_ENUM, 4 lift
+system analyze counts cycles; in verify, the states of each system), an
+invalid MORSELAT_MAX_ENUM, or an interval map over grid.SAMPLE_LIMIT, 4 lift
 obstruction, 5 a family that is not a lattice or sublattice, whose
 elements no block realizes, or with a pin that is not an attracting block
 for its attractor, 6 a lift that fails one of its own checks (verify(),
@@ -189,27 +189,25 @@ def cmd_verify(args) -> int:
     for flag, value, least in flags:
         if value < least:
             raise InputError(f"{flag} must be at least {least}, got {value}")
-    config = RunConfig(
-        "verify",
-        [],
-        args.output,
-        bounds={"exhaustive": args.exhaustive, "max_states": args.max_states},
-        seed=args.seed,
-    )
+    if args.exhaustive or args.random:
+        exhaustive, count, max_states = args.exhaustive, args.random, args.max_states
+    else:
+        exhaustive, count, max_states = 3, 100, 6
+    # every tag is invariant under relabelling, so one map per isomorphism
+    # class decides the N^N labelled maps, and the report counts those
     parts = []
-    if args.exhaustive:
-        parts.append(verify.all_systems(args.exhaustive))
-    if args.random:
-        parts.append(verify.random_systems(args.random, args.max_states, args.seed))
-    if not parts:
-        parts = [verify.all_systems(3), verify.random_systems(100, 6, args.seed)]
+    if exhaustive:
+        parts.append(verify.map_classes(exhaustive))
+    if count:
+        parts.append(verify.random_systems(count, max_states, args.seed))
     # streamed, so that each system and its caches are freed once its tags ran
     results = verify.run_verification(itertools.chain(*parts))
+    covered = (exhaustive ** exhaustive if exhaustive else 0) + count
     lines = []
     all_ok = True
     for res in results:
         status = "pass" if res.passed else "FAIL"
-        lines.append(f"{res.tag:<12} {status}  ({res.systems} systems)")
+        lines.append(f"{res.tag:<12} {status}  ({covered} systems)")
         if not res.passed:
             all_ok = False
             lines.append(f"    counterexample: {res.counterexample!r}")
@@ -266,7 +264,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="run the proposition suites over a corpus")
-    p.add_argument("--exhaustive", type=int, default=0, metavar="N", help="all maps on N states")
+    p.add_argument(
+        "--exhaustive", type=int, default=0, metavar="N", help="every map on N states, as one map per isomorphism class"
+    )
     p.add_argument("--random", type=int, default=0, metavar="COUNT")
     p.add_argument("--max-states", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)

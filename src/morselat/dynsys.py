@@ -395,12 +395,12 @@ class FiniteDynSys:
         return self._duals[key]
 
     def _is_attractor(self, m: int) -> bool:
-        """m is invariant and its own omega-limit: a union of cycles."""
-        return self._image_mask(m) == m and self._omega_mask(m) == m
+        """m is invariant and its own omega-limit: a union of cycles, the cycles inside it."""
+        return _inv(self._cycles, m) == m
 
     def _is_repeller(self, m: int) -> bool:
-        """m is forward-backward invariant, so Inv+ fixes it: a union of basins."""
-        return not (self._image_mask(m) & ~m or self._preimage_mask(m) & ~m)
+        """m is forward-backward invariant, so Inv+ fixes it: a union of basins, holding each basin it meets."""
+        return all(m & b in (0, b) for _, b in self._basins)
 
     def _attractor_star(self, a: int) -> int:
         if not self._is_attractor(a):

@@ -26,9 +26,13 @@ from typing import Iterable, Mapping, Sequence
 from . import expr as exprmod
 from .lattice import SetLattice, birkhoff_embedding, checked_sublattice
 from .lifting import LiftProblem, ObstructionFound, lift, transport_by_duality
-from .order import Poset, check_bound, closed_masks
+from .order import Poset, TooLarge, check_bound, closed_masks
 
 GRID_ENUM_BOUND = 16
+# cells x samples_per_cell of one interval map, 32 times G1's 4096 cells x 32
+# samples; a constant, unlike the enumeration bound, since it caps the work
+# and memory of ingestion, not an enumeration
+SAMPLE_LIMIT = 1 << 22
 DEFAULT_SAMPLES = 32
 DEFAULT_PADDING = 1e-9
 
@@ -146,6 +150,11 @@ def ingest_interval_map(
     """
     if samples_per_cell < 2:
         raise ValueError("samples_per_cell must be at least 2")
+    # samples_per_cell >= 2, so this bounds the cells too
+    if grid.n_cells * samples_per_cell > SAMPLE_LIMIT:
+        raise TooLarge(
+            f"{grid.n_cells} cells x {samples_per_cell} samples per cell exceeds the sampling limit {SAMPLE_LIMIT}"
+        )
     if not 0 <= padding < math.inf:
         raise ValueError("padding must be finite and nonnegative")
     f = exprmod.parse(expression)

@@ -2,12 +2,20 @@
 
 Every tag corresponds to one statement from the invariant-set / attractor /
 repeller theory, instantiated literally on finite discrete systems (where
-closure and interior are the identity).  Per-subset statements are checked
-over all 2^n subsets.  Pair- and triple-quantified laws run exhaustively
-whenever the relevant family is small (always the case for the 4-state
-exhaustive corpus) and over a deterministic thinned sample beyond PAIR_CAP
-elements, which keeps the whole suite inside its time budget on random
-10-state systems.
+closure and interior are the identity).  Every tag is invariant under
+relabelling the states, so an exhaustive corpus on n states runs one map per
+isomorphism class (``map_classes``) and stands for all n^n labelled maps
+(``all_systems``, kept as the labelled oracle of the tests).
+
+Per-subset statements are checked over all 2^n subsets.  Pair- and
+triple-quantified laws run over the whole family when it has at most
+PAIR_CAP = 64 members, so no family is thinned up to 6 states.  From 7
+states a larger family is replaced by a deterministic evenly spaced sample,
+for exhaustive and random corpora alike, and "pass" covers only that
+sample; this keeps the suite inside its time budget on random 10-state
+systems.  Two laws are also cut by size: P2.11's intersection law runs up to
+4 states, and L3.4 and C3.26+27 test every U2 between S and U up to 4
+states, beyond that the U2 one state away from U or from S.
 
 Checks read their per-subset quantities from the tables of ``SystemData``,
 each a 2^n list indexed by mask and built once per system.  Image and
@@ -42,7 +50,7 @@ from operator import and_
 from .dynsys import FiniteDynSys, _reach
 from .order import canonical_order, check_bound, union_over, union_table
 
-PAIR_CAP = 64  # per-family cap for pairwise laws on large random systems
+PAIR_CAP = 64  # families above it (from 7 states) are sampled for the pair and triple laws
 
 
 class SystemData:
@@ -619,7 +627,7 @@ CHECKS = [
 
 
 def all_systems(n: int):
-    """All n^n next maps on n states."""
+    """All n^n next maps on n states: the labelled oracle of ``map_classes``."""
     states = list(range(n))
     for code in range(n ** n):
         c = code
@@ -628,6 +636,94 @@ def all_systems(n: int):
             c, t = divmod(c, n)
             table[s] = t
         yield FiniteDynSys(states, table)
+
+
+def map_classes(n: int):
+    """One map on the states 0..n-1 for each isomorphism class of maps on n states (OEIS A001372).
+
+    A map is a multiset of connected components, and a component a cycle of
+    rooted trees whose roots are its cycle.  Trees come from their canonical
+    level sequences, components are the necklaces (least rotations) of tree
+    indices, and maps the non-increasing sequences of component indices.
+    Maps are yielded by their largest component's size, so the trees and
+    components of a size are built only once a map needs them; the tables
+    live as long as the generator.
+    """
+    check_bound(n, "states")  # before the tables, whose size grows with n
+    trees = []  # parents in preorder (the root's entry is 0), by size
+    upto = [0]  # upto[k]: the number of trees on at most k nodes
+    comps = [[]]  # comps[k]: the components on k states, as tuples of tree indices
+
+    def necklaces(k):
+        # the prenecklace rule of Fredricksen, Kessler and Maiorana with beads
+        # weighted by tree size: a bead repeats the one `period` back or passes
+        # it and starts a new period; a word is a necklace when its length is
+        # a multiple of its period (Cattell et al., J. Algorithms 2000)
+        out = []
+        beads = []
+
+        def extend(period, rest):
+            if not rest:
+                if len(beads) % period == 0:
+                    out.append(tuple(beads))
+                return
+            t = len(beads)
+            least = beads[t - period] if t else 0
+            for g in range(least, upto[rest]):
+                beads.append(g)
+                extend(period if t and g == least else t + 1, rest - len(trees[g]))
+                beads.pop()
+
+        extend(1, k)
+        return out
+
+    def multisets(rest, size, index):
+        # the components after the first, each at most (size, index)
+        if not rest:
+            yield ()
+            return
+        for s in range(min(size, rest), 0, -1):
+            for i in range(index if s == size else len(comps[s]) - 1, -1, -1):
+                for tail in multisets(rest - s, s, i):
+                    yield (comps[s][i],) + tail
+
+    for size in range(1, n + 1):
+        trees.extend(_rooted_trees(size))
+        upto.append(len(trees))
+        comps.append(necklaces(size))
+        for index, first in enumerate(comps[size]):
+            for tail in multisets(n - size, size, index):
+                nxt = []
+                for comp in (first,) + tail:
+                    roots = []
+                    for g in comp:
+                        roots.append(len(nxt))
+                        nxt.extend(roots[-1] + p for p in trees[g])
+                    for j, r in enumerate(roots):
+                        nxt[r] = roots[(j + 1) % len(roots)]
+                yield FiniteDynSys(range(n), dict(enumerate(nxt)))
+
+
+def _rooted_trees(k: int):
+    """The rooted trees on k nodes up to isomorphism, each as its nodes' parents in preorder.
+
+    Beyer and Hedetniemi's successor rule on canonical level sequences (SIAM
+    J. Comput. 1980), from the path 1, 2, ..., k down to the star.
+    """
+    level = list(range(1, k + 1))
+    while True:
+        parent = [0] * k
+        last = {}
+        for i, depth in enumerate(level):
+            parent[i] = last.get(depth - 1, 0)
+            last[depth] = i
+        yield parent
+        p = max((i for i, depth in enumerate(level) if depth > 2), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if level[i] == level[p] - 1)
+        for i in range(p, k):
+            level[i] = level[i - p + q]
 
 
 def random_systems(count: int, max_states: int, seed: int):

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -293,6 +294,24 @@ class TestCliAnalyze:
         assert code == 2
         err = json.loads(err)
         assert err["error"] == "parse" and repr(field) in err["message"]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (dict(G1_DOC, cells=10**8), "100000000 cells x 32 samples per cell exceeds the sampling limit"),
+            (dict(G1_DOC, samples_per_cell=10**12), "16 cells x 1000000000000 samples per cell exceeds the sampling limit"),
+        ],
+        ids=["cells", "samples_per_cell"],
+    )
+    def test_oversized_interval_map_exit_3(self, tmp_path, doc, message):
+        # cells x samples_per_cell is checked before any cell is sampled; run
+        # in a child process under a 1.5 GB address-space cap
+        start = time.perf_counter()
+        code, err = main_in_capped_child(["analyze", write(tmp_path, "input.json", doc)])
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        err = json.loads(err)
+        assert err["error"] == "bound" and message in err["message"]
 
     def test_dot_output_parses(self, tmp_path):
         path = write(tmp_path, "system.json", DS1_DOC)
@@ -615,19 +634,21 @@ SWAP_DOC = {"type": "finite", "states": ["z", "y", "x", "w"], "map": {"z": "y", 
 FIXED3_DOC = {"type": "finite", "states": ["x", "y", "w"], "map": {"x": "x", "y": "y", "w": "w"}}
 MEETLESS = [[], ["x", "y"], ["y", "w"], ["x", "y", "w"]]
 MEETLESS_MESSAGE = "family is not meet-closed: ['x', 'y'] ^ ['y', 'w'] = ['y'] missing"
-_REAL_IMAGE_MASK = FiniteDynSys._image_mask
+_REAL_INIT = FiniteDynSys.__init__
 
 
-def leaky_image_of_z(self, m):
-    """FiniteDynSys._image_mask, except that the image of {z} also holds state 0 (m on DS1)."""
-    out = _REAL_IMAGE_MASK(self, m)
-    return out | 1 if self.unmask(m) == frozenset("z") else out
+def leaky_cycle_of_z(self, states, next_map):
+    """FiniteDynSys.__init__, except that the walk's cycle through z also holds state 0 (m on DS1),
+    as if z mapped to m too: {z} is then no longer invariant."""
+    _REAL_INIT(self, states, next_map)
+    z = self.mask("z")
+    self._cycles = tuple(c | 1 if c == z else c for c in self._cycles)
 
 
-# (system, side, elements, a patch of FiniteDynSys._image_mask or None, the error message)
+# (system, side, elements, a patch of FiniteDynSys.__init__ or None, the error message)
 EXACT_FAMILY_ROWS = {
     "union of cycles made non-invariant": (
-        DS1_DOC, "attractor", [[], ["z"], ["b"], ["z", "b"]], leaky_image_of_z, "['z'] is not an attractor",
+        DS1_DOC, "attractor", [[], ["z"], ["b"], ["z", "b"]], leaky_cycle_of_z, "['z'] is not an attractor",
     ),
     "attractors missing a meet": (FIXED3_DOC, "attractor", MEETLESS, None, MEETLESS_MESSAGE),
     "repellers missing a meet": (FIXED3_DOC, "repeller", MEETLESS, None, MEETLESS_MESSAGE),
@@ -644,9 +665,9 @@ EXACT_FAMILY_ROWS = {
 @pytest.mark.parametrize("row", EXACT_FAMILY_ROWS)
 def test_exact_family_that_is_no_sublattice_exits_5(row, tmp_path, monkeypatch, capsys):
     """Each row exits 5 with one JSON error naming the element or the pair, and no traceback."""
-    doc, side, elements, image_mask, message = EXACT_FAMILY_ROWS[row]
-    if image_mask is not None:
-        monkeypatch.setattr(FiniteDynSys, "_image_mask", image_mask)
+    doc, side, elements, init, message = EXACT_FAMILY_ROWS[row]
+    if init is not None:
+        monkeypatch.setattr(FiniteDynSys, "__init__", init)
     spath = write(tmp_path, "system.json", doc)
     lpath = write(tmp_path, "sub.json", {"side": side, "elements": elements})
     assert cli.main(["lift", spath, lpath]) == 5

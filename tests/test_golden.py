@@ -110,6 +110,8 @@ BIRKHOFF = {
     },
 }
 VERIFY = ["verify", "--exhaustive", "3", "--random", "30", "--max-states", "8", "--seed", "1"]
+# all 3125 maps on 5 states, pinned as the labelled all_systems(5) route reported them
+VERIFY_EXHAUSTIVE_5 = ["verify", "--exhaustive", "5"]
 
 
 # verify_witnesses.json: every tag's witness on SystemData tables corrupted
@@ -264,6 +266,10 @@ def test_verify_report_matches_golden(tmp_path):
     assert run(str(tmp_path), VERIFY, {}) == (GOLDEN / "verify.txt").read_text()
 
 
+def test_verify_exhaustive_5_matches_golden(tmp_path):
+    assert run(str(tmp_path), VERIFY_EXHAUSTIVE_5, {}) == (GOLDEN / "verify_exhaustive5.txt").read_text()
+
+
 def test_verify_witnesses_match_golden():
     assert witnesses() == (GOLDEN / "verify_witnesses.json").read_text()
 
@@ -286,4 +292,5 @@ if __name__ == "__main__":
             for fmt in FORMATS:
                 (GOLDEN / f"{name}.birkhoff.{fmt}").write_text(birkhoff(tmp, name, fmt))
         (GOLDEN / "verify.txt").write_text(run(tmp, VERIFY, {}))
+        (GOLDEN / "verify_exhaustive5.txt").write_text(run(tmp, VERIFY_EXHAUSTIVE_5, {}))
     (GOLDEN / "verify_witnesses.json").write_text(witnesses())

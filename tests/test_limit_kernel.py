@@ -226,6 +226,23 @@ class TestCycleWalk:
                 for r in range(16):
                     assert sys._ar_direct(a, r) == ar_direct_oracle(sys, a, r), (dict(sys.next), a, r)
 
+    def test_attractor_and_repeller_tests_on_every_mask(self):
+        # _is_attractor reads the cycles and _is_repeller the (cycle, basin)
+        # pairs; the references are the forms they replaced: f(m) = m and
+        # omega(m) = m for an attractor, f(m) and f^-1(m) inside m for a
+        # repeller (4330 pairs)
+        pairs = 0
+        for n in range(1, 5):
+            for sys in all_systems(n):
+                for m in range(1 << n):
+                    image, preimage = union(sys._img1, m), union(sys._pre1, m)
+                    attractor = image == m and omega_oracle(sys, m) == m
+                    repeller = not (image & ~m or preimage & ~m)
+                    assert sys._is_attractor(m) == attractor, (dict(sys.next), m)
+                    assert sys._is_repeller(m) == repeller, (dict(sys.next), m)
+                    pairs += 1
+        assert pairs == 4330
+
 
 class TestClosedMasks:
     def test_poset_down_sets(self):
