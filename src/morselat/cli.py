@@ -11,7 +11,9 @@ invalid MORSELAT_MAX_ENUM, or an interval map over grid.SAMPLE_LIMIT, 4 lift
 obstruction, 5 a family that is not a lattice or sublattice, whose
 elements no block realizes, or with a pin that is not an attracting block
 for its attractor, 6 a lift that fails one of its own checks (verify(),
-the step audit, the section, the top, the embedding: "lift_check").
+the step audit, the section, the top, the embedding: "lift_check") or a
+theory cross-check that fails inside analyze or lift, such as Eq (6) or a
+complement law ("internal_check").
 Errors are emitted as one JSON object on stderr; ERRORS in this module maps
 each exception type to its exit code.
 """
@@ -38,7 +40,7 @@ from .grid import (
 )
 from .lattice import NotALattice, NotASublattice, SetLattice, booleanize
 from .lifting import LiftError, ObstructionFound, lift
-from .order import TooLarge, enum_bound, union_over
+from .order import InternalCheckFailed, TooLarge, enum_bound, union_over
 from .formats import InputError, RunConfig
 
 EXIT_PARSE = 2
@@ -61,6 +63,7 @@ ERRORS = (
         lambda e: {"step": e.step, "q": formats.poset_label(e.q), "alpha": sorted(map(formats.poset_label, e.alpha))},
     ),
     (LiftError, EXIT_LIFT_CHECK, "lift_check", lambda e: {}),
+    (InternalCheckFailed, EXIT_LIFT_CHECK, "internal_check", lambda e: {}),
     (NotASublattice, EXIT_SUBLATTICE, "not_a_sublattice", lambda e: {}),
     (NotALattice, EXIT_SUBLATTICE, "not_a_lattice", lambda e: {}),
     ((NotAnAttractingBlock, NotARepellingBlock), EXIT_SUBLATTICE, "not_a_block", lambda e: {}),
@@ -117,7 +120,7 @@ def cmd_analyze(args) -> int:
             _emit(formats.hasse_dot(lat), args.output)
             return 0
         payload = formats.lattice_payload(lat, config)
-        payload["attractors"] = [formats.cellset_payload(e, cmap.grid) for e in lat.elements]
+        payload["attractors"] = [formats.cellset_payload(lat.labels(m), cmap.grid) for m in lat.masks]
         _emit(formats.dumps(payload), args.output)
         return 0
     system = formats.load_system(doc)
@@ -127,15 +130,11 @@ def cmd_analyze(args) -> int:
         _emit(formats.hasse_dot(att), args.output)
         return 0
     payload = formats.lattice_payload(att, config)
-    payload["attractors"] = [formats.sorted_labels(e, att) for e in att.elements]
-    payload["repellers"] = [formats.sorted_labels(e, rep) for e in rep.elements]
+    payload["attractors"] = [att.labels(m) for m in att.masks]
+    payload["repellers"] = [rep.labels(m) for m in rep.masks]
     payload["anbhd_count"], payload["rnbhd_count"] = system.neighborhood_counts()
     payload["dual_pairs"] = [
-        {
-            "attractor": formats.sorted_labels(e, att),
-            "repeller": formats.sorted_labels(system.dual_repeller(e), att),
-        }
-        for e in att.elements
+        {"attractor": att.labels(m), "repeller": att.labels(system._dual_mask(m, True))} for m in att.masks
     ]
     square = system.commuting_square_check()
     payload["diagram_commutes"] = bool(square)
@@ -226,7 +225,7 @@ def cmd_birkhoff(args) -> int:
         elements = formats.element_sets(doc.get("elements", []))
         with formats.input_field("universe"):
             universe = formats.distinct_labels(doc.get("universe"))
-        lat = SetLattice(universe, elements)
+        lat = SetLattice.of_sets(universe, elements)
     if args.format == "dot":
         _emit(formats.hasse_dot(lat), args.output)
         return 0

@@ -29,7 +29,9 @@ from operator import and_, or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import HomReport, SetLattice, _broken_law
-from .order import UnknownElement, canonical_order, check_bound, closed_masks, members, union_over, union_table
+from .order import (
+    InternalCheckFailed, UnknownElement, canonical_order, check_bound, closed_masks, members, union_over, union_table,
+)
 
 
 class InvalidOrbit(ValueError):
@@ -312,7 +314,7 @@ class FiniteDynSys:
         """omega(m) lies in m, cross-checked against the complement law: m^c is repelling."""
         att = not (self._omega_mask(m) & ~m)
         if att != self._is_repelling_nbhd(~m & self._full):
-            raise AssertionError("complement law U attracting iff U^c repelling failed")
+            raise InternalCheckFailed("complement law U attracting iff U^c repelling failed")
         return att
 
     def _is_repelling_nbhd(self, m: int) -> bool:
@@ -358,7 +360,7 @@ class FiniteDynSys:
         every union of cycles is omega of its basin, so Att is the family of
         unions of cycles.
         """
-        return SetLattice(self.states, map(self.unmask, self._recurrent_unions()), self.inv)
+        return SetLattice(self.states, self._recurrent_unions(), self.inv)
 
     def _basin_unions(self):
         """The unions of basins of cycles: alpha of each union of cycles, in the order of ``_recurrent_unions``."""
@@ -366,7 +368,7 @@ class FiniteDynSys:
 
     def rep_lattice(self) -> SetLattice:
         """Rep = alpha images of repelling neighborhoods: the unions of basins of cycles."""
-        return SetLattice(self.states, map(self.unmask, self._basin_unions()))
+        return SetLattice(self.states, self._basin_unions())
 
     def basin(self, attractor: Iterable) -> frozenset:
         """The canonical trapping region: states whose omega-limit lies in A, so misses A^c."""
@@ -407,10 +409,12 @@ class FiniteDynSys:
             raise NotAnAttractor(f"{sorted(map(repr, self.unmask(a)))}")
         u = self._splus(self._full & ~a)
         if self._omega_mask(u) != a:
-            raise NotAnAttractor(f"{sorted(map(repr, self.unmask(a)))}")
+            raise InternalCheckFailed(
+                f"basin cross-check failed: omega(basin(A)) != A at {sorted(map(repr, self.unmask(a)))}"
+            )
         star = _inv_plus(self._pre1, ~u & self._full)
         if star != self._splus(a):
-            raise AssertionError("Eq (6) cross-check failed: A* != A+")
+            raise InternalCheckFailed("Eq (6) cross-check failed: A* != A+")
         return star
 
     def _repeller_star(self, r: int) -> int:
@@ -419,7 +423,7 @@ class FiniteDynSys:
             raise NotARepeller(f"{sorted(map(repr, self.unmask(r)))}")
         star = _inv(self._cycles, ~r & self._full)
         if star != self._sminus(r):
-            raise AssertionError("Eq (7) cross-check failed: R* != R-")
+            raise InternalCheckFailed("Eq (7) cross-check failed: R* != R-")
         return star
 
     def check_ar_pair(self, attractor: Iterable, repeller: Iterable) -> HomReport:
@@ -432,7 +436,7 @@ class FiniteDynSys:
             by_duality = False
         direct, reason, witness = self._ar_direct(a, r)
         if direct != by_duality:
-            raise AssertionError("Theorem 3.19 characterizations disagree")
+            raise InternalCheckFailed("Theorem 3.19 characterizations disagree")
         return HomReport(direct, reason, witness)
 
     def _ar_direct(self, a: int, r: int):

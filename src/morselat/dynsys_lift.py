@@ -8,52 +8,50 @@ attractor problem (h = Inv) goes through the duality transport onto a
 repeller problem on the dual poset, whose embedding check certifies the
 dual family.
 
-A given family is first tested element by element on masks: a union of
-cycles is an attractor, a union of basins a repeller.  Both families are
-closed under intersection, and Inv fixes every union of cycles, so the
-attractor meet Inv(a & b) is plain a & b.  The family then goes to
-checked_sublattice with no core: 0, the top, and closure under union and
-intersection over pairs make it a ring of sets, distributive by set algebra,
-with no core call and no triple.  The problems run on masks over the
+A given family is masked once, over the states, and tested element by
+element on its masks: a union of cycles is an attractor, a union of basins
+a repeller.  Both families are closed under intersection, and Inv fixes
+every union of cycles, so the attractor meet Inv(a & b) is plain a & b.
+The masks make one SetLattice, checked without its core: 0, the top (all
+states, or the union of the cycles) and closure under union and
+intersection make it a ring of sets, distributive by set algebra, with no
+core call, no triple and no label set.  The problems run on masks over the
 states, with the mask kernels of ``dynsys`` as h, membership and *.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import and_
+from typing import Iterable, Mapping, Sequence
 
 from .dynsys import FiniteDynSys, _inv, _inv_plus
-from .lattice import NotASublattice, SetLattice, _show, birkhoff_embedding, checked_sublattice
+from .lattice import NotASublattice, SetLattice, _require_sublattice, birkhoff_embedding
 from .lifting import LiftCertificate, LiftProblem, lift, transport_by_duality
 from .order import Poset
 
 
-def _members(system: FiniteDynSys, elements: Sequence[Iterable], is_member: Callable[[int], bool], what: str) -> list:
-    """The elements as frozensets; the first whose mask fails ``is_member`` raises "... is not ``what``"."""
-    family = [frozenset(e) for e in elements]
-    for e in family:
-        if not is_member(system.mask(e)):
-            raise NotASublattice(f"{_show(system.states, e)} is not {what}", e)
-    return family
+def _sublattice(system: FiniteDynSys, elements: Sequence[Iterable], is_member, what, top, core=None) -> SetLattice:
+    """The elements as one SetLattice over the states, each mask tested by ``is_member``, then checked as a ring."""
+    family = list(dict.fromkeys(map(system.mask, elements)))
+    for m in family:
+        if not is_member(m):
+            e = system.unmask(m)
+            raise NotASublattice(f"{sorted(e, key=system.index.get)} is not {what}", e)
+    lat = SetLattice(system.states, family, core, check=False)
+    _require_sublattice(lat, family, top, and_)
+    return lat
 
 
 def repeller_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> SetLattice:
     """The top is all states; the lattice has no core."""
-    return checked_sublattice(system.states, _members(system, elements, system._is_repeller, "a repeller"))
+    return _sublattice(system, elements, system._is_repeller, "a repeller", system._full)
 
 
 def attractor_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> SetLattice:
-    """The top is the union of all cycles, Inv of all states, so those states are the universe of the check.
-
-    The lattice returned keeps the core Inv over all states, as
-    ``att_lattice()`` does, so its meet on any two sets is Inv(a & b); on its
-    own elements that is plain intersection.
-    """
-    family = _members(system, elements, system._is_attractor, "an attractor")
-    on_cycles = system.inv(system.states)
-    ring = checked_sublattice([x for x in system.states if x in on_cycles], family)
-    return SetLattice(system.states, ring.elements, system.inv, check=False)
+    """The top is the union of all cycles, Inv of all states; the lattice has the core Inv, as Att does."""
+    top = _inv(system._cycles, system._full)
+    return _sublattice(system, elements, system._is_attractor, "an attractor", top, system.inv)
 
 
 def _repeller_problem(system: FiniteDynSys, poset: Poset, s: Mapping[int, int]) -> LiftProblem:

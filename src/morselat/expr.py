@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 
+from .order import InternalCheckFailed
+
 MAX_DEPTH = 100  # well inside Python's recursion limit for parser and evaluator frames
 
 
@@ -90,7 +92,7 @@ def _eval(node, x):
         _, strict, c, a, b = node
         holds = x < c if strict else x <= c
         return _eval(a, x) if holds else _eval(b, x)
-    raise AssertionError(f"unknown node {kind}")
+    raise InternalCheckFailed(f"unknown node {kind}")
 
 
 class _Parser:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import expr as exprmod
-from .lattice import SetLattice, birkhoff_embedding, checked_sublattice
+from .lattice import SetLattice, birkhoff_embedding, checked_sublattice, label_masks
 from .lifting import LiftProblem, ObstructionFound, lift, transport_by_duality
-from .order import Poset, TooLarge, check_bound, closed_masks
+from .order import InternalCheckFailed, Poset, TooLarge, check_bound, closed_masks, members, union_over
 
 GRID_ENUM_BOUND = 16
 # cells x samples_per_cell of one interval map, 32 times G1's 4096 cells x 32
@@ -187,7 +187,7 @@ def is_attracting_block(cells: Iterable[int], cmap: CellMap) -> bool:
     att = cmap.image(n) <= n
     rep_c = cmap.preimage(cmap.all_cells() - n) <= cmap.all_cells() - n
     if att != rep_c:
-        raise AssertionError("block complement law failed")
+        raise InternalCheckFailed("block complement law failed")
     return att
 
 
@@ -286,13 +286,8 @@ def attracting_blocks(cmap: CellMap) -> list[frozenset]:
 
     Exhaustive over all cell subsets; the test oracle for comb_att_lattice.
     """
-    n = cmap.n
-    check_bound(n, "cells", GRID_ENUM_BOUND)
-    arrows_masks = [0] * n
-    for c in range(n):
-        for j in cmap.arrows[c]:
-            arrows_masks[c] |= 1 << j
-    return [frozenset(i for i in range(n) if m >> i & 1) for m in closed_masks(arrows_masks)]
+    check_bound(cmap.n, "cells", GRID_ENUM_BOUND)
+    return [members(range(cmap.n), m) for m in closed_masks(label_masks(range(cmap.n), cmap.arrows))]
 
 
 def repelling_blocks(cmap: CellMap) -> list[frozenset]:
@@ -302,27 +297,23 @@ def repelling_blocks(cmap: CellMap) -> list[frozenset]:
 
 def block_lattices(cmap: CellMap) -> tuple[SetLattice, SetLattice]:
     """The attracting-block and repelling-block lattices, by exhaustive enumeration."""
-    universe = tuple(range(cmap.n))
-    return (
-        SetLattice(universe, attracting_blocks(cmap), check=False),
-        SetLattice(universe, repelling_blocks(cmap), check=False),
-    )
+    universe, full = tuple(range(cmap.n)), (1 << cmap.n) - 1
+    blocks = label_masks(universe, attracting_blocks(cmap))
+    return SetLattice(universe, blocks, check=False), SetLattice(universe, [full ^ b for b in blocks], check=False)
 
 
-def _morse_attractors(cmap: CellMap) -> dict[int, frozenset]:
-    """Down-set mask d of the Morse poset -> comb_inv(N) for the attracting blocks N holding d.
+def _morse_attractors(cmap: CellMap) -> dict[int, int]:
+    """Down-set mask d of the Morse poset -> the cell mask of comb_inv(N) for the attracting blocks N holding d.
 
     The Morse sets are ordered by reachability.  An attracting block holds
     exactly a down-set of them, and its walk core is their forward closure.
     """
     morse = _cyclic_components(cmap.all_cells(), cmap)
     check_bound(len(morse), "Morse sets", GRID_ENUM_BOUND)
-    reach = [_forward_closure(m, cmap) for m in morse]
-    rel = [sum(1 << j for j, m in enumerate(morse) if m <= r) for r in reach]
-    return {
-        d: frozenset().union(*(r for i, r in enumerate(reach) if d >> i & 1))
-        for d in closed_masks(rel)
-    }
+    cells = label_masks(range(cmap.n), morse)
+    reach = label_masks(range(cmap.n), [_forward_closure(m, cmap) for m in morse])
+    rel = [sum(1 << j for j, m in enumerate(cells) if not m & ~r) for r in reach]
+    return {d: union_over(reach, d) for d in closed_masks(rel)}
 
 
 def comb_att_lattice(cmap: CellMap) -> SetLattice:
@@ -337,11 +328,12 @@ def comb_rep_lattice(cmap: CellMap) -> SetLattice:
     N only through comb_inv(N).  Rep is O(P) with the order reversed, so it
     is certified on the complemented masks.
     """
-    full = cmap.all_cells()
+    universe, full = tuple(range(cmap.n)), (1 << cmap.n) - 1
     att = _morse_attractors(cmap)
     top = max(att)
-    elems = {top ^ d: comb_inv_plus(full - a, cmap) for d, a in att.items()}
-    return SetLattice.from_down_sets(tuple(range(cmap.n)), elems, lambda x: comb_inv_plus(x, cmap))
+    reps = label_masks(universe, [comb_inv_plus(members(universe, full & ~a), cmap) for a in att.values()])
+    elems = {top ^ d: r for d, r in zip(att, reps)}
+    return SetLattice.from_down_sets(universe, elems, lambda x: comb_inv_plus(x, cmap))
 
 
 def shrink_repelling_block(
@@ -392,7 +384,7 @@ def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftPro
     images themselves; an image that is no repelling block raises
     NotARepellingBlock when the lift takes its section.
     """
-    lat = checked_sublattice(tuple(range(cmap.n)), images, lambda w: comb_inv_plus(w, cmap))
+    lat = checked_sublattice(range(cmap.n), label_masks(range(cmap.n), images), lambda w: comb_inv_plus(w, cmap))
     return _rep_problem(cmap, lat, *birkhoff_embedding(lat))
 
 
@@ -416,7 +408,7 @@ def grid_attractor_lift(
     problem can be obstructed where this one is not, so an obstruction
     there falls back to the direct route, and only its obstruction stands.
     """
-    lat = checked_sublattice(tuple(range(cmap.n)), images, lambda n: comb_inv(n, cmap))
+    lat = checked_sublattice(range(cmap.n), label_masks(range(cmap.n), images), lambda n: comb_inv(n, cmap))
     poset, s = birkhoff_embedding(lat)
     pinned = dict(pinned or {})
     for a, blk in pinned.items():

@@ -3,24 +3,26 @@ Booleanization, and homomorphism checking.
 
 Every lattice here is a family of subsets of a finite universe, each held
 as an int mask over the universe's index: a ring of down-set masks in
-Birkhoff's coordinates.  The frozensets of labels are a view, built once on
-first use, for callers that pass elements to a frozenset core or to a
-validation routine.  Join is union; meet is the intersection under the lattice's
-core, an interior operator: Inv on Att, comb_inv or comb_inv_plus on a grid,
-none for plain intersection.  Each element is its own core, so a ^ b == a
-iff a is a subset of b: the order is inclusion and evaluates no meet.  J(L),
-the covers, predecessors, the Booleanization and the Birkhoff embedding come
-from one O(|L|^2) pass of mask tests over the size-sorted elements, kept on
-the lattice for its lifetime.  The down-set lattice O(P) of a known poset
-needs no such pass: from_poset reads its covers off the poset in O(|L| |P|)
-and builds no frozenset.
+Birkhoff's coordinates.  Families arrive and are validated as masks; a
+family of label sets crosses once, through SetLattice.of_sets.  Join is
+union; meet is the intersection under the lattice's core, an interior
+operator on label sets: Inv on Att, comb_inv or comb_inv_plus on a grid,
+none for plain intersection.  The frozensets of labels are a view, built
+once on first use, that serves only the core, the cubic core check and the
+public label API (elements, meet, join, leq, in).  Each element is its own
+core, so a ^ b == a iff a is a subset of b: the order is inclusion and
+evaluates no meet.  J(L), the covers, predecessors, the Booleanization and
+the Birkhoff embedding come from one O(|L|^2) pass of mask tests over the
+size-sorted elements, kept on the lattice for its lifetime.  The down-set
+lattice O(P) of a known poset needs no such pass: from_poset reads its
+covers off the poset in O(|L| |P|) and builds no frozenset.
 
 A family given as a bare list is validated by closure over all pairs and,
 with a core, by distributivity over all triples, the latter only up to
-DISTRIBUTIVITY_CHECK_LIMIT elements; checked_sublattice does so for every
-lift front-end.  Without a core the family is a ring of sets, distributive
+DISTRIBUTIVITY_CHECK_LIMIT elements; checked_sublattice does so for the grid
+lift front-ends.  Without a core the family is a ring of sets, distributive
 by set algebra, so no triple is checked: the exact front-ends (dynsys_lift)
-call it without one.  A family given as the image of O(P) under a map
+check their families so.  A family given as the image of O(P) under a map
 (from_down_sets, the grid Att and Rep) is certified instead: a map that
 preserves union and meet on every pair of down-sets is a lattice embedding
 of a ring of sets, so its image is distributive at every size.
@@ -37,7 +39,9 @@ from functools import cached_property
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .order import Poset, UnknownElement, canonical_order, check_bound, cover_masks, mask_pairs, union_over
+from .order import (
+    InternalCheckFailed, Poset, UnknownElement, canonical_order, check_bound, cover_masks, mask_pairs, union_over,
+)
 
 DISTRIBUTIVITY_CHECK_LIMIT = 64
 
@@ -85,18 +89,18 @@ class SetLattice:
     ``masks`` holds the elements as int masks over the universe (bit i for
     universe[i]) in the package's one element order, order.canonical_order:
     by size, then lexicographic in universe order.  ``elements`` is the same
-    family as frozensets of labels, in that order: the given sets, or a view
-    built from the masks on first use.  Unless ``check`` is false,
+    family as frozensets of labels, in that order, a view built from the
+    masks on first use; ``core`` maps label sets.  Unless ``check`` is false,
     construction checks 0, closure, that each element is its own core and,
     with a core, distributivity (up to DISTRIBUTIVITY_CHECK_LIMIT elements;
-    union and intersection distribute).  ``_canonical`` elements are distinct
-    masks over the universe already in that order, and are taken as they are.
+    union and intersection distribute).  ``_canonical`` masks are distinct
+    and already in that order, and are taken as they are.
     """
 
     def __init__(
         self,
         universe: Sequence[Hashable],
-        elements: Iterable[frozenset],
+        masks: Iterable[int],
         core: Callable[[frozenset], frozenset] | None = None,
         check: bool = True,
         *,
@@ -104,25 +108,21 @@ class SetLattice:
     ):
         self.universe = tuple(universe)
         self._uindex = {u: i for i, u in enumerate(self.universe)}
-        if _canonical:
-            self.masks = tuple(elements)
-        else:
-            elems = {frozenset(e) for e in elements}
-            outside = frozenset().union(*elems).difference(self._uindex)
-            if outside:
-                raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
-            by_mask = {self.mask_of(e): e for e in elems}
-            self.masks = tuple(canonical_order(by_mask, len(self.universe)))
-            self.elements = tuple(by_mask[m] for m in self.masks)
+        self.masks = tuple(masks) if _canonical else tuple(canonical_order(set(masks), len(self.universe)))
         self.core = core
         self._lower = None
         if check:
-            if frozenset() not in self._eset:
+            if 0 not in self.masks:
                 raise NotALattice("0 (the empty set) is missing")
-            failure = _closure_failure(self.universe, self.elements, self.meet)
+            failure = _closure_failure(self, self.masks, self._meet_mask)
             if failure:
                 raise NotALattice(failure[0])
             self._check_core()
+
+    @classmethod
+    def of_sets(cls, universe: Sequence[Hashable], elements: Iterable[Iterable], core=None, check=True) -> "SetLattice":
+        """The lattice of a family of label sets, as a lattice file gives it."""
+        return cls(universe, label_masks(universe, elements), core, check)
 
     def _check_core(self):
         """Each element is its own core, so a ^ b == a iff a <= b, and the meet distributes."""
@@ -130,14 +130,14 @@ class SetLattice:
             return
         for a in self.elements:
             if self.core(a) != a:
-                a_s, core_s = _show(self.universe, a), _show(self.universe, self.core(a))
+                a_s, core_s = self.labels(self.mask_of(a)), self.labels(self.mask_of(self.core(a)))
                 raise NotALattice(f"meet is not idempotent: {a_s} ^ {a_s} = {core_s}")
         if len(self.elements) <= DISTRIBUTIVITY_CHECK_LIMIT:
             for a in self.elements:
                 for b in self.elements:
                     for c in self.elements:
                         if self.meet(a, self.join(b, c)) != self.join(self.meet(a, b), self.meet(a, c)):
-                            a_s, b_s, c_s = (_show(self.universe, e) for e in (a, b, c))
+                            a_s, b_s, c_s = (self.labels(self.mask_of(e)) for e in (a, b, c))
                             raise NotALattice(f"distributivity fails at {a_s} ^ ({b_s} v {c_s})")
 
     @cached_property
@@ -176,6 +176,11 @@ class SetLattice:
 
     def meet(self, a: frozenset, b: frozenset) -> frozenset:
         return a & b if self.core is None else self.core(a & b)
+
+    def _meet_mask(self, a: int, b: int) -> int:
+        """The meet of two masks: the core, a map on label sets, applied through the view."""
+        c = a & b
+        return c if self.core is None else self.mask_of(self.core(frozenset(self.labels(c))))
 
     def leq(self, a: frozenset, b: frozenset) -> bool:
         return a <= b
@@ -256,10 +261,10 @@ class SetLattice:
     def from_down_sets(
         cls,
         universe: Sequence[Hashable],
-        image: Mapping[int, frozenset],
+        image: Mapping[int, int],
         core: Callable[[frozenset], frozenset],
     ) -> "SetLattice":
-        """The image of O(P) under ``image``, a map from the down-set masks of a poset P, certified.
+        """The image of O(P) under ``image``, a map from the down-set masks of a poset P to masks, certified.
 
         The map must be injective, take the empty down-set to the empty set
         and, on every pair d, e of down-sets (d = e included), satisfy
@@ -275,21 +280,20 @@ class SetLattice:
         for d, a in image.items():
             if owner.setdefault(a, d) != d:
                 raise NotALattice(
-                    f"the map is not injective: the down-sets {owner[a]:#b} and {d:#b} both map to "
-                    f"{_show(lat.universe, a)}"
+                    f"the map is not injective: the down-sets {owner[a]:#b} and {d:#b} both map to {lat.labels(a)}"
                 )
-        if image.get(0) != frozenset():
+        if image.get(0) != 0:
             raise NotALattice("the empty down-set does not map to 0 (the empty set)")
-        broken = _broken_law(list(image), image, or_, lambda a, b: core(a & b), and_)
+        broken = _broken_law(list(image), image, or_, lat._meet_mask, and_)
         if broken:
             d, e = broken[1]
             a, b = image[d], image[e]
             if broken[0] == "joins":
                 law, op, de, c = "join", "v", d | e, a | b
             else:
-                law, op, de, c = "meet", "^", d & e, core(a & b)
-            a_s, b_s, c_s = (_show(lat.universe, x) for x in (a, b, c))
-            want = "no image" if de not in image else f"image {_show(lat.universe, image[de])}"
+                law, op, de, c = "meet", "^", d & e, lat._meet_mask(a, b)
+            a_s, b_s, c_s = (lat.labels(x) for x in (a, b, c))
+            want = "no image" if de not in image else f"image {lat.labels(image[de])}"
             raise NotALattice(
                 f"the {law} law fails on the down-sets {d:#b}, {e:#b}: "
                 f"{a_s} {op} {b_s} = {c_s}, but {de:#b} has {want}"
@@ -297,8 +301,18 @@ class SetLattice:
         return lat
 
 
-def _closure_failure(universe: Sequence, family: Sequence[frozenset], meet: Callable) -> tuple | None:
-    """(message, (a, b)) for the first a, b, b not before a, whose join or meet leaves the family.
+def label_masks(universe: Sequence[Hashable], sets: Iterable[Iterable]) -> list[int]:
+    """Each set of labels as a mask over ``universe``; NotALattice names the labels outside it."""
+    index = {u: i for i, u in enumerate(universe)}
+    sets = [frozenset(e) for e in sets]
+    outside = frozenset().union(*sets).difference(index)
+    if outside:
+        raise NotALattice(f"elements leave the universe: {sorted(outside, key=repr)}")
+    return [sum(1 << index[x] for x in e) for e in sets]
+
+
+def _closure_failure(lat: SetLattice, family: Sequence[int], meet: Callable[[int, int], int]) -> tuple | None:
+    """(message, (a, b)) for the first a, b, b not before a, whose join or ``meet`` leaves the mask family.
 
     None when the family is closed.  Join and meet commute, so no pair with b
     before a could fail first.
@@ -308,40 +322,39 @@ def _closure_failure(universe: Sequence, family: Sequence[frozenset], meet: Call
         for b in family[i:]:
             for law, op, c in (("join", "v", a | b), ("meet", "^", meet(a, b))):
                 if c not in members:
-                    a_s, b_s, c_s = (_show(universe, e) for e in (a, b, c))
-                    return f"family is not {law}-closed: {a_s} {op} {b_s} = {c_s} missing", (a, b)
+                    a_s, b_s, c_s = (lat.labels(e) for e in (a, b, c))
+                    message = f"family is not {law}-closed: {a_s} {op} {b_s} = {c_s} missing"
+                    return message, (frozenset(a_s), frozenset(b_s))
     return None
 
 
-def _show(universe: Sequence, e: frozenset) -> list:
-    """The members of e in universe order, for messages."""
-    return [u for u in universe if u in e]
+def _require_sublattice(lat: SetLattice, family: Sequence[int], top: int, meet: Callable[[int, int], int]) -> None:
+    """NotASublattice unless the masks hold 0 and ``top`` and are closed under union and ``meet``.
 
-
-def checked_sublattice(
-    universe: Sequence[Hashable],
-    elements: Iterable[Iterable],
-    core: Callable[[frozenset], frozenset] | None = None,
-) -> SetLattice:
-    """The family as a SetLattice with the given core, after checking that it is a bounded sublattice.
-
-    The family must hold 0 and the top ``core(universe)`` (the universe without
-    a core), stay inside the universe (NotALattice otherwise) and be closed
-    under union and the meet ``core(a & b)``; the first failure raises
-    NotASublattice with the missing element or the offending pair as its
-    witness.  SetLattice's core checks follow; without a core there are
-    none, as a ring of sets is distributive.
+    Its witness is the missing set or the failing pair, as label sets.
     """
-    family = list(dict.fromkeys(map(frozenset, elements)))
-    top = frozenset(universe) if core is None else core(frozenset(universe))
-    if frozenset() not in family:
+    if 0 not in family:
         raise NotASublattice("family is missing the bottom element (the empty set)", frozenset())
     if top not in family:
-        raise NotASublattice(f"family is missing the top element {_show(universe, top)}", top)
-    lat = SetLattice(universe, family, core, check=False)
-    failure = _closure_failure(universe, family, lat.meet)
+        raise NotASublattice(f"family is missing the top element {lat.labels(top)}", frozenset(lat.labels(top)))
+    failure = _closure_failure(lat, family, meet)
     if failure:
         raise NotASublattice(*failure)
+
+
+def checked_sublattice(universe: Sequence[Hashable], masks: Iterable[int], core=None) -> SetLattice:
+    """The mask family as a SetLattice with the given core, after checking that it is a bounded sublattice.
+
+    The family must hold 0 and the top ``core(universe)`` (the universe
+    without a core) and be closed under union and the meet ``core(a & b)``;
+    the first failure raises NotASublattice with the missing element or the
+    offending pair as its witness.  SetLattice's core checks follow; without
+    a core there are none, as a ring of sets is distributive.
+    """
+    family = list(dict.fromkeys(masks))
+    lat = SetLattice(universe, family, core, check=False)
+    top = (1 << len(lat.universe)) - 1 if core is None else lat.mask_of(core(frozenset(lat.universe)))
+    _require_sublattice(lat, family, top, lat._meet_mask)
     lat._check_core()
     return lat
 
@@ -429,7 +442,7 @@ class BooleanAlgebraRep:
         first = (a & b) == a
         second = not (a & self.complement(b))
         if first != second:
-            raise AssertionError("the two order-test forms disagree; Booleanization is broken")
+            raise InternalCheckFailed("the two order-test forms disagree; Booleanization is broken")
         return first
 
 
@@ -599,10 +612,11 @@ def sublattices(lat: SetLattice):
     The 2^(|L| - 2) candidate families are refused with TooLarge when |L| - 2
     exceeds the enumeration bound.
     """
-    middle = [e for e in lat.elements if e not in (lat.bottom, lat.top)]
+    view = dict(zip(lat.masks, lat.elements))
+    middle = [m for m in lat.masks if m not in (0, lat.masks[-1])]
     check_bound(len(middle), "lattice elements besides 0 and 1")
-    top = (lat.top,) if lat.bottom != lat.top else ()
-    for m in range(1 << len(middle)):
-        family = (lat.bottom, *(middle[i] for i in range(len(middle)) if m >> i & 1), *top)
-        if _closure_failure(lat.universe, family, lat.meet) is None:
-            yield family
+    top = lat.masks[-1:] if lat.masks[-1] else ()
+    for pick in range(1 << len(middle)):
+        family = (0, *(middle[i] for i in range(len(middle)) if pick >> i & 1), *top)
+        if _closure_failure(lat, family, lat._meet_mask) is None:
+            yield tuple(map(view.__getitem__, family))

@@ -43,7 +43,7 @@ from operator import and_, or_
 from typing import Callable, Mapping, Sequence
 
 from .lattice import HomReport, SetLattice, _broken_law
-from .order import Poset, all_posets, members, union_over
+from .order import InternalCheckFailed, Poset, all_posets, members, union_over
 
 
 class LiftError(Exception):
@@ -120,8 +120,8 @@ class LiftProblem:
     member: Callable[[int], bool]
 
     @cached_property
-    def down_sets(self) -> list[int]:
-        """O(P) as masks, in ``Poset.down_masks`` order, enumerated once per problem."""
+    def down_sets(self) -> tuple[int, ...]:
+        """O(P) as masks: the poset's one enumeration, shared with birkhoff_embedding."""
         return self.poset.down_masks()
 
     @cached_property
@@ -285,7 +285,7 @@ def is_conditional_lift(candidate: PartialLift) -> HomReport:
     atoms = {p: lift_atom(candidate, p) for p in _bits(candidate.lam)}
     atom_witness = _annihilation_failure(atoms, downs, candidate.conditioners)
     if (eq18_witness is None) != (atom_witness is None):
-        raise AssertionError(
+        raise InternalCheckFailed(
             "Eq (18) and the Prop 5.7 atom form disagree: "
             f"{eq18_witness!r} vs {atom_witness!r}"
         )

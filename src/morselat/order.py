@@ -146,6 +146,10 @@ class TooLarge(ValueError):
     pass
 
 
+class InternalCheckFailed(AssertionError):
+    """Two computations that the theory proves equal disagree: the program, not its input, is at fault."""
+
+
 class Poset:
     """Finite poset over a fixed carrier ordering.
 
@@ -154,7 +158,7 @@ class Poset:
     construction.
     """
 
-    __slots__ = ("carrier", "index", "below")
+    __slots__ = ("carrier", "index", "below", "_downs")
 
     def __init__(self, carrier: Sequence[Hashable], below: Sequence[int], _checked: bool = False):
         self.carrier = tuple(carrier)
@@ -162,6 +166,7 @@ class Poset:
             raise PosetError("carrier labels are not unique")
         self.index = {p: i for i, p in enumerate(self.carrier)}
         self.below = tuple(below)
+        self._downs = None
         if not _checked:
             self._validate()
 
@@ -283,11 +288,13 @@ class Poset:
         """The lattice O(P) as sets of labels, in the order of ``down_masks``."""
         return [self.members_of(m) for m in self.down_masks()]
 
-    def down_masks(self) -> list[int]:
-        """The lattice O(P) as masks, ordered by (size, lexicographic in carrier order)."""
+    def down_masks(self) -> tuple[int, ...]:
+        """The lattice O(P) as masks, ordered by (size, lexicographic in carrier order), enumerated once per poset."""
         n = len(self.carrier)
         check_bound(n, "poset elements")
-        return canonical_order(closed_masks(self.below), n)
+        if self._downs is None:
+            self._downs = tuple(canonical_order(closed_masks(self.below), n))
+        return self._downs
 
     def dual(self) -> "Poset":
         """The opposite poset: p <= q in the dual iff q <= p here."""

@@ -232,6 +232,23 @@ def commuting_square_oracle(sys):
     return HomReport(True)
 
 
+def closure_failure_oracle(universe, family, meet):
+    """The pair-closure check on frozensets of labels, the reference for the mask validators of ``lattice``.
+
+    (message, (a, b)) for the first a, b, b not before a in ``family``, whose
+    union or ``meet`` leaves it, each set named by its members in universe
+    order; None when the family is closed.
+    """
+    members = set(family)
+    for i, a in enumerate(family):
+        for b in family[i:]:
+            for law, op, c in (("join", "v", a | b), ("meet", "^", meet(a, b))):
+                if c not in members:
+                    a_s, b_s, c_s = ([u for u in universe if u in e] for e in (a, b, c))
+                    return f"family is not {law}-closed: {a_s} {op} {b_s} = {c_s} missing", (a, b)
+    return None
+
+
 def broken_law_oracle(elements, k, join, meet, source_meet):
     """lattice._broken_law by the ordered scan over all pairs (a, b), with a missing image a broken law."""
     for a in elements:

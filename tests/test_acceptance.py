@@ -67,7 +67,7 @@ def random_set_lattice(rng):
                     if c not in family:
                         family.add(c)
                         changed = True
-    return SetLattice(universe, family)
+    return SetLattice.of_sets(universe, family)
 
 
 def birkhoff_round_trip(lat):
@@ -329,7 +329,7 @@ def test_criterion_8_spaciousness_falsifier(corpus, g1_16):
     anomalies = []
     for sys in corpus:
         rnb = sys.repelling_neighborhoods()
-        K = SetLattice(sys.states, rnb, check=False)
+        K = SetLattice.of_sets(sys.states, rnb, check=False)
         res = spaciousness_falsifier(K, sys.rep_lattice(), {u: sys.inv_plus(u) for u in rnb})
         if res.status != "no_counterexample":
             anomalies.append((dict(sys.next), res.status))
@@ -339,7 +339,7 @@ def test_criterion_8_spaciousness_falsifier(corpus, g1_16):
     from morselat.grid import attracting_blocks
 
     blocks = attracting_blocks(g1_16)
-    K = SetLattice(tuple(range(16)), blocks, check=False)
+    K = SetLattice.of_sets(tuple(range(16)), blocks, check=False)
     L = comb_att_lattice(g1_16)
     res = spaciousness_falsifier(
         K, L, {b: comb_inv(b, g1_16) for b in K.elements}, poset_bound=3, budget=2_000_000

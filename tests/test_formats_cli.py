@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morselat import FiniteDynSys, LiftCertificate, SetLattice, TooLarge, cli, ds1, dynsys_lift, grid
+from morselat import FiniteDynSys, LiftCertificate, SetLattice, TooLarge, cli, ds1, dynsys, dynsys_lift, grid
 from morselat.formats import (
     InputError,
     RunConfig,
@@ -115,7 +115,7 @@ class TestDot:
     def test_no_transitive_edges(self):
         labels = ["a", "b", "c"]
         elems = [frozenset(labels[:k]) for k in range(4)]
-        lat = SetLattice(labels, elems)
+        lat = SetLattice.of_sets(labels, elems)
         _, edges = parse_dot(hasse_dot(lat))
         assert len(edges) == 3  # a chain of four has three covers
 
@@ -676,6 +676,70 @@ def test_exact_family_that_is_no_sublattice_exits_5(row, tmp_path, monkeypatch, 
     assert json.loads(out.err) == {"error": "not_a_sublattice", "message": message}
 
 
+# -- theory cross-checks that fail inside analyze or lift, through the CLI ---------
+
+DS1_ATTRACTORS = [[], ["z"], ["b"], ["z", "b"]]
+
+
+def flip_bit_0(real):
+    return lambda self, m: real(self, m) ^ 1
+
+
+def wrong_when_called_from(caller):
+    """A patch of a predicate that negates its answer in ``caller`` only, so that one call site sees it wrong."""
+
+    def patch(real):
+        def patched(self, m):
+            return real(self, m) != (sys._getframe(1).f_code.co_name == caller)
+
+        return patched
+
+    return patch
+
+
+# (command, system, sublattice or None, (owner of the patched attribute, its name, patch of the real one),
+# words the message names the check by)
+INTERNAL_CHECK_ROWS = {
+    "complement law": (
+        "lift", DS1_DOC, {"side": "attractor", "elements": DS1_ATTRACTORS},
+        (FiniteDynSys, "_is_repelling_nbhd", wrong_when_called_from("_is_attracting_nbhd")),
+        "complement law U attracting iff U^c repelling failed",
+    ),
+    "block complement law": (
+        "lift", TRIPOD_DOC, {"side": "attractor", "elements": TRIPOD_ATT, "pins": [[[0], [0]]]},
+        (grid.CellMap, "preimage", lambda real: lambda self, cells: self.all_cells()),
+        "block complement law failed",
+    ),
+    "Eq (6)": (
+        "analyze", DS1_DOC, None,
+        (dynsys, "_inv_plus", lambda real: lambda pre1, m: real(pre1, m) ^ 1),
+        "Eq (6) cross-check failed: A* != A+",
+    ),
+    "basin check": (
+        "analyze", DS1_DOC, None, (FiniteDynSys, "_splus", flip_bit_0), "basin cross-check failed: omega(basin(A)) != A",
+    ),
+    "Eq (7)": (
+        "analyze", DS1_DOC, None, (FiniteDynSys, "_sminus", flip_bit_0), "Eq (7) cross-check failed: R* != R-",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", INTERNAL_CHECK_ROWS)
+def test_failed_internal_check_exits_6(row, tmp_path, monkeypatch, capsys):
+    """Each row breaks one theory cross-check: exit 6 with one JSON error naming the check, and no traceback."""
+    command, doc, sub, (owner, name, patch), words = INTERNAL_CHECK_ROWS[row]
+    monkeypatch.setattr(owner, name, patch(getattr(owner, name)))
+    argv = [command, write(tmp_path, "system.json", doc)]
+    if sub is not None:
+        argv.append(write(tmp_path, "sub.json", sub))
+    assert cli.main(argv) == 6
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "Traceback" not in out.err
+    err = json.loads(out.err)
+    assert set(err) == {"error", "message"} and err["error"] == "internal_check"
+    assert words in err["message"]
+
+
 class TestCliVerifyBirkhoff:
     def test_verify_small_corpus(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -761,6 +825,36 @@ class TestCliVerifyBirkhoff:
             assert cli.main(["birkhoff", path, "-o", str(tmp_path / "b.json")]) == 0
             assert (tmp_path / "b.json").read_text() == text
             assert '"round_trip_ok": true' in text
+
+    def test_exact_lift_crosses_labels_once(self, tmp_path, monkeypatch):
+        # each family is masked once and becomes one SetLattice, checked as a
+        # ring of sets and lifted on masks: no element becomes a frozenset
+        three_cycle = {"type": "finite", "states": ["p", "q", "r"], "map": {"p": "q", "q": "r", "r": "p"}}
+        runs = [
+            (DS1_DOC, {"side": "attractor", "elements": DS1_ATTRACTORS}),
+            (DS1_DOC, {"side": "repeller", "elements": DS1_REPELLERS}),
+            (three_cycle, {"side": "attractor", "elements": [[], ["p", "q", "r"]]}),
+            (three_cycle, {"side": "repeller", "elements": [[], ["p", "q", "r"]]}),
+        ]
+        paths = [(write(tmp_path, f"s{i}.json", doc), write(tmp_path, f"l{i}.json", sub)) for i, (doc, sub) in enumerate(runs)]
+        out = tmp_path / "c.json"
+        expected = []
+        for spath, lpath in paths:
+            assert cli.main(["lift", spath, lpath, "-o", str(out)]) == 0
+            expected.append(out.read_text())
+
+        def refuse(self):
+            raise AssertionError("the exact lift built the frozenset view of the elements")
+
+        inits = []
+        real_init = SetLattice.__init__
+        monkeypatch.setattr(SetLattice, "elements", property(refuse))
+        monkeypatch.setattr(SetLattice, "__init__", lambda self, *args, **kw: inits.append(args) or real_init(self, *args, **kw))
+        for (spath, lpath), text in zip(paths, expected):
+            inits.clear()
+            assert cli.main(["lift", spath, lpath, "-o", str(out)]) == 0
+            assert out.read_text() == text
+            assert len(inits) == 1
 
     def test_birkhoff_antichain(self, tmp_path):
         path = write(tmp_path, "poset.json", {"elements": ["a", "b", "c"], "covers": []})

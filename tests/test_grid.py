@@ -294,10 +294,12 @@ class TestMorseRoute:
 def cubic_lattices(cmap):
     """Att and Rep built from the Morse attractors as bare families, under the cubic SetLattice check."""
     universe, full = tuple(range(cmap.n)), cmap.all_cells()
-    att = list(grid._morse_attractors(cmap).values())
+    att = [members(universe, m) for m in grid._morse_attractors(cmap).values()]
     return (
-        SetLattice(universe, att, lambda x: comb_inv(x, cmap), check=True),
-        SetLattice(universe, [comb_inv_plus(full - a, cmap) for a in att], lambda x: comb_inv_plus(x, cmap), check=True),
+        SetLattice.of_sets(universe, att, lambda x: comb_inv(x, cmap), check=True),
+        SetLattice.of_sets(
+            universe, [comb_inv_plus(full - a, cmap) for a in att], lambda x: comb_inv_plus(x, cmap), check=True
+        ),
     )
 
 
@@ -330,7 +332,8 @@ class TestCertifiedAgainstCubicCheck:
             def one_cell_more(cmap):
                 image = real(cmap)
                 d = sorted(image)[len(image) // 2]
-                image[d] = image[d] | {min(cmap.all_cells() - image[d])}
+                free = ~image[d]
+                image[d] |= free & -free
                 return image
 
             monkeypatch.setattr(grid, "_morse_attractors", one_cell_more)

@@ -14,6 +14,7 @@ from morselat import (
     LatticeHom,
     NotAHom,
     NotALattice,
+    NotASublattice,
     NotJoinIrreducible,
     SetLattice,
     birkhoff_down,
@@ -30,6 +31,7 @@ from morselat import (
     sublattices,
 )
 from morselat import lattice as lattice_module
+from morselat.lattice import label_masks
 from morselat.dynsys_lift import attractor_lift, attractor_sublattice, repeller_sublattice
 from morselat.lifting import lift
 from morselat.grid import comb_att_lattice, comb_inv, comb_inv_plus, comb_rep_lattice, grid_lift_problem
@@ -39,6 +41,7 @@ from conftest import (
     all_labeled_posets,
     broken_law_oracle,
     check_cover_queries,
+    closure_failure_oracle,
     check_order_is_inclusion,
     random_poset,
     small_cell_maps,
@@ -52,7 +55,7 @@ def powerset_lattice(labels):
         for r in range(len(labels) + 1)
         for c in itertools.combinations(labels, r)
     ]
-    return SetLattice(labels, subs)
+    return SetLattice.of_sets(labels, subs)
 
 
 def fs(*items):
@@ -62,11 +65,11 @@ def fs(*items):
 class TestSetLattice:
     def test_requires_bottom(self):
         with pytest.raises(NotALattice):
-            SetLattice("ab", [fs("a"), fs("a", "b")])
+            SetLattice.of_sets("ab", [fs("a"), fs("a", "b")])
 
     def test_requires_closure(self):
         with pytest.raises(NotALattice):
-            SetLattice("ab", [fs(), fs("a"), fs("b")])
+            SetLattice.of_sets("ab", [fs(), fs("a"), fs("b")])
 
     def test_canonical_order(self):
         lat = powerset_lattice("ab")
@@ -77,7 +80,7 @@ class TestSetLattice:
         # but ({1, 2} ^ {1}) v ({1, 2} ^ {2, 3}) = {1}
         family = [fs(), fs(1), fs(1, 2), fs(2, 3), fs(1, 2, 3)]
         with pytest.raises(NotALattice) as err:
-            SetLattice([1, 2, 3], family, lambda a: fs() if a == fs(2) else a)
+            SetLattice.of_sets([1, 2, 3], family, lambda a: fs() if a == fs(2) else a)
         assert str(err.value) == "distributivity fails at [1, 2] ^ ([1] v [2, 3])"
 
     def test_leq_is_subset_for_set_lattices(self, p3):
@@ -88,7 +91,8 @@ class TestSetLattice:
 
 
 def down_set_image(poset):
-    return {m: poset.members_of(m) for m in poset.down_masks()}
+    """The inclusion of O(P) into the subsets of the carrier: each down-set mask to itself."""
+    return {m: m for m in poset.down_masks()}
 
 
 class TestFromDownSets:
@@ -103,7 +107,7 @@ class TestFromDownSets:
                 cubic = SetLattice(p.carrier, image.values(), core, check=True)
                 assert SetLattice.from_down_sets(p.carrier, image, core) == cubic
                 top = (1 << n) - 1
-                flipped = {top ^ m: frozenset(p.carrier) - a for m, a in image.items()}
+                flipped = {top ^ m: top ^ a for m, a in image.items()}
                 cubic = SetLattice(p.carrier, flipped.values(), core, check=True)
                 assert SetLattice.from_down_sets(p.carrier, flipped, core) == cubic
 
@@ -114,17 +118,65 @@ class TestFromDownSets:
         (0b111, None, "0b111 has no image"),
     ])
     def test_a_broken_map_names_the_law(self, p3, mask, value, message):
+        universe = ("1", "2", "3", "4")
         image = down_set_image(p3)
         if value is None:
             del image[mask]
         else:
-            image[mask] = value
+            image[mask] = label_masks(universe, [value])[0]
         with pytest.raises(NotALattice, match=message):
-            SetLattice.from_down_sets(("1", "2", "3", "4"), image, lambda x: x)
+            SetLattice.from_down_sets(universe, image, lambda x: x)
 
     def test_a_broken_core_names_the_law(self, p3):
         with pytest.raises(NotALattice, match="meet law fails on the down-sets 0b11, 0b11"):
             SetLattice.from_down_sets(p3.carrier, down_set_image(p3), lambda x: x - {"2"})
+
+
+def _outcome(run):
+    """None when ``run()`` returns, else the exception's type, message and witness."""
+    try:
+        run()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+class TestMaskValidatorsAgainstLabelOracle:
+    """checked_sublattice and the checked SetLattice.of_sets, both on masks, against the frozenset closure oracle.
+
+    Each fails exactly when the oracle finds a pair whose join or meet leaves
+    the family, and names the same pair, law and message; on a closed family
+    what remains is the core check on the label view.
+    """
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_random_families(self, data):
+        n = data.draw(st.integers(1, 6))
+        universe = tuple(data.draw(st.permutations("abcdef"[:n])))
+        drawn = data.draw(st.lists(st.frozensets(st.sampled_from(universe)), max_size=7))
+        core = None
+        if data.draw(st.booleans()):
+            targets = data.draw(st.lists(st.sampled_from(universe), min_size=n, max_size=n))
+            core = FiniteDynSys(universe, dict(zip(universe, targets))).inv
+        meet = (lambda a, b: a & b) if core is None else (lambda a, b: core(a & b))
+        top = frozenset(universe) if core is None else core(frozenset(universe))
+        if data.draw(st.booleans()):
+            drawn = data.draw(st.permutations(sorted(closed_family(drawn) | {top}, key=sorted)))
+        family = list(drawn)
+        for end in (frozenset(), top):
+            family.insert(data.draw(st.integers(0, len(family))), end)
+        family = list(dict.fromkeys(family))
+        core_check = _outcome(lambda: SetLattice.of_sets(universe, family, core, check=False)._check_core())
+
+        expected = closure_failure_oracle(universe, family, meet)
+        outcome = _outcome(lambda: checked_sublattice(universe, label_masks(universe, family), core))
+        assert outcome == ((NotASublattice, *expected) if expected else core_check)
+
+        ordered = list(SetLattice.of_sets(universe, family, check=False).elements)
+        expected = closure_failure_oracle(universe, ordered, meet)
+        outcome = _outcome(lambda: SetLattice.of_sets(universe, family, core))
+        assert outcome == ((NotALattice, expected[0], None) if expected else core_check)
 
 
 def closed_family(subsets):
@@ -161,7 +213,7 @@ class TestCovers:
     @given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=6))
     def test_families_closed_under_union_and_intersection(self, subsets):
         family = closed_family(subsets)
-        check_cover_queries(SetLattice(range(6), family))
+        check_cover_queries(SetLattice.of_sets(range(6), family))
 
     def test_cover_pass_runs_once_per_lattice(self, p3, monkeypatch):
         # at most one general pass on a lattice given by its family, none on
@@ -169,7 +221,7 @@ class TestCovers:
         passes = []
         real = lattice_module.cover_masks
         monkeypatch.setattr(lattice_module, "cover_masks", lambda strict: passes.append(strict) or real(strict))
-        family = SetLattice(p3.carrier, p3.all_down_sets())
+        family = SetLattice.of_sets(p3.carrier, p3.all_down_sets())
         for lat, most in ((family, 1), (SetLattice.from_poset(p3), 0)):
             passes.clear()
             jl = join_irreducibles(lat)
@@ -189,7 +241,7 @@ class TestCovers:
         posets += [random_poset(rng, n) for n in range(5, 10) for _ in range(6)]
         for p in posets:
             fast = SetLattice.from_poset(p)
-            general = SetLattice(p.carrier, p.all_down_sets(), check=False)
+            general = SetLattice.of_sets(p.carrier, p.all_down_sets(), check=False)
             assert fast.masks == general.masks
             assert fast.elements == general.elements
             assert fast.covers() == general.covers()
@@ -214,7 +266,7 @@ class TestJoinIrreducibles:
         assert not jl.leq(fs("a"), fs("b"))
 
     def test_chain_lattice(self):
-        lat = SetLattice("pq", [fs(), fs("p"), fs("p", "q")])
+        lat = SetLattice.of_sets("pq", [fs(), fs("p"), fs("p", "q")])
         jl = join_irreducibles(lat)
         assert list(jl.carrier) == [fs("p"), fs("p", "q")]
         assert jl.leq(fs("p"), fs("p", "q"))
@@ -304,7 +356,7 @@ class TestBooleanize:
     def test_chain_ground(self):
         labels = ["a", "b", "c", "d"]
         elems = [fs(*labels[:k]) for k in range(5)]
-        rep = booleanize(SetLattice(labels, elems))
+        rep = booleanize(SetLattice.of_sets(labels, elems))
         assert len(rep.ground) == 4
 
     def test_j_is_birkhoff_down(self, sys1, sys2, sys3, g1, g2, tripod):
@@ -452,7 +504,7 @@ def test_sublattice_enumeration_bound(monkeypatch):
     # 21 elements besides 0 and 1 exceed the default bound of 20
     labels = [str(i) for i in range(22)]
     with pytest.raises(TooLarge):
-        list(sublattices(SetLattice(labels, [fs(*labels[:k]) for k in range(23)])))
+        list(sublattices(SetLattice.of_sets(labels, [fs(*labels[:k]) for k in range(23)])))
     monkeypatch.setenv("MORSELAT_MAX_ENUM", "1")
     with pytest.raises(TooLarge):
         list(sublattices(powerset_lattice("ab")))
@@ -472,8 +524,8 @@ def exact_lattices(sys):
 def grid_lattices(cmap):
     """The combinatorial Att and Rep of a cell map, and each again as a checked sublattice."""
     att, rep = comb_att_lattice(cmap), comb_rep_lattice(cmap)
-    att_sub = checked_sublattice(range(cmap.n), att.elements, lambda x: comb_inv(x, cmap))
-    rep_sub = checked_sublattice(range(cmap.n), rep.elements, lambda x: comb_inv_plus(x, cmap))
+    att_sub = checked_sublattice(range(cmap.n), att.masks, lambda x: comb_inv(x, cmap))
+    rep_sub = checked_sublattice(range(cmap.n), rep.masks, lambda x: comb_inv_plus(x, cmap))
     return [att, rep, att_sub, rep_sub]
 
 
@@ -549,8 +601,8 @@ def front_ends(exact=None, cmap=None):
         ]
     ambient = cmap.all_cells()
     inv, inv_plus = (lambda x: comb_inv(x, cmap)), (lambda x: comb_inv_plus(x, cmap))
-    att = checked_sublattice(range(cmap.n), comb_att_lattice(cmap).elements, inv)
-    rep = checked_sublattice(range(cmap.n), comb_rep_lattice(cmap).elements, inv_plus)
+    att = checked_sublattice(range(cmap.n), comb_att_lattice(cmap).masks, inv)
+    rep = checked_sublattice(range(cmap.n), comb_rep_lattice(cmap).masks, inv_plus)
     return [("attractor", att, inv, ambient, att.top == ambient), ("repeller", rep, inv_plus, ambient, True)]
 
 

@@ -38,10 +38,10 @@ from morselat import (
     repeller_sublattice,
     spaciousness_falsifier,
 )
-from morselat import dynsys_lift, grid, lattice
+from morselat import dynsys_lift, grid, lattice, order
 from morselat.dynsys import ds1
 from morselat.grid import _forward_closure, _morse_attractors, comb_att_lattice, comb_inv_plus
-from morselat.lattice import checked_sublattice, sublattices
+from morselat.lattice import checked_sublattice, label_masks, sublattices
 from morselat.order import all_posets, members
 from conftest import small_cell_maps, small_maps
 
@@ -64,7 +64,7 @@ def powerset_lattice(labels):
         for r in range(len(labels) + 1)
         for c in itertools.combinations(labels, r)
     ]
-    return SetLattice(labels, subs)
+    return SetLattice.of_sets(labels, subs)
 
 
 def identity_problem(labels="ab"):
@@ -316,14 +316,14 @@ class TestConditionI:
 
     def test_inv_on_attracting_neighborhoods(self, sys1):
         anb = sys1.attracting_neighborhoods()
-        K = SetLattice(sys1.states, anb, check=False)
+        K = SetLattice.of_sets(sys1.states, anb, check=False)
         report = check_condition_i(K, sys1.att_lattice(), {u: sys1.omega(u) for u in anb})
         assert report and "Prop 5.9" in report.method
 
     def test_atom_collapse_counterexample(self):
         # u is glued below everything; dropping it is a hom whose zero fiber
         # is fat, and the unique sections of {v} and {w} share u
-        K = SetLattice(
+        K = SetLattice.of_sets(
             "uvw",
             [fs(), fs("u"), fs("u", "v"), fs("u", "w"), fs("u", "v", "w")],
         )
@@ -335,7 +335,7 @@ class TestConditionI:
 
     def test_spent_budget_is_inconclusive(self):
         # the same fat zero fiber, with no budget to search it
-        K = SetLattice(
+        K = SetLattice.of_sets(
             "uvw",
             [fs(), fs("u"), fs("u", "v"), fs("u", "w"), fs("u", "v", "w")],
         )
@@ -436,15 +436,16 @@ def test_lift_takes_each_conditioner_once(sys1, tripod, g1):
 def test_attractor_lift_by_duality_checks_one_sublattice(route, sys1, tripod, monkeypatch):
     """One sublattice check per attractor lift and none on the dual family.
 
-    Both front-ends check their family through checked_sublattice, the exact
-    ones with no core, as a ring of sets.
+    Both front-ends check their family by one pair-closure pass on its masks,
+    the grid through checked_sublattice, the exact ones with no core, as a
+    ring of sets.
     """
     calls = []
-    module = dynsys_lift if route == "exact" else grid
-    real = module.checked_sublattice
-    monkeypatch.setattr(module, "checked_sublattice", lambda *args: calls.append(args) or real(*args))
+    att = sys1.att_lattice().elements
+    real = lattice._closure_failure
+    monkeypatch.setattr(lattice, "_closure_failure", lambda *args: calls.append(args) or real(*args))
     if route == "exact":
-        attractor_lift(sys1, sys1.att_lattice().elements).verify()
+        attractor_lift(sys1, att).verify()
     else:
         grid_attractor_lift(tripod, TRIPOD_FAMILY).verify()
     assert len(calls) == 1
@@ -464,7 +465,8 @@ def check_star_images(exact=None, cmap=None):
     ambient = cmap.all_cells()
     for sub in sublattices(comb_att_lattice(cmap)):
         star = [comb_inv_plus(ambient - _forward_closure(a, cmap), cmap) for a in sub]
-        checked_sublattice(tuple(range(cmap.n)), star, lambda w: comb_inv_plus(w, cmap))
+        universe = tuple(range(cmap.n))
+        checked_sublattice(universe, label_masks(universe, star), lambda w: comb_inv_plus(w, cmap))
 
 
 class TestStarImages:
@@ -500,6 +502,16 @@ def test_lift_enumerates_down_sets_once(tripod, g1, monkeypatch):
         lift(problem)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_exact_attractor_lift_enumerates_two_posets(sys1, monkeypatch):
+    # J(L), whose one enumeration birkhoff_embedding and the problem share, and its dual
+    att = sys1.att_lattice().elements
+    enumerated = []
+    real = order.closed_masks
+    monkeypatch.setattr(order, "closed_masks", lambda rel: enumerated.append(rel) or real(rel))
+    attractor_lift(sys1, att).verify()
+    assert len(enumerated) == 2
 
 
 def assert_k_is_the_union_of_atoms(cert, transported=False):
@@ -569,7 +581,7 @@ class TestFalsifier:
 
     def test_ds1_inv_plus_is_spacious(self, sys1):
         rnb = sys1.repelling_neighborhoods()
-        K = SetLattice(sys1.states, rnb, check=False)
+        K = SetLattice.of_sets(sys1.states, rnb, check=False)
         res = spaciousness_falsifier(K, sys1.rep_lattice(), {u: sys1.inv_plus(u) for u in rnb})
         assert res.status == "no_counterexample"
 
@@ -577,7 +589,7 @@ class TestFalsifier:
         from morselat.grid import attracting_blocks, comb_att_lattice, comb_inv
 
         blocks = attracting_blocks(tripod)
-        K = SetLattice(tuple(range(4)), blocks, check=False)
+        K = SetLattice.of_sets(tuple(range(4)), blocks, check=False)
         L = comb_att_lattice(tripod)
         res = spaciousness_falsifier(K, L, {b: comb_inv(b, tripod) for b in K.elements})
         assert res.status == "witness"
@@ -658,9 +670,10 @@ def cubic_front_end(system, side, family):
             ok, what = system.classify_invariance(e).forward_backward and system.inv_plus(e) == e, "a repeller"
         if not ok:
             raise NotASublattice(f"{[s for s in system.states if s in e]} is not {what}", e)
+    masks = [system.mask(e) for e in family]
     if side == "attractor":
-        return checked_sublattice(system.states, family, system.inv)
-    return checked_sublattice(system.states, family)
+        return checked_sublattice(system.states, masks, system.inv)
+    return checked_sublattice(system.states, masks)
 
 
 def outcome(run, *args):

@@ -251,7 +251,7 @@ class TestClosedMasks:
                 old = closed_filter(p.below, n)
                 assert list(closed_masks(p.below)) == old
                 old.sort(key=lambda m: (bin(m).count("1"), _lex_key(m, n)))
-                assert p.down_masks() == old
+                assert p.down_masks() == tuple(old)
                 assert p.all_down_sets() == [p.members_of(m) for m in old]
 
     def test_preorder_with_cycles(self):

@@ -172,7 +172,7 @@ class TestEscape:
 # (what is counted, a call on the tripod cell map or none that enumerates them, how many it counts)
 BOUND_SITES = [
     ("poset elements", lambda _: antichain(range(4)).down_masks(), 4),
-    ("lattice elements besides 0 and 1", lambda _: list(sublattices(SetLattice("ab", map(frozenset, ["", "a", "b", "ab"])))), 2),
+    ("lattice elements besides 0 and 1", lambda _: list(sublattices(SetLattice.of_sets("ab", map(frozenset, ["", "a", "b", "ab"])))), 2),
     ("states", lambda _: ds1().attracting_neighborhoods(), 4),
     ("cycles", lambda _: ds1().att_lattice(), 2),
     ("Morse sets", comb_att_lattice, 3),
