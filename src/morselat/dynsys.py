@@ -25,6 +25,7 @@ exhaustive oracle in ``verify`` does both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import and_, or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -360,7 +361,7 @@ class FiniteDynSys:
         every union of cycles is omega of its basin, so Att is the family of
         unions of cycles.
         """
-        return SetLattice(self.states, self._recurrent_unions(), self.inv)
+        return SetLattice(self.states, self._recurrent_unions(), partial(_inv, self._cycles))
 
     def _basin_unions(self):
         """The unions of basins of cycles: alpha of each union of cycles, in the order of ``_recurrent_unions``."""
@@ -508,11 +509,11 @@ class FiniteDynSys:
         return [self.unmask(c) for c in self._cycles]
 
 
-def _reach(parts: Sequence[int], m: int) -> int:
-    """m and everything reachable from it, one step being x -> parts[x]."""
+def _reach(parts: Sequence[int], m: int, within: int = -1) -> int:
+    """m and everything reachable from it by steps x -> parts[x] that stay inside the mask ``within``."""
     out = frontier = m
     while frontier:
-        frontier = union_over(parts, frontier) & ~out
+        frontier = union_over(parts, frontier) & within & ~out
         out |= frontier
     return out
 

@@ -51,7 +51,7 @@ def repeller_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> S
 def attractor_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> SetLattice:
     """The top is the union of all cycles, Inv of all states; the lattice has the core Inv, as Att does."""
     top = _inv(system._cycles, system._full)
-    return _sublattice(system, elements, system._is_attractor, "an attractor", top, system.inv)
+    return _sublattice(system, elements, system._is_attractor, "an attractor", top, partial(_inv, system._cycles))
 
 
 def _repeller_problem(system: FiniteDynSys, poset: Poset, s: Mapping[int, int]) -> LiftProblem:

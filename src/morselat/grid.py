@@ -15,18 +15,26 @@ down-set lattice (SetLattice.from_down_sets), with one core call per pair of
 down-sets, so they are distributive at every size.  Enumerating every
 attracting block (attracting_blocks, block_lattices) is kept as the test
 oracle.
+
+Inside, cell sets are int masks over the arrow and preimage masks that a
+CellMap builds once: comb_inv and comb_inv_plus, the lattice cores, are one
+Tarjan pass and reaches within the set on the dynsys kernel (_reach), and
+the block tests and lift front-ends run on masks; the exported label
+functions are views over them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from . import expr as exprmod
+from .dynsys import _reach
 from .lattice import SetLattice, birkhoff_embedding, checked_sublattice, label_masks
 from .lifting import LiftProblem, ObstructionFound, lift, transport_by_duality
-from .order import InternalCheckFailed, Poset, TooLarge, check_bound, closed_masks, members, union_over
+from .order import InternalCheckFailed, Poset, TooLarge, check_bound, closed_masks, members, transpose, union_over
 
 GRID_ENUM_BOUND = 16
 # cells x samples_per_cell of one interval map, 32 times G1's 4096 cells x 32
@@ -103,7 +111,10 @@ class CellGrid:
 
 @dataclass(frozen=True)
 class CellMap:
-    """A multivalued map on grid cells; every cell has at least one target."""
+    """A multivalued map on grid cells; every cell has at least one target.
+
+    Beside ``arrows`` it keeps them and their transpose as masks, bit c for cell c.
+    """
 
     grid: CellGrid
     arrows: tuple[frozenset, ...]
@@ -117,6 +128,10 @@ class CellMap:
             for j in tgt:
                 if not 0 <= j < self.grid.n_cells:
                     raise ValueError(f"cell {c} has an invalid target {j}")
+        img = tuple(sum(1 << j for j in tgt) for tgt in self.arrows)
+        object.__setattr__(self, "_img", img)
+        object.__setattr__(self, "_pre", tuple(transpose(img)))
+        object.__setattr__(self, "_full", (1 << self.n) - 1)
 
     @property
     def n(self) -> int:
@@ -125,11 +140,11 @@ class CellMap:
     def all_cells(self) -> frozenset:
         return frozenset(range(self.n))
 
+    def mask(self, cells: Iterable[int]) -> int:
+        return sum(1 << c for c in set(cells))
+
     def image(self, cells: Iterable[int]) -> frozenset:
-        out = set()
-        for c in cells:
-            out |= self.arrows[c]
-        return frozenset(out)
+        return members(range(self.n), union_over(self._img, self.mask(cells)))
 
     def preimage(self, cells: Iterable[int]) -> frozenset:
         """Weak preimage: cells with at least one arrow into the set."""
@@ -182,103 +197,98 @@ def ingest_interval_map(
 # -- blocks and combinatorial invariance --------------------------------------
 
 
-def is_attracting_block(cells: Iterable[int], cmap: CellMap) -> bool:
-    n = frozenset(cells)
-    att = cmap.image(n) <= n
-    rep_c = cmap.preimage(cmap.all_cells() - n) <= cmap.all_cells() - n
-    if att != rep_c:
+def _is_attracting_block(cmap: CellMap, n: int) -> bool:
+    """No arrow leaves n, cross-checked against the complement law by CellMap.preimage's scan of the arrows."""
+    att = not union_over(cmap._img, n) & ~n
+    rest = cmap.all_cells() - members(range(cmap.n), n)
+    if att != (cmap.preimage(rest) <= rest):
         raise InternalCheckFailed("block complement law failed")
     return att
 
 
+def _is_repelling_block(cmap: CellMap, w: int) -> bool:
+    return not union_over(cmap._pre, w) & ~w
+
+
+def is_attracting_block(cells: Iterable[int], cmap: CellMap) -> bool:
+    return _is_attracting_block(cmap, cmap.mask(cells))
+
+
 def is_repelling_block(cells: Iterable[int], cmap: CellMap) -> bool:
-    n = frozenset(cells)
-    return cmap.preimage(n) <= n
+    return _is_repelling_block(cmap, cmap.mask(cells))
 
 
-def _cyclic_components(cells: frozenset, cmap: CellMap) -> list[frozenset]:
-    """The SCCs of the restricted graph that hold a cycle, by one iterative Tarjan pass.
+def _cyclic_components(cmap: CellMap, cells: int) -> list[int]:
+    """The SCCs of the graph restricted to the mask ``cells`` that hold a cycle, by one iterative Tarjan pass.
 
-    Called on all cells, these are the Morse sets of the cell map.
+    Roots and successors are taken in ascending cell order.  Called on all
+    cells, these are the Morse sets of the cell map.
     """
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    out = []
-    for root in sorted(cells):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(cmap.arrows[root] & cells)))]
+    img = cmap._img
+    index, low, stack, out = {}, {}, [], []
+    rest, onstack = cells, 0  # rest: the cells not yet entered
+    while rest:
+        root = (rest & -rest).bit_length() - 1
         index[root] = low[root] = len(index)
+        rest ^= 1 << root
+        onstack |= 1 << root
         stack.append(root)
-        onstack.add(root)
+        work = [[root, img[root] & cells]]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(sorted(cmap.arrows[w] & cells))))
-                    advanced = True
+            frame = work[-1]
+            v, succ = frame
+            while succ:
+                bit = succ & -succ
+                succ ^= bit
+                if rest & bit:
                     break
-                elif w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+                if onstack & bit:
+                    low[v] = min(low[v], index[bit.bit_length() - 1])
+            else:  # every successor seen: v is done
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    comp = 0
+                    while True:
+                        w = stack.pop()
+                        comp |= 1 << w
+                        if w == v:
+                            break
+                    onstack &= ~comp
+                    if comp & (comp - 1) or img[v] >> v & 1:
+                        out.append(comp)
                 continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1 or comp[0] in cmap.arrows[comp[0]]:
-                    out.append(frozenset(comp))
+            frame[1] = succ
+            w = bit.bit_length() - 1
+            index[w] = low[w] = len(index)
+            rest ^= bit
+            onstack |= bit
+            stack.append(w)
+            work.append([w, img[w] & cells])
     return out
 
 
-def _forward_closure(cells: frozenset, cmap: CellMap, within: frozenset | None = None) -> frozenset:
-    """Cells reached from the set by walks inside ``within`` (default: all cells)."""
-    within = cmap.all_cells() if within is None else within
-    out = set(cells)
-    frontier = set(cells)
-    while frontier:
-        nxt = {w for c in frontier for w in cmap.arrows[c] & within} - out
-        out |= nxt
-        frontier = nxt
-    return frozenset(out)
+def _comb_inv(cmap: CellMap, n: int) -> int:
+    """The cells of the mask n on a bi-infinite walk inside it: reached from a cycle and reaching one."""
+    cyc = sum(_cyclic_components(cmap, n))
+    return _reach(cmap._img, cyc, n) & _reach(cmap._pre, cyc, n)
 
 
-def _backward_closure(cells: frozenset, cmap: CellMap, within: frozenset) -> frozenset:
-    """Cells of ``within`` that reach the set by walks inside ``within``."""
-    out = set(cells)
-    changed = True
-    while changed:
-        add = {c for c in within - out if cmap.arrows[c] & out}
-        out |= add
-        changed = bool(add)
-    return frozenset(out)
+def _comb_inv_plus(cmap: CellMap, n: int) -> int:
+    """The cells of the mask n with an infinite forward walk inside it: those reaching a cycle."""
+    return _reach(cmap._pre, sum(_cyclic_components(cmap, n)), n)
 
 
 def comb_inv(cells: Iterable[int], cmap: CellMap) -> frozenset:
     """Cells on a bi-infinite walk inside the set: reach and are reached by a cycle."""
-    n = frozenset(cells)
-    cyc = frozenset().union(*_cyclic_components(n, cmap))
-    return _forward_closure(cyc, cmap, n) & _backward_closure(cyc, cmap, n)
+    return members(range(cmap.n), _comb_inv(cmap, cmap.mask(cells)))
 
 
 def comb_inv_plus(cells: Iterable[int], cmap: CellMap) -> frozenset:
     """Cells admitting an infinite forward walk inside the set: those reaching a cycle."""
-    n = frozenset(cells)
-    return _backward_closure(frozenset().union(*_cyclic_components(n, cmap)), cmap, n)
+    return members(range(cmap.n), _comb_inv_plus(cmap, cmap.mask(cells)))
 
 
 def attracting_blocks(cmap: CellMap) -> list[frozenset]:
@@ -287,7 +297,7 @@ def attracting_blocks(cmap: CellMap) -> list[frozenset]:
     Exhaustive over all cell subsets; the test oracle for comb_att_lattice.
     """
     check_bound(cmap.n, "cells", GRID_ENUM_BOUND)
-    return [members(range(cmap.n), m) for m in closed_masks(label_masks(range(cmap.n), cmap.arrows))]
+    return [members(range(cmap.n), m) for m in closed_masks(cmap._img)]
 
 
 def repelling_blocks(cmap: CellMap) -> list[frozenset]:
@@ -297,9 +307,9 @@ def repelling_blocks(cmap: CellMap) -> list[frozenset]:
 
 def block_lattices(cmap: CellMap) -> tuple[SetLattice, SetLattice]:
     """The attracting-block and repelling-block lattices, by exhaustive enumeration."""
-    universe, full = tuple(range(cmap.n)), (1 << cmap.n) - 1
-    blocks = label_masks(universe, attracting_blocks(cmap))
-    return SetLattice(universe, blocks, check=False), SetLattice(universe, [full ^ b for b in blocks], check=False)
+    universe = tuple(range(cmap.n))
+    blocks = [cmap.mask(b) for b in attracting_blocks(cmap)]
+    return SetLattice(universe, blocks, check=False), SetLattice(universe, [cmap._full ^ b for b in blocks], check=False)
 
 
 def _morse_attractors(cmap: CellMap) -> dict[int, int]:
@@ -308,17 +318,16 @@ def _morse_attractors(cmap: CellMap) -> dict[int, int]:
     The Morse sets are ordered by reachability.  An attracting block holds
     exactly a down-set of them, and its walk core is their forward closure.
     """
-    morse = _cyclic_components(cmap.all_cells(), cmap)
+    morse = _cyclic_components(cmap, cmap._full)
     check_bound(len(morse), "Morse sets", GRID_ENUM_BOUND)
-    cells = label_masks(range(cmap.n), morse)
-    reach = label_masks(range(cmap.n), [_forward_closure(m, cmap) for m in morse])
-    rel = [sum(1 << j for j, m in enumerate(cells) if not m & ~r) for r in reach]
+    reach = [_reach(cmap._img, m) for m in morse]
+    rel = [sum(1 << j for j, m in enumerate(morse) if not m & ~r) for r in reach]
     return {d: union_over(reach, d) for d in closed_masks(rel)}
 
 
 def comb_att_lattice(cmap: CellMap) -> SetLattice:
     """{comb_inv(N) | N an attracting block}, join union, core comb_inv."""
-    return SetLattice.from_down_sets(tuple(range(cmap.n)), _morse_attractors(cmap), lambda x: comb_inv(x, cmap))
+    return SetLattice.from_down_sets(tuple(range(cmap.n)), _morse_attractors(cmap), partial(_comb_inv, cmap))
 
 
 def comb_rep_lattice(cmap: CellMap) -> SetLattice:
@@ -328,49 +337,25 @@ def comb_rep_lattice(cmap: CellMap) -> SetLattice:
     N only through comb_inv(N).  Rep is O(P) with the order reversed, so it
     is certified on the complemented masks.
     """
-    universe, full = tuple(range(cmap.n)), (1 << cmap.n) - 1
     att = _morse_attractors(cmap)
     top = max(att)
-    reps = label_masks(universe, [comb_inv_plus(members(universe, full & ~a), cmap) for a in att.values()])
-    elems = {top ^ d: r for d, r in zip(att, reps)}
-    return SetLattice.from_down_sets(universe, elems, lambda x: comb_inv_plus(x, cmap))
-
-
-def shrink_repelling_block(
-    block: Iterable[int],
-    cmap: CellMap,
-    max_depth: int | None = None,
-) -> frozenset:
-    """Backward-image shrinking W_k = W ^ F^-1(W_{k-1}).
-
-    Stops at the fixed point, which equals comb_inv_plus(W) and is reached
-    within n_cells steps, or after ``max_depth`` steps.
-    """
-    w = frozenset(block)
-    if not is_repelling_block(w, cmap):
-        raise NotARepellingBlock(f"{sorted(w)} is not a repelling block")
-    for _ in range(cmap.n if max_depth is None else max_depth):
-        nxt = w & cmap.preimage(w)
-        if nxt == w:
-            break
-        w = nxt
-    return w
+    elems = {top ^ d: _comb_inv_plus(cmap, cmap._full & ~a) for d, a in att.items()}
+    return SetLattice.from_down_sets(tuple(range(cmap.n)), elems, partial(_comb_inv_plus, cmap))
 
 
 def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping[int, int]) -> LiftProblem:
     def section(l: int) -> int:
-        cells = frozenset(lat.labels(l))
-        if not is_repelling_block(cells, cmap) or comb_inv_plus(cells, cmap) != cells:
-            raise NotARepellingBlock(f"no repelling block realizes {sorted(cells)}")
+        if not _is_repelling_block(cmap, l) or _comb_inv_plus(cmap, l) != l:
+            raise NotARepellingBlock(f"no repelling block realizes {lat.labels(l)}")
         return l
 
     return LiftProblem(
         poset=poset,
         s=s,
         universe=lat.universe,
-        h=lambda w: lat.mask_of(comb_inv_plus(lat.labels(w), cmap)),
+        h=partial(_comb_inv_plus, cmap),
         section=section,
-        member=lambda w: is_repelling_block(lat.labels(w), cmap),
+        member=partial(_is_repelling_block, cmap),
     )
 
 
@@ -384,7 +369,7 @@ def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftPro
     images themselves; an image that is no repelling block raises
     NotARepellingBlock when the lift takes its section.
     """
-    lat = checked_sublattice(range(cmap.n), label_masks(range(cmap.n), images), lambda w: comb_inv_plus(w, cmap))
+    lat = checked_sublattice(range(cmap.n), label_masks(range(cmap.n), images), partial(_comb_inv_plus, cmap))
     return _rep_problem(cmap, lat, *birkhoff_embedding(lat))
 
 
@@ -408,34 +393,34 @@ def grid_attractor_lift(
     problem can be obstructed where this one is not, so an obstruction
     there falls back to the direct route, and only its obstruction stands.
     """
-    lat = checked_sublattice(range(cmap.n), label_masks(range(cmap.n), images), lambda n: comb_inv(n, cmap))
+    lat = checked_sublattice(range(cmap.n), label_masks(range(cmap.n), images), partial(_comb_inv, cmap))
     poset, s = birkhoff_embedding(lat)
-    pinned = dict(pinned or {})
-    for a, blk in pinned.items():
-        if not is_attracting_block(blk, cmap) or comb_inv(blk, cmap) != a:
-            raise NotAnAttractingBlock(f"pinned block {sorted(blk)} is not an attracting block for {sorted(a)}")
-    pins = {lat.mask_of(a): lat.mask_of(blk) for a, blk in pinned.items()}
+    pins = {}
+    for a, blk in (pinned or {}).items():
+        a, blk = label_masks(range(cmap.n), (a, blk))
+        if not _is_attracting_block(cmap, blk) or _comb_inv(cmap, blk) != a:
+            raise NotAnAttractingBlock(f"pinned block {lat.labels(blk)} is not an attracting block for {lat.labels(a)}")
+        pins[a] = blk
 
     def att_block_for(a: int) -> int:
         if a in pins:
             return pins[a]
-        cells = lat.labels(a)
-        blk = _forward_closure(cells, cmap)
-        if comb_inv(blk, cmap) != frozenset(cells):
-            raise NotAnAttractingBlock(f"no attracting block realizes {cells}")
-        return lat.mask_of(blk)
+        blk = _reach(cmap._img, a)
+        if _comb_inv(cmap, blk) != a:
+            raise NotAnAttractingBlock(f"no attracting block realizes {lat.labels(a)}")
+        return blk
 
     problem = LiftProblem(
         poset=poset,
         s=s,
         universe=lat.universe,
-        h=lambda n: lat.mask_of(comb_inv(lat.labels(n), cmap)),
+        h=partial(_comb_inv, cmap),
         section=att_block_for,
-        member=lambda n: is_attracting_block(lat.labels(n), cmap),
+        member=partial(_is_attracting_block, cmap),
     )
     if direct:
         return lift(problem)
-    star = {a: lat.mask_of(comb_inv_plus(lat.labels(problem.ambient & ~att_block_for(a)), cmap)) for a in lat.masks}
+    star = {a: _comb_inv_plus(cmap, cmap._full & ~att_block_for(a)) for a in lat.masks}
     try:
         return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, lat, dual, s_rep))
     except ObstructionFound:

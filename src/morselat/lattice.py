@@ -6,16 +6,17 @@ as an int mask over the universe's index: a ring of down-set masks in
 Birkhoff's coordinates.  Families arrive and are validated as masks; a
 family of label sets crosses once, through SetLattice.of_sets.  Join is
 union; meet is the intersection under the lattice's core, an interior
-operator on label sets: Inv on Att, comb_inv or comb_inv_plus on a grid,
-none for plain intersection.  The frozensets of labels are a view, built
-once on first use, that serves only the core, the cubic core check and the
-public label API (elements, meet, join, leq, in).  Each element is its own
-core, so a ^ b == a iff a is a subset of b: the order is inclusion and
-evaluates no meet.  J(L), the covers, predecessors, the Booleanization and
-the Birkhoff embedding come from one O(|L|^2) pass of mask tests over the
-size-sorted elements, kept on the lattice for its lifetime.  The down-set
-lattice O(P) of a known poset needs no such pass: from_poset reads its
-covers off the poset in O(|L| |P|) and builds no frozenset.
+operator on masks (Inv on Att, comb_inv or comb_inv_plus on a grid, none
+for plain intersection), so no meet crosses labels.  The frozensets of
+labels are a view, built once on first use, that serves only the cubic core
+check and the public label API (elements, meet, join, leq, in).  Each
+element is its own core, so a ^ b == a iff a is a subset of b: the order is
+inclusion and evaluates no meet.  J(L), the covers, predecessors, the
+Booleanization and the Birkhoff embedding come from one O(|L|^2) pass of
+mask tests over the size-sorted elements, kept on the lattice for its
+lifetime.  The down-set lattice O(P) of a known poset needs no such pass:
+from_poset reads its covers off the poset in O(|L| |P|) and builds no
+frozenset.
 
 A family given as a bare list is validated by closure over all pairs and,
 with a core, by distributivity over all triples, the latter only up to
@@ -90,24 +91,26 @@ class SetLattice:
     universe[i]) in the package's one element order, order.canonical_order:
     by size, then lexicographic in universe order.  ``elements`` is the same
     family as frozensets of labels, in that order, a view built from the
-    masks on first use; ``core`` maps label sets.  Unless ``check`` is false,
-    construction checks 0, closure, that each element is its own core and,
-    with a core, distributivity (up to DISTRIBUTIVITY_CHECK_LIMIT elements;
-    union and intersection distribute).  ``_canonical`` masks are distinct
-    and already in that order, and are taken as they are.
+    masks on first use; ``core`` maps masks to masks.  Unless ``check`` is
+    false, construction checks the masks' bits, 0, closure, that each element
+    is its own core and, with a core, distributivity (up to
+    DISTRIBUTIVITY_CHECK_LIMIT elements; union and intersection distribute).
+    ``_canonical`` masks are distinct and already in that order.
     """
 
     def __init__(
         self,
         universe: Sequence[Hashable],
         masks: Iterable[int],
-        core: Callable[[frozenset], frozenset] | None = None,
+        core: Callable[[int], int] | None = None,
         check: bool = True,
         *,
         _canonical: bool = False,
     ):
         self.universe = tuple(universe)
         self._uindex = {u: i for i, u in enumerate(self.universe)}
+        if check:
+            masks = _in_universe(masks, len(self.universe))
         self.masks = tuple(masks) if _canonical else tuple(canonical_order(set(masks), len(self.universe)))
         self.core = core
         self._lower = None
@@ -128,10 +131,10 @@ class SetLattice:
         """Each element is its own core, so a ^ b == a iff a <= b, and the meet distributes."""
         if self.core is None:
             return
-        for a in self.elements:
-            if self.core(a) != a:
-                a_s, core_s = self.labels(self.mask_of(a)), self.labels(self.mask_of(self.core(a)))
-                raise NotALattice(f"meet is not idempotent: {a_s} ^ {a_s} = {core_s}")
+        for m in self.masks:
+            if self.core(m) != m:
+                a_s = self.labels(m)
+                raise NotALattice(f"meet is not idempotent: {a_s} ^ {a_s} = {self.labels(self.core(m))}")
         if len(self.elements) <= DISTRIBUTIVITY_CHECK_LIMIT:
             for a in self.elements:
                 for b in self.elements:
@@ -175,12 +178,11 @@ class SetLattice:
         return a | b
 
     def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b if self.core is None else self.core(a & b)
+        return a & b if self.core is None else frozenset(self.labels(self.core(self.mask_of(a & b))))
 
     def _meet_mask(self, a: int, b: int) -> int:
-        """The meet of two masks: the core, a map on label sets, applied through the view."""
         c = a & b
-        return c if self.core is None else self.mask_of(self.core(frozenset(self.labels(c))))
+        return c if self.core is None else self.core(c)
 
     def leq(self, a: frozenset, b: frozenset) -> bool:
         return a <= b
@@ -262,7 +264,7 @@ class SetLattice:
         cls,
         universe: Sequence[Hashable],
         image: Mapping[int, int],
-        core: Callable[[frozenset], frozenset],
+        core: Callable[[int], int],
     ) -> "SetLattice":
         """The image of O(P) under ``image``, a map from the down-set masks of a poset P to masks, certified.
 
@@ -311,6 +313,15 @@ def label_masks(universe: Sequence[Hashable], sets: Iterable[Iterable]) -> list[
     return [sum(1 << index[x] for x in e) for e in sets]
 
 
+def _in_universe(masks: Iterable[int], n: int) -> list[int]:
+    """The masks as a list; NotALattice names the first with a bit outside the n labels of the universe."""
+    masks = list(masks)
+    for m in masks:
+        if m >> n:
+            raise NotALattice(f"the mask {m:#b} has bits outside the universe of {n} labels")
+    return masks
+
+
 def _closure_failure(lat: SetLattice, family: Sequence[int], meet: Callable[[int, int], int]) -> tuple | None:
     """(message, (a, b)) for the first a, b, b not before a, whose join or ``meet`` leaves the mask family.
 
@@ -345,15 +356,17 @@ def _require_sublattice(lat: SetLattice, family: Sequence[int], top: int, meet: 
 def checked_sublattice(universe: Sequence[Hashable], masks: Iterable[int], core=None) -> SetLattice:
     """The mask family as a SetLattice with the given core, after checking that it is a bounded sublattice.
 
-    The family must hold 0 and the top ``core(universe)`` (the universe
+    The family must hold 0 and the top ``core(full)`` (the full mask
     without a core) and be closed under union and the meet ``core(a & b)``;
     the first failure raises NotASublattice with the missing element or the
     offending pair as its witness.  SetLattice's core checks follow; without
-    a core there are none, as a ring of sets is distributive.
+    a core there are none, as a ring of sets is distributive.  A mask with a
+    bit outside the universe raises NotALattice before any core call.
     """
-    family = list(dict.fromkeys(masks))
+    family = _in_universe(dict.fromkeys(masks), len(universe))
     lat = SetLattice(universe, family, core, check=False)
-    top = (1 << len(lat.universe)) - 1 if core is None else lat.mask_of(core(frozenset(lat.universe)))
+    full = (1 << len(universe)) - 1
+    top = full if core is None else core(full)
     _require_sublattice(lat, family, top, lat._meet_mask)
     lat._check_core()
     return lat

@@ -13,9 +13,10 @@ from morselat import (
     join_irreducibles,
     predecessor,
 )
+from morselat.dynsys import _reach
 from morselat.formats import InputError
 from morselat.lattice import HomReport
-from morselat.order import all_posets
+from morselat.order import all_posets, members
 
 # small single-valued maps (targets of states 0..n-1) and cell maps (arrows of cells 0..n-1)
 small_maps = st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
@@ -71,6 +72,11 @@ def tripod():
         grid,
         (frozenset({0}), frozenset({0}), frozenset({1, 2}), frozenset({1, 3})),
     )
+
+
+def forward_closure(cells, cmap):
+    """The cells reached from the set by walks of the cell map: an attracting block, on labels."""
+    return members(range(cmap.n), _reach(cmap._img, cmap.mask(cells)))
 
 
 def _lex_key(mask: int, n: int) -> tuple:

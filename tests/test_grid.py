@@ -9,7 +9,9 @@ near the slow fixed points).
 
 import itertools
 import json
+import pathlib
 import random
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +31,6 @@ from morselat import (
 )
 from morselat import grid
 from morselat.grid import (
-    _forward_closure,
     attracting_blocks,
     block_lattices,
     comb_att_lattice,
@@ -40,11 +41,11 @@ from morselat.grid import (
     grid_lift_problem,
     is_attracting_block,
     is_repelling_block,
-    shrink_repelling_block,
 )
 from morselat.lifting import lift
 from morselat.order import members
 from morselat.verify import all_systems
+from conftest import forward_closure
 
 
 def fs(*items):
@@ -113,6 +114,19 @@ class TestIngest:
         grid = CellGrid(-1.0, 1.0, 4)
         with pytest.raises(ValueError):
             ingest_interval_map("x", grid, samples_per_cell=1)
+
+    @pytest.mark.parametrize("doc, arrows", [
+        ({"type": "interval_map", "domain": [-1, 1], "cells": 16, "expr": "(x + x^3)/2"}, None),
+        ({"type": "cell_map", "cells": 4, "arrows": [[0], [0], [2, 1], [3, 1]]}, [[0], [0], [1, 2], [1, 3]]),
+    ], ids=["interval_map", "cell_map"])
+    def test_benchmark_reads_the_program_arrows(self, doc, arrows, g1, monkeypatch):
+        # the benchmark checks its grid ops against the arrows it reads off
+        # CellMap.arrows, so a change to their form fails here, not mid-run
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+        from workloads import _program_arrows
+
+        expected = arrows if arrows is not None else [sorted(a) for a in g1.arrows]
+        assert _program_arrows(doc) == expected
 
 
 class TestBlocks:
@@ -184,6 +198,22 @@ class TestCombInv:
         for a in sets:
             assert comb_inv(comb_inv(a, g1), g1) == comb_inv(a, g1)
             assert comb_inv_plus(comb_inv_plus(a, g1), g1) == comb_inv_plus(a, g1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=n, max_size=n
+    )))
+    def test_every_subset_against_the_oracles(self, arrows):
+        # the lift cores also run on meets and intersections that are no
+        # blocks, so every cell subset is compared, not only the blocks
+        n = len(arrows)
+        cmap = CellMap(CellGrid(0.0, float(n), n), tuple(arrows))
+        for m in range(1 << n):
+            cells = members(range(n), m)
+            assert comb_inv(cells, cmap) == oracle_walk_core(cells, cmap)
+            assert comb_inv_plus(cells, cmap) == oracle_walk_core(cells, cmap, forward_only=True)
+            assert is_attracting_block(cells, cmap) == all(arrows[c] <= cells for c in cells)
+            assert is_repelling_block(cells, cmap) == all(c in cells for c in range(n) if arrows[c] & cells)
 
 
 class TestLattices:
@@ -296,9 +326,9 @@ def cubic_lattices(cmap):
     universe, full = tuple(range(cmap.n)), cmap.all_cells()
     att = [members(universe, m) for m in grid._morse_attractors(cmap).values()]
     return (
-        SetLattice.of_sets(universe, att, lambda x: comb_inv(x, cmap), check=True),
+        SetLattice.of_sets(universe, att, partial(grid._comb_inv, cmap), check=True),
         SetLattice.of_sets(
-            universe, [comb_inv_plus(full - a, cmap) for a in att], lambda x: comb_inv_plus(x, cmap), check=True
+            universe, [comb_inv_plus(full - a, cmap) for a in att], partial(grid._comb_inv_plus, cmap), check=True
         ),
     )
 
@@ -338,8 +368,8 @@ class TestCertifiedAgainstCubicCheck:
 
             monkeypatch.setattr(grid, "_morse_attractors", one_cell_more)
         else:
-            real = grid.comb_inv
-            monkeypatch.setattr(grid, "comb_inv", lambda cells, cmap: real(cells, cmap) - {cmap.n - 1})
+            real = grid._comb_inv
+            monkeypatch.setattr(grid, "_comb_inv", lambda cmap, n: real(cmap, n) & ~(1 << cmap.n - 1))
         path = tmp_path / "g1.json"
         path.write_text(json.dumps({"type": "interval_map", "domain": [-1, 1], "cells": 16, "expr": "(x + x^3)/2"}))
         assert cli.main(["analyze", str(path)]) == 5
@@ -391,7 +421,7 @@ def check_sections_are_fixed(cmap):
     repeller is its own section, and r ^ F^-1(r) = r.
     """
     for a in comb_att_lattice(cmap).elements:
-        n = _forward_closure(a, cmap)
+        n = forward_closure(a, cmap)
         assert cmap.image(n) == n
     for r in comb_rep_lattice(cmap).elements:
         assert r & cmap.preimage(r) == r
@@ -408,6 +438,23 @@ class TestNothingShrinks:
         cmap = CellMap(CellGrid(0.0, float(len(arrows)), len(arrows)), tuple(arrows))
         assume(len(attracting_blocks(cmap)) <= 32)
         check_sections_are_fixed(cmap)
+
+
+def shrink_repelling_block(block, cmap, max_depth=None):
+    """Backward-image shrinking W_k = W ^ F^-1(W_{k-1}), the fixed-point oracle for comb_inv_plus.
+
+    Stops at the fixed point, which equals comb_inv_plus(W) and is reached
+    within n_cells steps, or after ``max_depth`` steps.
+    """
+    w = frozenset(block)
+    if not is_repelling_block(w, cmap):
+        raise NotARepellingBlock(f"{sorted(w)} is not a repelling block")
+    for _ in range(cmap.n if max_depth is None else max_depth):
+        nxt = w & cmap.preimage(w)
+        if nxt == w:
+            break
+        w = nxt
+    return w
 
 
 class TestShrink:
@@ -516,8 +563,6 @@ class TestRefinement:
     def test_refinement_never_loses_an_attractor(self, fine_cells):
         # each coarse combinatorial attractor contains a fine one: forward
         # closure of the fine cells under the coarse support stays inside it
-        from morselat.grid import _forward_closure
-
         coarse_map = ingest_interval_map("(x + x^3)/2", CellGrid(-1.0, 1.0, 16))
         coarse = comb_att_lattice(coarse_map)
         fine_map = ingest_interval_map("(x + x^3)/2", CellGrid(-1.0, 1.0, fine_cells))
@@ -532,7 +577,7 @@ class TestRefinement:
                     for (fa, fb) in [fine_map.grid.cell_bounds(c)]
                 )
             )
-            block = _forward_closure(inside, fine_map)
+            block = forward_closure(inside, fine_map)
             fine_attractor = comb_inv(block, fine_map)
             assert bool(fine_attractor) == bool(e)
             for fa, fb in fine_map.grid.support(fine_attractor):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 from operator import and_, or_
 
 import pytest
@@ -32,6 +33,7 @@ from morselat import (
 )
 from morselat import lattice as lattice_module
 from morselat.lattice import label_masks
+from morselat.dynsys import _inv
 from morselat.dynsys_lift import attractor_lift, attractor_sublattice, repeller_sublattice
 from morselat.lifting import lift
 from morselat.grid import comb_att_lattice, comb_inv, comb_inv_plus, comb_rep_lattice, grid_lift_problem
@@ -76,11 +78,11 @@ class TestSetLattice:
         assert lat.elements[0] == fs() and lat.elements[-1] == fs("a", "b")
 
     def test_distributivity_failure_in_universe_order(self):
-        # N5 under a core that sends {2} to 0: {1, 2} ^ ({1} v {2, 3}) = {1, 2},
+        # N5 under a core that sends {2} (the mask 0b10) to 0: {1, 2} ^ ({1} v {2, 3}) = {1, 2},
         # but ({1, 2} ^ {1}) v ({1, 2} ^ {2, 3}) = {1}
         family = [fs(), fs(1), fs(1, 2), fs(2, 3), fs(1, 2, 3)]
         with pytest.raises(NotALattice) as err:
-            SetLattice.of_sets([1, 2, 3], family, lambda a: fs() if a == fs(2) else a)
+            SetLattice.of_sets([1, 2, 3], family, lambda m: 0 if m == 0b10 else m)
         assert str(err.value) == "distributivity fails at [1, 2] ^ ([1] v [2, 3])"
 
     def test_leq_is_subset_for_set_lattices(self, p3):
@@ -88,6 +90,20 @@ class TestSetLattice:
         assert lat.leq(fs("1"), fs("1", "2"))
         for a in lat.elements:
             assert lat.leq(a, a)
+
+    @pytest.mark.parametrize("build", [
+        lambda core: SetLattice(("a",), [0, 1, 0b11], core),
+        lambda core: checked_sublattice(("a",), [0, 1, 0b11], core),
+    ], ids=["SetLattice", "checked_sublattice"])
+    @pytest.mark.parametrize("with_core", [False, True])
+    def test_refuses_bits_outside_the_universe(self, build, with_core):
+        # the stray bit would index past the universe in the label view, or
+        # past a grid's arrow masks in a core, so no core sees it
+        calls = []
+        core = (lambda m: calls.append(m) or m) if with_core else None
+        with pytest.raises(NotALattice, match="the mask 0b11 has bits outside the universe of 1 labels"):
+            build(core)
+        assert calls == []
 
 
 def down_set_image(poset):
@@ -129,7 +145,7 @@ class TestFromDownSets:
 
     def test_a_broken_core_names_the_law(self, p3):
         with pytest.raises(NotALattice, match="meet law fails on the down-sets 0b11, 0b11"):
-            SetLattice.from_down_sets(p3.carrier, down_set_image(p3), lambda x: x - {"2"})
+            SetLattice.from_down_sets(p3.carrier, down_set_image(p3), lambda m: m & ~p3.mask_of({"2"}))
 
 
 def _outcome(run):
@@ -155,12 +171,13 @@ class TestMaskValidatorsAgainstLabelOracle:
         n = data.draw(st.integers(1, 6))
         universe = tuple(data.draw(st.permutations("abcdef"[:n])))
         drawn = data.draw(st.lists(st.frozensets(st.sampled_from(universe)), max_size=7))
-        core = None
+        core = label_core = None
         if data.draw(st.booleans()):
             targets = data.draw(st.lists(st.sampled_from(universe), min_size=n, max_size=n))
-            core = FiniteDynSys(universe, dict(zip(universe, targets))).inv
-        meet = (lambda a, b: a & b) if core is None else (lambda a, b: core(a & b))
-        top = frozenset(universe) if core is None else core(frozenset(universe))
+            system = FiniteDynSys(universe, dict(zip(universe, targets)))
+            core, label_core = partial(_inv, system._cycles), system.inv
+        meet = (lambda a, b: a & b) if core is None else (lambda a, b: label_core(a & b))
+        top = frozenset(universe) if core is None else label_core(frozenset(universe))
         if data.draw(st.booleans()):
             drawn = data.draw(st.permutations(sorted(closed_family(drawn) | {top}, key=sorted)))
         family = list(drawn)
@@ -524,8 +541,8 @@ def exact_lattices(sys):
 def grid_lattices(cmap):
     """The combinatorial Att and Rep of a cell map, and each again as a checked sublattice."""
     att, rep = comb_att_lattice(cmap), comb_rep_lattice(cmap)
-    att_sub = checked_sublattice(range(cmap.n), att.masks, lambda x: comb_inv(x, cmap))
-    rep_sub = checked_sublattice(range(cmap.n), rep.masks, lambda x: comb_inv_plus(x, cmap))
+    att_sub = checked_sublattice(range(cmap.n), att.masks, partial(grid._comb_inv, cmap))
+    rep_sub = checked_sublattice(range(cmap.n), rep.masks, partial(grid._comb_inv_plus, cmap))
     return [att, rep, att_sub, rep_sub]
 
 
@@ -565,8 +582,8 @@ class TestInclusionOrder:
     def test_order_queries_evaluate_no_core(self, monkeypatch):
         lat = comb_att_lattice(g1_at(12))
         calls = []
-        real = grid.comb_inv
-        monkeypatch.setattr(grid, "comb_inv", lambda cells, cmap: calls.append(cells) or real(cells, cmap))
+        real = lat.core
+        monkeypatch.setattr(lat, "core", lambda m: calls.append(m) or real(m))
         jl = join_irreducibles(lat)
         assert lat.covers() and len(jl) > 1
         for c in jl.carrier:
@@ -601,8 +618,8 @@ def front_ends(exact=None, cmap=None):
         ]
     ambient = cmap.all_cells()
     inv, inv_plus = (lambda x: comb_inv(x, cmap)), (lambda x: comb_inv_plus(x, cmap))
-    att = checked_sublattice(range(cmap.n), comb_att_lattice(cmap).masks, inv)
-    rep = checked_sublattice(range(cmap.n), comb_rep_lattice(cmap).masks, inv_plus)
+    att = checked_sublattice(range(cmap.n), comb_att_lattice(cmap).masks, partial(grid._comb_inv, cmap))
+    rep = checked_sublattice(range(cmap.n), comb_rep_lattice(cmap).masks, partial(grid._comb_inv_plus, cmap))
     return [("attractor", att, inv, ambient, att.top == ambient), ("repeller", rep, inv_plus, ambient, True)]
 
 

@@ -39,11 +39,11 @@ from morselat import (
     spaciousness_falsifier,
 )
 from morselat import dynsys_lift, grid, lattice, order
-from morselat.dynsys import ds1
-from morselat.grid import _forward_closure, _morse_attractors, comb_att_lattice, comb_inv_plus
+from morselat.dynsys import _inv, ds1
+from morselat.grid import _comb_inv_plus, _morse_attractors, comb_att_lattice, comb_inv_plus
 from morselat.lattice import checked_sublattice, label_masks, sublattices
 from morselat.order import all_posets, members
-from conftest import small_cell_maps, small_maps
+from conftest import forward_closure, small_cell_maps, small_maps
 
 
 def fs(*items):
@@ -464,9 +464,9 @@ def check_star_images(exact=None, cmap=None):
         return
     ambient = cmap.all_cells()
     for sub in sublattices(comb_att_lattice(cmap)):
-        star = [comb_inv_plus(ambient - _forward_closure(a, cmap), cmap) for a in sub]
+        star = [comb_inv_plus(ambient - forward_closure(a, cmap), cmap) for a in sub]
         universe = tuple(range(cmap.n))
-        checked_sublattice(universe, label_masks(universe, star), lambda w: comb_inv_plus(w, cmap))
+        checked_sublattice(universe, label_masks(universe, star), functools.partial(_comb_inv_plus, cmap))
 
 
 class TestStarImages:
@@ -645,12 +645,14 @@ def test_sublattice_check_reaches_every_front_end(front_end, broken):
 
 
 @pytest.mark.parametrize("cell", [3, -1])
-@pytest.mark.parametrize("front_end", ["grid_lift_problem", "grid_attractor_lift"])
+@pytest.mark.parametrize("front_end", ["grid_lift_problem", "grid_attractor_lift", "pins"])
 def test_grid_family_outside_the_cells_is_no_lattice(front_end, cell):
-    """A cell outside 0..n-1 raises NotALattice before any core call or message sees it."""
-    run, _ = SUBLATTICE_FRONT_ENDS[front_end]
+    """A cell outside 0..n-1, in a family or a pin, raises NotALattice before any core call or message sees it."""
     with pytest.raises(NotALattice, match=f"elements leave the universe: \\[{cell}\\]"):
-        run([fs(), fs(0, cell), fs(0, 1, 2)])
+        if front_end == "pins":
+            grid_attractor_lift(IDENTITY_GRID, [fs(), fs(0, 1, 2)], pinned={fs(0, 1, 2): fs(0, 1, 2, cell)})
+        else:
+            SUBLATTICE_FRONT_ENDS[front_end][0]([fs(), fs(0, cell), fs(0, 1, 2)])
 
 
 # -- the exact front-ends against the cubic check ---------------------------------
@@ -672,7 +674,7 @@ def cubic_front_end(system, side, family):
             raise NotASublattice(f"{[s for s in system.states if s in e]} is not {what}", e)
     masks = [system.mask(e) for e in family]
     if side == "attractor":
-        return checked_sublattice(system.states, masks, system.inv)
+        return checked_sublattice(system.states, masks, functools.partial(_inv, system._cycles))
     return checked_sublattice(system.states, masks)
 
 
