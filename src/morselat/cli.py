@@ -7,7 +7,8 @@ an output path that cannot be written (the message names the path, field,
 flag, position or cell), 3 enumeration bound
 overflow (on a grid the bound counts Morse sets, not cells; on a finite
 system analyze counts cycles; in verify, the states of each system), an
-invalid MORSELAT_MAX_ENUM, or an interval map over grid.SAMPLE_LIMIT, 4 lift
+invalid MORSELAT_MAX_ENUM, an interval map over grid.SAMPLE_LIMIT, or a
+grid over grid.CELL_LIMIT cells, 4 lift
 obstruction, 5 a family that is not a lattice or sublattice, whose
 elements no block realizes, or with a pin that is not an attracting block
 for its attractor, 6 a lift that fails one of its own checks (verify(),

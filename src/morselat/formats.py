@@ -16,7 +16,7 @@ from .dynsys import FiniteDynSys
 from .grid import DEFAULT_PADDING, DEFAULT_SAMPLES, CellGrid, CellMap, ingest_interval_map
 from .lattice import SetLattice, join_irreducibles
 from .lifting import LiftCertificate, down_label, poset_label
-from .order import Poset, members
+from .order import Poset, TooLarge, members
 
 VERSION = "0.1.0"
 
@@ -27,9 +27,11 @@ class InputError(ValueError):
 
 @contextmanager
 def input_field(name: str):
-    """Report a TypeError or ValueError raised inside as an InputError naming the field."""
+    """Report a TypeError or ValueError raised inside, other than TooLarge, as an InputError naming the field."""
     try:
         yield
+    except TooLarge:
+        raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid {name!r}: {exc}") from exc
 

@@ -41,6 +41,10 @@ GRID_ENUM_BOUND = 16
 # samples; a constant, unlike the enumeration bound, since it caps the work
 # and memory of ingestion, not an enumeration
 SAMPLE_LIMIT = 1 << 22
+# cells of one cell map, 4 times G1's: its arrow masks and their transpose,
+# 2n ints of up to n bits, take up to about n^2 / 4 bytes (some 70 MB here),
+# and a walk core call takes time quadratic in n
+CELL_LIMIT = 1 << 14
 DEFAULT_SAMPLES = 32
 DEFAULT_PADDING = 1e-9
 
@@ -50,6 +54,12 @@ class ImageOutOfDomain(ValueError):
         self.cell = cell
         self.value = value
         super().__init__(f"sampled image of cell {cell} is not in the domain: {value}")
+
+
+def check_cells(n: int) -> None:
+    """TooLarge when a map on n cells is too large for the mask kernel."""
+    if n > CELL_LIMIT:
+        raise TooLarge(f"{n} cells exceeds the cell limit {CELL_LIMIT}")
 
 
 class NotARepellingBlock(ValueError):
@@ -122,6 +132,7 @@ class CellMap:
     def __post_init__(self):
         if len(self.arrows) != self.grid.n_cells:
             raise ValueError("arrows must cover every cell")
+        check_cells(self.n)
         for c, tgt in enumerate(self.arrows):
             if not tgt:
                 raise ValueError(f"cell {c} has no targets")
@@ -140,11 +151,8 @@ class CellMap:
     def all_cells(self) -> frozenset:
         return frozenset(range(self.n))
 
-    def mask(self, cells: Iterable[int]) -> int:
-        return sum(1 << c for c in set(cells))
-
     def image(self, cells: Iterable[int]) -> frozenset:
-        return members(range(self.n), union_over(self._img, self.mask(cells)))
+        return members(range(self.n), union_over(self._img, label_masks(range(self.n), [cells])[0]))
 
     def preimage(self, cells: Iterable[int]) -> frozenset:
         """Weak preimage: cells with at least one arrow into the set."""
@@ -170,6 +178,7 @@ def ingest_interval_map(
         raise TooLarge(
             f"{grid.n_cells} cells x {samples_per_cell} samples per cell exceeds the sampling limit {SAMPLE_LIMIT}"
         )
+    check_cells(grid.n_cells)
     if not 0 <= padding < math.inf:
         raise ValueError("padding must be finite and nonnegative")
     f = exprmod.parse(expression)
@@ -211,11 +220,11 @@ def _is_repelling_block(cmap: CellMap, w: int) -> bool:
 
 
 def is_attracting_block(cells: Iterable[int], cmap: CellMap) -> bool:
-    return _is_attracting_block(cmap, cmap.mask(cells))
+    return _is_attracting_block(cmap, label_masks(range(cmap.n), [cells])[0])
 
 
 def is_repelling_block(cells: Iterable[int], cmap: CellMap) -> bool:
-    return _is_repelling_block(cmap, cmap.mask(cells))
+    return _is_repelling_block(cmap, label_masks(range(cmap.n), [cells])[0])
 
 
 def _cyclic_components(cmap: CellMap, cells: int) -> list[int]:
@@ -283,12 +292,12 @@ def _comb_inv_plus(cmap: CellMap, n: int) -> int:
 
 def comb_inv(cells: Iterable[int], cmap: CellMap) -> frozenset:
     """Cells on a bi-infinite walk inside the set: reach and are reached by a cycle."""
-    return members(range(cmap.n), _comb_inv(cmap, cmap.mask(cells)))
+    return members(range(cmap.n), _comb_inv(cmap, label_masks(range(cmap.n), [cells])[0]))
 
 
 def comb_inv_plus(cells: Iterable[int], cmap: CellMap) -> frozenset:
     """Cells admitting an infinite forward walk inside the set: those reaching a cycle."""
-    return members(range(cmap.n), _comb_inv_plus(cmap, cmap.mask(cells)))
+    return members(range(cmap.n), _comb_inv_plus(cmap, label_masks(range(cmap.n), [cells])[0]))
 
 
 def attracting_blocks(cmap: CellMap) -> list[frozenset]:
@@ -308,7 +317,7 @@ def repelling_blocks(cmap: CellMap) -> list[frozenset]:
 def block_lattices(cmap: CellMap) -> tuple[SetLattice, SetLattice]:
     """The attracting-block and repelling-block lattices, by exhaustive enumeration."""
     universe = tuple(range(cmap.n))
-    blocks = [cmap.mask(b) for b in attracting_blocks(cmap)]
+    blocks = label_masks(universe, attracting_blocks(cmap))
     return SetLattice(universe, blocks, check=False), SetLattice(universe, [cmap._full ^ b for b in blocks], check=False)
 
 
@@ -341,6 +350,27 @@ def comb_rep_lattice(cmap: CellMap) -> SetLattice:
     top = max(att)
     elems = {top ^ d: _comb_inv_plus(cmap, cmap._full & ~a) for d, a in att.items()}
     return SetLattice.from_down_sets(tuple(range(cmap.n)), elems, partial(_comb_inv_plus, cmap))
+
+
+def shrink_repelling_block(
+    block: Iterable[int],
+    cmap: CellMap,
+    max_depth: int | None = None,
+) -> frozenset:
+    """Backward-image shrinking W_k = W ^ F^-1(W_{k-1}).
+
+    Stops at the fixed point, which equals comb_inv_plus(W) and is reached
+    within n_cells steps, or after ``max_depth`` steps.
+    """
+    w = frozenset(block)
+    if not is_repelling_block(w, cmap):
+        raise NotARepellingBlock(f"{sorted(w)} is not a repelling block")
+    for _ in range(cmap.n if max_depth is None else max_depth):
+        nxt = w & cmap.preimage(w)
+        if nxt == w:
+            break
+        w = nxt
+    return w
 
 
 def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping[int, int]) -> LiftProblem:

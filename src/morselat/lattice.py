@@ -91,9 +91,10 @@ class SetLattice:
     universe[i]) in the package's one element order, order.canonical_order:
     by size, then lexicographic in universe order.  ``elements`` is the same
     family as frozensets of labels, in that order, a view built from the
-    masks on first use; ``core`` maps masks to masks.  Unless ``check`` is
-    false, construction checks the masks' bits, 0, closure, that each element
-    is its own core and, with a core, distributivity (up to
+    masks on first use; ``core`` maps masks to masks.  A mask with bits
+    outside the universe raises NotALattice before any core call.  Unless
+    ``check`` is false, construction checks 0, closure, that each element is
+    its own core and, with a core, distributivity (up to
     DISTRIBUTIVITY_CHECK_LIMIT elements; union and intersection distribute).
     ``_canonical`` masks are distinct and already in that order.
     """
@@ -109,9 +110,10 @@ class SetLattice:
     ):
         self.universe = tuple(universe)
         self._uindex = {u: i for i, u in enumerate(self.universe)}
-        if check:
-            masks = _in_universe(masks, len(self.universe))
         self.masks = tuple(masks) if _canonical else tuple(canonical_order(set(masks), len(self.universe)))
+        stray = max(self.masks, default=0)
+        if stray >> len(self.universe):
+            raise NotALattice(f"the mask {stray:#b} has bits outside the universe of {len(self.universe)} labels")
         self.core = core
         self._lower = None
         if check:
@@ -313,15 +315,6 @@ def label_masks(universe: Sequence[Hashable], sets: Iterable[Iterable]) -> list[
     return [sum(1 << index[x] for x in e) for e in sets]
 
 
-def _in_universe(masks: Iterable[int], n: int) -> list[int]:
-    """The masks as a list; NotALattice names the first with a bit outside the n labels of the universe."""
-    masks = list(masks)
-    for m in masks:
-        if m >> n:
-            raise NotALattice(f"the mask {m:#b} has bits outside the universe of {n} labels")
-    return masks
-
-
 def _closure_failure(lat: SetLattice, family: Sequence[int], meet: Callable[[int, int], int]) -> tuple | None:
     """(message, (a, b)) for the first a, b, b not before a, whose join or ``meet`` leaves the mask family.
 
@@ -360,10 +353,9 @@ def checked_sublattice(universe: Sequence[Hashable], masks: Iterable[int], core=
     without a core) and be closed under union and the meet ``core(a & b)``;
     the first failure raises NotASublattice with the missing element or the
     offending pair as its witness.  SetLattice's core checks follow; without
-    a core there are none, as a ring of sets is distributive.  A mask with a
-    bit outside the universe raises NotALattice before any core call.
+    a core there are none, as a ring of sets is distributive.
     """
-    family = _in_universe(dict.fromkeys(masks), len(universe))
+    family = list(dict.fromkeys(masks))
     lat = SetLattice(universe, family, core, check=False)
     full = (1 << len(universe)) - 1
     top = full if core is None else core(full)

@@ -15,7 +15,7 @@ from morselat import (
 )
 from morselat.dynsys import _reach
 from morselat.formats import InputError
-from morselat.lattice import HomReport
+from morselat.lattice import HomReport, label_masks
 from morselat.order import all_posets, members
 
 # small single-valued maps (targets of states 0..n-1) and cell maps (arrows of cells 0..n-1)
@@ -76,7 +76,7 @@ def tripod():
 
 def forward_closure(cells, cmap):
     """The cells reached from the set by walks of the cell map: an attracting block, on labels."""
-    return members(range(cmap.n), _reach(cmap._img, cmap.mask(cells)))
+    return members(range(cmap.n), _reach(cmap._img, label_masks(range(cmap.n), [cells])[0]))
 
 
 def _lex_key(mask: int, n: int) -> tuple:

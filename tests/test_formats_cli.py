@@ -313,6 +313,30 @@ class TestCliAnalyze:
         err = json.loads(err)
         assert err["error"] == "bound" and message in err["message"]
 
+    @pytest.mark.parametrize("kind", ["interval_map", "cell_map"])
+    def test_grid_past_the_cell_limit_exit_3(self, tmp_path, capsys, kind):
+        # refused before any cell is sampled or any arrow mask is built
+        n = grid.CELL_LIMIT + 1
+        doc = dict(G1_DOC, cells=n, samples_per_cell=2) if kind == "interval_map" else {
+            "type": "cell_map", "cells": n, "arrows": [[0]] * n}
+        start = time.perf_counter()
+        assert cli.main(["analyze", write(tmp_path, "input.json", doc)]) == 3
+        assert time.perf_counter() - start < 10
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "bound", "message": f"{n} cells exceeds the cell limit {grid.CELL_LIMIT}"}
+
+    @pytest.mark.parametrize("kind", ["interval_map", "cell_map"])
+    def test_largest_grid_analyzes_under_the_memory_cap(self, tmp_path, kind):
+        # a grid's arrow masks and their transpose take memory quadratic in its
+        # cells; at the cell limit they must fit under a 1.5 GB address-space cap.
+        # In the cell map every arrow mask and every preimage mask is full width
+        n = grid.CELL_LIMIT
+        doc = dict(G1_DOC, cells=n, samples_per_cell=2) if kind == "interval_map" else {
+            "type": "cell_map", "cells": n, "arrows": [[n - 1]] * (n - 1) + [list(range(n))]}
+        code, err = main_in_capped_child(["analyze", write(tmp_path, "input.json", doc), "-o", str(tmp_path / "out.json")])
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "out.json").read_text())["config"]["grid"]["cells"] == n
+
     def test_dot_output_parses(self, tmp_path):
         path = write(tmp_path, "system.json", DS1_DOC)
         out = tmp_path / "h.dot"

@@ -41,6 +41,7 @@ from morselat.grid import (
     grid_lift_problem,
     is_attracting_block,
     is_repelling_block,
+    shrink_repelling_block,
 )
 from morselat.lifting import lift
 from morselat.order import members
@@ -438,23 +439,6 @@ class TestNothingShrinks:
         cmap = CellMap(CellGrid(0.0, float(len(arrows)), len(arrows)), tuple(arrows))
         assume(len(attracting_blocks(cmap)) <= 32)
         check_sections_are_fixed(cmap)
-
-
-def shrink_repelling_block(block, cmap, max_depth=None):
-    """Backward-image shrinking W_k = W ^ F^-1(W_{k-1}), the fixed-point oracle for comb_inv_plus.
-
-    Stops at the fixed point, which equals comb_inv_plus(W) and is reached
-    within n_cells steps, or after ``max_depth`` steps.
-    """
-    w = frozenset(block)
-    if not is_repelling_block(w, cmap):
-        raise NotARepellingBlock(f"{sorted(w)} is not a repelling block")
-    for _ in range(cmap.n if max_depth is None else max_depth):
-        nxt = w & cmap.preimage(w)
-        if nxt == w:
-            break
-        w = nxt
-    return w
 
 
 class TestShrink:
