@@ -41,7 +41,7 @@ GRID_ENUM_BOUND = 16
 # samples; a constant, unlike the enumeration bound, since it caps the work
 # and memory of ingestion, not an enumeration
 SAMPLE_LIMIT = 1 << 22
-# cells of one cell map, 4 times G1's: its arrow masks and their transpose,
+# cells of one grid map, 4 times G1's 4096: its arrow masks and transpose,
 # 2n ints of up to n bits, take up to about n^2 / 4 bytes (some 70 MB here),
 # and a walk core call takes time quadratic in n
 CELL_LIMIT = 1 << 14
