@@ -362,15 +362,15 @@ def shrink_repelling_block(
     Stops at the fixed point, which equals comb_inv_plus(W) and is reached
     within n_cells steps, or after ``max_depth`` steps.
     """
-    w = frozenset(block)
-    if not is_repelling_block(w, cmap):
-        raise NotARepellingBlock(f"{sorted(w)} is not a repelling block")
+    w = label_masks(range(cmap.n), [block])[0]
+    if not _is_repelling_block(cmap, w):
+        raise NotARepellingBlock(f"{sorted(members(range(cmap.n), w))} is not a repelling block")
     for _ in range(cmap.n if max_depth is None else max_depth):
-        nxt = w & cmap.preimage(w)
+        nxt = w & union_over(cmap._pre, w)
         if nxt == w:
             break
         w = nxt
-    return w
+    return members(range(cmap.n), w)
 
 
 def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping[int, int]) -> LiftProblem:

@@ -9,14 +9,18 @@ union; meet is the intersection under the lattice's core, an interior
 operator on masks (Inv on Att, comb_inv or comb_inv_plus on a grid, none
 for plain intersection), so no meet crosses labels.  The frozensets of
 labels are a view, built once on first use, that serves only the cubic core
-check and the public label API (elements, meet, join, leq, in).  Each
-element is its own core, so a ^ b == a iff a is a subset of b: the order is
-inclusion and evaluates no meet.  J(L), the covers, predecessors, the
-Booleanization and the Birkhoff embedding come from one O(|L|^2) pass of
-mask tests over the size-sorted elements, kept on the lattice for its
-lifetime.  The down-set lattice O(P) of a known poset needs no such pass:
-from_poset reads its covers off the poset in O(|L| |P|) and builds no
-frozenset.
+check and the public label API (elements, meet, join, leq, in).  The hom
+checks and BooleanExtension take label tables, mask them once and run on
+masks.  Two routines stay on labels: _check_core's distributivity loop,
+because the benchmark keeps every round in memory, so a faster loop would
+run more rounds and raise its peak RSS (ROADMAP item 1), and birkhoff_down,
+the subset scan that tests compare booleanize against.  Each element is its
+own core, so a ^ b == a iff a is a subset of b: the order is inclusion and
+evaluates no meet.  J(L), the covers, predecessors, the Booleanization and
+the Birkhoff embedding come from one O(|L|^2) pass of mask tests over the
+size-sorted elements, kept on the lattice for its lifetime.  The down-set
+lattice O(P) of a known poset needs no such pass: from_poset reads its
+covers off the poset in O(|L| |P|) and builds no frozenset.
 
 A family given as a bare list is validated by closure over all pairs and,
 with a core, by distributivity over all triples, the latter only up to
@@ -41,7 +45,7 @@ from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .order import (
-    InternalCheckFailed, Poset, UnknownElement, canonical_order, check_bound, cover_masks, mask_pairs, union_over,
+    InternalCheckFailed, Poset, canonical_order, check_bound, cover_masks, mask_pairs, members, union_over, union_table,
 )
 
 DISTRIBUTIVITY_CHECK_LIMIT = 64
@@ -405,11 +409,8 @@ def birkhoff_down(lat: SetLattice, a: frozenset, jl: Poset | None = None) -> fro
 
 
 def birkhoff_join(lat: SetLattice, down: Iterable[frozenset]) -> frozenset:
-    """Inverse of birkhoff_down: the join of the members."""
-    out = lat.bottom
-    for b in down:
-        out = lat.join(out, b)
-    return out
+    """Inverse of birkhoff_down: the join of the members, their union."""
+    return frozenset().union(*down)
 
 
 def birkhoff_embedding(lat: SetLattice) -> tuple[Poset, dict[int, int]]:
@@ -477,7 +478,7 @@ def booleanize(lat: SetLattice) -> BooleanAlgebraRep:
 def check_hom(table: Mapping, source: SetLattice, target: SetLattice) -> HomReport:
     """Check the bounded-lattice homomorphism laws, reporting the first violation."""
     return _check_laws(
-        table, source, target, (target.bottom, target.top, target.join, target.meet),
+        table, source, target, (0, target.masks[-1], or_, target._meet_mask),
         ("h(0) = 0", "h(1) = 1", "h(a v b) = h(a) v h(b)", "h(a ^ b) = h(a) ^ h(b)"),
     )
 
@@ -485,27 +486,32 @@ def check_hom(table: Mapping, source: SetLattice, target: SetLattice) -> HomRepo
 def check_anti_hom(table: Mapping, source: SetLattice, target: SetLattice) -> HomReport:
     """Like check_hom but with join and meet swapped on the target side."""
     return _check_laws(
-        table, source, target, (target.top, target.bottom, target.meet, target.join),
+        table, source, target, (target.masks[-1], 0, target._meet_mask, or_),
         ("h(0) = 1", "h(1) = 0", "h(a v b) = h(a) ^ h(b)", "h(a ^ b) = h(a) v h(b)"),
     )
 
 
 def _check_laws(table: Mapping, source: SetLattice, target: SetLattice, ops: tuple, laws: tuple) -> HomReport:
-    """h(0), h(1), h(a v b) and h(a ^ b) against the target's (bottom, top, join, meet) ``ops``."""
+    """h(0), h(1), h(a v b) and h(a ^ b) against the target's (bottom, top, join, meet) ``ops``, on masks.
+
+    The label table is masked once; the witnesses are the source's label sets.
+    """
     bottom, top, join, meet = ops
-    for a in source.elements:
+    k = {}
+    for a, m in zip(source.elements, source.masks):
         if a not in table:
             return HomReport(False, "totality", (a,))
-        if frozenset(table[a]) not in target:
+        if table[a] not in target:
             return HomReport(False, "image", (a, table[a]))
-    if frozenset(table[source.bottom]) != bottom:
+        k[m] = target.mask_of(table[a])
+    if k[0] != bottom:
         return HomReport(False, laws[0], (source.bottom,))
-    if frozenset(table[source.top]) != top:
+    if k[source.masks[-1]] != top:
         return HomReport(False, laws[1], (source.top,))
-    k = {a: frozenset(v) for a, v in table.items()}
-    broken = _broken_law(source.elements, k, join, meet, source.meet)
+    broken = _broken_law(source.masks, k, join, meet, source._meet_mask)
     if broken:
-        return HomReport(False, laws[2] if broken[0] == "joins" else laws[3], broken[1])
+        witness = tuple(members(source.universe, m) for m in broken[1])
+        return HomReport(False, laws[2] if broken[0] == "joins" else laws[3], witness)
     return HomReport(True)
 
 
@@ -553,58 +559,50 @@ class BooleanExtension:
 
     Atom images are forced by the requirement that B(f) agree with j o f on
     O(P):  B(f)({p}) = j(f(down p)) minus j(f(down p minus p)), and the
-    extension to arbitrary subsets is by unions.
+    extension to arbitrary subsets is by unions.  Subsets of P are masks over
+    its carrier and images masks over J(L)'s, read off booleanize's
+    ``j_masks``; ``atom`` and calls take and give label sets.
     """
 
     def __init__(self, poset: Poset, hom: LatticeHom):
         self.poset = poset
         self.hom = hom
         self.target_rep = booleanize(hom.target)
-        self._atoms = {}
-        for p in poset.carrier:
-            dp = poset.down_set(p)
-            self._atoms[p] = self.target_rep.j[hom(dp)] - self.target_rep.j[hom(dp - {p})]
+        j = dict(zip(hom.target.masks, self.target_rep.j_masks))
+        # j o f on the down-set masks of P
+        self._jf = {d: j[hom.target.mask_of(hom(poset.members_of(d)))] for d in poset.down_masks()}
+        self._atoms = [self._jf[dp] & ~self._jf[dp ^ 1 << i] for i, dp in enumerate(poset.below)]
         self._validate()
 
     def atom(self, p) -> frozenset:
-        if p not in self._atoms:
-            raise UnknownElement(p)
-        return self._atoms[p]
+        return self((p,))
 
     def __call__(self, subset: Iterable) -> frozenset:
-        out = frozenset()
-        for p in subset:
-            out |= self.atom(p)
-        return out
+        return self.target_rep.ground.members_of(union_over(self._atoms, self.poset.mask_of(subset)))
 
     def _validate(self):
         # Eq (4): atom images are pairwise disjoint
-        carrier = self.poset.carrier
-        for i, p in enumerate(carrier):
-            for q in carrier[i + 1:]:
-                if self._atoms[p] & self._atoms[q]:
-                    raise NotAHom(HomReport(False, "Eq (4) atom disjointness", (p, q)))
+        carrier, atoms = self.poset.carrier, self._atoms
+        for i, a in enumerate(atoms):
+            for k in range(i + 1, len(atoms)):
+                if a & atoms[k]:
+                    raise NotAHom(HomReport(False, "Eq (4) atom disjointness", (carrier[i], carrier[k])))
         # agreement with j o f on O(P), which also gives Eq (3) on down-sets
-        for d in self.poset.all_down_sets():
-            if self(d) != self.target_rep.j[self.hom(d)]:
-                raise NotAHom(HomReport(False, "B(f) = j o f on O(P)", (d,)))
+        for d, jf in self._jf.items():
+            if union_over(atoms, d) != jf:
+                raise NotAHom(HomReport(False, "B(f) = j o f on O(P)", (self.poset.members_of(d),)))
 
     def is_boolean_hom(self) -> HomReport:
         """Check that the extension preserves meets, joins and complements on all of 2^P."""
-        n = len(self.poset.carrier)
-        ground = frozenset(self.target_rep.ground.carrier)
-        subsets = [
-            frozenset(self.poset.carrier[i] for i in range(n) if m >> i & 1)
-            for m in range(1 << n)
-        ]
-        image = {a: self(a) for a in subsets}
-        broken = _broken_law(subsets, image, or_, and_, and_)
+        image = dict(enumerate(union_table(self._atoms)))
+        broken = _broken_law(range(len(image)), image, or_, and_, and_)
         if broken:
-            return HomReport(False, "B(f)(a v b)" if broken[0] == "joins" else "B(f)(a ^ b)", broken[1])
-        full = frozenset(self.poset.carrier)
-        for a in subsets:
-            if image[full - a] != ground - image[a]:
-                return HomReport(False, "complement preservation", (a,))
+            law = "B(f)(a v b)" if broken[0] == "joins" else "B(f)(a ^ b)"
+            return HomReport(False, law, tuple(map(self.poset.members_of, broken[1])))
+        full, ground = len(image) - 1, (1 << len(self.target_rep.ground)) - 1
+        for a, b in image.items():
+            if image[full ^ a] != ground ^ b:
+                return HomReport(False, "complement preservation", (self.poset.members_of(a),))
         return HomReport(True)
 
 

@@ -28,6 +28,12 @@ complements ``full ^ d`` and ``ambient & ~k`` of the duality transport are
 bit operations.  Labels appear only at I/O, in ``formats.certificate_payload``,
 ObstructionFound and messages, through ``down_label`` and ``order.members``.
 
+The Def 5.8 checks, check_condition_i and spaciousness_falsifier, take
+K, L and a label table for h, which must be an epimorphism (ValueError
+otherwise: an empty fiber would read as a missing conditioner).  They mask
+the table once and search on masks; K and L may have different universes,
+so the falsifier's self-section test compares them on label sets.
+
 The certificate records the assignment and a per-step audit (with the step's
 atom) of the disjointness and annihilation identities;
 LiftCertificate.verify() re-checks everything independently of the
@@ -405,42 +411,54 @@ def check_condition_i(
     h: Mapping[frozenset, frozenset],
     bound: int = 10000,
 ) -> ConditionReport:
-    """Def 5.8(i), decided on materialized K and L.
+    """Def 5.8(i), decided on materialized K and L, for an epimorphism h : K -> L.
 
     h^-1(0) = {0} is sufficient (Prop 5.9).  Otherwise search partial lifts
     on minimal singletons: a violation is a pair of disjoint nonzero L
     elements (s of the singleton, s of alpha) and a preimage u of the first
-    meeting every preimage of the second.
+    meeting every preimage of the second.  The search runs on masks; the
+    witness is given as label sets.
     """
-    fibers = _fibers(k_lattice, h)
-    zero_fiber = fibers.get(l_lattice.bottom, [])
-    if zero_fiber == [k_lattice.bottom]:
+    fibers = _fibers(k_lattice, l_lattice, h)
+    if fibers.get(0) == [0]:
         return ConditionReport(True, "h^-1(0) = 0 (Prop 5.9)")
     work = 0
-    for l1 in l_lattice.elements:
-        if l1 == l_lattice.bottom:
+    for l1 in l_lattice.masks:
+        if not l1:
             continue
-        for l2 in l_lattice.elements:
-            if l2 == l_lattice.bottom or l2 == l1:
-                continue
-            if l_lattice.meet(l1, l2) != l_lattice.bottom:
+        for l2 in l_lattice.masks:
+            if not l2 or l2 == l1 or l_lattice._meet_mask(l1, l2):
                 continue
             # (l1, l2) is realizable as (s({q}), s(alpha)) by a two-antichain
             # embedding when l1 v l2 = 1, otherwise by a V-shaped poset
-            for u in fibers.get(l1, []):
+            for u in fibers[l1]:
                 work += 1
                 if work > bound:
                     return ConditionReport(False, f"no violation within bound {bound}", inconclusive=True)
-                if all(u & v != k_lattice.bottom for v in fibers.get(l2, [])):
-                    return ConditionReport(False, "singleton partial-lift search", (l1, l2, u))
+                if all(u & v for v in fibers[l2]):
+                    lu = l_lattice.universe
+                    witness = (members(lu, l1), members(lu, l2), members(k_lattice.universe, u))
+                    return ConditionReport(False, "singleton partial-lift search", witness)
     return ConditionReport(True, "exhaustive singleton search")
 
 
-def _fibers(k_lattice: SetLattice, h: Mapping[frozenset, frozenset]) -> dict[frozenset, list[frozenset]]:
-    """h^-1(l) for every l in the image of h, each in K's element order."""
-    fibers: dict[frozenset, list[frozenset]] = {}
-    for u in k_lattice.elements:
-        fibers.setdefault(frozenset(h[u]), []).append(u)
+def _fibers(k_lattice: SetLattice, l_lattice: SetLattice, h: Mapping[frozenset, frozenset]) -> dict[int, list[int]]:
+    """h^-1(l) for every L mask l, as K masks in K's element order.
+
+    ValueError, naming the first K or L element at fault, unless h is total
+    on K, lands in L and is onto L: the Def 5.8 checks read an empty fiber
+    as a missing conditioner.
+    """
+    fibers: dict[int, list[int]] = {l: [] for l in l_lattice.masks}
+    for u, m in zip(k_lattice.elements, k_lattice.masks):
+        if u not in h:
+            raise ValueError(f"h is not total on K: it has no image for {k_lattice.labels(m)}")
+        if h[u] not in l_lattice:
+            raise ValueError(f"h maps {k_lattice.labels(m)} to {sorted(h[u], key=repr)}, which is not in L")
+        fibers[l_lattice.mask_of(h[u])].append(m)
+    for l, fiber in fibers.items():
+        if not fiber:
+            raise ValueError(f"h is not onto L: nothing in K maps to {l_lattice.labels(l)}")
     return fibers
 
 
@@ -493,7 +511,7 @@ def spaciousness_falsifier(
     poset_bound: int = 3,
     budget: int = 2_000_000,
 ) -> FalsifierResult:
-    """One-sided search for a Def 5.8(ii) failure.
+    """One-sided search for a Def 5.8(ii) failure of an epimorphism h : K -> L.
 
     Fast path: when every L element is its own h-section inside K, h is
     contractive, and the L meet is plain intersection, the self-conditioner
@@ -501,17 +519,16 @@ def spaciousness_falsifier(
     lift (v_mu ^ v_alpha = s(mu ^ alpha) <= s(lambda) <= k(lambda)), so no
     witness can exist.  Otherwise embeddings from all posets up to
     ``poset_bound`` elements, partial lifts, and conditioner families are
-    enumerated within ``budget``.
+    enumerated within ``budget``, on masks; a witness (s, lambda, q, the
+    partial lift's values on the irreducibles of lambda) gives its L and K
+    elements as label sets.
     """
-    fibers = _fibers(k_lattice, h)
+    fibers = _fibers(k_lattice, l_lattice, h)
+    # K and L may have different universes, so this one comparison is on label sets
     structural = (
-        all(l in k_lattice._eset and frozenset(h[l]) == l for l in l_lattice.elements)
+        all(l in k_lattice and frozenset(h[l]) == l for l in l_lattice.elements)
         and all(frozenset(h[u]) <= u for u in k_lattice.elements)
-        and all(
-            l_lattice.meet(a, b) == a & b
-            for a in l_lattice.elements
-            for b in l_lattice.elements
-        )
+        and all(l_lattice._meet_mask(a, b) == a & b for a in l_lattice.masks for b in l_lattice.masks)
     )
     if structural:
         return FalsifierResult("no_counterexample", "self-section certificate")
@@ -533,83 +550,65 @@ def spaciousness_falsifier(
                             continue
                         outcome, work = _check_site(poset, downs, s, lam, q, fibers, work, budget)
                         checked += 1
+                        if outcome == "budget":
+                            return FalsifierResult("bound_exceeded", "enumeration", None, checked)
                         if outcome is not None:
-                            if outcome == "budget":
-                                return FalsifierResult("bound_exceeded", "enumeration", None, checked)
-                            return FalsifierResult("witness", "enumeration", outcome, checked)
+                            s_sets = {d: members(l_lattice.universe, v) for d, v in s.items()}
+                            assign = {p: members(k_lattice.universe, v) for p, v in outcome.items()}
+                            return FalsifierResult("witness", "enumeration", (s_sets, lam, q, assign), checked)
     return FalsifierResult("no_counterexample", "enumeration", None, checked)
 
 
 def _embeddings(poset: Poset, downs: list[int], l_lattice: SetLattice):
-    """All lattice embeddings O(P) -> L, generated from irreducible images, keyed by down-set mask."""
+    """All lattice embeddings O(P) -> L, generated from irreducible images: maps from down-set masks to L masks."""
     n = len(poset)
     full = (1 << n) - 1
+    top = l_lattice.masks[-1]
 
-    def build(assign):
-        s = {}
-        for d in downs:
-            val = l_lattice.bottom
-            for p in _bits(d):
-                val = l_lattice.join(val, assign[p])
-            s[d] = val
-        return s
-
-    def rec(i, assign):
+    def rec(assign):
+        i = len(assign)
         if i == n:
-            s = build(assign)
-            if len(set(s.values())) != len(downs):
-                return
-            if s[full] != l_lattice.top or _broken_law(downs, s, l_lattice.join, l_lattice.meet, and_):
-                return
-            yield dict(s)
+            s = {d: union_over(assign, d) for d in downs}
+            if len(set(s.values())) == len(downs) and s[full] == top:
+                if not _broken_law(downs, s, or_, l_lattice._meet_mask, and_):
+                    yield s
             return
-        for val in l_lattice.elements:
-            if val == l_lattice.bottom:
-                continue
-            if all(l_lattice.leq(assign[j], val) for j in _bits(poset.below[i]) if j < i):
-                assign[i] = val
-                yield from rec(i + 1, assign)
-                del assign[i]
+        for val in l_lattice.masks:
+            if val and not any(assign[j] & ~val for j in _bits(poset.below[i]) if j < i):
+                assign.append(val)
+                yield from rec(assign)
+                assign.pop()
 
-    yield from rec(0, {})
+    yield from rec([])
 
 
 def _check_site(poset, downs, s, lam, q, fibers, work, budget):
-    """Does some partial lift at (s, lam, q) admit no conditioner family?  Masks and carrier indices throughout."""
+    """A partial lift at (s, lam, q) that admits no conditioner family, as its K masks on the irreducibles of lam.
+
+    None when every partial lift admits one, and "budget" when the budget
+    runs out first; returned with the work done so far.  Masks and carrier
+    indices throughout.
+    """
     lam_irr = _bits(lam)
-    choice_lists = [fibers.get(s[poset.below[p]], []) for p in lam_irr]
-    if any(not c for c in choice_lists):
-        return None, work  # s(down p) has no section at all: not a partial lift site
-    mu_fiber = fibers.get(s[poset.below[q]], [])
-    alphas = [a for a in downs if not a >> q & 1]
+    choice_lists = [fibers[s[poset.below[p]]] for p in lam_irr]
+    mu_fiber = fibers[s[poset.below[q]]]
+    alpha_fibers = [fibers[s[a]] for a in downs if not a >> q & 1]
 
     lam_downs = [d for d in downs if not d & ~lam]
     for choice in product(*choice_lists):
         assign = dict(zip(lam_irr, choice))
-        table = {}
-        for d in lam_downs:
-            val = frozenset()
-            for p in _bits(d):
-                val |= assign[p]
-            table[d] = val
+        table = {d: union_over(assign, d) for d in lam_downs}
         # joins of sections automatically satisfy h o k = s and stay in K,
         # but the meet law is a genuine partial-lift filter
         if _broken_law(lam_downs, table, or_, and_, and_):
             continue
         k_lam = table[lam]
-        family_exists = False
         for v_mu in mu_fiber:
             work += 1
             if work > budget:
                 return "budget", work
-            ok = True
-            for alpha in alphas:
-                if not any((v_mu & v) <= k_lam for v in fibers.get(s[alpha], [])):
-                    ok = False
-                    break
-            if ok:
-                family_exists = True
-                break
-        if not family_exists:
-            return (s, lam, q, assign), work
+            if all(any(not v_mu & v & ~k_lam for v in fiber) for fiber in alpha_fibers):
+                break  # a conditioner family exists
+        else:
+            return assign, work
     return None, work

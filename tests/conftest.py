@@ -1,3 +1,7 @@
+from itertools import product
+from operator import and_, or_
+from typing import Mapping
+
 import pytest
 from hypothesis import strategies as st
 
@@ -6,6 +10,7 @@ from morselat import (
     CellMap,
     NotJoinIrreducible,
     Poset,
+    SetLattice,
     ds1,
     ds2,
     ds3,
@@ -15,7 +20,8 @@ from morselat import (
 )
 from morselat.dynsys import _reach
 from morselat.formats import InputError
-from morselat.lattice import HomReport, label_masks
+from morselat.lattice import HomReport, _broken_law, label_masks
+from morselat.lifting import ConditionReport, FalsifierResult, _bits
 from morselat.order import all_posets, members
 
 # small single-valued maps (targets of states 0..n-1) and cell maps (arrows of cells 0..n-1)
@@ -324,3 +330,180 @@ def not_transitive_triple_oracle(carrier, below):
                 return carrier[k], carrier[j], carrier[i]
             rest &= rest - 1
     return None
+
+
+# the spaciousness checks on label sets, the reference for their mask search in ``lifting``
+
+
+def condition_i_oracle(
+    k_lattice: SetLattice,
+    l_lattice: SetLattice,
+    h: Mapping[frozenset, frozenset],
+    bound: int = 10000,
+) -> ConditionReport:
+    """lifting.check_condition_i on the frozenset lattices, as it was before the search moved to masks.
+
+    h^-1(0) = {0} is sufficient (Prop 5.9).  Otherwise search partial lifts
+    on minimal singletons: a violation is a pair of disjoint nonzero L
+    elements (s of the singleton, s of alpha) and a preimage u of the first
+    meeting every preimage of the second.
+    """
+    fibers = _fibers_oracle(k_lattice, h)
+    zero_fiber = fibers.get(l_lattice.bottom, [])
+    if zero_fiber == [k_lattice.bottom]:
+        return ConditionReport(True, "h^-1(0) = 0 (Prop 5.9)")
+    work = 0
+    for l1 in l_lattice.elements:
+        if l1 == l_lattice.bottom:
+            continue
+        for l2 in l_lattice.elements:
+            if l2 == l_lattice.bottom or l2 == l1:
+                continue
+            if l_lattice.meet(l1, l2) != l_lattice.bottom:
+                continue
+            # (l1, l2) is realizable as (s({q}), s(alpha)) by a two-antichain
+            # embedding when l1 v l2 = 1, otherwise by a V-shaped poset
+            for u in fibers.get(l1, []):
+                work += 1
+                if work > bound:
+                    return ConditionReport(False, f"no violation within bound {bound}", inconclusive=True)
+                if all(u & v != k_lattice.bottom for v in fibers.get(l2, [])):
+                    return ConditionReport(False, "singleton partial-lift search", (l1, l2, u))
+    return ConditionReport(True, "exhaustive singleton search")
+
+
+def _fibers_oracle(k_lattice: SetLattice, h: Mapping[frozenset, frozenset]) -> dict[frozenset, list[frozenset]]:
+    """h^-1(l) for every l in the image of h, each in K's element order."""
+    fibers: dict[frozenset, list[frozenset]] = {}
+    for u in k_lattice.elements:
+        fibers.setdefault(frozenset(h[u]), []).append(u)
+    return fibers
+
+
+def falsifier_oracle(
+    k_lattice: SetLattice,
+    l_lattice: SetLattice,
+    h: Mapping[frozenset, frozenset],
+    poset_bound: int = 3,
+    budget: int = 2_000_000,
+) -> FalsifierResult:
+    """lifting.spaciousness_falsifier on the frozenset lattices, as it was before the search moved to masks.
+
+    Fast path: when every L element is its own h-section inside K, h is
+    contractive, and the L meet is plain intersection, the self-conditioner
+    family v_xi = s(xi) satisfies Eq (20) for every embedding and partial
+    lift (v_mu ^ v_alpha = s(mu ^ alpha) <= s(lambda) <= k(lambda)), so no
+    witness can exist.  Otherwise embeddings from all posets up to
+    ``poset_bound`` elements, partial lifts, and conditioner families are
+    enumerated within ``budget``.
+    """
+    fibers = _fibers_oracle(k_lattice, h)
+    structural = (
+        all(l in k_lattice._eset and frozenset(h[l]) == l for l in l_lattice.elements)
+        and all(frozenset(h[u]) <= u for u in k_lattice.elements)
+        and all(
+            l_lattice.meet(a, b) == a & b
+            for a in l_lattice.elements
+            for b in l_lattice.elements
+        )
+    )
+    if structural:
+        return FalsifierResult("no_counterexample", "self-section certificate")
+
+    work = 0
+    checked = 0
+    for size in range(1, poset_bound + 1):
+        labels = tuple(f"p{i}" for i in range(size))
+        full = (1 << size) - 1
+        for poset in all_posets(labels):
+            downs = poset.down_masks()
+            for s in _embeddings_oracle(poset, downs, l_lattice):
+                for lam in downs:
+                    if lam == full:
+                        continue
+                    rest = full ^ lam
+                    for q in range(size):
+                        if poset.below[q] & rest != 1 << q:
+                            continue
+                        outcome, work = _check_site_oracle(poset, downs, s, lam, q, fibers, work, budget)
+                        checked += 1
+                        if outcome is not None:
+                            if outcome == "budget":
+                                return FalsifierResult("bound_exceeded", "enumeration", None, checked)
+                            return FalsifierResult("witness", "enumeration", outcome, checked)
+    return FalsifierResult("no_counterexample", "enumeration", None, checked)
+
+
+def _embeddings_oracle(poset: Poset, downs: list[int], l_lattice: SetLattice):
+    """All lattice embeddings O(P) -> L, generated from irreducible images, keyed by down-set mask."""
+    n = len(poset)
+    full = (1 << n) - 1
+
+    def build(assign):
+        s = {}
+        for d in downs:
+            val = l_lattice.bottom
+            for p in _bits(d):
+                val = l_lattice.join(val, assign[p])
+            s[d] = val
+        return s
+
+    def rec(i, assign):
+        if i == n:
+            s = build(assign)
+            if len(set(s.values())) != len(downs):
+                return
+            if s[full] != l_lattice.top or _broken_law(downs, s, l_lattice.join, l_lattice.meet, and_):
+                return
+            yield dict(s)
+            return
+        for val in l_lattice.elements:
+            if val == l_lattice.bottom:
+                continue
+            if all(l_lattice.leq(assign[j], val) for j in _bits(poset.below[i]) if j < i):
+                assign[i] = val
+                yield from rec(i + 1, assign)
+                del assign[i]
+
+    yield from rec(0, {})
+
+
+def _check_site_oracle(poset, downs, s, lam, q, fibers, work, budget):
+    """Does some partial lift at (s, lam, q) admit no conditioner family?  Masks and carrier indices throughout."""
+    lam_irr = _bits(lam)
+    choice_lists = [fibers.get(s[poset.below[p]], []) for p in lam_irr]
+    if any(not c for c in choice_lists):
+        return None, work  # s(down p) has no section at all: not a partial lift site
+    mu_fiber = fibers.get(s[poset.below[q]], [])
+    alphas = [a for a in downs if not a >> q & 1]
+
+    lam_downs = [d for d in downs if not d & ~lam]
+    for choice in product(*choice_lists):
+        assign = dict(zip(lam_irr, choice))
+        table = {}
+        for d in lam_downs:
+            val = frozenset()
+            for p in _bits(d):
+                val |= assign[p]
+            table[d] = val
+        # joins of sections automatically satisfy h o k = s and stay in K,
+        # but the meet law is a genuine partial-lift filter
+        if _broken_law(lam_downs, table, or_, and_, and_):
+            continue
+        k_lam = table[lam]
+        family_exists = False
+        for v_mu in mu_fiber:
+            work += 1
+            if work > budget:
+                return "budget", work
+            ok = True
+            for alpha in alphas:
+                if not any((v_mu & v) <= k_lam for v in fibers.get(s[alpha], [])):
+                    ok = False
+                    break
+            if ok:
+                family_exists = True
+                break
+        if not family_exists:
+            return (s, lam, q, assign), work
+    return None, work

@@ -434,6 +434,33 @@ class TestHomChecking:
         assert maps == 12637 and 0 < broken < maps
 
 
+# tables on 2^{a,b}, each key and value spelled by its labels, and the first
+# law each breaks, with its witness; elements run 0, a, b, ab
+HOM_FAILURES = [
+    (check_hom, {"": "", "a": "a", "ab": "ab"}, "totality", (fs("b"),)),
+    (check_hom, {"": "", "a": "c", "b": "b", "ab": "ab"}, "image", (fs("a"), fs("c"))),
+    (check_hom, {"": "a", "a": "a", "b": "ab", "ab": "ab"}, "h(0) = 0", (fs(),)),
+    (check_hom, {"": "", "a": "", "b": "", "ab": ""}, "h(1) = 1", (fs("a", "b"),)),
+    (check_hom, {"": "", "a": "a", "b": "", "ab": "ab"}, "h(a v b) = h(a) v h(b)", (fs("a"), fs("b"))),
+    (check_hom, {"": "", "a": "ab", "b": "ab", "ab": "ab"}, "h(a ^ b) = h(a) ^ h(b)", (fs("a"), fs("b"))),
+    (check_anti_hom, {"": "ab", "a": "b", "ab": ""}, "totality", (fs("b"),)),
+    (check_anti_hom, {"": "ab", "a": "b", "b": "x", "ab": ""}, "image", (fs("b"), fs("x"))),
+    (check_anti_hom, {"": "", "a": "a", "b": "b", "ab": "ab"}, "h(0) = 1", (fs(),)),
+    (check_anti_hom, {"": "ab", "a": "b", "b": "a", "ab": "ab"}, "h(1) = 0", (fs("a", "b"),)),
+    (check_anti_hom, {"": "ab", "a": "ab", "b": "a", "ab": ""}, "h(a v b) = h(a) ^ h(b)", (fs("a"), fs("b"))),
+    (check_anti_hom, {"": "ab", "a": "", "b": "", "ab": ""}, "h(a ^ b) = h(a) v h(b)", (fs("a"), fs("b"))),
+]
+
+
+@pytest.mark.parametrize(
+    "check, spelled, law, witness", HOM_FAILURES, ids=[f"{r[0].__name__}: {r[2]}" for r in HOM_FAILURES]
+)
+def test_hom_check_names_each_failure(check, spelled, law, witness):
+    lat = powerset_lattice("ab")
+    report = check({frozenset(a): frozenset(v) for a, v in spelled.items()}, lat, lat)
+    assert not report and (report.law, report.witness) == (law, witness)
+
+
 class TestBooleanExtension:
     def hom_from_order_map(self, source_poset, target_poset, point_map):
         """O(u): O(P) -> O(Q) induced by an order-preserving u: Q -> P."""
@@ -478,6 +505,30 @@ class TestBooleanExtension:
         hom = self.hom_from_order_map(p, q, point_map)
         ext = BooleanExtension(p, hom)  # validates Eq (3) on O(P) and Eq (4)
         assert ext.is_boolean_hom()
+
+    # a valid hom passes every check, so each row corrupts one stored atom, a
+    # mask over J(L) indexed by P's carrier; the join law cannot break, as
+    # B(f) of a set is by definition the union of its atoms
+    @pytest.mark.parametrize(
+        "p, corrupt, check, law, witness",
+        [
+            (1, lambda atoms: atoms[0], "_validate", "Eq (4) atom disjointness", ("1", "2")),
+            (2, lambda atoms: 0, "_validate", "B(f) = j o f on O(P)", (fs("1", "3"),)),
+            (1, lambda atoms: atoms[0] | atoms[1], "is_boolean_hom", "B(f)(a ^ b)", (fs("1"), fs("2"))),
+            (2, lambda atoms: 0, "is_boolean_hom", "complement preservation", (fs(),)),
+        ],
+        ids=["Eq (4)", "j o f", "meets", "complements"],
+    )
+    def test_each_failure_is_named(self, p3, p, corrupt, check, law, witness):
+        ext = BooleanExtension(p3, self.hom_from_order_map(p3, p3, {q: q for q in p3.carrier}))
+        ext._atoms[p] = corrupt(ext._atoms)
+        if check == "_validate":
+            with pytest.raises(NotAHom) as info:
+                ext._validate()
+            report = info.value.report
+        else:
+            report = ext.is_boolean_hom()
+        assert not report and (report.law, report.witness) == (law, witness)
 
 
 def _random_order_map(rng, source, target):

@@ -43,7 +43,7 @@ from morselat.dynsys import _inv, ds1
 from morselat.grid import _comb_inv_plus, _morse_attractors, comb_att_lattice, comb_inv_plus
 from morselat.lattice import checked_sublattice, label_masks, sublattices
 from morselat.order import all_posets, members
-from conftest import forward_closure, small_cell_maps, small_maps
+from conftest import condition_i_oracle, falsifier_oracle, forward_closure, small_cell_maps, small_maps
 
 
 def fs(*items):
@@ -602,6 +602,84 @@ def test_poset_enumeration_for_falsifier():
     assert len(all_posets(("a",))) == 1
     assert len(all_posets(("a", "b"))) == 3
     assert len(all_posets(("a", "b", "c"))) == 19
+
+
+# the identity from K = {0, a, ab} to L = 2^{a,b} misses {b}; from K = 2^{a,b}
+# to the chain L = {0, a, ab} it sends {b} outside L
+CHAIN, SQUARE = [fs(), fs("a"), fs("a", "b")], [fs(), fs("a"), fs("b"), fs("a", "b")]
+NOT_EPIMORPHISMS = [
+    (CHAIN, SQUARE, "h is not onto L: nothing in K maps to ['b']"),
+    (SQUARE, CHAIN, "h maps ['b'] to ['b'], which is not in L"),
+]
+
+
+@pytest.mark.parametrize("k_sets, l_sets, message", NOT_EPIMORPHISMS, ids=["not onto", "not into L"])
+def test_spaciousness_checks_refuse_a_map_that_is_no_epimorphism(k_sets, l_sets, message):
+    K, L = SetLattice.of_sets("ab", k_sets), SetLattice.of_sets("ab", l_sets)
+    for check in (check_condition_i, spaciousness_falsifier):
+        with pytest.raises(ValueError) as info:
+            check(K, L, {e: e for e in K.elements})
+        assert str(info.value) == message
+
+
+def spaciousness_corpus():
+    """(description, K, L, h) for the Def 5.8 checks, h an epimorphism K -> L.
+
+    Every map of 1-4 states with K its repelling neighborhoods, L = Rep and
+    h = Inv+; the tripod and seeded cell maps of 3-7 cells with K the
+    attracting blocks, L = Att and h = comb_inv; seeded rings of sets with
+    h(e) = e - D for a dropped label set D.
+    """
+    for n in range(1, 5):
+        for targets in itertools.product(range(n), repeat=n):
+            system = FiniteDynSys(range(n), dict(enumerate(targets)))
+            rnb = system.repelling_neighborhoods()
+            K = SetLattice.of_sets(system.states, rnb, check=False)
+            yield f"map {targets}", K, system.rep_lattice(), {u: system.inv_plus(u) for u in rnb}
+    rng = random.Random(30)
+    cmaps = [CellMap(CellGrid(0.0, 4.0, 4), (fs(0), fs(0), fs(1, 2), fs(1, 3)))]
+    for n in range(3, 8):
+        for _ in range(20):
+            arrows = tuple(frozenset(rng.sample(range(n), rng.randint(1, 2))) for _ in range(n))
+            cmaps.append(CellMap(CellGrid(0.0, float(n), n), arrows))
+    for cmap in cmaps:
+        K = SetLattice.of_sets(range(cmap.n), grid.attracting_blocks(cmap), check=False)
+        yield f"cell map {cmap.arrows}", K, comb_att_lattice(cmap), {b: grid.comb_inv(b, cmap) for b in K.elements}
+    for _ in range(100):
+        universe = "abcdef"[: rng.randint(2, 6)]
+        ring = {fs(), frozenset(universe)}
+        ring |= {frozenset(rng.sample(universe, rng.randint(1, len(universe)))) for _ in range(4)}
+        while True:
+            closed = ring | {a | b for a in ring for b in ring} | {a & b for a in ring for b in ring}
+            if closed == ring:
+                break
+            ring = closed
+        dropped = frozenset(rng.sample(universe, rng.randint(0, len(universe) - 1)))
+        h = {e: e - dropped for e in ring}
+        L = SetLattice.of_sets([x for x in universe if x not in dropped], h.values())
+        yield f"ring {sorted(map(sorted, ring))} minus {sorted(dropped)}", SetLattice.of_sets(universe, ring), L, h
+
+
+def test_spaciousness_checks_agree_with_the_label_oracles():
+    # at the default bounds and at tight ones, where the searches stop early
+    seen = set()
+    for name, K, L, h in spaciousness_corpus():
+        for bound, budget in ((10000, 2_000_000), (3, 50)):
+            report = check_condition_i(K, L, h, bound=bound)
+            assert report == condition_i_oracle(K, L, h, bound=bound), name
+            result = spaciousness_falsifier(K, L, h, budget=budget)
+            assert result == falsifier_oracle(K, L, h, budget=budget), name
+            seen |= {(report.ok, report.inconclusive, report.method.split(" (")[0]), (result.status, result.method)}
+    assert seen == {
+        (True, False, "h^-1(0) = 0"),
+        (True, False, "exhaustive singleton search"),
+        (False, False, "singleton partial-lift search"),
+        (False, True, "no violation within bound 3"),
+        ("no_counterexample", "self-section certificate"),
+        ("no_counterexample", "enumeration"),
+        ("witness", "enumeration"),
+        ("bound_exceeded", "enumeration"),
+    }
 
 
 # Identity maps on three points: every subset is an attractor, a repeller and

@@ -103,8 +103,9 @@ class TestLimitSets:
 
     def test_att_lattice_leaves_no_cycle_through_its_system(self):
         # att_lattice() keeps nothing on the system that refers back to it (its
-        # core is the bound system.inv), or each system of a streamed verify
-        # corpus lives on until the next collection
+        # core, functools.partial(dynsys._inv, cycles), holds the cycles and no
+        # system), or each system of a streamed verify corpus lives on until
+        # the next collection
         sys = FiniteDynSys(range(4), {0: 1, 1: 0, 2: 2, 3: 2})
         assert len(sys.att_lattice().elements) == 4
         ref = weakref.ref(sys)
