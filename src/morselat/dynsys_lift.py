@@ -4,8 +4,8 @@ On a finite discrete space every repeller is a repelling neighborhood of
 itself and every attractor an attracting neighborhood of itself, so the
 section is the identity and the conditioners are the lattice elements
 themselves.  The repeller side is lifted directly through Inv+; the
-attractor problem (h = Inv) goes through the duality transport onto a
-repeller problem on the dual poset, whose embedding check certifies the
+attractor problem (h = Inv) goes through the duality transport onto the
+same repeller side on the dual poset, whose embedding check certifies the
 dual family.
 
 A given family is masked once, over the states, and tested element by
@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from functools import partial
 from operator import and_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .dynsys import FiniteDynSys, _inv, _inv_plus
-from .lattice import NotASublattice, SetLattice, _require_sublattice, birkhoff_embedding
+from .lattice import NotASublattice, SetLattice, _require_sublattice
 from .lifting import LiftCertificate, LiftProblem, lift, transport_by_duality
-from .order import Poset
 
 
 def _sublattice(system: FiniteDynSys, elements: Sequence[Iterable], is_member, what, top, core=None) -> SetLattice:
@@ -54,19 +53,13 @@ def attractor_sublattice(system: FiniteDynSys, elements: Sequence[Iterable]) -> 
     return _sublattice(system, elements, system._is_attractor, "an attractor", top, partial(_inv, system._cycles))
 
 
-def _repeller_problem(system: FiniteDynSys, poset: Poset, s: Mapping[int, int]) -> LiftProblem:
-    return LiftProblem(
-        poset=poset,
-        s=s,
-        universe=system.states,
-        h=partial(_inv_plus, system._pre1),
-        section=lambda l: l,
-        member=system._is_repelling_nbhd,
-    )
+def _repeller_side(system: FiniteDynSys) -> tuple:
+    """h = Inv+, the identity section and repelling-neighborhood membership: the repeller lift's and its transport's."""
+    return partial(_inv_plus, system._pre1), lambda l: l, system._is_repelling_nbhd
 
 
 def repeller_lift_problem(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftProblem:
-    return _repeller_problem(system, *birkhoff_embedding(repeller_sublattice(system, elements)))
+    return LiftProblem.on(repeller_sublattice(system, elements), *_repeller_side(system))
 
 
 def repeller_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCertificate:
@@ -75,14 +68,6 @@ def repeller_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCer
 
 def attractor_lift(system: FiniteDynSys, elements: Sequence[Iterable]) -> LiftCertificate:
     lat = attractor_sublattice(system, elements)
-    poset, s = birkhoff_embedding(lat)
-    problem = LiftProblem(
-        poset=poset,
-        s=s,
-        universe=system.states,
-        h=partial(_inv, system._cycles),
-        section=lambda l: l,
-        member=system._is_attracting_nbhd,
-    )
+    problem = LiftProblem.on(lat, partial(_inv, system._cycles), lambda l: l, system._is_attracting_nbhd)
     star = {a: system._dual_mask(a, True) for a in lat.masks}
-    return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _repeller_problem(system, dual, s_rep))
+    return transport_by_duality(problem, star.__getitem__, *_repeller_side(system))

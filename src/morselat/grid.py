@@ -32,9 +32,9 @@ from typing import Iterable, Mapping, Sequence
 
 from . import expr as exprmod
 from .dynsys import _reach
-from .lattice import SetLattice, birkhoff_embedding, checked_sublattice, label_masks
+from .lattice import SetLattice, checked_sublattice, label_masks
 from .lifting import LiftProblem, ObstructionFound, lift, transport_by_duality
-from .order import InternalCheckFailed, Poset, TooLarge, check_bound, closed_masks, members, transpose, union_over
+from .order import InternalCheckFailed, TooLarge, check_bound, closed_masks, members, transpose, union_over
 
 GRID_ENUM_BOUND = 16
 # cells x samples_per_cell of one interval map, 32 times G1's 4096 cells x 32
@@ -373,20 +373,20 @@ def shrink_repelling_block(
     return members(range(cmap.n), w)
 
 
-def _rep_problem(cmap: CellMap, lat: SetLattice, poset: Poset, s: Mapping[int, int]) -> LiftProblem:
-    def section(l: int) -> int:
-        if not _is_repelling_block(cmap, l) or _comb_inv_plus(cmap, l) != l:
-            raise NotARepellingBlock(f"no repelling block realizes {lat.labels(l)}")
-        return l
+def _rep_side(cmap: CellMap) -> tuple:
+    """h = comb_inv_plus, the block-checking section and membership in the repelling blocks.
 
-    return LiftProblem(
-        poset=poset,
-        s=s,
-        universe=lat.universe,
-        h=partial(_comb_inv_plus, cmap),
-        section=section,
-        member=partial(_is_repelling_block, cmap),
-    )
+    The repeller lift's, and its transport's.  The section is the identity on
+    each image that is its own repelling block and raises NotARepellingBlock
+    on any other.
+    """
+
+    def section(w: int) -> int:
+        if not _is_repelling_block(cmap, w) or _comb_inv_plus(cmap, w) != w:
+            raise NotARepellingBlock(f"no repelling block realizes {sorted(members(range(cmap.n), w))}")
+        return w
+
+    return partial(_comb_inv_plus, cmap), section, partial(_is_repelling_block, cmap)
 
 
 def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftProblem:
@@ -400,7 +400,7 @@ def grid_lift_problem(cmap: CellMap, images: Sequence[Iterable[int]]) -> LiftPro
     NotARepellingBlock when the lift takes its section.
     """
     lat = checked_sublattice(range(cmap.n), label_masks(range(cmap.n), images), partial(_comb_inv_plus, cmap))
-    return _rep_problem(cmap, lat, *birkhoff_embedding(lat))
+    return LiftProblem.on(lat, *_rep_side(cmap))
 
 
 def grid_attractor_lift(
@@ -424,13 +424,7 @@ def grid_attractor_lift(
     there falls back to the direct route, and only its obstruction stands.
     """
     lat = checked_sublattice(range(cmap.n), label_masks(range(cmap.n), images), partial(_comb_inv, cmap))
-    poset, s = birkhoff_embedding(lat)
     pins = {}
-    for a, blk in (pinned or {}).items():
-        a, blk = label_masks(range(cmap.n), (a, blk))
-        if not _is_attracting_block(cmap, blk) or _comb_inv(cmap, blk) != a:
-            raise NotAnAttractingBlock(f"pinned block {lat.labels(blk)} is not an attracting block for {lat.labels(a)}")
-        pins[a] = blk
 
     def att_block_for(a: int) -> int:
         if a in pins:
@@ -440,18 +434,16 @@ def grid_attractor_lift(
             raise NotAnAttractingBlock(f"no attracting block realizes {lat.labels(a)}")
         return blk
 
-    problem = LiftProblem(
-        poset=poset,
-        s=s,
-        universe=lat.universe,
-        h=partial(_comb_inv, cmap),
-        section=att_block_for,
-        member=partial(_is_attracting_block, cmap),
-    )
+    problem = LiftProblem.on(lat, partial(_comb_inv, cmap), att_block_for, partial(_is_attracting_block, cmap))
+    for a, blk in (pinned or {}).items():
+        a, blk = label_masks(range(cmap.n), (a, blk))
+        if not _is_attracting_block(cmap, blk) or _comb_inv(cmap, blk) != a:
+            raise NotAnAttractingBlock(f"pinned block {lat.labels(blk)} is not an attracting block for {lat.labels(a)}")
+        pins[a] = blk
     if direct:
         return lift(problem)
     star = {a: _comb_inv_plus(cmap, cmap._full & ~att_block_for(a)) for a in lat.masks}
     try:
-        return transport_by_duality(problem, star.__getitem__, lambda dual, s_rep: _rep_problem(cmap, lat, dual, s_rep))
+        return transport_by_duality(problem, star.__getitem__, *_rep_side(cmap))
     except ObstructionFound:
         return lift(problem)

@@ -48,7 +48,7 @@ from itertools import product
 from operator import and_, or_
 from typing import Callable, Mapping, Sequence
 
-from .lattice import HomReport, SetLattice, _broken_law
+from .lattice import HomReport, SetLattice, _broken_law, birkhoff_embedding
 from .order import InternalCheckFailed, Poset, all_posets, members, union_over
 
 
@@ -124,6 +124,11 @@ class LiftProblem:
     h: Callable[[int], int]
     section: Callable[[int], int]
     member: Callable[[int], bool]
+
+    @classmethod
+    def on(cls, lat: SetLattice, h: Callable, section: Callable, member: Callable) -> LiftProblem:
+        """The problem of lifting lat's Birkhoff embedding s : O(J(lat)) -> lat, over lat's universe."""
+        return cls(*birkhoff_embedding(lat), lat.universe, h, section, member)
 
     @cached_property
     def down_sets(self) -> tuple[int, ...]:
@@ -468,20 +473,24 @@ def _fibers(k_lattice: SetLattice, l_lattice: SetLattice, h: Mapping[frozenset, 
 def transport_by_duality(
     problem: LiftProblem,
     star: Callable[[int], int],
-    rep_problem: Callable[[Poset, Mapping[int, int]], LiftProblem],
+    h: Callable[[int], int],
+    section: Callable[[int], int],
+    member: Callable[[int], bool],
 ) -> LiftCertificate:
     """Lift an attractor-side problem through the duality of diagram (24).
 
-    s is transported to s_rep = star o s o c on the dual poset, lifted on
-    ``rep_problem(dual, s_rep)``, a problem over the same universe, and
-    pulled back with k = c o k_rep o c, the outer c being the complement
-    ``ambient & ~k`` in the ambient space.  The certificate is one for
-    ``problem`` itself, so verify() re-checks h o k = s there.
+    s is transported to s_rep = star o s o c on the dual poset and lifted on
+    the repeller side: the problem (dual, s_rep) over the same universe, with
+    the repeller lift's own h, section and member, whose embedding check
+    certifies the dual family.  k = c o k_rep o c pulls it back, the outer c
+    being the complement ``ambient & ~k`` in the ambient space.  The
+    certificate is one for ``problem`` itself, so verify() re-checks
+    h o k = s there.
     """
     full = (1 << len(problem.poset)) - 1
     downs = problem.down_sets
     s_rep = {full ^ alpha: star(problem.s[alpha]) for alpha in downs}
-    rep_cert = lift(rep_problem(problem.poset.dual(), s_rep))
+    rep_cert = lift(LiftProblem(problem.poset.dual(), s_rep, problem.universe, h, section, member))
     table = {alpha: problem.ambient & ~rep_cert.table[full ^ alpha] for alpha in downs}
     cert = LiftCertificate(problem, table, list(rep_cert.audit), rep_cert.top_preserved)
     cert.verify()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morselat import FiniteDynSys, LiftCertificate, SetLattice, TooLarge, cli, ds1, dynsys, dynsys_lift, grid
+from morselat import FiniteDynSys, LiftCertificate, SetLattice, TooLarge, cli, ds1, dynsys, grid, lifting
 from morselat.formats import (
     InputError,
     RunConfig,
@@ -28,7 +28,7 @@ from morselat.formats import (
     load_system,
 )
 from morselat.grid import comb_inv
-from morselat.lifting import lift
+from morselat.lifting import LiftProblem, lift
 from morselat.verify import SystemData
 from conftest import parse_dot
 
@@ -515,6 +515,16 @@ class TestCliLift:
         assert cli.main(["lift", spath, lpath]) == 5
         assert json.loads(capsys.readouterr().err)["error"] == "not_a_block"
 
+    def test_repeller_image_that_is_no_block_exit_5(self, tmp_path, capsys):
+        # {0} is its own comb_inv_plus, but cell 1 points into it
+        spath = write(tmp_path, "map.json", {"type": "cell_map", "cells": 2, "arrows": [[0], [0]]})
+        lpath = write(tmp_path, "sub.json", {"side": "repeller", "elements": [[], [0], [0, 1]]})
+        assert cli.main(["lift", spath, lpath]) == 5
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "not_a_block",
+            "message": "no repelling block realizes [0]",
+        }
+
     @pytest.mark.parametrize("pin", [[[0], [1]], [[0], [0, 2]]])
     def test_pin_that_is_not_an_attracting_block_exit_5(self, tmp_path, capsys, pin):
         # {1} and {0, 2} each have an arrow leaving them
@@ -580,10 +590,8 @@ class TestCliLift:
 
     def test_inconsistent_section_exit_6(self, tmp_path, capsys, monkeypatch):
         # a section that sends every element of L to 0 has the wrong h image at {m, z}
-        real = dynsys_lift._repeller_problem
-        monkeypatch.setattr(
-            dynsys_lift, "_repeller_problem", lambda *args: dataclasses.replace(real(*args), section=lambda l: 0)
-        )
+        real = LiftProblem.on
+        monkeypatch.setattr(LiftProblem, "on", lambda lat, h, section, member: real(lat, h, lambda l: 0, member))
         spath = write(tmp_path, "system.json", DS1_DOC)
         lpath = write(tmp_path, "sub.json", {"side": "repeller", "elements": DS1_REPELLERS})
         assert cli.main(["lift", spath, lpath]) == 6
@@ -698,6 +706,82 @@ def test_exact_family_that_is_no_sublattice_exits_5(row, tmp_path, monkeypatch, 
     out = capsys.readouterr()
     assert out.out == ""
     assert json.loads(out.err) == {"error": "not_a_sublattice", "message": message}
+
+
+# -- the lift engine's raise sites, through the CLI -------------------------------
+
+
+def _s_changed(change):
+    """A patch of the embedding LiftProblem.on receives: s, changed by ``change``."""
+
+    def make(real):
+        def embedding(lat):
+            poset, s = real(lat)
+            return poset, change(dict(s))
+
+        return embedding
+
+    return make
+
+
+def _star_changed(change):
+    """A patch of grid's duality transport: each star value, changed by ``change``."""
+    return lambda real: lambda problem, star, *side: real(problem, lambda a: change(star(a)), *side)
+
+
+def _audit_fails(real):
+    """The audit helper, reporting an annihilation failure at (p, alpha) = (0, 0) whatever the atoms."""
+    return lambda *args: (0, 0)
+
+
+LIFT_ROUTES = {"exact": (DS1_DOC, "repeller", DS1_REPELLERS), "grid": (TRIPOD_DOC, "attractor", TRIPOD_ATT)}
+
+# (route, module, attribute, patch of its real value, message).  On DS1 s is
+# {0: 0, {m, z}: 0b11, {a, b}: 0b1100, 1: 0b1111}; on the tripod the star
+# sends the attractors to 15, 12, 8, 4 and 0, s of the dual problem that
+# transport_by_duality builds, whose embedding check fires
+LIFT_CHECK_ROWS = {
+    "exact: s not total": (
+        "exact", lifting, "birkhoff_embedding", _s_changed(lambda s: {d: v for d, v in s.items() if d != 0b01}),
+        "s is not total on O(P); missing [['m', 'z']]",
+    ),
+    "exact: s not injective": (
+        "exact", lifting, "birkhoff_embedding", _s_changed(lambda s: {**s, 0b10: s[0b01]}), "s is not injective",
+    ),
+    "exact: s(0)": ("exact", lifting, "birkhoff_embedding", _s_changed(lambda s: {**s, 0: 0b1}), "s(0) != 0"),
+    "exact: s(1)": ("exact", lifting, "birkhoff_embedding", _s_changed(lambda s: {**s, 0b11: 0b111}), "s(1) != 1"),
+    "exact: s law": (
+        "exact", lifting, "birkhoff_embedding", _s_changed(lambda s: {**s, 0b01: 0b1}),
+        "s does not preserve meets at [['m', 'z']], [['m', 'z']]",
+    ),
+    "exact: step audit": (
+        "exact", lifting, "_annihilation_failure", _audit_fails, "step 0 audit failed: ['Eq (22)'] (q=['m', 'z'])",
+    ),
+    "grid dual: s not injective": ("grid", grid, "transport_by_duality", _star_changed(lambda v: 0), "s is not injective"),
+    "grid dual: s(0)": ("grid", grid, "transport_by_duality", _star_changed(lambda v: v ^ 1), "s(0) != 0"),
+    "grid dual: s(1)": ("grid", grid, "transport_by_duality", _star_changed(lambda v: 14 if v == 15 else v), "s(1) != 1"),
+    "grid dual: s law": (
+        "grid", grid, "transport_by_duality", _star_changed(lambda v: 9 if v == 8 else v),
+        "s does not preserve joins at [[0, 1, 2]], [[0, 1, 3]]",
+    ),
+    "grid dual: step audit": (
+        "grid", lifting, "_annihilation_failure", _audit_fails, "step 0 audit failed: ['Eq (22)'] (q=[0, 1, 2])",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", LIFT_CHECK_ROWS)
+def test_each_lift_check_exits_6(row, tmp_path, monkeypatch, capsys):
+    """Each row makes one raise site of the lift engine fire: exit 6, one JSON error naming it, no traceback."""
+    route, module, name, patch, message = LIFT_CHECK_ROWS[row]
+    doc, side, elements = LIFT_ROUTES[route]
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    spath = write(tmp_path, "system.json", doc)
+    lpath = write(tmp_path, "sub.json", {"side": side, "elements": elements})
+    assert cli.main(["lift", spath, lpath]) == 6
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "lift_check", "message": message}
 
 
 # -- theory cross-checks that fail inside analyze or lift, through the CLI ---------

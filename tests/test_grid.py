@@ -462,6 +462,14 @@ class TestShrink:
         with pytest.raises(NotARepellingBlock):
             shrink_repelling_block(fs(3), g1)
 
+    def test_shrinks_step_by_step(self):
+        # 2 -> 1 -> 0 with 0 fixed: W = {1, 2} loses 1, then 2
+        cmap = CellMap(CellGrid(0.0, 1.0, 3), (fs(0), fs(0), fs(1)))
+        w = fs(1, 2)
+        assert is_repelling_block(w, cmap)
+        assert [shrink_repelling_block(w, cmap, max_depth=d) for d in range(4)] == [w, fs(2), fs(), fs()]
+        assert shrink_repelling_block(w, cmap) == comb_inv_plus(w, cmap) == fs()
+
     def test_each_iterate_is_a_block(self, g1):
         w = g1.all_cells()
         for depth in range(4):
