@@ -9,12 +9,13 @@ operations run on bitmasks over the fixed state ordering.
 Image and preimage preserve unions, so omega and alpha are union-linear:
 omega(U) is the union of omega(x) over x in U (the cycle x runs into), and
 alpha(U) the union of alpha(x) (the basin of x's cycle when x lies on one,
-else empty).  The cycles, their basins and the per-state limit sets all come
-from one walk of the map, made once per system, and so do Inv(m), the union
-of the cycles inside m, and Inv+(m), m less one backward reach of its
-complement.  The attracting (repelling) neighborhoods are the sets closed
-under x -> omega(x) (x -> alpha(x)), enumerated output-sensitively by
-``order.closed_masks``, and counted in closed form from the cycles and their
+else empty).  The cycles are the map's cyclic SCCs, from the Tarjan pass
+the cell maps of ``grid`` share, the basin of each is one backward reach from
+it, and the per-state limit sets are read off these (cycle, basin) pairs.
+Inv(m) is the union of the cycles inside m, and Inv+(m) m less one backward
+reach of its complement.  The attracting (repelling) neighborhoods are the
+sets closed under x -> omega(x) (x -> alpha(x)), enumerated output-sensitively
+by ``order.closed_masks``, and counted in closed form from the cycles and their
 basins.  Att, Rep, the duals and the commuting square of diagram (1) are
 built from the unions of cycles, the power set of the cycles, so their cost
 grows with 2^cycles; listing the neighborhoods grows with their number.
@@ -31,7 +32,8 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattice import HomReport, SetLattice, _broken_law
 from .order import (
-    InternalCheckFailed, UnknownElement, canonical_order, check_bound, closed_masks, members, union_over, union_table,
+    InternalCheckFailed, UnknownElement, canonical_order, check_bound, closed_masks, members, transpose, union_over,
+    union_table,
 )
 
 
@@ -104,39 +106,21 @@ class FiniteDynSys:
         self._n = n
         self._full = (1 << n) - 1
         self._img1 = tuple(1 << self.index[next_map[s]] for s in self.states)
-        pre = [0] * n
-        for i, s in enumerate(self.states):
-            pre[self.index[next_map[s]]] |= 1 << i
-        self._pre1 = tuple(pre)
-        # one walk of the map: each state's forward path runs until it meets
-        # a state whose omega is known, or closes on itself, which finds a new
-        # cycle; omega of the path is then that of where it stopped
+        self._pre1 = tuple(transpose(self._img1))
+        # the cycles are the cyclic SCCs of the map, by lowest state, and the
+        # basin of each is one backward reach from it; omega(x) is the cycle
+        # whose basin holds x, alpha(x) the basin of x's cycle, empty off the cycles
+        self._cycles = tuple(sorted(_cyclic_components(self._img1, self._full), key=lambda c: c & -c))
+        self._basins = tuple((c, _reach(self._pre1, c)) for c in self._cycles)
         omega = [0] * n
-        cycles = []
-        for i in range(n):
-            path = []
-            on_path = 0
-            j = i
-            while not omega[j] and not on_path >> j & 1:
-                path.append(j)
-                on_path |= 1 << j
-                j = self._img1[j].bit_length() - 1
-            c = omega[j]
-            if not c:
-                c = sum(1 << k for k in path[path.index(j):])
-                cycles.append(c)
-            for k in path:
-                omega[k] = c
-        cycles.sort(key=lambda c: c & -c)
-        basin = dict.fromkeys(cycles, 0)
-        for i, c in enumerate(omega):
-            basin[c] |= 1 << i
-        # the cycles by lowest state; omega(x), the cycle x runs into; alpha(x),
-        # the basin of x's cycle, empty off the cycles; the (cycle, basin) pairs
-        self._cycles = tuple(cycles)
+        for c, rest in self._basins:
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                omega[bit.bit_length() - 1] = c
+        basin = dict(self._basins)
         self._omega_pts = tuple(omega)
         self._alpha_pts = tuple(basin[c] if c >> i & 1 else 0 for i, c in enumerate(omega))
-        self._basins = tuple(basin.items())
         self._duals = {}
 
     # -- mask plumbing -------------------------------------------------------
@@ -175,12 +159,8 @@ class FiniteDynSys:
         return out
 
     def _splus(self, m: int) -> int:
-        """S+ of the mask m: the states whose omega-limit misses it."""
-        out = 0
-        for i, c in enumerate(self._omega_pts):
-            if not c & m:
-                out |= 1 << i
-        return out
+        """S+ of the mask m: the states whose omega-limit misses it, those outside the basins of the cycles m meets."""
+        return self._full & ~self._alpha_mask(m)
 
     def _sminus(self, m: int) -> int:
         """S- of the mask m: what the cycles missing it reach (a sum of cycles is their union)."""
@@ -419,7 +399,7 @@ class FiniteDynSys:
         return star
 
     def _repeller_star(self, r: int) -> int:
-        """R* = Inv(R^c), checked against R- (Eq (7)); both come from the walk the tests' pruned Inv checks."""
+        """R* = Inv(R^c), checked against R- (Eq (7)); both read the cycles, which the tests' pruned Inv checks."""
         if not self._is_repeller(r):
             raise NotARepeller(f"{sorted(map(repr, self.unmask(r)))}")
         star = _inv(self._cycles, ~r & self._full)
@@ -447,18 +427,16 @@ class FiniteDynSys:
             return False, "A is not invariant", self.unmask(a)
         if self._image_mask(r) & ~r:
             return False, "R is not forward invariant", self.unmask(r)
+        # a state outside A and R whose omega lies in A has no backward orbit
+        # whose alpha_o escapes R: only states on a cycle have backward orbits,
+        # and such a state's omega is its cycle, which inside A puts it in A
         pts = self._omega_pts
-        # the states with a backward orbit whose alpha_o escapes R: those
-        # reached from a cycle that leaves R (a sum of cycles is their union)
-        escapes = _reach(self._img1, sum(c for c in self._cycles if c & ~r))
         rest = self._full & ~(a | r)
         while rest:
             i = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             if pts[i] & ~a:
                 return False, "omega(x) escapes A", self.states[i]
-            if escapes >> i & 1:
-                return False, "alpha_o of a backward orbit escapes R", self.states[i]
         return True, None, None
 
     def commuting_square_check(self) -> HomReport:
@@ -477,7 +455,7 @@ class FiniteDynSys:
         laws on Att go through ``lattice._broken_law`` in order.canonical_order,
         the one element order, so a failing law names the same pair as on
         ``att_lattice().elements``; (A*)* = A is checked after them.  Inv(U)
-        and omega(U) both come from the one walk of the map, which the tests'
+        and omega(U) both read the cycles and their basins, which the tests'
         pruned Inv and Inv+ check.
         """
         atts = canonical_order(self._recurrent_unions(), self._n)
@@ -515,6 +493,58 @@ def _reach(parts: Sequence[int], m: int, within: int = -1) -> int:
     while frontier:
         frontier = union_over(parts, frontier) & within & ~out
         out |= frontier
+    return out
+
+
+def _cyclic_components(img: Sequence[int], cells: int) -> list[int]:
+    """The SCCs of x -> img[x] restricted to the mask ``cells`` that hold a cycle, by one iterative Tarjan pass.
+
+    Roots and successors are taken in ascending order.  Called on all
+    states, these are the cycles of a single-valued map and the Morse sets
+    of a cell map.
+    """
+    index, low, stack, out = {}, {}, [], []
+    rest, onstack = cells, 0  # rest: the cells not yet entered
+    while rest:
+        root = (rest & -rest).bit_length() - 1
+        index[root] = low[root] = len(index)
+        rest ^= 1 << root
+        onstack |= 1 << root
+        stack.append(root)
+        work = [[root, img[root] & cells]]
+        while work:
+            frame = work[-1]
+            v, succ = frame
+            while succ:
+                bit = succ & -succ
+                succ ^= bit
+                if rest & bit:
+                    break
+                if onstack & bit:
+                    low[v] = min(low[v], index[bit.bit_length() - 1])
+            else:  # every successor seen: v is done
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    comp = 0
+                    while True:
+                        w = stack.pop()
+                        comp |= 1 << w
+                        if w == v:
+                            break
+                    onstack &= ~comp
+                    if comp & (comp - 1) or img[v] >> v & 1:
+                        out.append(comp)
+                continue
+            frame[1] = succ
+            w = bit.bit_length() - 1
+            index[w] = low[w] = len(index)
+            rest ^= bit
+            onstack |= bit
+            stack.append(w)
+            work.append([w, img[w] & cells])
     return out
 
 

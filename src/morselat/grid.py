@@ -18,9 +18,9 @@ oracle.
 
 Inside, cell sets are int masks over the arrow and preimage masks that a
 CellMap builds once: comb_inv and comb_inv_plus, the lattice cores, are one
-Tarjan pass and reaches within the set on the dynsys kernel (_reach), and
-the block tests and lift front-ends run on masks; the exported label
-functions are views over them.
+Tarjan pass and reaches within the set on the dynsys kernel
+(_cyclic_components, _reach), and the block tests and lift front-ends run on
+masks; the exported label functions are views over them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from . import expr as exprmod
-from .dynsys import _reach
+from .dynsys import _cyclic_components, _reach
 from .lattice import SetLattice, checked_sublattice, label_masks
 from .lifting import LiftProblem, ObstructionFound, lift, transport_by_duality
 from .order import InternalCheckFailed, TooLarge, check_bound, closed_masks, members, transpose, union_over
@@ -227,67 +227,15 @@ def is_repelling_block(cells: Iterable[int], cmap: CellMap) -> bool:
     return _is_repelling_block(cmap, label_masks(range(cmap.n), [cells])[0])
 
 
-def _cyclic_components(cmap: CellMap, cells: int) -> list[int]:
-    """The SCCs of the graph restricted to the mask ``cells`` that hold a cycle, by one iterative Tarjan pass.
-
-    Roots and successors are taken in ascending cell order.  Called on all
-    cells, these are the Morse sets of the cell map.
-    """
-    img = cmap._img
-    index, low, stack, out = {}, {}, [], []
-    rest, onstack = cells, 0  # rest: the cells not yet entered
-    while rest:
-        root = (rest & -rest).bit_length() - 1
-        index[root] = low[root] = len(index)
-        rest ^= 1 << root
-        onstack |= 1 << root
-        stack.append(root)
-        work = [[root, img[root] & cells]]
-        while work:
-            frame = work[-1]
-            v, succ = frame
-            while succ:
-                bit = succ & -succ
-                succ ^= bit
-                if rest & bit:
-                    break
-                if onstack & bit:
-                    low[v] = min(low[v], index[bit.bit_length() - 1])
-            else:  # every successor seen: v is done
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    comp = 0
-                    while True:
-                        w = stack.pop()
-                        comp |= 1 << w
-                        if w == v:
-                            break
-                    onstack &= ~comp
-                    if comp & (comp - 1) or img[v] >> v & 1:
-                        out.append(comp)
-                continue
-            frame[1] = succ
-            w = bit.bit_length() - 1
-            index[w] = low[w] = len(index)
-            rest ^= bit
-            onstack |= bit
-            stack.append(w)
-            work.append([w, img[w] & cells])
-    return out
-
-
 def _comb_inv(cmap: CellMap, n: int) -> int:
     """The cells of the mask n on a bi-infinite walk inside it: reached from a cycle and reaching one."""
-    cyc = sum(_cyclic_components(cmap, n))
+    cyc = sum(_cyclic_components(cmap._img, n))
     return _reach(cmap._img, cyc, n) & _reach(cmap._pre, cyc, n)
 
 
 def _comb_inv_plus(cmap: CellMap, n: int) -> int:
     """The cells of the mask n with an infinite forward walk inside it: those reaching a cycle."""
-    return _reach(cmap._pre, sum(_cyclic_components(cmap, n)), n)
+    return _reach(cmap._pre, sum(_cyclic_components(cmap._img, n)), n)
 
 
 def comb_inv(cells: Iterable[int], cmap: CellMap) -> frozenset:
@@ -327,7 +275,7 @@ def _morse_attractors(cmap: CellMap) -> dict[int, int]:
     The Morse sets are ordered by reachability.  An attracting block holds
     exactly a down-set of them, and its walk core is their forward closure.
     """
-    morse = _cyclic_components(cmap, cmap._full)
+    morse = _cyclic_components(cmap._img, cmap._full)
     check_bound(len(morse), "Morse sets", GRID_ENUM_BOUND)
     reach = [_reach(cmap._img, m) for m in morse]
     rel = [sum(1 << j for j, m in enumerate(morse) if not m & ~r) for r in reach]

@@ -10,9 +10,11 @@ from morselat import (
     NotARepeller,
     NotForwardInvariant,
     Orbit,
+    UnknownElement,
     ds1,
     ds2,
 )
+from morselat.order import InternalCheckFailed
 from morselat.verify import SystemData, all_systems, check_d1
 
 
@@ -147,6 +149,22 @@ class TestOrbits:
                 sys.validate_orbit(Orbit(pre, cycle, backward))
 
 
+# one row per refusal of an input the system does not hold: (call, exception, message)
+REFUSALS = [
+    (lambda: FiniteDynSys("mm", {"m": "m"}), ValueError, "state labels are not unique"),
+    (lambda: ds1().mask(["m", "q"]), UnknownElement, "q"),
+    (lambda: ds1().validate_orbit(Orbit(("q",), ("z",))), InvalidOrbit, "unknown state 'q'"),
+    (lambda: ds1().validate_orbit(Orbit(("z",), ())), InvalidOrbit, "orbit needs a nonempty cycle"),
+    (lambda: ds1().backward_orbits_through("q"), UnknownElement, "q"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS, ids=[r[2] for r in REFUSALS])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestDualSets:
     def test_dual_plus(self, sys1):
         assert sys1.dual_plus(S("z")) == S("ab")
@@ -262,6 +280,17 @@ class TestArPairs:
 
     def test_top_pair(self, sys1):
         assert sys1.check_ar_pair(sys1.inv(S("mzab")), S(""))
+
+    def test_non_attractor_fails_both_ways(self, sys1):
+        # {m} has no dual, so the duality side says no without raising
+        report = sys1.check_ar_pair(S("m"), S(""))
+        assert (report.ok, report.law, report.witness) == (False, "A is not invariant", S("m"))
+
+    def test_corrupt_dual_memo_is_a_disagreement(self, sys1):
+        # {z}* is {a, b}; a memo that says otherwise contradicts the direct test
+        sys1._duals[(sys1.mask("z"), True)] = sys1.mask("mab")
+        with pytest.raises(InternalCheckFailed, match="Theorem 3.19 characterizations disagree"):
+            sys1.check_ar_pair(S("z"), S("ab"))
 
 
 class TestCommutingSquare:

@@ -154,6 +154,12 @@ class TestBlocks:
             map(sorted, oracle_blocks(g1))
         )
 
+    @pytest.mark.parametrize("fixture", ["g1", "g2", "tripod"])
+    def test_repelling_blocks_are_the_complements(self, fixture, request):
+        cmap = request.getfixturevalue(fixture)
+        full = cmap.all_cells()
+        assert grid.repelling_blocks(cmap) == [full - n for n in attracting_blocks(cmap)]
+
     def test_enumeration_bound(self, g1, monkeypatch):
         monkeypatch.setenv("MORSELAT_MAX_ENUM", "8")
         with pytest.raises(TooLarge):

@@ -165,6 +165,53 @@ class TestConditionalLift:
         assert not report and "Eq (18)" in report.law
 
 
+def s_lift(prob, lam, conditioners=None):
+    """k = s on O(lambda^T) and the top: a partial lift of identity_problem(), conditional with conditioners = s."""
+    table = {d: prob.s[d] for d in prob.down_sets if not d & ~lam}
+    table[top(prob)] = prob.ambient
+    return PartialLift(prob, lam, table, conditioners)
+
+
+# one entry of s_lift's table on identity_problem() replaced, or deleted
+# (None): (lambda, entry, value, law, witness); down-sets 1 = {a}, 2 = {b}
+PARTIAL_LIFT_CORRUPTIONS = [
+    (3, 1, None, "totality on O(lambda^T)", (1,)),
+    (3, 3, 1, "k(1) = 1", (3,)),
+    (3, 0, 1, "k(0) = 0", (0,)),
+    (3, 1, 0, "k(a v b) = k(a) v k(b)", (1, 2)),
+    (3, 1, 3, "k(a ^ b) = k(a) ^ k(b)", (1, 2)),
+    (1, 1, 2, "h(k(beta)) = s(beta)", (1,)),
+]
+
+
+@pytest.mark.parametrize(
+    "lam, entry, value, law, witness", PARTIAL_LIFT_CORRUPTIONS, ids=[r[3] for r in PARTIAL_LIFT_CORRUPTIONS]
+)
+def test_partial_lift_names_each_corruption(lam, entry, value, law, witness):
+    prob = identity_problem()
+    cand = s_lift(prob, lam, dict(prob.s))
+    assert is_partial_lift(cand) and is_conditional_lift(cand)
+    if value is None:
+        del cand.table[entry]
+    else:
+        cand.table[entry] = value
+    report = is_partial_lift(cand)
+    assert (report.ok, report.law, report.witness) == (False, law, witness)
+    # Def 5.5 presupposes Def 5.4 and returns its report
+    assert is_conditional_lift(cand) == report
+
+
+def test_conditional_lift_checks_its_conditioners():
+    prob = identity_problem()
+    with pytest.raises(ConditionerMissing) as info:
+        is_conditional_lift(s_lift(prob, 3))
+    assert info.value.alpha == 0
+    cond = dict(prob.s)
+    cond[1] = 2
+    report = is_conditional_lift(s_lift(prob, 3, cond))
+    assert (report.ok, report.law, report.witness) == (False, "v_alpha in h^-1(s(alpha))", (1, 2))
+
+
 @pytest.fixture
 def tripod_problem(tripod):
     """The direct attractor-side problem on the branched fixture."""

@@ -227,6 +227,25 @@ class TestCycleWalk:
                 for r in range(16):
                     assert sys._ar_direct(a, r) == ar_direct_oracle(sys, a, r), (dict(sys.next), a, r)
 
+    def test_dual_plus_and_basin_on_every_small_map(self):
+        # S+ holds the states whose omega misses S, and the basin of an
+        # attractor A the states whose omega lies in A; omega by the oracle
+        for n in range(1, 5):
+            for sys in all_systems(n):
+                omega = [omega_oracle(sys, 1 << i) for i in range(n)]
+                attractors = set()
+                for m in range(1 << n):
+                    assert sys.dual_plus(sys.unmask(m)) == sys.unmask(
+                        sum(1 << i for i in range(n) if not omega[i] & m)
+                    ), (dict(sys.next), m)
+                    om = omega_oracle(sys, m)
+                    if not om & ~m:
+                        attractors.add(om)
+                for a in attractors:
+                    assert sys.basin(sys.unmask(a)) == sys.unmask(
+                        sum(1 << i for i in range(n) if not omega[i] & ~a)
+                    ), (dict(sys.next), a)
+
     def test_attractor_and_repeller_tests_on_every_mask(self):
         # _is_attractor reads the cycles and _is_repeller the (cycle, basin)
         # pairs; the references are the forms they replaced: f(m) = m and

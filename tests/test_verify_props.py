@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from morselat import FiniteDynSys
-from morselat.dynsys import _inv, _inv_plus, _reach
+from morselat import FiniteDynSys, verify
+from morselat.dynsys import _inv, _inv_plus, _reach, ds1, ds2
 from morselat.order import union_over
 from morselat.verify import (
     CHECKS,
@@ -161,3 +161,92 @@ def test_p3_7_and_p3_28_fire_from_the_restricted_side(monkeypatch):
         ("P3.7", False, (sys.next, (frozenset({0, 1}), frozenset({0})))),
         ("P3.28", False, (sys.next, (frozenset({2, 3}), frozenset({2})))),
     ]
+
+
+def entry(name, i, value):
+    """Set entry i of the SystemData table ``name``."""
+
+    def corrupt(sd):
+        getattr(sd, name)[i] = value
+
+    return corrupt
+
+
+def extra(name, *masks):
+    """Append masks to the SystemData family ``name``."""
+    return lambda sd: setattr(sd, name, getattr(sd, name) + list(masks))
+
+
+def memo(key, value):
+    """Set one entry of the system's memo of duals."""
+    return lambda sd: sd.sys._duals.__setitem__(key, value)
+
+
+def method_at(name, m, value):
+    """Make the system's method ``name`` return value at the mask m."""
+
+    def corrupt(sd):
+        real = getattr(sd.sys, name)
+        setattr(sd.sys, name, lambda x: value if x == m else real(x))
+
+    return corrupt
+
+
+def fixed_point_and_feeder():
+    return FiniteDynSys((0, 1), {0: 0, 1: 0})
+
+
+def fs(*items):
+    return frozenset(items)
+
+
+# one corruption of a table (or of the system's memo or one method) after
+# SystemData is built, and the counterexample the tag must report:
+# (id, tag, system, corruption, witness).  On ds1, m -> z -> z and a -> b -> b,
+# masks have bit 1 for m, 2 for z, 4 for a and 8 for b; ds2 is the 3-cycle
+VERIFY_REPORTS = [
+    ("P2.5", "P2.5", ds1, entry("img", 1, 1), fs("m")),
+    ("C2.6", "C2.6", ds1, extra("fwdbwd", 1), fs("m")),
+    ("L2.7 union", "L2.7", ds1, entry("inv", 3, 3), (fs("m", "z"), fs("b"), "union")),
+    ("L2.7 intersection", "L2.7", fixed_point_and_feeder, entry("inv", 2, 3), (fs(1), fs(1), "intersection")),
+    ("P2.8 distributivity", "P2.8", ds2, extra("invariant", 1, 6), (fs(0, 1, 2), fs(0), fs(1, 2), "distributivity")),
+    ("L2.10", "L2.10", ds1, entry("invplus", 1, 1), fs("m")),
+    ("P2.11 v", "P2.11", ds1, entry("omega_union", 1, 3), (fs("m"), "v")),
+    ("P2.11 vii", "P2.11", ds1, entry("backward_sources", 1, 1), (fs("m"), "vii")),
+    ("P2.13 vi Inv+ outside alpha", "P2.13", ds1, entry("invplus", 2, 6), (fs("z"), "vi")),
+    ("P2.13 vi Inv+ != alpha", "P2.13", ds1, entry("invplus", 3, 2), (fs("m", "z"), "vi")),
+    ("P2.13 vii not backward invariant", "P2.13", ds1, entry("pre", 3, 7), (fs("m", "z"), "vii")),
+    ("P2.13 vii surjective", "P2.13", ds2, entry("inv", 7, 3), (fs(0, 1, 2), "vii")),
+    ("P2.13 viii", "P2.13", ds1, extra("fwdbwd", 1), (fs("m"), "viii")),
+    ("P2.15", "P2.15", ds1, entry("alpha_pt", 1, 0), ("z", fs("z"))),
+    ("P2.16 S+", "P2.16", ds1, entry("splus", 0, 1), (fs(), "S+ not forward-backward invariant")),
+    ("P2.16 S-", "P2.16", ds1, entry("sminus", 0, 1), (fs(), "S- not invariant")),
+    ("P2.16 S meets S+", "P2.16", ds1, entry("splus", 2, 15), (fs("z"), "invariant S meets S+")),
+    ("P2.16 S meets S-", "P2.16", ds1, entry("sminus", 3, 10), (fs("m", "z"), "forward-backward invariant S meets S-")),
+    ("P3.12", "P3.12", ds1, entry("invplus", 1, 1), (fs("m"), "repeller not forward-backward invariant")),
+    ("P4.7 join law", "P4.7", ds1, memo((2, True), 13), (fs("z"), fs("b"), "join law")),
+    ("P4.7 meet law", "P4.7", ds1, entry("inv", 0, 2), (fs(), fs(), "meet law")),
+    ("P4.7 involution", "P4.7", ds1, memo((12, False), 3), (fs("z"), "involution")),
+    ("D1 Inv", "D1", ds1, method_at("_omega_mask", 2, 10),
+     ("Inv(U) != omega(U) on an attracting neighborhood", fs("z"))),
+    ("D1 complement", "D1", ds1, method_at("_alpha_mask", 12, 13),
+     ("U attracting but U^c not repelling", fs("m", "z"))),
+    ("D1 Inv+", "D1", ds1, method_at("_alpha_mask", 12, 8), ("Inv+(U^c) != alpha(U^c)", fs("m", "z"))),
+    ("T3.19", "T3.19", ds1, memo((2, True), 13), (fs("z"), fs("a", "b"))),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, make, corrupt, witness", [r[1:] for r in VERIFY_REPORTS], ids=[r[0] for r in VERIFY_REPORTS]
+)
+def test_each_verify_report_fires(monkeypatch, tag, make, corrupt, witness):
+    class Corrupted(SystemData):
+        def __init__(self, sys):
+            super().__init__(sys)
+            corrupt(self)
+
+    sys = make()
+    assert run_verification([sys], tags={tag})[0].passed
+    monkeypatch.setattr(verify, "SystemData", Corrupted)
+    (result,) = run_verification([make()], tags={tag})
+    assert (result.passed, result.counterexample) == (False, (sys.next, witness))
